@@ -155,7 +155,7 @@ func writeBenchJSON(path, filter string, opts exp.Options) error {
 		if !wanted(e.ID) {
 			continue
 		}
-		o := exp.Options{Flows: flows, Seed: opts.Seed, Parallel: 1, Sched: opts.Sched, NoFastPath: opts.NoFastPath,
+		o := exp.Options{Flows: flows, Seed: opts.Seed, Parallel: 1, Sched: opts.Sched,
 			Cache: opts.Cache, CacheVerify: opts.CacheVerify}
 		entry, err := benchOne(e.ID, e.ID, o)
 		if err != nil {
@@ -182,7 +182,7 @@ func writeBenchJSON(path, filter string, opts exp.Options) error {
 				continue
 			}
 			o := exp.Options{Flows: sc.flows, Seed: opts.Seed, Parallel: 1, Sched: opts.Sched,
-				Schemes: scaleSchemes, Shards: shards, NoFastPath: opts.NoFastPath,
+				Schemes: scaleSchemes, Shards: shards,
 				Cache: opts.Cache, CacheVerify: opts.CacheVerify}
 			entry, err := benchOne(name, "fig12", o)
 			if err != nil {
@@ -198,8 +198,7 @@ func writeBenchJSON(path, filter string, opts exp.Options) error {
 			continue
 		}
 		o := exp.Options{Flows: sc.flows, Seed: opts.Seed, Parallel: 1, Sched: opts.Sched,
-			Schemes: scaleSchemes, NoFastPath: opts.NoFastPath,
-			Cache: opts.Cache, CacheVerify: opts.CacheVerify}
+			Schemes: scaleSchemes, Cache: opts.Cache, CacheVerify: opts.CacheVerify}
 		entry, err := benchOne(sc.name, "scale1M", o)
 		if err != nil {
 			return err
@@ -217,7 +216,7 @@ func writeBenchJSON(path, filter string, opts exp.Options) error {
 			continue
 		}
 		o := exp.Options{Flows: webScaleFlows, Seed: opts.Seed, Parallel: 1, Sched: opts.Sched,
-			Schemes: scaleSchemes, Shards: shards, NoFastPath: opts.NoFastPath,
+			Schemes: scaleSchemes, Shards: shards,
 			Cache: opts.Cache, CacheVerify: opts.CacheVerify}
 		entry, err := benchOne(name, "scale1M-websearch", o)
 		if err != nil {

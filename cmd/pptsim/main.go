@@ -46,11 +46,10 @@ func main() {
 		schemes  = flag.String("schemes", "", "comma-separated scheme filter (e.g. ppt,dctcp)")
 		sched    = flag.String("sched", "wheel", "event-queue implementation: wheel (hierarchical timing wheel) or heap (4-ary min-heap); results are identical, speed is not")
 		shards   = flag.Int("shards", 1, "worker-goroutine cap for the windowed sharded engine on leaf-spine fabrics (results are identical at any value >= 1)")
-		fastpath = flag.String("fastpath", "on", "cut-through fused port pipeline: on (default) or off (classic two-event pipeline; results are identical, speed is not)")
 		asCSV    = flag.Bool("csv", false, "emit results as CSV instead of tables")
 		asJSON   = flag.Bool("json", false, "emit results as JSON instead of tables")
 
-		cacheDir    = flag.String("cache", "off", "content-addressed result-cache directory, or off; hits replay cell results without simulating (keys exclude -sched/-shards/-parallel/-fastpath — outcomes are engine-invariant)")
+		cacheDir    = flag.String("cache", "off", "content-addressed result-cache directory, or off; hits replay cell results without simulating (keys exclude -sched/-shards/-parallel — outcomes are engine-invariant)")
 		cacheVerify = flag.Bool("cache-verify", false, "recompute every cache hit and byte-compare against the stored result; any divergence fails the run (determinism tripwire; requires -cache DIR)")
 		cacheMaxMB  = flag.Int("cache-max-mb", 0, "evict least-recently-modified cache entries at startup until the directory fits this many MB (0 = uncapped; requires -cache DIR)")
 
@@ -78,10 +77,6 @@ func main() {
 	}
 	if *repeats < 1 {
 		fmt.Fprintf(os.Stderr, "pptsim: invalid -repeats %d: want a positive repeat count\n", *repeats)
-		os.Exit(2)
-	}
-	if *fastpath != "on" && *fastpath != "off" {
-		fmt.Fprintf(os.Stderr, "pptsim: invalid -fastpath %q: want on or off\n", *fastpath)
 		os.Exit(2)
 	}
 	cacheOn := *cacheDir != "" && *cacheDir != "off"
@@ -150,8 +145,7 @@ func main() {
 	}
 
 	opts := exp.Options{Flows: *flows, Load: *load, Seed: *seed, Repeats: *repeats, Parallel: *parallel, Sched: *sched, Shards: *shards,
-		NoFastPath: *fastpath == "off",
-		Cache:      resultCache, CacheVerify: *cacheVerify,
+		Cache: resultCache, CacheVerify: *cacheVerify,
 		// An explicit multi-shard request from the CLI should fail
 		// loudly on topologies that can't partition instead of
 		// silently running monolithic.

@@ -11,7 +11,7 @@
 //
 //   - Keys are built by the caller (internal/exp) from outcome-relevant
 //     fields only; engine knobs that the golden matrix proves invisible
-//     (sched, shards, stream, spill chunk, parallelism, fastpath) are
+//     (sched, shards, stream, spill chunk, parallelism) are
 //     excluded, so a result computed on one engine configuration hits on
 //     every other.
 //   - Values are stats.Summary plus the row's extra metrics, encoded

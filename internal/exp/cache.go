@@ -15,7 +15,7 @@ import (
 // hashes into content addresses (DESIGN.md §7.8). The ground rule:
 // a descriptor names every input that can change a cell's Summary or
 // extras, and nothing else. Engine knobs — scheduler implementation,
-// shard count, worker count, streaming, spill chunk, fast path — are
+// shard count, worker count, streaming, spill chunk — are
 // deliberately ABSENT: nine PRs of golden-matrix pinning prove them
 // outcome-invisible, so a result computed at -shards=4 -sched=heap
 // must hit when replayed at -shards=1 -sched=wheel. That exclusion is
@@ -37,8 +37,6 @@ import (
 func canonCfg(cfg topo.Config) string {
 	cfg.Sched = 0
 	cfg.Shards = 0
-	cfg.NoFastPath = false
-	cfg.LegacyPipeline = false
 	return fmt.Sprintf("%+v", cfg)
 }
 

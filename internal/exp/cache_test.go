@@ -19,8 +19,8 @@ func testExpCache(t *testing.T) *cache.Cache {
 
 // TestCacheKeyExcludesEngineKnobs pins the key construction contract:
 // the engine knobs the golden matrix proves outcome-invisible (sched,
-// shards, stream, spill chunk, fast path) MUST NOT reach the cell
-// descriptor, while every outcome-relevant input MUST.
+// shards, stream, spill chunk) MUST NOT reach the cell descriptor,
+// while every outcome-relevant input MUST.
 func TestCacheKeyExcludesEngineKnobs(t *testing.T) {
 	base := runSpec{
 		fab: simFabric(3, 2, 8), sc: baseSchemes()["ppt"],
@@ -35,7 +35,6 @@ func TestCacheKeyExcludesEngineKnobs(t *testing.T) {
 		"shards":     func(s *runSpec) { s.shards = 4 },
 		"stream":     func(s *runSpec) { s.stream = true },
 		"spillChunk": func(s *runSpec) { s.spillChunk = 1 << 14 },
-		"noFastPath": func(s *runSpec) { s.noFastPath = true },
 	}
 	for name, mutate := range invisible {
 		spec := base

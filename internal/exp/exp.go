@@ -69,11 +69,6 @@ type Options struct {
 	// CLI sets it for explicit -shards requests; the API default stays
 	// permissive so experiment matrices can sweep Shards uniformly.
 	StrictShards bool
-	// NoFastPath disables the fused cut-through port pipeline in every
-	// cell (the -fastpath=off escape hatch). Results are byte-identical
-	// either way (pinned by the fused differential); the knob exists so
-	// regressions can be bisected to the fast path in one rerun.
-	NoFastPath bool
 	// Cache, when non-nil, answers cells content-addressed from the
 	// result cache: each cell's canonical descriptor (outcome-relevant
 	// inputs only — never the engine knobs above, which the golden

@@ -5,7 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"ppt/internal/topo"
 )
+
+// Every cell the package tests run — the golden matrix, the streamed
+// goldens and the differentials among them — ends with the run-end
+// conservation audit of its fabric.
+func init() { auditNet = (*topo.Network).Audit }
 
 // Regenerate with: go test ./internal/exp -run TestGolden -update-golden
 //
@@ -42,9 +49,8 @@ var goldenCases = []struct {
 // full engine matrix — serially and on the 4-wide worker pool, under
 // both the heap and the timing-wheel scheduler, at shard hints 1, 2 and
 // 4 — and requires every run to match the checked-in golden output byte
-// for byte. The goldens were generated on the original (pre-wheel) heap
-// engine, so this matrix is also the proof that the wheel pops events
-// in exactly the heap's (time, seq) order, and that the conservative
+// for byte. The matrix is also the proof that the wheel pops events in
+// exactly the heap's (time, seq) order, and that the conservative
 // windowed engine's worker count is invisible to simulated outcomes.
 func TestGoldenOutputs(t *testing.T) {
 	if testing.Short() {

@@ -108,7 +108,6 @@ func (p *pool) submitSpecExtra(label string, spec runSpec, extrasKind string, ex
 	out := &cellOut{}
 	spec.sched = p.opts.schedImpl()
 	spec.shards = p.opts.Shards
-	spec.noFastPath = p.opts.NoFastPath
 	// Force-on only: experiments that always stream (the scale family)
 	// set spec.stream themselves; Options.Stream additionally streams
 	// every other cell.

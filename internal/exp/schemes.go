@@ -218,9 +218,6 @@ type runSpec struct {
 	// into the spilling collector at round barriers in canonical order
 	// (stats.WindowFold), bit-identical to the in-memory merge.
 	spillChunk int
-	// noFastPath runs every port on the classic two-event pipeline
-	// (from Options.NoFastPath). Byte-identical outcomes either way.
-	noFastPath bool
 }
 
 // streamSource adapts a lazy workload generator into transport's
@@ -247,12 +244,27 @@ func (s *streamSource) Next() (transport.SimpleFlow, bool) {
 	}, true
 }
 
+// auditNet, when set, checks every cell's fabric after its run (the
+// package tests install topo.Network.Audit); a violation panics, which
+// fails the cell.
+var auditNet func(*topo.Network) error
+
 // execute builds the fabric, generates flows, and runs to completion,
 // returning the summary and the environment for extra metrics.
 func execute(spec runSpec) (stats.Summary, *transport.Env) {
+	sum, env := simulate(spec)
+	if auditNet != nil {
+		if err := auditNet(env.Net); err != nil {
+			panic(err)
+		}
+	}
+	return sum, env
+}
+
+// simulate is execute without the audit.
+func simulate(spec runSpec) (stats.Summary, *transport.Env) {
 	cfg := spec.fab.cfg
 	cfg.Sched = spec.sched
-	cfg.NoFastPath = spec.noFastPath
 	if spec.sc.tweak != nil {
 		spec.sc.tweak(&cfg)
 	}

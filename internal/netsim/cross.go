@@ -57,10 +57,13 @@ func (o *Outbox) deposit(at sim.Time, pkt *Packet, p *Port, dst int32) {
 // Inbox holds the cross-shard packets due for delivery inside one
 // shard, sorted by the canonical order. The driver appends and sorts at
 // barriers (while the shard is quiescent); the shard's own event loop
-// pops due entries via the armed timer.
+// pops due entries via the armed timer, advancing head past them (the
+// delivered prefix pending[:head] is compacted away at the next barrier
+// that touches the inbox, so a fire never shifts the slice).
 type Inbox struct {
 	sched   *sim.Scheduler
 	pending []CrossEntry
+	head    int
 	timer   sim.Timer
 	armedAt sim.Time
 	dirty   bool
@@ -84,21 +87,32 @@ func NewInbox(s *sim.Scheduler) *Inbox {
 // order) and re-arms for the next one.
 func (in *Inbox) fire() {
 	now := in.sched.Now()
-	n := 0
+	n := in.head
 	for n < len(in.pending) && in.pending[n].At == now {
 		e := &in.pending[n]
 		e.Port.deliverCross(e.Pkt)
+		*e = CrossEntry{}
 		n++
 	}
-	rem := copy(in.pending, in.pending[n:])
-	for i := rem; i < len(in.pending); i++ {
-		in.pending[i] = CrossEntry{}
+	if n == len(in.pending) {
+		in.pending = in.pending[:0]
+		in.head = 0
+		return
 	}
-	in.pending = in.pending[:rem]
-	if rem > 0 {
-		in.armedAt = in.pending[0].At
-		in.timer = in.sched.At(in.armedAt, in.fireFn)
+	in.head = n
+	in.armedAt = in.pending[n].At
+	in.timer = in.sched.At(in.armedAt, in.fireFn)
+}
+
+// compact drops the delivered prefix pending[:head].
+func (in *Inbox) compact() {
+	if in.head == 0 {
+		return
 	}
+	n := copy(in.pending, in.pending[in.head:])
+	clear(in.pending[n:])
+	in.pending = in.pending[:n]
+	in.head = 0
 }
 
 // MergeWindows moves every outbox deposit into the destination inboxes,
@@ -125,6 +139,7 @@ func MergeWindows(outboxes []*Outbox, inboxes []*Inbox) int {
 			in := inboxes[e.Dst]
 			if !in.dirty {
 				in.dirty = true
+				in.compact()
 				in.sorted = len(in.pending)
 			}
 			in.pending = append(in.pending, *e)
@@ -139,7 +154,7 @@ func MergeWindows(outboxes []*Outbox, inboxes []*Inbox) int {
 		in.dirty = false
 		p := in.pending
 		suffix := p[in.sorted:]
-		sortCross(suffix)
+		in.sortSuffix(suffix)
 		if in.sorted > 0 && crossLess(&suffix[0], &p[in.sorted-1]) {
 			in.mergeRuns()
 		}
@@ -185,47 +200,50 @@ func crossLess(a, b *CrossEntry) bool {
 	return a.Seq < b.Seq
 }
 
-// sortCross sorts entries into canonical order in place without
-// allocating: sort.Slice builds a reflect-based swapper (two heap
-// objects) per call, and at one call per dirty inbox per window
-// barrier that dominated the windowed engine's allocation profile.
-// Pending batches are small most windows — insertion sort handles
-// those in near-linear time on the mostly-sorted appends — with an
-// in-place heapsort above the cutoff to keep worst-case incast
-// windows O(n log n).
-func sortCross(p []CrossEntry) {
-	if len(p) <= 24 {
-		for i := 1; i < len(p); i++ {
-			for j := i; j > 0 && crossLess(&p[j], &p[j-1]); j-- {
-				p[j], p[j-1] = p[j-1], p[j]
-			}
+// sortSuffix sorts a barrier's appended suffix into canonical order in
+// place without allocating: insertion-sorted blocks, then bottom-up
+// merges of adjacent blocks through the reusable scratch buffer. Each
+// source shard deposits in transmit-start order, due txDone + Delay, so
+// its entries arrive nearly sorted; blocks come out of insertion sort in
+// near-linear time, and a merge whose halves are already in order is
+// skipped. Worst case stays O(n log n).
+func (in *Inbox) sortSuffix(p []CrossEntry) {
+	const block = 16
+	for lo := 0; lo < len(p); lo += block {
+		insertionSortCross(p[lo:min(lo+block, len(p))])
+	}
+	for w := block; w < len(p); w *= 2 {
+		for lo := 0; lo+w < len(p); lo += 2 * w {
+			in.mergeAdjacent(p[lo:min(lo+2*w, len(p))], w)
 		}
-		return
-	}
-	for i := len(p)/2 - 1; i >= 0; i-- {
-		siftCross(p, i)
-	}
-	for end := len(p) - 1; end > 0; end-- {
-		p[0], p[end] = p[end], p[0]
-		siftCross(p[:end], 0)
 	}
 }
 
-// siftCross restores the max-heap property below root i.
-func siftCross(p []CrossEntry, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(p) {
-			return
+func insertionSortCross(p []CrossEntry) {
+	for i := 1; i < len(p); i++ {
+		for j := i; j > 0 && crossLess(&p[j], &p[j-1]); j-- {
+			p[j], p[j-1] = p[j-1], p[j]
 		}
-		big := l
-		if r := l + 1; r < len(p) && crossLess(&p[l], &p[r]) {
-			big = r
-		}
-		if !crossLess(&p[i], &p[big]) {
-			return
-		}
-		p[i], p[big] = p[big], p[i]
-		i = big
 	}
+}
+
+// mergeAdjacent merges the sorted runs p[:mid] and p[mid:] in place,
+// staging the left run in scratch.
+func (in *Inbox) mergeAdjacent(p []CrossEntry, mid int) {
+	if !crossLess(&p[mid], &p[mid-1]) {
+		return
+	}
+	in.scratch = append(in.scratch[:0], p[:mid]...)
+	i, j, k := 0, mid, 0
+	for i < len(in.scratch) && j < len(p) {
+		if crossLess(&p[j], &in.scratch[i]) {
+			p[k] = p[j]
+			j++
+		} else {
+			p[k] = in.scratch[i]
+			i++
+		}
+		k++
+	}
+	copy(p[k:], in.scratch[i:])
 }

@@ -22,20 +22,18 @@ type Device interface {
 // shared-buffer architecture of the Dell S4048 used in the paper's
 // testbed.
 //
-// With the cut-through fast path (see Port), member ports release their
-// bytes lazily: the release is deferred in the port's pend queue and
-// applied by settle() at every observation point — tryReserve, Used —
-// so admission and dynamic-threshold decisions see the same occupancy
-// the eager per-packet release gave them (DESIGN.md §7.6).
+// Member ports start departures on demand and release their bytes
+// lazily (see Port): settle() observes every member at each occupancy
+// read — tryReserve, Used — so admission and dynamic-threshold
+// decisions see the occupancy an eager engine would (DESIGN.md §7.6).
 type BufferPool struct {
 	Cap  int64
 	used int64
 	// Drops counts pool-exhaustion losses across all member ports.
 	Drops int64
-	// members are the ports drawing from this pool; settle() flushes
-	// their deferred releases before any occupancy read. All members of
-	// one pool share one scheduler (pools are per-switch), so the
-	// strict now-1 settle bound is well defined.
+	// members are the ports drawing from this pool. All members of one
+	// pool share one scheduler (pools are per-switch), so the strict
+	// now-1 settle bound is well defined.
 	members []*Port
 }
 
@@ -44,16 +42,12 @@ func NewBufferPool(capBytes int64) *BufferPool {
 	return &BufferPool{Cap: capBytes}
 }
 
-// settle applies every member port's deferred transmit accounting that
-// is strictly in the past, so occupancy reads match the eager engine:
-// an old-engine release at finishTx(T) was visible to any event after
-// T, and events at exactly T ordered before finishTx (every admission
-// is delivery-driven, armed one wire delay earlier — before the
-// releasing packet even started serializing whenever Delay > TxTime)
-// saw it unapplied, which is exactly the strict bound.
+// settle observes every member port with a backlog or deferred
+// accounting through now-1: a release becomes visible strictly after its
+// serialize-complete instant.
 func (b *BufferPool) settle() {
 	for _, p := range b.members {
-		if p.pendHead < len(p.pend) {
+		if p.totalQueued > 0 || p.pendHead < len(p.pend) {
 			p.SettleTx(p.sched.Now() - 1)
 		}
 	}
@@ -133,22 +127,6 @@ type PortConfig struct {
 	// or gray-failure loss rather than congestion.
 	LossProb float64
 	LossSeed uint64
-
-	// NoFastPath disables the fused cut-through pipeline and keeps the
-	// classic two-event (serialize-complete, propagation-end) chain per
-	// hop. Outcomes are identical either way (the -fastpath=off escape
-	// hatch and A/B baseline); INT-enabled ports always run the classic
-	// path because INTHop samples queue state at tx-complete.
-	NoFastPath bool
-
-	// LegacyPipeline restores the pre-fusion pipeline wholesale:
-	// finishTx arms the delivery and pops the next packet inline, with
-	// no resume events and no startTx-armed delivery. Partitioned
-	// fabrics set it on every port (topo.LeafSpine): the fast path
-	// never engages there, so they skip the deferred-pop bookkeeping
-	// the fused/off A-B needs on monolithic fabrics and keep the old
-	// per-packet event count. Implies NoFastPath.
-	LegacyPipeline bool
 }
 
 // PortStats are the monotonically increasing counters a port maintains;
@@ -183,50 +161,46 @@ type Port struct {
 	lowQueued   int64
 	lossState   uint64
 
-	// The transmit and delivery callbacks are bound once at construction
-	// so the per-packet hot path schedules them without allocating a
-	// closure. txPkt is the packet currently serializing (at most one,
-	// classic path only); wire holds packets propagating toward the peer
-	// — the delay is one constant per port, so deliveries are strictly
-	// FIFO and the next delivery call always takes the head.
-	txPkt  *Packet
-	onTx   func()
-	wire   pktRing
-	onRecv func()
-
-	// Cut-through fast path (DESIGN.md §7.6). When fast, starting a
-	// packet schedules ONE delivery event at now+TxTime+Delay instead of
-	// the onTx/onRecv pair, and the transmit-side accounting (TxBytes,
-	// pool release, ...) is deferred in pend and applied lazily:
-	// inclusively through the packet's own serialize-complete time by
-	// its delivery event, strictly (now-1) at every observation point.
-	// busyUntil is the serialize-complete cursor of the in-flight fused
-	// packet; a packet queued behind it arms one resume timer at
-	// busyUntil, which pops in exact slow-path (strict priority) order.
-	fast        bool
-	legacy      bool
-	busyUntil   sim.Time
-	resume      sim.Timer
-	onResume    func()
-	onFusedRecv func()
-	pend        []pendTx
-	pendHead    int
+	// The port pipeline (DESIGN.md §7.6; see advance). busyUntil is the
+	// serialize-complete time of the last started packet (-1 before the
+	// first); lastStart/lastWire are that packet's start instant and
+	// wire length. Starting a packet arms ONE event — its delivery at
+	// txDone+Delay — and defers the transmit-side accounting (TxBytes,
+	// pool release, ...) in pend. wire holds packets propagating toward
+	// the peer: the delay is one constant per port, so deliveries are
+	// strictly FIFO and the next delivery always takes the head. slack
+	// bounds how late an owed departure may be decided; drain is the
+	// timer that keeps a zero-slack port on time. intq holds INT packets
+	// awaiting their tx-complete hook. The callbacks are bound once at
+	// construction so the hot path schedules them without allocating.
+	busyUntil sim.Time
+	lastStart sim.Time
+	lastWire  int64
+	slack     sim.Time
+	drain     sim.Timer
+	wire      pktRing
+	intq      pktRing
+	pend      []pendTx
+	pendHead  int
+	onDrain   func()
+	onDeliver func()
+	onTxDone  func()
 
 	// cross, when set, marks the wire as crossing a shard boundary in a
-	// partitioned fabric: finished transmissions are deposited into the
-	// outbox (due at now+Delay) instead of propagating through the local
-	// scheduler, and the destination shard's Inbox calls deliverCross at
-	// the due time. crossDst is the peer device's shard.
+	// partitioned fabric: transmissions are deposited into the outbox at
+	// transmit start (due at txDone+Delay) instead of propagating through
+	// the local scheduler, and the destination shard's Inbox calls
+	// deliverCross at the due time. crossDst is the peer device's shard.
 	cross    *Outbox
 	crossDst int32
 
 	Stats PortStats
 }
 
-// pendTx is one deferred fused-transmit accounting record: the counter
-// deltas of a packet whose serialization completes at txDone. Fields
-// are captured at transmit start (never a *Packet — cross-shard
-// deposits hand the packet to another shard's event loop immediately).
+// pendTx is one deferred transmit-accounting record: the counter deltas
+// of a packet whose serialization completes at txDone. Fields are
+// captured at transmit start (never a *Packet — cross-shard deposits
+// hand the packet to another shard's event loop immediately).
 // Entries are appended in strictly increasing txDone order.
 type pendTx struct {
 	txDone sim.Time
@@ -245,17 +219,15 @@ func NewPort(name string, s *sim.Scheduler, cfg PortConfig, peer Device, pool *B
 		cfg.LowClassStart = 4
 	}
 	p := &Port{name: name, sched: s, cfg: cfg, peer: peer, pool: pool}
-	// busyUntil == now means "the pop at this instant goes through a
-	// same-instant resume event" (see kick); -1 marks a never-used link
-	// so the very first packet starts inline.
-	p.busyUntil = -1
+	p.busyUntil, p.lastStart = -1, -1
+	p.slack = cfg.Delay
+	if cfg.EnableINT {
+		p.slack = 0
+	}
 	p.lossState = cfg.LossSeed*2654435761 + 0x9e3779b97f4a7c15
-	p.onTx = p.finishTx
-	p.onRecv = p.deliver
-	p.legacy = cfg.LegacyPipeline
-	p.fast = !cfg.NoFastPath && !cfg.EnableINT && !p.legacy
-	p.onResume = p.resumeTx
-	p.onFusedRecv = p.deliverFused
+	p.onDrain = p.drainTx
+	p.onDeliver = p.deliver
+	p.onTxDone = p.txDoneINT
 	if pool != nil {
 		pool.members = append(pool.members, p)
 	}
@@ -277,6 +249,9 @@ func (p *Port) Scheduler() *sim.Scheduler { return p.sched }
 // Optional: without a pool, drops simply become garbage.
 func (p *Port) SetPacketPool(pp *PacketPool) { p.pktPool = pp }
 
+// Pool returns the shared buffer the port draws from, or nil.
+func (p *Port) Pool() *BufferPool { return p.pool }
+
 // Peer returns the device at the far end of the wire.
 func (p *Port) Peer() Device { return p.peer }
 
@@ -294,10 +269,15 @@ func (p *Port) QueuedAt(prio int8) int64 { return p.bytesQueued[prio] }
 
 func (p *Port) isLow(prio int8) bool { return prio >= p.cfg.LowClassStart }
 
-// Enqueue offers pkt to the port, applying (in order) Aeolus selective
-// drop, buffer admission with optional NDP trimming, and ECN marking,
-// then kicks the transmitter.
+// Enqueue offers pkt to the port: it first starts every departure owed
+// by now, so admission and marking see the queue an eager engine would,
+// then applies (in order) Aeolus selective drop, buffer admission with
+// optional NDP trimming, and ECN marking, and queues or starts the
+// packet.
 func (p *Port) Enqueue(pkt *Packet) {
+	if p.totalQueued > 0 {
+		p.advance(p.sched.Now())
+	}
 	p.Stats.RxPackets++
 	prio := pkt.Prio
 	if prio < 0 || prio >= NumPriorities {
@@ -440,7 +420,17 @@ func (p *Port) push(pkt *Packet) {
 	if p.isLow(prio) {
 		p.lowQueued += n
 	}
-	p.kick()
+	if p.busyUntil <= p.sched.Now() {
+		// Idle: Enqueue advanced through now, so this packet is the only
+		// one waiting, and it starts inline at its own instant.
+		p.start(p.pop(), p.sched.Now())
+		return
+	}
+	// A backlog needs the drain timer unless the in-flight packet's own
+	// delivery, at busyUntil + Delay, comes within the slack.
+	if (p.cross != nil || p.slack < p.cfg.Delay) && !p.drain.Pending() {
+		p.drain = p.sched.At(p.busyUntil+p.slack, p.onDrain)
+	}
 }
 
 // drop is a packet sink: the packet is dead and recycled here.
@@ -452,178 +442,121 @@ func (p *Port) drop(pkt *Packet) {
 	p.pktPool.Free(pkt)
 }
 
-// kick starts the transmitter if it is idle and a packet is waiting.
-// A serialization in flight is represented by the busyUntil cursor in
-// BOTH modes: a packet that cannot start yet arms one resume timer at
-// busyUntil, and the resume pops in exact strict-priority order. The
-// >= now comparison is deliberate — at the serialize-complete instant
-// itself the pop goes through a same-instant resume event (fresh seq,
-// so it runs after every event already due at this instant) instead of
-// happening inline, which makes the pop's position in the same-instant
-// order a pure function of the physical schedule rather than of which
-// mode armed which bookkeeping event (DESIGN.md §7.6).
-func (p *Port) kick() {
-	if p.legacy {
-		// Pre-fusion behaviour: a busy transmitter just leaves the
-		// packet queued; finishTx pops inline.
-		if p.txPkt == nil {
-			if pkt := p.pop(); pkt != nil {
-				p.startTx(pkt)
-			}
-		}
-		return
+// The port pipeline (DESIGN.md §7.6). A departure at instant t takes the
+// strict-priority head among packets that arrived strictly before t; t
+// is the previous packet's serialize-complete time (busyUntil), or the
+// arrival instant itself when the port is idle. Departures owed by a
+// backlogged port are started on demand, at their exact instant, the
+// next time the port is observed: every Enqueue (before admission),
+// every SettleTx (pool settles, samplers, the run drivers' final
+// settle), and every delivery event of the port's own wire. No
+// observation comes later than busyUntil + slack:
+//
+//   - a local wire has slack Delay, and the in-flight packet's own
+//     delivery at busyUntil + Delay is the guaranteed observation;
+//   - a cross-shard wire and an INT port have slack 0, kept by one drain
+//     timer at busyUntil while a backlog waits.
+//
+// A late decision never lands in the past: a delivery armed for a
+// departure at t0 fires at t0 + TxTime + Delay > t0 + slack.
+
+// advance starts every departure owed through limit, each at its exact
+// instant busyUntil.
+func (p *Port) advance(limit sim.Time) {
+	for p.totalQueued > 0 && p.busyUntil <= limit {
+		p.start(p.pop(), p.busyUntil)
 	}
-	if p.resume.Pending() {
-		return
-	}
-	if p.busyUntil >= p.sched.Now() {
-		p.resume = p.sched.At(p.busyUntil, p.onResume)
-		return
-	}
-	pkt := p.pop()
-	if pkt == nil {
-		return
-	}
-	p.startTx(pkt)
 }
 
-// startTx begins serializing pkt on an idle link. Both modes arm the
-// delivery event here, at transmit start (the deterministic arrival
-// tie-break of DESIGN.md §7.6: an arrival's position among same-instant
-// events no longer depends on the mode's event chaining). The classic
-// path additionally arms finishTx at serialize-complete for the
-// transmit-side effects (accounting, INT, wire push / cross deposit);
-// the fast path defers the accounting into pend (settled lazily — see
-// SettleTx) and pushes/deposits immediately, so the delivery is the
-// packet's only event.
-func (p *Port) startTx(pkt *Packet) {
-	now := p.sched.Now()
-	txTime := p.cfg.Rate.TxTime(int(pkt.WireLen))
-	txDone := now + txTime
+// start begins serializing pkt at instant t (<= now). The delivery (or,
+// on a cross-shard wire, the outbox deposit) is armed right here, so it
+// is the packet's only event; the transmit-side accounting is deferred
+// in pend and applied by SettleTx.
+func (p *Port) start(pkt *Packet, t sim.Time) {
+	txDone := t + p.cfg.Rate.TxTime(int(pkt.WireLen))
 	p.busyUntil = txDone
-	if p.legacy {
-		// Pre-fusion chain: finishTx arms the delivery and pops.
-		p.txPkt = pkt
-		p.sched.After(txTime, p.onTx)
-		return
+	p.lastStart, p.lastWire = t, int64(pkt.WireLen)
+	// Every earlier entry completed by t; settling strictly behind t
+	// keeps pend O(1) on ports whose wire never settles it (cross).
+	if p.pendHead < len(p.pend) {
+		p.settlePend(t - 1)
 	}
-	if !p.fast {
-		p.txPkt = pkt
-		p.sched.After(txTime, p.onTx)
-		if p.cross == nil {
-			p.sched.At(txDone+p.cfg.Delay, p.onRecv)
-		}
-	} else {
-		// Settle strictly behind now before appending: every earlier
-		// entry has txDone <= now here (back-to-back starts happen at
-		// the previous packet's serialize-complete), so pend stays O(1).
-		// Cross-shard ports never take this branch (see SetCross).
-		if p.pendHead < len(p.pend) {
-			p.SettleTx(now - 1)
-		}
-		var data, fresh int32
-		if pkt.Kind == Data {
-			data = pkt.PayloadLen
-			if !pkt.Retrans {
-				fresh = pkt.PayloadLen
-			}
-		}
-		p.pend = append(p.pend, pendTx{txDone: txDone, wire: pkt.WireLen, data: data, fresh: fresh})
-		p.wire.push(pkt)
-		p.sched.At(txDone+p.cfg.Delay, p.onFusedRecv)
-	}
-	if p.totalQueued > 0 && !p.resume.Pending() {
-		p.resume = p.sched.At(txDone, p.onResume)
-	}
-}
-
-// resumeTx fires at busyUntil: it pops the next packet in exact
-// strict-priority order, identically in both modes. The queue can have
-// drained meanwhile only through drops; a nil pop simply waits for the
-// next Enqueue's kick.
-func (p *Port) resumeTx() {
-	if pkt := p.pop(); pkt != nil {
-		p.startTx(pkt)
-	}
-}
-
-// finishTx is the classic path's serialize-complete event: transmit
-// accounting, INT append, and handing the packet to its wire (the
-// delivery event was already armed at transmit start). Popping the next
-// packet is not its job in either fused-capable mode — that goes
-// through the resume timer (see kick). Legacy-pipeline ports instead
-// arm the delivery and pop inline here, reproducing the pre-fusion
-// engine exactly.
-func (p *Port) finishTx() {
-	pkt := p.txPkt
-	p.txPkt = nil
-	n := int64(pkt.WireLen)
-	if p.pool != nil {
-		p.pool.release(n)
-	}
-	p.Stats.TxBytes += n
-	p.Stats.TxPackets++
+	var data, fresh int32
 	if pkt.Kind == Data {
-		p.Stats.TxDataBytes += int64(pkt.PayloadLen)
+		data = pkt.PayloadLen
 		if !pkt.Retrans {
-			p.Stats.TxFreshBytes += int64(pkt.PayloadLen)
+			fresh = pkt.PayloadLen
 		}
 	}
+	p.pend = append(p.pend, pendTx{txDone: txDone, wire: pkt.WireLen, data: data, fresh: fresh})
 	if p.cfg.EnableINT && pkt.INT != nil {
-		pkt.INT = append(pkt.INT, INTHop{
-			QLen:    p.totalQueued,
-			TxBytes: p.Stats.TxBytes,
-			TS:      p.sched.Now(),
-			Rate:    p.cfg.Rate,
-		})
+		// Armed before the delivery so it runs first even at Delay == 0.
+		p.intq.push(pkt)
+		p.sched.At(txDone, p.onTxDone)
 	}
 	if p.cross != nil {
-		p.cross.deposit(p.sched.Now()+p.cfg.Delay, pkt, p, p.crossDst)
-	} else {
-		p.wire.push(pkt)
-		if p.legacy {
-			p.sched.At(p.sched.Now()+p.cfg.Delay, p.onRecv)
-		}
+		// Conservative: t >= the shard's eff, so At >= eff + Delay.
+		p.cross.deposit(txDone+p.cfg.Delay, pkt, p, p.crossDst)
+		return
 	}
-	if p.legacy {
-		// Pre-fusion inline pop, in the old arming order (delivery
-		// first, then the next packet's serialize-complete event).
-		if nxt := p.pop(); nxt != nil {
-			p.startTx(nxt)
-		}
+	p.wire.push(pkt)
+	p.sched.At(txDone+p.cfg.Delay, p.onDeliver)
+}
+
+// drainTx is the drain timer of a zero-slack port: it starts the
+// departures owed by now and re-arms while a backlog remains.
+func (p *Port) drainTx() {
+	p.advance(p.sched.Now())
+	if p.totalQueued > 0 {
+		p.drain = p.sched.At(p.busyUntil+p.slack, p.onDrain)
 	}
 }
 
-// deliver hands the oldest in-flight packet to the peer.
+// txDoneINT is an INT port's tx-complete hook: it appends the INTHop of
+// the packet whose serialization completes now. QLen is the occupancy at
+// txDone including the packet departing at this instant, whether or not
+// that departure was already started; TxBytes counts this packet.
+func (p *Port) txDoneINT() {
+	now := p.sched.Now()
+	qlen := p.totalQueued
+	if p.lastStart == now {
+		qlen += p.lastWire
+	}
+	txBytes := p.Stats.TxBytes
+	for i := p.pendHead; i < len(p.pend) && p.pend[i].txDone <= now; i++ {
+		txBytes += int64(p.pend[i].wire)
+	}
+	pkt := p.intq.pop()
+	pkt.INT = append(pkt.INT, INTHop{QLen: qlen, TxBytes: txBytes, TS: now, Rate: p.cfg.Rate})
+}
+
+// deliver is a local wire's per-packet event. It observes the port
+// through this packet's serialize-complete time (now - Delay; pend txDone
+// values strictly increase, so that settles exactly the prefix ending at
+// this packet's entry, even at Delay == 0), which also starts the
+// departure owed at that instant, then hands the wire head to the peer.
 func (p *Port) deliver() {
+	p.SettleTx(p.sched.Now() - p.cfg.Delay)
 	p.peer.Receive(p.wire.pop())
 }
 
-// deliverFused is the fast path's single per-packet event: settle the
-// transmit-side accounting through this packet's own serialize-complete
-// time (now - Delay; pend txDone values are strictly increasing, so
-// that is exactly the prefix ending at this packet's entry — correct
-// even at Delay == 0), then hand the wire head to the peer.
-func (p *Port) deliverFused() {
-	if p.pendHead < len(p.pend) {
-		p.SettleTx(p.sched.Now() - p.cfg.Delay)
-	}
-	p.peer.Receive(p.wire.pop())
-}
-
-// SettleTx applies every deferred fused-transmit accounting entry with
-// txDone <= limit — shared-pool release, TxBytes/TxPackets and the
-// payload counters — plus, at end of run, a classic-mode serialization
-// that completed by limit but whose finishTx event was cut off by a
-// same-instant Stop. Observation points (pool admission, samplers) call
-// it with the strictly-past bound now-1, which reproduces the classic
-// engine's visibility exactly on every pooled fabric (admissions are
-// delivery-driven and armed at least one wire delay back, so at a tied
-// instant the classic finishTx always had the larger seq); the run
-// drivers call it once more at the final executed horizon, inclusively,
-// so both modes count exactly the serializations that physically
-// completed within the run (DESIGN.md §7.6).
+// SettleTx observes the port through limit: it starts every departure
+// owed by then, then applies every deferred transmit-accounting entry
+// with txDone <= limit — shared-pool release and the Tx counters.
+// Observation points mid-run pass the strictly-past bound now-1, so a
+// release is invisible at its own serialize-complete instant and visible
+// one picosecond later; the run drivers call it once more at the final
+// executed horizon, inclusively, so the counters cover exactly the
+// serializations that completed within the run (DESIGN.md §7.6).
 func (p *Port) SettleTx(limit sim.Time) {
+	p.advance(limit)
+	if p.pendHead < len(p.pend) {
+		p.settlePend(limit)
+	}
+}
+
+// settlePend applies the pend entries with txDone <= limit.
+func (p *Port) settlePend(limit sim.Time) {
 	i := p.pendHead
 	for i < len(p.pend) && p.pend[i].txDone <= limit {
 		e := &p.pend[i]
@@ -643,53 +576,26 @@ func (p *Port) SettleTx(limit sim.Time) {
 		p.pendHead = 0
 	} else if i > 32 && 2*i >= len(p.pend) {
 		// Compact once the settled prefix dominates: a port that stays
-		// busy for a long stretch never fully drains pend (each delivery
-		// settles through its own txDone while later packets keep
-		// appending), and without this the slice would grow with every
-		// packet sent — O(run length) memory on a saturated port instead
-		// of O(Delay/TxTime) in-flight entries.
+		// busy for a long stretch never fully drains pend, and without
+		// this the slice would grow with every packet sent.
 		n := copy(p.pend, p.pend[i:])
 		p.pend = p.pend[:n]
 		p.pendHead = 0
-	}
-	if p.txPkt != nil && p.busyUntil <= limit {
-		// Classic mode, end of run only: the serialization finished at
-		// busyUntil <= limit but Stop cut off its finishTx event.
-		// During a run this is unreachable: observers pass limit < now
-		// and a pending finishTx implies busyUntil >= now.
-		pkt := p.txPkt
-		p.txPkt = nil
-		n := int64(pkt.WireLen)
-		if p.pool != nil {
-			p.pool.release(n)
-		}
-		p.Stats.TxBytes += n
-		p.Stats.TxPackets++
-		if pkt.Kind == Data {
-			p.Stats.TxDataBytes += int64(pkt.PayloadLen)
-			if !pkt.Retrans {
-				p.Stats.TxFreshBytes += int64(pkt.PayloadLen)
-			}
-		}
 	}
 }
 
 // SetCross marks this port's wire as crossing into shard dstShard of a
 // partitioned fabric, routing transmissions through the outbox (see
-// cross.go). Called by topo builders only.
-//
-// Cross-boundary ports always run the classic pipeline: the inbox
-// delivery timer's position among same-instant events depends on which
-// window barrier merged each deposit, so deposits must happen at
-// serialize-complete (finishTx) exactly as in -fastpath=off — a
-// transmit-start deposit can merge one barrier earlier and flip
-// same-instant tie order in the destination shard (DESIGN.md §7.6).
-// The fused win was marginal here anyway: a cross wire has no local
-// delivery event, so classic is already one event per packet.
+// cross.go). Called by topo builders only. A cross wire has no local
+// delivery event to observe the port, so its owed departures are kept
+// on time by the zero-slack drain timer instead: each departure is
+// decided at its own instant t >= the shard's eff, and its deposit is
+// due at t + TxTime + Delay, beyond every peer's horizon (DESIGN.md
+// §7.6).
 func (p *Port) SetCross(o *Outbox, dstShard int) {
 	p.cross = o
 	p.crossDst = int32(dstShard)
-	p.fast = false
+	p.slack = 0
 }
 
 // deliverCross hands a cross-shard packet to the peer at its stamped
@@ -713,6 +619,45 @@ func (p *Port) pop() *Packet {
 			p.lowQueued -= n
 		}
 		return pkt
+	}
+	return nil
+}
+
+// Audit checks the port's packet conservation after a run's final
+// settle: every packet offered to Enqueue was transmitted, dropped, or
+// is still queued or serializing, and no queued packet waits behind a
+// transmitter that was free by the port's clock — a departure the
+// on-demand path never started.
+func (p *Port) Audit() error {
+	queued := 0
+	for i := range p.queues {
+		queued += p.queues[i].len()
+	}
+	serializing := len(p.pend) - p.pendHead
+	s := &p.Stats
+	if s.RxPackets != s.TxPackets+s.Drops+s.RandomDrops+int64(queued+serializing) {
+		return fmt.Errorf("netsim: port %s: rx %d != tx %d + drops %d + random drops %d + queued %d + serializing %d",
+			p.name, s.RxPackets, s.TxPackets, s.Drops, s.RandomDrops, queued, serializing)
+	}
+	if queued > 0 && p.busyUntil <= p.sched.Now() {
+		return fmt.Errorf("netsim: port %s: %d packets queued behind a transmitter idle since %v (now %v)",
+			p.name, queued, p.busyUntil, p.sched.Now())
+	}
+	return nil
+}
+
+// Audit checks that the pool holds exactly its members' queued bytes
+// plus the bytes of serializations not yet settled.
+func (b *BufferPool) Audit() error {
+	var held int64
+	for _, p := range b.members {
+		held += p.totalQueued
+		for _, e := range p.pend[p.pendHead:] {
+			held += int64(e.wire)
+		}
+	}
+	if b.used != held {
+		return fmt.Errorf("netsim: buffer pool holds %d bytes, members account for %d", b.used, held)
 	}
 	return nil
 }

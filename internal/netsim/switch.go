@@ -9,14 +9,16 @@ type Switch struct {
 	name  string
 	salt  uint32
 	ports []*Port
-	// routes maps destination host id -> candidate egress port indexes.
-	routes map[int32][]int
+	// routes[dst] lists the candidate egress port indexes toward host
+	// dst. Host ids are dense (0..N-1), so a slice indexed by id replaces
+	// a per-hop map lookup.
+	routes [][]int
 }
 
 // NewSwitch creates a switch with no ports; topo builders attach ports
 // and install routes.
 func NewSwitch(name string, salt uint32) *Switch {
-	return &Switch{name: name, salt: salt, routes: make(map[int32][]int)}
+	return &Switch{name: name, salt: salt}
 }
 
 // Name implements Device.
@@ -36,12 +38,18 @@ func (sw *Switch) Ports() []*Port { return sw.ports }
 
 // AddRoute appends candidate egress ports for a destination host.
 func (sw *Switch) AddRoute(dst int32, portIdx ...int) {
+	for int(dst) >= len(sw.routes) {
+		sw.routes = append(sw.routes, nil)
+	}
 	sw.routes[dst] = append(sw.routes[dst], portIdx...)
 }
 
 // Receive implements Device: route, ECMP-hash, enqueue.
 func (sw *Switch) Receive(pkt *Packet) {
-	cands := sw.routes[pkt.Dst]
+	var cands []int
+	if uint32(pkt.Dst) < uint32(len(sw.routes)) {
+		cands = sw.routes[pkt.Dst]
+	}
 	if len(cands) == 0 {
 		panic(fmt.Sprintf("netsim: switch %s has no route to host %d", sw.name, pkt.Dst))
 	}

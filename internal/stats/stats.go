@@ -320,9 +320,8 @@ func SampleUtilization(s *sim.Scheduler, port *netsim.Port, period sim.Time) *Ut
 		if us.stop {
 			return
 		}
-		// The fused port pipeline defers tx accounting; settle every
-		// serialization strictly before this instant so the counter read
-		// matches the classic pipeline's finishTx-driven bookkeeping
+		// The port starts departures on demand and defers tx accounting;
+		// observe it through the strict past before reading the counter
 		// (DESIGN.md §7.6).
 		port.SettleTx(s.Now() - 1)
 		cur := port.Stats.TxBytes
@@ -391,6 +390,9 @@ func SampleBuffers(s *sim.Scheduler, port *netsim.Port, period sim.Time) *Buffer
 		if bs.stop {
 			return
 		}
+		// Start the departures owed by the strict past first, so a
+		// packet already on the wire never reads as queued.
+		port.SettleTx(s.Now() - 1)
 		bs.Samples = append(bs.Samples, BufferSample{
 			At:        s.Now(),
 			HighBytes: port.QueuedHigh(),

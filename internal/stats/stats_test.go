@@ -189,6 +189,33 @@ func TestBufferSampler(t *testing.T) {
 	}
 }
 
+// A long wire decides owed departures late (as late as the in-flight
+// packet's delivery), so a sample taken after a departure's instant but
+// before anything observed the port must still see that packet gone.
+func TestBufferSamplerSkipsOwedDepartures(t *testing.T) {
+	s := sim.NewScheduler()
+	port := netsim.NewPort("p", s, netsim.PortConfig{Rate: 10 * netsim.Gbps, Delay: 20 * sim.Microsecond}, dropSink{}, nil)
+	for i := 0; i < 3; i++ {
+		port.Enqueue(netsim.DataPacket(1, 0, 1, 0, netsim.MSS, 0))
+	}
+	wire := int64(netsim.MSS + netsim.HeaderBytes)
+	tx := (10 * netsim.Gbps).TxTime(int(wire))
+	// One sample per serialization: at tx+1 the second packet has been on
+	// the wire for a picosecond, at 2tx+1 the third.
+	bs := SampleBuffers(s, port, tx+1)
+	s.RunUntil(2*tx + 2)
+	bs.Stop()
+	want := []int64{wire, 0}
+	if len(bs.Samples) != len(want) {
+		t.Fatalf("samples = %+v, want %d", bs.Samples, len(want))
+	}
+	for i, w := range want {
+		if got := bs.Samples[i].HighBytes; got != w {
+			t.Fatalf("sample %d at %v: %d bytes queued, want %d (an owed departure reported as queued)", i, bs.Samples[i].At, got, w)
+		}
+	}
+}
+
 func TestEfficiency(t *testing.T) {
 	e := Efficiency{SentPayload: 1000, SentLowPayload: 400, UsefulDelivered: 900, UsefulLow: 300}
 	if got := e.Overall(); got != 0.9 {

@@ -47,14 +47,6 @@ type Config struct {
 	// egress (failure injection; 0 in all paper experiments).
 	LossProb float64
 
-	// NoFastPath disables the cut-through fused port pipeline on every
-	// port (the -fastpath=off escape hatch; see netsim.PortConfig).
-	NoFastPath bool
-
-	// LegacyPipeline runs every port on the pre-fusion inline pipeline
-	// (set by LeafSpine when partitioning; see netsim.PortConfig).
-	LegacyPipeline bool
-
 	// Sched selects the event-queue implementation of the fabric's
 	// scheduler (timing wheel by default, min-heap for A/B runs). Both
 	// produce identical event orders; see internal/sim.
@@ -160,21 +152,46 @@ func (n *Network) SwitchPorts() []*netsim.Port {
 	return out
 }
 
-// SettleTx applies every port's deferred fused-transmit accounting with
-// serialize-complete time <= limit (netsim.Port.SettleTx). Run drivers
-// call it once at end of run, before reading Tx counters, so both
-// pipeline modes count exactly the serializations that physically
-// completed within the run. Partitioned fabrics pass per-shard limits
-// through the callback (each port settles at its own shard's horizon);
-// monolithic callers return one fabric-wide limit.
+// SettleTx observes every port through limit (netsim.Port.SettleTx):
+// departures owed by then start, and deferred transmit accounting with
+// serialize-complete time <= limit applies. Run drivers call it once at
+// end of run, before reading Tx counters, so the counters cover exactly
+// the serializations that physically completed within the run.
+// Partitioned fabrics pass per-shard limits through the callback (each
+// port settles at its own shard's horizon); monolithic callers return
+// one fabric-wide limit.
 func (n *Network) SettleTx(limit func(*sim.Scheduler) sim.Time) {
-	for _, h := range n.Hosts {
-		nic := h.NIC()
-		nic.SettleTx(limit(nic.Scheduler()))
-	}
-	for _, p := range n.SwitchPorts() {
+	for _, p := range n.ports() {
 		p.SettleTx(limit(p.Scheduler()))
 	}
+}
+
+// ports returns every egress port: host NICs, then switch ports.
+func (n *Network) ports() []*netsim.Port {
+	out := make([]*netsim.Port, 0, len(n.Hosts))
+	for _, h := range n.Hosts {
+		out = append(out, h.NIC())
+	}
+	return append(out, n.SwitchPorts()...)
+}
+
+// Audit checks packet and buffer conservation on every port and shared
+// pool after the run's final settle (netsim.Port.Audit,
+// netsim.BufferPool.Audit), returning the first violation.
+func (n *Network) Audit() error {
+	pools := map[*netsim.BufferPool]bool{}
+	for _, p := range n.ports() {
+		if err := p.Audit(); err != nil {
+			return err
+		}
+		if b := p.Pool(); b != nil && !pools[b] {
+			pools[b] = true
+			if err := b.Audit(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // attachPool gives every host and every port (NICs included) the run's
@@ -204,8 +221,6 @@ func (c Config) switchPortCfg(rate netsim.Rate) netsim.PortConfig {
 		EnableINT:           c.EnableINT,
 		DynamicLowThreshold: c.DynamicLowThreshold,
 		LossProb:            c.LossProb,
-		NoFastPath:          c.NoFastPath,
-		LegacyPipeline:      c.LegacyPipeline,
 	}
 }
 
@@ -216,13 +231,11 @@ func (c Config) switchPortCfg(rate netsim.Rate) netsim.PortConfig {
 // path would inflate its window without bound.
 func (c Config) nicCfg(rate netsim.Rate) netsim.PortConfig {
 	return netsim.PortConfig{
-		Rate:       rate,
-		Delay:      c.LinkDelay,
-		EnableINT:      c.EnableINT,
-		ECNHighK:       c.ECNHighK,
-		ECNLowK:        c.ECNLowK,
-		NoFastPath:     c.NoFastPath,
-		LegacyPipeline: c.LegacyPipeline,
+		Rate:      rate,
+		Delay:     c.LinkDelay,
+		EnableINT: c.EnableINT,
+		ECNHighK:  c.ECNHighK,
+		ECNLowK:   c.ECNLowK,
 	}
 }
 
@@ -286,18 +299,6 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, cfg Config) *Network {
 	var part *Partition
 	var mono *sim.Scheduler
 	if cfg.Shards >= 1 {
-		// Partitioned fabrics run the pre-fusion legacy pipeline on
-		// every port: the windowed engine's inbox delivery timers get
-		// their same-instant position from *when* each window barrier
-		// merged the deposits, and the window trajectory is a function
-		// of each shard's pending event set — which event fusion
-		// changes. Forcing the legacy pipeline keeps outcomes identical
-		// whichever -fastpath setting built the run, and skips the
-		// deferred-pop resume events the fused/off A-B needs on
-		// monolithic fabrics (DESIGN.md §7.6); the fused path's win
-		// targets the monolithic fabrics.
-		cfg.LegacyPipeline = true
-		net.Cfg.LegacyPipeline = true
 		n := leaves + spines
 		part = &Partition{
 			N:         n,

@@ -804,10 +804,9 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 	}
 	env.ShardStats = st
 
-	// Settle deferred fused-path tx accounting (DESIGN.md §7.6): each
-	// shard's ports count every serialization physically complete by the
-	// furthest horizon that shard ever ran to — exactly the set whose
-	// classic finishTx events would have executed.
+	// Settle the ports (DESIGN.md §7.6): each shard's ports start the
+	// departures owed by, and count every serialization physically
+	// complete by, the furthest horizon that shard ever ran to.
 	limOf := make(map[*sim.Scheduler]sim.Time, n)
 	for i, s := range part.Scheds {
 		limOf[s] = settleTo[i]

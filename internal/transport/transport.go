@@ -488,14 +488,13 @@ func RunSource(env *Env, proto Protocol, src FlowSource, cfg RunConfig) stats.Su
 	sched.RunUntil(deadline)
 	env.recycleFlows = false
 	env.feeding = false
-	// Settle the ports' deferred fused-transmit accounting before
-	// reading Tx counters: every serialization that physically completed
-	// within the run counts exactly once, in both pipeline modes
-	// (DESIGN.md §7.6). On a deadline truncation the clock may lag the
-	// deadline — the fused pipeline has no serialize-complete events to
-	// execute — so the settle horizon is the deadline itself (unless the
-	// event budget tripped first, where the executed clock is all either
-	// mode can vouch for).
+	// Settle the ports before reading Tx counters: owed departures start
+	// and every serialization that physically completed within the run
+	// counts exactly once (DESIGN.md §7.6). On a deadline truncation the
+	// clock may lag the deadline — the pipeline has no serialize-complete
+	// events to execute — so the settle horizon is the deadline itself
+	// (unless the event budget tripped first, where the executed clock is
+	// all the run can vouch for).
 	lim := sched.Now()
 	if deadline != sim.MaxTime && env.remaining > 0 && sched.Executed < sched.Limit {
 		lim = deadline
