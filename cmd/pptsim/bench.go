@@ -143,7 +143,6 @@ func writeBenchJSON(path, filter string, opts exp.Options) error {
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
 		Flows:     flows,
-		Sched:     opts.Sched,
 	}
 	for _, e := range exp.List() {
 		if e.ID == "scale1M" || e.ID == "scale1M-websearch" {
@@ -155,7 +154,7 @@ func writeBenchJSON(path, filter string, opts exp.Options) error {
 		if !wanted(e.ID) {
 			continue
 		}
-		o := exp.Options{Flows: flows, Seed: opts.Seed, Parallel: 1, Sched: opts.Sched,
+		o := exp.Options{Flows: flows, Seed: opts.Seed, Parallel: 1,
 			Cache: opts.Cache, CacheVerify: opts.CacheVerify}
 		entry, err := benchOne(e.ID, e.ID, o)
 		if err != nil {
@@ -181,7 +180,7 @@ func writeBenchJSON(path, filter string, opts exp.Options) error {
 			if !wanted(name) {
 				continue
 			}
-			o := exp.Options{Flows: sc.flows, Seed: opts.Seed, Parallel: 1, Sched: opts.Sched,
+			o := exp.Options{Flows: sc.flows, Seed: opts.Seed, Parallel: 1,
 				Schemes: scaleSchemes, Shards: shards,
 				Cache: opts.Cache, CacheVerify: opts.CacheVerify}
 			entry, err := benchOne(name, "fig12", o)
@@ -197,7 +196,7 @@ func writeBenchJSON(path, filter string, opts exp.Options) error {
 		if !wanted(sc.name) {
 			continue
 		}
-		o := exp.Options{Flows: sc.flows, Seed: opts.Seed, Parallel: 1, Sched: opts.Sched,
+		o := exp.Options{Flows: sc.flows, Seed: opts.Seed, Parallel: 1,
 			Schemes: scaleSchemes, Cache: opts.Cache, CacheVerify: opts.CacheVerify}
 		entry, err := benchOne(sc.name, "scale1M", o)
 		if err != nil {
@@ -215,7 +214,7 @@ func writeBenchJSON(path, filter string, opts exp.Options) error {
 		if !wanted(name) {
 			continue
 		}
-		o := exp.Options{Flows: webScaleFlows, Seed: opts.Seed, Parallel: 1, Sched: opts.Sched,
+		o := exp.Options{Flows: webScaleFlows, Seed: opts.Seed, Parallel: 1,
 			Schemes: scaleSchemes, Shards: shards,
 			Cache: opts.Cache, CacheVerify: opts.CacheVerify}
 		entry, err := benchOne(name, "scale1M-websearch", o)

@@ -29,7 +29,6 @@ import (
 
 	"ppt/internal/cache"
 	"ppt/internal/exp"
-	"ppt/internal/sim"
 )
 
 func main() {
@@ -44,12 +43,11 @@ func main() {
 		parallel = flag.Int("parallel", 0, "simulation cells to run concurrently (0 = GOMAXPROCS, 1 = serial)")
 		progress = flag.Bool("progress", false, "report per-cell progress on stderr")
 		schemes  = flag.String("schemes", "", "comma-separated scheme filter (e.g. ppt,dctcp)")
-		sched    = flag.String("sched", "wheel", "event-queue implementation: wheel (hierarchical timing wheel) or heap (4-ary min-heap); results are identical, speed is not")
 		shards   = flag.Int("shards", 1, "worker-goroutine cap for the windowed sharded engine on leaf-spine fabrics (results are identical at any value >= 1)")
 		asCSV    = flag.Bool("csv", false, "emit results as CSV instead of tables")
 		asJSON   = flag.Bool("json", false, "emit results as JSON instead of tables")
 
-		cacheDir    = flag.String("cache", "off", "content-addressed result-cache directory, or off; hits replay cell results without simulating (keys exclude -sched/-shards/-parallel — outcomes are engine-invariant)")
+		cacheDir    = flag.String("cache", "off", "content-addressed result-cache directory, or off; hits replay cell results without simulating (keys exclude -shards/-parallel — outcomes are engine-invariant)")
 		cacheVerify = flag.Bool("cache-verify", false, "recompute every cache hit and byte-compare against the stored result; any divergence fails the run (determinism tripwire; requires -cache DIR)")
 		cacheMaxMB  = flag.Int("cache-max-mb", 0, "evict least-recently-modified cache entries at startup until the directory fits this many MB (0 = uncapped; requires -cache DIR)")
 
@@ -63,10 +61,6 @@ func main() {
 
 	// Validate engine knobs up front, before any (possibly long) run
 	// starts, so a typo fails in milliseconds with a usable message.
-	if _, err := sim.ParseImpl(*sched); err != nil {
-		fmt.Fprintf(os.Stderr, "pptsim: invalid -sched %q: %v\n", *sched, err)
-		os.Exit(2)
-	}
 	if *parallel < 0 {
 		fmt.Fprintf(os.Stderr, "pptsim: invalid -parallel %d: want 0 (= GOMAXPROCS) or a positive worker count\n", *parallel)
 		os.Exit(2)
@@ -144,7 +138,7 @@ func main() {
 		}()
 	}
 
-	opts := exp.Options{Flows: *flows, Load: *load, Seed: *seed, Repeats: *repeats, Parallel: *parallel, Sched: *sched, Shards: *shards,
+	opts := exp.Options{Flows: *flows, Load: *load, Seed: *seed, Repeats: *repeats, Parallel: *parallel, Shards: *shards,
 		Cache: resultCache, CacheVerify: *cacheVerify,
 		// An explicit multi-shard request from the CLI should fail
 		// loudly on topologies that can't partition instead of

@@ -57,8 +57,7 @@ type File struct {
 	GOOS      string
 	GOARCH    string
 	NumCPU    int
-	Flows     int    // workload size every entry ran with
-	Sched     string `json:",omitempty"` // scheduler impl ("" = wheel default)
+	Flows     int // workload size every entry ran with
 	Entries   []Entry
 }
 

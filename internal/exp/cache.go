@@ -14,12 +14,11 @@ import (
 // This file builds the canonical cell descriptors the result cache
 // hashes into content addresses (DESIGN.md §7.8). The ground rule:
 // a descriptor names every input that can change a cell's Summary or
-// extras, and nothing else. Engine knobs — scheduler implementation,
-// shard count, worker count, streaming, spill chunk — are
-// deliberately ABSENT: nine PRs of golden-matrix pinning prove them
-// outcome-invisible, so a result computed at -shards=4 -sched=heap
-// must hit when replayed at -shards=1 -sched=wheel. That exclusion is
-// itself pinned by TestCacheKeyExcludesEngineKnobs.
+// extras, and nothing else. Engine knobs — shard count, worker count,
+// streaming, spill chunk — are deliberately ABSENT: the golden matrix
+// and the differentials prove them outcome-invisible, so a result
+// computed at -shards=4 must hit when replayed at -shards=1. That
+// exclusion is itself pinned by TestCacheKeyExcludesEngineKnobs.
 //
 // Scheme-name invariant: a scheme's name uniquely determines its
 // protocol constructor and parameters (ablation variants carry
@@ -28,14 +27,13 @@ import (
 // identity. A new scheme whose name doesn't pin its parameters must
 // encode them in the name (as fig24/fig27 do) or extend specDesc.
 
-// canonCfg renders the post-tweak switch config with the engine knobs
+// canonCfg renders the post-tweak switch config with the shard hint
 // zeroed, so the descriptor captures exactly the outcome-relevant
 // switch behaviour. %+v over the flat struct is stable because field
 // order is source order and every field is a scalar; adding a Config
 // field changes every descriptor, which safely invalidates (keys just
 // stop matching old entries).
 func canonCfg(cfg topo.Config) string {
-	cfg.Sched = 0
 	cfg.Shards = 0
 	return fmt.Sprintf("%+v", cfg)
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -18,8 +19,8 @@ func testExpCache(t *testing.T) *cache.Cache {
 }
 
 // TestCacheKeyExcludesEngineKnobs pins the key construction contract:
-// the engine knobs the golden matrix proves outcome-invisible (sched,
-// shards, stream, spill chunk) MUST NOT reach the cell descriptor,
+// the engine knobs the golden matrix proves outcome-invisible (shards,
+// stream, spill chunk) MUST NOT reach the cell descriptor,
 // while every outcome-relevant input MUST.
 func TestCacheKeyExcludesEngineKnobs(t *testing.T) {
 	base := runSpec{
@@ -31,7 +32,6 @@ func TestCacheKeyExcludesEngineKnobs(t *testing.T) {
 
 	// Outcome-invisible: descriptor unchanged.
 	invisible := map[string]func(*runSpec){
-		"sched":      func(s *runSpec) { s.sched = 1 },
 		"shards":     func(s *runSpec) { s.shards = 4 },
 		"stream":     func(s *runSpec) { s.stream = true },
 		"spillChunk": func(s *runSpec) { s.spillChunk = 1 << 14 },
@@ -74,29 +74,29 @@ func TestCacheKeyExcludesEngineKnobs(t *testing.T) {
 }
 
 // TestCacheCrossEngineHit is the acceptance criterion: a cell computed
-// at -sched=heap -shards=1 must HIT when replayed at -sched=wheel
-// -shards=4 -stream, with byte-identical rendered output. This is the
-// cache banking the golden matrix's engine-equivalence guarantee.
+// at -shards=1 must HIT when replayed at -shards=4 -parallel=4 -stream,
+// with byte-identical rendered output. This is the cache banking the
+// golden matrix's engine-equivalence guarantee.
 func TestCacheCrossEngineHit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs fig12 twice")
 	}
 	c := testExpCache(t)
-	run := func(sched string, shards, parallel int, stream bool) (*Result, string) {
+	run := func(shards, parallel int, stream bool) (*Result, string) {
 		res, err := RunByID("fig12", Options{
 			Flows: 24, Seed: 1, Cache: c,
-			Sched: sched, Shards: shards, Parallel: parallel, Stream: stream,
+			Shards: shards, Parallel: parallel, Stream: stream,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, res.Render() + "\n--- csv ---\n" + res.CSV()
 	}
-	cold, coldOut := run("heap", 1, 1, false)
+	cold, coldOut := run(1, 1, false)
 	if cold.Cache == nil || cold.Cache.Misses == 0 || cold.Cache.Hits != 0 {
 		t.Fatalf("cold run cache stats: %+v", cold.Cache)
 	}
-	warm, warmOut := run("wheel", 4, 4, true)
+	warm, warmOut := run(4, 4, true)
 	if warm.Cache == nil {
 		t.Fatal("warm run reported no cache stats")
 	}
@@ -158,8 +158,8 @@ func TestCacheReplaysExtras(t *testing.T) {
 
 // TestCacheVerifyMatrix runs a warm cache in verify mode across the
 // engine matrix: every hit recomputes and byte-compares against the
-// stored entry. Any divergence — cross-scheduler, cross-shard-count,
-// cross-worker-count — fails here before it can poison a sweep.
+// stored entry. Any divergence — cross-shard-count, cross-worker-count —
+// fails here before it can poison a sweep.
 func TestCacheVerifyMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs fig12 across the engine matrix")
@@ -169,25 +169,22 @@ func TestCacheVerifyMatrix(t *testing.T) {
 	if _, err := RunByID("fig12", o); err != nil {
 		t.Fatal(err)
 	}
-	for _, combo := range []struct {
-		sched            string
-		shards, parallel int
-	}{
-		{"heap", 1, 1},
-		{"wheel", 4, 1},
-		{"heap", 4, 4},
-		{"wheel", 2, 4},
+	for _, combo := range []struct{ shards, parallel int }{
+		{1, 1},
+		{4, 1},
+		{4, 4},
+		{2, 4},
 	} {
 		v := o
-		v.Sched, v.Shards, v.Parallel = combo.sched, combo.shards, combo.parallel
+		v.Shards, v.Parallel = combo.shards, combo.parallel
 		v.CacheVerify = true
 		res, err := RunByID("fig12", v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Cache.Mismatches != 0 {
-			t.Fatalf("verify mismatch at sched=%s shards=%d parallel=%d: %+v\nnotes: %v",
-				combo.sched, combo.shards, combo.parallel, res.Cache, res.Notes)
+			t.Fatalf("verify mismatch at shards=%d parallel=%d: %+v\nnotes: %v",
+				combo.shards, combo.parallel, res.Cache, res.Notes)
 		}
 		if res.Cache.Verified == 0 {
 			t.Fatalf("verify mode did not verify anything at %+v: %+v", combo, res.Cache)
@@ -205,5 +202,28 @@ func TestCacheVerifyMatrix(t *testing.T) {
 func TestCacheVerifyWithoutCacheRejected(t *testing.T) {
 	if _, err := RunByID("table2", Options{CacheVerify: true}); err == nil {
 		t.Fatal("CacheVerify without Cache was accepted")
+	}
+}
+
+// TestRunByIDRejectsBadScale pins the up-front checks on the workload
+// scale: a negative flow count or a negative, NaN or infinite load fails
+// RunByID with one error naming the value, before any cell runs.
+func TestRunByIDRejectsBadScale(t *testing.T) {
+	for _, tc := range []struct {
+		id   string
+		o    Options
+		want string
+	}{
+		{"fig8", Options{Flows: -5}, "-5"},
+		{"scale1M", Options{Flows: -3}, "-3"},
+		{"fig8", Options{Load: -1}, "-1"},
+		{"fig8", Options{Load: math.NaN()}, "NaN"},
+		{"fig8", Options{Load: math.Inf(1)}, "+Inf"},
+		{"fig8", Options{Load: math.Inf(-1)}, "-Inf"},
+	} {
+		if _, err := RunByID(tc.id, tc.o); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("RunByID(%s, Flows=%d Load=%v) error = %v, want one naming %s",
+				tc.id, tc.o.Flows, tc.o.Load, err, tc.want)
+		}
 	}
 }

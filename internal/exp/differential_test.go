@@ -4,17 +4,16 @@ import (
 	"math/rand"
 	"testing"
 
-	"ppt/internal/sim"
 	"ppt/internal/workload"
 )
 
 // TestShardedDifferential is the randomized equivalence proof for the
 // conservative windowed engine (DESIGN.md §7.3): for a batch of
 // randomly drawn (scheme, flows, load, seed) cells on the
-// oversubscribed leaf-spine fabric, every combination of shard hint
-// (worker count) and event-queue implementation must produce an
-// identical summary and identical efficiency counters — the
-// determinism claim behind `-shards` being a pure performance knob.
+// oversubscribed leaf-spine fabric, every shard hint (worker count)
+// must produce an identical summary and identical efficiency counters
+// — the determinism claim behind `-shards` being a pure performance
+// knob.
 // The workload is sized so the compared runs execute well over two
 // million scheduler events in total, asserted at the end so a silently
 // shrunken workload fails loudly instead of hollowing out the
@@ -42,7 +41,7 @@ func TestShardedDifferential(t *testing.T) {
 	trials := 4
 	if raceEnabled {
 		// The race detector slows these memory-heavy cells 10-20x; one
-		// trial still exercises every (shards, sched) combination below
+		// trial still exercises every shard hint below
 		// on tens of millions of events and keeps `go test -race ./...`
 		// inside the default package timeout.
 		trials = 1
@@ -60,34 +59,25 @@ func TestShardedDifferential(t *testing.T) {
 
 		base := spec
 		base.shards = 1
-		base.sched = sim.Wheel
 		baseSum, baseEnv := execute(base)
 		totalEvents += baseEnv.Net.Executed()
 		if baseEnv.Net.Part == nil {
 			t.Fatalf("trial %d: shards=1 did not build a partitioned fabric", trial)
 		}
 
-		for _, v := range []struct {
-			shards int
-			sched  sim.Impl
-		}{
-			{2, sim.Wheel},
-			{4, sim.Heap},
-			{8, sim.Wheel},
-			{1, sim.Heap},
-		} {
+		// shards=1 reruns the base cell: a repeat must reproduce it.
+		for _, shards := range []int{2, 4, 8, 1} {
 			alt := spec
-			alt.shards = v.shards
-			alt.sched = v.sched
+			alt.shards = shards
 			altSum, altEnv := execute(alt)
 			totalEvents += altEnv.Net.Executed()
 			if baseSum != altSum {
-				t.Errorf("trial %d (%s flows=%d load=%g seed=%d): shards=%d sched=%v summary diverged from shards=1 wheel\nbase: %+v\nalt:  %+v",
-					trial, spec.sc.name, spec.flows, spec.load, spec.seed, v.shards, v.sched, baseSum, altSum)
+				t.Errorf("trial %d (%s flows=%d load=%g seed=%d): shards=%d summary diverged from shards=1\nbase: %+v\nalt:  %+v",
+					trial, spec.sc.name, spec.flows, spec.load, spec.seed, shards, baseSum, altSum)
 			}
 			if baseEnv.Eff != altEnv.Eff {
-				t.Errorf("trial %d (%s flows=%d load=%g seed=%d): shards=%d sched=%v efficiency counters diverged from shards=1 wheel\nbase: %+v\nalt:  %+v",
-					trial, spec.sc.name, spec.flows, spec.load, spec.seed, v.shards, v.sched, baseEnv.Eff, altEnv.Eff)
+				t.Errorf("trial %d (%s flows=%d load=%g seed=%d): shards=%d efficiency counters diverged from shards=1\nbase: %+v\nalt:  %+v",
+					trial, spec.sc.name, spec.flows, spec.load, spec.seed, shards, baseEnv.Eff, altEnv.Eff)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -21,9 +22,11 @@ import (
 
 // Options scale and filter an experiment run.
 type Options struct {
-	// Flows scales the workload (0 = experiment default).
+	// Flows scales the workload (0 = experiment default). RunByID
+	// rejects a negative count.
 	Flows int
 	// Load overrides the network load where meaningful (0 = default).
+	// RunByID rejects a negative, NaN or infinite load.
 	Load float64
 	// Seed randomizes workloads (default 1).
 	Seed int64
@@ -42,11 +45,6 @@ type Options struct {
 	// OnProgress, when set, observes each completed cell as (done,
 	// total). Calls are serialized but may come from worker goroutines.
 	OnProgress func(done, total int)
-	// Sched selects the event-queue implementation every cell's
-	// scheduler uses: "wheel" (default, also ""), or "heap". Results are
-	// byte-identical either way (pinned by the golden tests); the knob
-	// exists for perf A/Bs. Validated by RunByID.
-	Sched string
 	// Shards sets the logical shard count hint for partitionable
 	// fabrics (0 = default 1). On leaf-spine fabrics running shardable
 	// protocols it enables the conservative windowed engine and caps the
@@ -136,17 +134,6 @@ func (o Options) withDefaults(defFlows int) Options {
 		o.sharding = &shardAgg{}
 	}
 	return o
-}
-
-// schedImpl maps the validated Sched option onto the engine selector.
-func (o Options) schedImpl() sim.Impl {
-	impl, err := sim.ParseImpl(o.Sched)
-	if err != nil {
-		// RunByID rejects bad values before any cell runs; reaching this
-		// from elsewhere is a programming error.
-		panic(err)
-	}
-	return impl
 }
 
 // addEvents folds one scheduler's executed-event count into the
@@ -367,8 +354,11 @@ func RunByID(id string, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sim.ParseImpl(o.Sched); err != nil {
-		return nil, err
+	if o.Flows < 0 {
+		return nil, fmt.Errorf("exp: invalid flow count %d (want >= 1, or 0 for the default)", o.Flows)
+	}
+	if o.Load < 0 || math.IsNaN(o.Load) || math.IsInf(o.Load, 0) {
+		return nil, fmt.Errorf("exp: invalid load %v (want a finite load > 0, or 0 for the default)", o.Load)
 	}
 	if o.Shards < 0 {
 		return nil, fmt.Errorf("exp: invalid shard count %d (want >= 1, or 0 for the default)", o.Shards)

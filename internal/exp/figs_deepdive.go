@@ -108,8 +108,7 @@ func init() {
 			measure := func(sc scheme) Row {
 				start := time.Now()
 				sum, env := execute(runSpec{fab: fab, sc: sc, dist: workload.WebSearch,
-					pattern: workload.AllToAll{N: fab.hosts}, load: load, flows: o.Flows, seed: o.Seed,
-					sched: o.schedImpl()})
+					pattern: workload.AllToAll{N: fab.hosts}, load: load, flows: o.Flows, seed: o.Seed})
 				elapsed := time.Since(start)
 				events := env.Sched().Executed
 				o.addEvents(events)
@@ -313,7 +312,6 @@ func runBufferCell(o Options, name string, k int64, load float64, efficiency boo
 	fab := dumbbellFabric(2, k)
 	fab.cfg.ECNLowK = k // same threshold for both classes (per the paper)
 	cfg := fab.cfg
-	cfg.Sched = o.schedImpl()
 	if sc.tweak != nil {
 		sc.tweak(&cfg)
 	}

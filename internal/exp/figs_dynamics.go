@@ -55,7 +55,6 @@ func init() {
 func runDynamics(o Options) *Result {
 	fab := testbedFabric()
 	cfg := fab.cfg
-	cfg.Sched = o.schedImpl()
 	net := fab.build(cfg)
 	env := transport.NewEnv(net)
 	env.RTOMin = fab.rtoMin

@@ -27,16 +27,14 @@ func makeFlows(cfg topo.Config, dist *workload.Dist, pattern workload.Pattern, l
 }
 
 // runOracle runs the two-pass hypothetical DCTCP (§2.3) and returns the
-// second-pass summary. Both passes run on o's scheduler implementation
-// and count toward the experiment's event total.
+// second-pass summary. Both passes count toward the experiment's event
+// total.
 func runOracle(o Options, fab fabric, flows []transport.SimpleFlow, frac float64) (stats.Summary, *transport.Env) {
-	cfg := fab.cfg
-	cfg.Sched = o.schedImpl()
 	rec := ppt.NewMWRecorder()
-	env1 := transport.NewEnv(fab.build(cfg))
+	env1 := transport.NewEnv(fab.build(fab.cfg))
 	env1.RTOMin = fab.rtoMin
 	transport.Run(env1, rec, flows, transport.RunConfig{})
-	env2 := transport.NewEnv(fab.build(cfg))
+	env2 := transport.NewEnv(fab.build(fab.cfg))
 	env2.RTOMin = fab.rtoMin
 	sum := transport.Run(env2, ppt.Oracle{MW: rec.MW(), FillFraction: frac}, flows, transport.RunConfig{})
 	o.addEvents(env1.Sched().Executed + env2.Sched().Executed)
@@ -59,7 +57,6 @@ func utilizationRun(o Options, load float64, schemeName string, oracleFrac float
 		utilDesc(fab, load, o.Flows, o.Seed, schemeName, oracleFrac),
 		func() (stats.Summary, map[string]float64) {
 			cfg := fab.cfg
-			cfg.Sched = o.schedImpl()
 			flows := makeFlows(cfg, workload.WebSearch, workload.Incast{N: 3, Target: 0}, load, o.Flows, o.Seed)
 			net := fab.build(cfg)
 			env := transport.NewEnv(net)

@@ -46,12 +46,11 @@ var goldenCases = []struct {
 // TestGoldenOutputs is the engine-equivalence guarantee: optimizations
 // to the scheduler, packet pooling, or queueing must not change a single
 // simulated outcome. It renders each case's table and CSV across the
-// full engine matrix — serially and on the 4-wide worker pool, under
-// both the heap and the timing-wheel scheduler, at shard hints 1, 2 and
-// 4 — and requires every run to match the checked-in golden output byte
-// for byte. The matrix is also the proof that the wheel pops events in
-// exactly the heap's (time, seq) order, and that the conservative
-// windowed engine's worker count is invisible to simulated outcomes.
+// full engine matrix — serially and on the 4-wide worker pool, at shard
+// hints 1, 2 and 4 — and requires every run to match the checked-in
+// golden output byte for byte. The matrix is also the proof that the
+// conservative windowed engine's worker count is invisible to simulated
+// outcomes.
 func TestGoldenOutputs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several experiments")
@@ -60,10 +59,9 @@ func TestGoldenOutputs(t *testing.T) {
 		tc := tc
 		t.Run(tc.id, func(t *testing.T) {
 			t.Parallel()
-			render := func(parallel int, sched string, shards int) string {
+			render := func(parallel, shards int) string {
 				o := tc.opts
 				o.Parallel = parallel
-				o.Sched = sched
 				o.Shards = shards
 				res, err := RunByID(tc.id, o)
 				if err != nil {
@@ -71,18 +69,16 @@ func TestGoldenOutputs(t *testing.T) {
 				}
 				return res.Render() + "\n--- csv ---\n" + res.CSV()
 			}
-			serial := render(1, "wheel", 1)
+			serial := render(1, 1)
 			for _, shards := range []int{1, 2, 4} {
-				for _, sched := range []string{"wheel", "heap"} {
-					for _, parallel := range []int{1, 4} {
-						if shards == 1 && sched == "wheel" && parallel == 1 {
-							continue // the base render above
-						}
-						name := sched + "/" + map[int]string{1: "serial", 4: "parallel"}[parallel]
-						if got := render(parallel, sched, shards); got != serial {
-							t.Fatalf("%s: %s shards=%d output differs from wheel/serial shards=1:\n--- base ---\n%s\n--- %s shards=%d ---\n%s",
-								tc.id, name, shards, serial, name, shards, got)
-						}
+				for _, parallel := range []int{1, 4} {
+					if shards == 1 && parallel == 1 {
+						continue // the base render above
+					}
+					name := map[int]string{1: "serial", 4: "parallel"}[parallel]
+					if got := render(parallel, shards); got != serial {
+						t.Fatalf("%s: %s shards=%d output differs from serial shards=1:\n--- base ---\n%s\n--- %s shards=%d ---\n%s",
+							tc.id, name, shards, serial, name, shards, got)
 					}
 				}
 			}

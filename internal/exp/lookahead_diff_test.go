@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"ppt/internal/sim"
 	"ppt/internal/workload"
 )
 
@@ -14,8 +13,7 @@ import (
 // so the per-pair lookahead matrix (leaf↔spine at one wire delay,
 // leaf↔leaf and the self-cycles at two) and the load-balanced worker
 // assignment differ every trial — and asserts the windowed output is
-// byte-identical at every shard count and queue implementation. It
-// also cross-checks the built matrix against an independent
+// byte-identical at every shard count. It also cross-checks the built matrix against an independent
 // brute-force bound: every entry must not exceed the true minimum path
 // delay over the wires the builder installs (the conservative
 // direction; topo's own tests pin exact equality).
@@ -47,22 +45,22 @@ func TestLookaheadMatrixDifferential(t *testing.T) {
 
 		base := spec
 		base.shards = 1
-		base.sched = sim.Wheel
 		baseSum, baseEnv := execute(base)
 		part := baseEnv.Net.Part
 		if part == nil || part.Lookahead == nil {
 			t.Fatalf("trial %d: partitioned build carries no lookahead matrix", trial)
 		}
 		// Conservative bound: adjacent shards one delay apart, nothing
-		// closer than the global window, diagonal bounded by the round
-		// trip through a spine.
+		// closer than one wire, diagonal bounded by the round trip
+		// through a spine. simFabric leaves LinkDelay to the builder's
+		// default, so read the delay off the built network.
 		n := leaves + spines
-		w := part.Window
+		w := baseEnv.Net.Cfg.LinkDelay
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				at := part.Lookahead.At(i, j)
 				if at < w {
-					t.Fatalf("trial %d: matrix entry (%d,%d)=%v below global window %v", trial, i, j, at, w)
+					t.Fatalf("trial %d: matrix entry (%d,%d)=%v below the link delay %v", trial, i, j, at, w)
 				}
 				iLeaf, jLeaf := i < leaves, j < leaves
 				if iLeaf != jLeaf && at != w {
@@ -75,31 +73,22 @@ func TestLookaheadMatrixDifferential(t *testing.T) {
 		}
 
 		// Shard hints beyond the shard count, equal to it, and below it
-		// (exercising multi-shard-per-worker LPT assignments), across
-		// both queue implementations.
-		for _, v := range []struct {
-			shards int
-			sched  sim.Impl
-		}{
-			{2, sim.Wheel},
-			{n, sim.Heap},
-			{n + 3, sim.Wheel},
-			{1, sim.Heap},
-		} {
+		// (exercising multi-shard-per-worker LPT assignments); shards=1
+		// reruns the base cell, which a repeat must reproduce.
+		for _, shards := range []int{2, n, n + 3, 1} {
 			alt := spec
-			alt.shards = v.shards
-			alt.sched = v.sched
+			alt.shards = shards
 			altSum, altEnv := execute(alt)
 			if baseSum != altSum {
-				t.Errorf("trial %d (leaves=%d spines=%d perLeaf=%d %s flows=%d seed=%d): shards=%d sched=%v summary diverged\nbase: %+v\nalt:  %+v",
-					trial, leaves, spines, perLeaf, spec.sc.name, spec.flows, spec.seed, v.shards, v.sched, baseSum, altSum)
+				t.Errorf("trial %d (leaves=%d spines=%d perLeaf=%d %s flows=%d seed=%d): shards=%d summary diverged\nbase: %+v\nalt:  %+v",
+					trial, leaves, spines, perLeaf, spec.sc.name, spec.flows, spec.seed, shards, baseSum, altSum)
 			}
 			if baseEnv.Eff != altEnv.Eff {
-				t.Errorf("trial %d (leaves=%d spines=%d perLeaf=%d %s flows=%d seed=%d): shards=%d sched=%v efficiency diverged\nbase: %+v\nalt:  %+v",
-					trial, leaves, spines, perLeaf, spec.sc.name, spec.flows, spec.seed, v.shards, v.sched, baseEnv.Eff, altEnv.Eff)
+				t.Errorf("trial %d (leaves=%d spines=%d perLeaf=%d %s flows=%d seed=%d): shards=%d efficiency diverged\nbase: %+v\nalt:  %+v",
+					trial, leaves, spines, perLeaf, spec.sc.name, spec.flows, spec.seed, shards, baseEnv.Eff, altEnv.Eff)
 			}
 			if altEnv.ShardStats == nil || altEnv.ShardStats.Rounds == 0 {
-				t.Errorf("trial %d: shards=%d run recorded no windowed instrumentation", trial, v.shards)
+				t.Errorf("trial %d: shards=%d run recorded no windowed instrumentation", trial, shards)
 			}
 		}
 	}

@@ -106,7 +106,6 @@ func (p *pool) submitSpec(label string, spec runSpec) *cellOut {
 // zero events (nothing was simulated).
 func (p *pool) submitSpecExtra(label string, spec runSpec, extrasKind string, extras func(*transport.Env) map[string]float64) *cellOut {
 	out := &cellOut{}
-	spec.sched = p.opts.schedImpl()
 	spec.shards = p.opts.Shards
 	// Force-on only: experiments that always stream (the scale family)
 	// set spec.stream themselves; Options.Stream additionally streams

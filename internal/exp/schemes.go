@@ -200,9 +200,6 @@ type runSpec struct {
 	// and LCP reach (0 = unbounded / 2GB).
 	sendBuf int64
 	app     bufaware.AppModel
-	// sched is the event-queue implementation for this cell's scheduler
-	// (from Options.Sched; zero value = wheel).
-	sched sim.Impl
 	// shards is the partition hint for this cell (from Options.Shards;
 	// applied only when the fabric partitions and the protocol is
 	// shardable, so non-windowed cells stay byte-for-byte on the legacy
@@ -264,7 +261,6 @@ func execute(spec runSpec) (stats.Summary, *transport.Env) {
 // simulate is execute without the audit.
 func simulate(spec runSpec) (stats.Summary, *transport.Env) {
 	cfg := spec.fab.cfg
-	cfg.Sched = spec.sched
 	if spec.sc.tweak != nil {
 		spec.sc.tweak(&cfg)
 	}

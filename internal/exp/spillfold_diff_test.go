@@ -3,16 +3,14 @@ package exp
 import (
 	"testing"
 
-	"ppt/internal/sim"
 	"ppt/internal/workload"
 )
 
 // TestWindowedSpillDifferential pins the windowed spill fold end to
 // end: a streamed cell whose FCT collector spills must report exactly
 // the Summary the in-memory windowed path reports — float means bit
-// for bit — at every spill chunk size, shard count, and queue
-// implementation, while never holding more than a chunk of records
-// resident. This is the exp-level companion of the stats-level
+// for bit — at every spill chunk size and shard count, while never
+// holding more than a chunk of records resident. This is the exp-level companion of the stats-level
 // TestWindowFoldBitIdentical, run through the real engine so the
 // barrier-time safe bounds (not a synthetic cadence) drive the fold.
 func TestWindowedSpillDifferential(t *testing.T) {
@@ -36,30 +34,26 @@ func TestWindowedSpillDifferential(t *testing.T) {
 			seed:    7,
 			stream:  true,
 		}
-		for _, sched := range []sim.Impl{sim.Heap, sim.Wheel} {
-			ref := spec
-			ref.sched = sched
-			ref.shards = 1
-			refSum, _ := execute(ref)
-			for _, chunk := range []int{1, 7, 1024, 1 << 16} {
-				for _, shards := range []int{1, 2, 4} {
-					alt := spec
-					alt.sched = sched
-					alt.shards = shards
-					alt.spillChunk = chunk
-					altSum, altEnv := execute(alt)
-					if altSum != refSum {
-						t.Errorf("%s sched=%v chunk=%d shards=%d: spilled summary diverged\nref: %+v\ngot: %+v",
-							scheme, sched, chunk, shards, refSum, altSum)
-					}
-					if peak := altEnv.Collector.ResidentPeak(); peak > chunk {
-						t.Errorf("%s sched=%v chunk=%d shards=%d: resident peak %d exceeds chunk",
-							scheme, sched, chunk, shards, peak)
-					}
-					if altEnv.ShardStats == nil || altEnv.ShardStats.Rounds == 0 {
-						t.Errorf("%s sched=%v chunk=%d shards=%d: spilled cell did not run the windowed engine",
-							scheme, sched, chunk, shards)
-					}
+		ref := spec
+		ref.shards = 1
+		refSum, _ := execute(ref)
+		for _, chunk := range []int{1, 7, 1024, 1 << 16} {
+			for _, shards := range []int{1, 2, 4} {
+				alt := spec
+				alt.shards = shards
+				alt.spillChunk = chunk
+				altSum, altEnv := execute(alt)
+				if altSum != refSum {
+					t.Errorf("%s chunk=%d shards=%d: spilled summary diverged\nref: %+v\ngot: %+v",
+						scheme, chunk, shards, refSum, altSum)
+				}
+				if peak := altEnv.Collector.ResidentPeak(); peak > chunk {
+					t.Errorf("%s chunk=%d shards=%d: resident peak %d exceeds chunk",
+						scheme, chunk, shards, peak)
+				}
+				if altEnv.ShardStats == nil || altEnv.ShardStats.Rounds == 0 {
+					t.Errorf("%s chunk=%d shards=%d: spilled cell did not run the windowed engine",
+						scheme, chunk, shards)
 				}
 			}
 		}

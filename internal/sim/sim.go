@@ -12,14 +12,13 @@
 // a slot array owned by the scheduler; fired or cancelled slots are
 // recycled through a freelist, and Timers are generation-stamped value
 // handles, so a stale handle to a reused slot can never cancel someone
-// else's event. Two interchangeable queue implementations order the
-// pending events — a hierarchical timing wheel (the default; amortized
-// O(1) schedule and pop, see wheel.go) and a 4-ary indexed min-heap
-// (O(log n), see heap.go) — selected per scheduler at construction.
-// Pop order is fully determined by the strict (time, seq) total order,
-// so the queue's internal shape never affects simulated outcomes; the
-// two implementations are asserted pop-for-pop identical by a
-// randomized differential test.
+// else's event. A hierarchical timing wheel orders the pending events
+// (amortized O(1) schedule and pop, see wheel.go). Pop order is fully
+// determined by the strict (time, seq) total order, so the wheel's
+// internal shape never affects simulated outcomes; randomized
+// differential tests replay millions of operations against a
+// standalone reference heap and require identical pops, clocks and
+// Stop results.
 package sim
 
 import (
@@ -65,51 +64,15 @@ func (t Time) String() string {
 	}
 }
 
-// Impl selects the pending-event queue implementation of a Scheduler.
-type Impl uint8
-
-const (
-	// Wheel is the hierarchical timing wheel: 8 levels of 256
-	// power-of-two buckets over the picosecond clock, amortized-O(1)
-	// schedule/stop/pop with batched same-tick dispatch. The default.
-	Wheel Impl = iota
-	// Heap is the 4-ary indexed min-heap: O(log n) schedule and pop.
-	// Kept selectable so goldens and benches can A/B both engines.
-	Heap
-)
-
-func (i Impl) String() string {
-	switch i {
-	case Wheel:
-		return "wheel"
-	case Heap:
-		return "heap"
-	}
-	return fmt.Sprintf("Impl(%d)", uint8(i))
-}
-
-// ParseImpl maps a -sched flag value to an Impl. The empty string means
-// the default (wheel).
-func ParseImpl(s string) (Impl, error) {
-	switch s {
-	case "", "wheel":
-		return Wheel, nil
-	case "heap":
-		return Heap, nil
-	}
-	return Wheel, fmt.Errorf("sim: unknown scheduler %q (want heap or wheel)", s)
-}
-
 // event is a scheduled callback, stored inline in the scheduler's slot
 // array. seq breaks ties so that events scheduled earlier run earlier
 // when their firing times are equal (FIFO semantics), which downstream
 // protocol code depends on for determinism. gen distinguishes the slot's
 // current occupant from stale Timer handles.
 //
-// where is the slot's position in the queue implementation — the heap
-// index for Heap, the bucket id for Wheel — or -1 while the slot is
-// free. prev/next thread the wheel's intrusive bucket lists through the
-// slot array and are unused by the heap.
+// where is the id of the wheel bucket (or spill list) holding the slot,
+// or -1 while the slot is free. prev/next thread the wheel's intrusive
+// bucket lists through the slot array.
 type event struct {
 	at    Time
 	seq   uint64
@@ -128,10 +91,7 @@ type Scheduler struct {
 	events  []event // slot storage; index = Timer.slot
 	free    []int32 // LIFO freelist of vacant slot ids
 	stopped bool
-	impl    Impl
-
-	heap  []int32     // Heap: 4-ary min-heap of occupied slot ids
-	wheel *wheelState // Wheel: hierarchical timing wheel
+	wheel   *wheelState // the pending-event queue
 
 	// Executed counts events run so far; useful as a cheap progress and
 	// runaway-simulation guard in experiments.
@@ -140,24 +100,10 @@ type Scheduler struct {
 	Limit uint64
 }
 
-// NewScheduler returns an empty scheduler with the clock at zero,
-// using the default (timing wheel) queue.
+// NewScheduler returns an empty scheduler with the clock at zero.
 func NewScheduler() *Scheduler {
-	return NewSchedulerImpl(Wheel)
+	return &Scheduler{wheel: newWheelState()}
 }
-
-// NewSchedulerImpl returns an empty scheduler using the given queue
-// implementation.
-func NewSchedulerImpl(impl Impl) *Scheduler {
-	s := &Scheduler{impl: impl}
-	if impl == Wheel {
-		s.wheel = newWheelState()
-	}
-	return s
-}
-
-// Impl reports which queue implementation this scheduler uses.
-func (s *Scheduler) Impl() Impl { return s.impl }
 
 // Now reports the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
@@ -200,11 +146,7 @@ func (s *Scheduler) At(t Time, fn func()) Timer {
 	e.seq = s.seq
 	e.fn = fn
 	s.seq++
-	if s.impl == Heap {
-		s.heapInsert(slot)
-	} else {
-		s.wheelInsert(slot, t)
-	}
+	s.wheelInsert(slot, t)
 	return Timer{s: s, slot: slot, gen: e.gen}
 }
 
@@ -245,11 +187,7 @@ func (t Timer) Stop() bool {
 	if e.gen != t.gen || e.where < 0 {
 		return false
 	}
-	if t.s.impl == Heap {
-		t.s.heapRemoveAt(int(e.where))
-	} else {
-		t.s.wheelUnlink(t.slot)
-	}
+	t.s.wheelUnlink(t.slot)
 	t.s.release(t.slot)
 	return true
 }
@@ -267,29 +205,19 @@ func (t Timer) Pending() bool {
 func (s *Scheduler) Stop() { s.stopped = true }
 
 // NextAtBound returns the firing time of the earliest pending event,
-// and whether any event is pending. The value is exact for both
-// implementations: the heap reads its root, the wheel descends its
-// occupancy bitmaps to the first occupied bucket and takes that
-// bucket's minimum (see wheelNextBound). Exactness lets the sharded
-// run driver's idle-window skip jump straight to the next occupied
-// window instead of waking at the start of a coarse higher-level
-// window and re-skipping; a randomized heap/wheel differential pins
-// the equality.
+// and whether any event is pending. The value is exact: the wheel
+// descends its occupancy bitmaps to the first occupied bucket and takes
+// that bucket's minimum (see wheelNextBound). Exactness lets the
+// sharded run driver's idle-window skip jump straight to the next
+// occupied window instead of waking at the start of a coarse
+// higher-level window and re-skipping; a randomized differential
+// against the reference heap pins the equality.
 func (s *Scheduler) NextAtBound() (Time, bool) {
-	if s.impl == Heap {
-		if len(s.heap) == 0 {
-			return 0, false
-		}
-		return s.events[s.heap[0]].at, true
-	}
 	return s.wheelNextBound()
 }
 
 // Pending reports the number of queued events.
 func (s *Scheduler) Pending() int {
-	if s.impl == Heap {
-		return len(s.heap)
-	}
 	return s.wheel.count
 }
 
@@ -306,16 +234,10 @@ func (s *Scheduler) RunUntil(deadline Time) uint64 {
 	start := s.Executed
 	s.stopped = false
 	for !s.stopped {
-		// next pops the earliest (time, seq) event not after the
+		// wheelNext pops the earliest (time, seq) event not after the
 		// deadline, or reports that none qualifies. The slot is already
 		// out of the queue but not yet released.
-		var slot int32
-		var ok bool
-		if s.impl == Heap {
-			slot, ok = s.heapNext(deadline)
-		} else {
-			slot, ok = s.wheelNext(deadline)
-		}
+		slot, ok := s.wheelNext(deadline)
 		if !ok {
 			break
 		}

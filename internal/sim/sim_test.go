@@ -7,16 +7,41 @@ import (
 	"testing/quick"
 )
 
-// forEachImpl runs a scheduler-behavior test under both queue
-// implementations. The engine contract is identical for heap and wheel,
-// so every behavioral test in this file asserts on both.
-func forEachImpl(t *testing.T, f func(t *testing.T, newSched func() *Scheduler)) {
-	for _, impl := range []Impl{Heap, Wheel} {
-		impl := impl
-		t.Run(impl.String(), func(t *testing.T) {
-			f(t, func() *Scheduler { return NewSchedulerImpl(impl) })
-		})
-	}
+// queue is the contract the behavioural tests below assert. The timing
+// wheel meets it through wheelQueue; the heap oracle the wheel's
+// differential tests replay against (oracle_test.go) meets it directly,
+// so the reference is held to the same contract it checks.
+type queue interface {
+	At(t Time, fn func()) handle
+	After(d Time, fn func()) handle
+	Run() uint64
+	RunUntil(deadline Time) uint64
+	Stop()
+	Now() Time
+	Pending() int
+	setLimit(n uint64)
+	slots() int // event storage held, bounded by peak concurrency
+}
+
+// handle is a scheduled event: a Timer, or an oracle event.
+type handle interface {
+	Stop() bool
+	Pending() bool
+}
+
+// wheelQueue adapts a Scheduler to queue.
+type wheelQueue struct{ *Scheduler }
+
+func (q wheelQueue) At(t Time, fn func()) handle    { return q.Scheduler.At(t, fn) }
+func (q wheelQueue) After(d Time, fn func()) handle { return q.Scheduler.After(d, fn) }
+func (q wheelQueue) setLimit(n uint64)              { q.Limit = n }
+func (q wheelQueue) slots() int                     { return cap(q.events) }
+
+// forEachQueue runs a behavioural test on the heap oracle and on the
+// timing wheel.
+func forEachQueue(t *testing.T, f func(t *testing.T, newQueue func() queue)) {
+	t.Run("heap", func(t *testing.T) { f(t, func() queue { return &heapOracle{} }) })
+	t.Run("wheel", func(t *testing.T) { f(t, func() queue { return wheelQueue{NewScheduler()} }) })
 }
 
 func TestTimeUnits(t *testing.T) {
@@ -51,31 +76,9 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-func TestParseImpl(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Impl
-		ok   bool
-	}{
-		{"", Wheel, true},
-		{"wheel", Wheel, true},
-		{"heap", Heap, true},
-		{"btree", Wheel, false},
-	}
-	for _, c := range cases {
-		got, err := ParseImpl(c.in)
-		if (err == nil) != c.ok || got != c.want {
-			t.Errorf("ParseImpl(%q) = %v, %v", c.in, got, err)
-		}
-	}
-	if NewScheduler().Impl() != Wheel {
-		t.Error("NewScheduler default is not the wheel")
-	}
-}
-
 func TestRunOrdering(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, newSched func() *Scheduler) {
-		s := newSched()
+	forEachQueue(t, func(t *testing.T, newQueue func() queue) {
+		s := newQueue()
 		var got []int
 		s.At(30*Nanosecond, func() { got = append(got, 3) })
 		s.At(10*Nanosecond, func() { got = append(got, 1) })
@@ -94,8 +97,8 @@ func TestRunOrdering(t *testing.T) {
 }
 
 func TestFIFOTieBreak(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, newSched func() *Scheduler) {
-		s := newSched()
+	forEachQueue(t, func(t *testing.T, newQueue func() queue) {
+		s := newQueue()
 		var got []int
 		for i := 0; i < 10; i++ {
 			i := i
@@ -109,8 +112,8 @@ func TestFIFOTieBreak(t *testing.T) {
 }
 
 func TestAfterFromWithinEvent(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, newSched func() *Scheduler) {
-		s := newSched()
+	forEachQueue(t, func(t *testing.T, newQueue func() queue) {
+		s := newQueue()
 		var fired Time
 		s.At(10*Nanosecond, func() {
 			s.After(5*Nanosecond, func() { fired = s.Now() })
@@ -123,8 +126,8 @@ func TestAfterFromWithinEvent(t *testing.T) {
 }
 
 func TestSchedulePastPanics(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, newSched func() *Scheduler) {
-		s := newSched()
+	forEachQueue(t, func(t *testing.T, newQueue func() queue) {
+		s := newQueue()
 		s.At(10*Nanosecond, func() {
 			defer func() {
 				if recover() == nil {
@@ -138,8 +141,8 @@ func TestSchedulePastPanics(t *testing.T) {
 }
 
 func TestNegativeAfterPanics(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, newSched func() *Scheduler) {
-		s := newSched()
+	forEachQueue(t, func(t *testing.T, newQueue func() queue) {
+		s := newQueue()
 		defer func() {
 			if recover() == nil {
 				t.Error("negative After did not panic")
@@ -152,8 +155,8 @@ func TestNegativeAfterPanics(t *testing.T) {
 // After past MaxTime must panic loudly rather than wrap the int64 clock
 // into the past and corrupt event order.
 func TestAfterOverflowPanics(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, newSched func() *Scheduler) {
-		s := newSched()
+	forEachQueue(t, func(t *testing.T, newQueue func() queue) {
+		s := newQueue()
 		s.At(Second, func() {
 			defer func() {
 				if recover() == nil {
@@ -177,8 +180,8 @@ func TestAfterOverflowPanics(t *testing.T) {
 }
 
 func TestTimerStop(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, newSched func() *Scheduler) {
-		s := newSched()
+	forEachQueue(t, func(t *testing.T, newQueue func() queue) {
+		s := newQueue()
 		ran := false
 		tm := s.After(10*Nanosecond, func() { ran = true })
 		if !tm.Pending() {
@@ -198,8 +201,8 @@ func TestTimerStop(t *testing.T) {
 }
 
 func TestTimerStopAfterFire(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, newSched func() *Scheduler) {
-		s := newSched()
+	forEachQueue(t, func(t *testing.T, newQueue func() queue) {
+		s := newQueue()
 		tm := s.After(1*Nanosecond, func() {})
 		s.Run()
 		if tm.Pending() {
@@ -212,8 +215,8 @@ func TestTimerStopAfterFire(t *testing.T) {
 }
 
 func TestStopHaltsRun(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, newSched func() *Scheduler) {
-		s := newSched()
+	forEachQueue(t, func(t *testing.T, newQueue func() queue) {
+		s := newQueue()
 		var count int
 		for i := 1; i <= 10; i++ {
 			s.At(Time(i)*Nanosecond, func() {
@@ -234,8 +237,8 @@ func TestStopHaltsRun(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, newSched func() *Scheduler) {
-		s := newSched()
+	forEachQueue(t, func(t *testing.T, newQueue func() queue) {
+		s := newQueue()
 		var count int
 		for i := 1; i <= 10; i++ {
 			s.At(Time(i)*Microsecond, func() { count++ })
@@ -255,8 +258,8 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestRunUntilAdvancesClockWhenIdle(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, newSched func() *Scheduler) {
-		s := newSched()
+	forEachQueue(t, func(t *testing.T, newQueue func() queue) {
+		s := newQueue()
 		s.RunUntil(3 * Millisecond)
 		if s.Now() != 3*Millisecond {
 			t.Fatalf("idle RunUntil left clock at %v", s.Now())
@@ -265,9 +268,9 @@ func TestRunUntilAdvancesClockWhenIdle(t *testing.T) {
 }
 
 func TestEventLimit(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, newSched func() *Scheduler) {
-		s := newSched()
-		s.Limit = 4
+	forEachQueue(t, func(t *testing.T, newQueue func() queue) {
+		s := newQueue()
+		s.setLimit(4)
 		var count int
 		for i := 1; i <= 10; i++ {
 			s.At(Time(i)*Nanosecond, func() { count++ })
@@ -282,12 +285,12 @@ func TestEventLimit(t *testing.T) {
 // Property: for any set of delays, events execute in nondecreasing time
 // order and the executed count matches the scheduled count.
 func TestPropertyOrdering(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, newSched func() *Scheduler) {
+	forEachQueue(t, func(t *testing.T, newQueue func() queue) {
 		prop := func(delays []uint16) bool {
 			if len(delays) == 0 {
 				return true
 			}
-			s := newSched()
+			s := newQueue()
 			var times []Time
 			for _, d := range delays {
 				s.After(Time(d)*Nanosecond, func() { times = append(times, s.Now()) })
@@ -311,13 +314,13 @@ func TestPropertyOrdering(t *testing.T) {
 
 // Property: cancelling a random subset of timers fires exactly the others.
 func TestPropertyCancellation(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, newSched func() *Scheduler) {
+	forEachQueue(t, func(t *testing.T, newQueue func() queue) {
 		prop := func(seed int64, n uint8) bool {
 			rng := rand.New(rand.NewSource(seed))
-			s := newSched()
+			s := newQueue()
 			total := int(n%64) + 1
 			fired := make([]bool, total)
-			timers := make([]Timer, total)
+			timers := make([]handle, total)
 			for i := 0; i < total; i++ {
 				i := i
 				timers[i] = s.After(Time(rng.Intn(1000))*Nanosecond, func() { fired[i] = true })
@@ -357,11 +360,12 @@ func TestZeroTimer(t *testing.T) {
 // A handle from a fired event must stay dead after its slot is recycled:
 // stopping it must not cancel the slot's new occupant.
 func TestStaleHandleAfterSlotReuse(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, newSched func() *Scheduler) {
-		s := newSched()
+	forEachQueue(t, func(t *testing.T, newQueue func() queue) {
+		s := newQueue()
 		stale := s.After(1*Nanosecond, func() {})
 		s.Run()
-		// The freelist is LIFO and empty, so this reuses stale's slot.
+		// The wheel's freelist is LIFO and empty, so this reuses stale's
+		// slot.
 		ran := false
 		fresh := s.After(1*Nanosecond, func() { ran = true })
 		if stale.Pending() {
@@ -383,10 +387,10 @@ func TestStaleHandleAfterSlotReuse(t *testing.T) {
 // Same-time events must run in scheduling order even when cancellations
 // in between force index churn (heap rebuilds, wheel bucket unlinks).
 func TestFIFOTieBreakAcrossHeapRebuilds(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, newSched func() *Scheduler) {
-		s := newSched()
+	forEachQueue(t, func(t *testing.T, newQueue func() queue) {
+		s := newQueue()
 		var got []int
-		var victims []Timer
+		var victims []handle
 		for round := 0; round < 5; round++ {
 			for i := 0; i < 8; i++ {
 				id := round*8 + i
@@ -414,9 +418,9 @@ func TestFIFOTieBreakAcrossHeapRebuilds(t *testing.T) {
 // When Limit truncates a RunUntil mid-deadline, the clock must stay at
 // the last executed event, not jump to the deadline: events remain.
 func TestRunUntilLimitClockPlacement(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, newSched func() *Scheduler) {
-		s := newSched()
-		s.Limit = 3
+	forEachQueue(t, func(t *testing.T, newQueue func() queue) {
+		s := newQueue()
+		s.setLimit(3)
 		for i := 1; i <= 10; i++ {
 			s.At(Time(i)*Microsecond, func() {})
 		}
@@ -433,10 +437,9 @@ func TestRunUntilLimitClockPlacement(t *testing.T) {
 // A timer must observe itself as not pending from inside its own
 // callback, and re-arming from the callback must yield a live handle.
 func TestTimerNotPendingDuringFire(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, newSched func() *Scheduler) {
-		s := newSched()
-		var tm Timer
-		var rearmed Timer
+	forEachQueue(t, func(t *testing.T, newQueue func() queue) {
+		s := newQueue()
+		var tm, rearmed handle
 		tm = s.After(1*Nanosecond, func() {
 			if tm.Pending() {
 				t.Error("timer pending inside its own callback")
@@ -453,40 +456,36 @@ func TestTimerNotPendingDuringFire(t *testing.T) {
 	})
 }
 
-// Fired and cancelled slots must be recycled: steady-state churn may not
-// grow slot storage beyond the peak number of concurrently-pending events.
+// Fired and cancelled events must give their storage back (wheel slots
+// through the freelist, dead oracle entries when they surface): steady
+// churn may not grow it beyond the peak number of pending events.
 func TestSlotRecycling(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, newSched func() *Scheduler) {
-		s := newSched()
+	forEachQueue(t, func(t *testing.T, newQueue func() queue) {
+		s := newQueue()
 		for i := 0; i < 1000; i++ {
 			s.After(1*Nanosecond, func() {})
 			keep := s.After(2*Nanosecond, func() {})
 			keep.Stop()
 			s.Run()
 		}
-		if cap(s.events) > 8 {
-			t.Fatalf("slot storage grew to %d for 2 concurrent events", cap(s.events))
+		if n := s.slots(); n > 8 {
+			t.Fatalf("event storage grew to %d for 2 concurrent events", n)
 		}
 	})
 }
 
 func BenchmarkScheduler(b *testing.B) {
-	for _, impl := range []Impl{Heap, Wheel} {
-		impl := impl
-		b.Run(impl.String(), func(b *testing.B) {
-			s := NewSchedulerImpl(impl)
-			b.ReportAllocs()
-			var fn func()
-			remaining := b.N
-			fn = func() {
-				remaining--
-				if remaining > 0 {
-					s.After(Nanosecond, fn)
-				}
-			}
+	s := NewScheduler()
+	b.ReportAllocs()
+	var fn func()
+	remaining := b.N
+	fn = func() {
+		remaining--
+		if remaining > 0 {
 			s.After(Nanosecond, fn)
-			b.ResetTimer()
-			s.Run()
-		})
+		}
 	}
+	s.After(Nanosecond, fn)
+	b.ResetTimer()
+	s.Run()
 }

@@ -154,23 +154,24 @@ func TestWheelSpillAfterAbortedDescent(t *testing.T) {
 }
 
 // The differential test: replay a long randomized stream of mixed
-// Schedule / Stop / Reschedule / RunUntil operations through a heap and
-// a wheel scheduler in lockstep, asserting the two produce exactly the
-// same pop sequence, clocks, and Stop results. This is the strongest
+// Schedule / Stop / Reschedule / RunUntil operations through the heap
+// oracle and the wheel in lockstep, asserting the two produce exactly
+// the same pop sequence, clocks, and Stop results. This is the strongest
 // pin on the wheel's (time, seq) order: any filing, cascade, spill, or
 // hot-bucket bug shows up as a divergence.
-func TestHeapWheelDifferential(t *testing.T) {
+func TestWheelOracleDifferential(t *testing.T) {
 	ops := 2_000_000
 	if testing.Short() {
 		ops = 200_000
 	}
 	rng := rand.New(rand.NewSource(42))
-	h := NewSchedulerImpl(Heap)
-	w := NewSchedulerImpl(Wheel)
+	h := &heapOracle{}
+	w := NewScheduler()
 
 	var hOrder, wOrder []uint64
 	type pair struct {
-		th, tw Timer
+		th handle
+		tw Timer
 	}
 	var live []pair
 	var token uint64
@@ -198,25 +199,25 @@ func TestHeapWheelDifferential(t *testing.T) {
 	}
 	compare := func() {
 		if len(hOrder) != len(wOrder) {
-			t.Fatalf("pop counts diverged: heap %d, wheel %d", len(hOrder), len(wOrder))
+			t.Fatalf("pop counts diverged: oracle %d, wheel %d", len(hOrder), len(wOrder))
 		}
 		for i := range hOrder {
 			if hOrder[i] != wOrder[i] {
-				t.Fatalf("pop order diverged at %d: heap token %d, wheel token %d",
+				t.Fatalf("pop order diverged at %d: oracle token %d, wheel token %d",
 					i, hOrder[i], wOrder[i])
 			}
 		}
 		hOrder, wOrder = hOrder[:0], wOrder[:0]
 		if h.Now() != w.Now() {
-			t.Fatalf("clocks diverged: heap %v, wheel %v", h.Now(), w.Now())
+			t.Fatalf("clocks diverged: oracle %v, wheel %v", h.Now(), w.Now())
 		}
 		if h.Pending() != w.Pending() {
-			t.Fatalf("pending diverged: heap %d, wheel %d", h.Pending(), w.Pending())
+			t.Fatalf("pending diverged: oracle %d, wheel %d", h.Pending(), w.Pending())
 		}
 		hAt, hOK := h.NextAtBound()
 		wAt, wOK := w.NextAtBound()
 		if hAt != wAt || hOK != wOK {
-			t.Fatalf("NextAtBound diverged: heap (%v, %v), wheel (%v, %v)",
+			t.Fatalf("NextAtBound diverged: oracle (%v, %v), wheel (%v, %v)",
 				hAt, hOK, wAt, wOK)
 		}
 	}
@@ -233,7 +234,7 @@ func TestHeapWheelDifferential(t *testing.T) {
 			p := live[j]
 			sh, sw := p.th.Stop(), p.tw.Stop()
 			if sh != sw {
-				t.Fatalf("Stop diverged at op %d: heap %v, wheel %v", i, sh, sw)
+				t.Fatalf("Stop diverged at op %d: oracle %v, wheel %v", i, sh, sw)
 			}
 			live[j] = live[len(live)-1]
 			live = live[:len(live)-1]
@@ -242,7 +243,7 @@ func TestHeapWheelDifferential(t *testing.T) {
 				j := rng.Intn(len(live))
 				p := live[j]
 				if sh, sw := p.th.Stop(), p.tw.Stop(); sh != sw {
-					t.Fatalf("Stop diverged at op %d: heap %v, wheel %v", i, sh, sw)
+					t.Fatalf("Stop diverged at op %d: oracle %v, wheel %v", i, sh, sw)
 				}
 				live[j] = live[len(live)-1]
 				live = live[:len(live)-1]
@@ -253,7 +254,7 @@ func TestHeapWheelDifferential(t *testing.T) {
 			nh := h.RunUntil(h.Now() + d)
 			nw := w.RunUntil(w.Now() + d)
 			if nh != nw {
-				t.Fatalf("RunUntil executed %d on heap, %d on wheel at op %d", nh, nw, i)
+				t.Fatalf("RunUntil executed %d on oracle, %d on wheel at op %d", nh, nw, i)
 			}
 			compare()
 		}
@@ -272,11 +273,11 @@ func TestHeapWheelDifferential(t *testing.T) {
 	nh := h.Run()
 	nw := w.Run()
 	if nh != nw {
-		t.Fatalf("final drain executed %d on heap, %d on wheel", nh, nw)
+		t.Fatalf("final drain executed %d on oracle, %d on wheel", nh, nw)
 	}
 	compare()
 	if h.Executed != w.Executed {
-		t.Fatalf("Executed diverged: heap %d, wheel %d", h.Executed, w.Executed)
+		t.Fatalf("Executed diverged: oracle %d, wheel %d", h.Executed, w.Executed)
 	}
 	if h.Pending() != 0 {
 		t.Fatalf("events left after drain: %d", h.Pending())
@@ -285,23 +286,26 @@ func TestHeapWheelDifferential(t *testing.T) {
 
 // TestNextAtBoundExactDifferential pins NextAtBound's exactness: after
 // every randomized Schedule / Stop / RunUntil operation, the wheel's
-// bound must equal the heap's root timestamp — not merely lower-bound
-// it. Delays are drawn log-uniform so the earliest event regularly
-// lives in a multi-resident higher-level bucket (the case the old
-// implementation answered with the coarse window start), and aborted
-// RunUntil descents exercise the spill-list branch.
+// bound must equal the heap oracle's earliest pending time — not merely
+// lower-bound it. Delays are drawn log-uniform so the earliest event
+// regularly lives in a multi-resident higher-level bucket (the case the
+// old implementation answered with the coarse window start), and
+// aborted RunUntil descents exercise the spill-list branch.
 func TestNextAtBoundExactDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	h := NewSchedulerImpl(Heap)
-	w := NewSchedulerImpl(Wheel)
+	h := &heapOracle{}
+	w := NewScheduler()
 
-	type pair struct{ th, tw Timer }
+	type pair struct {
+		th handle
+		tw Timer
+	}
 	var live []pair
 	check := func(op string, i int) {
 		hAt, hOK := h.NextAtBound()
 		wAt, wOK := w.NextAtBound()
 		if hAt != wAt || hOK != wOK {
-			t.Fatalf("op %d (%s): NextAtBound heap (%v, %v) != wheel (%v, %v)",
+			t.Fatalf("op %d (%s): NextAtBound oracle (%v, %v) != wheel (%v, %v)",
 				i, op, hAt, hOK, wAt, wOK)
 		}
 	}
@@ -328,7 +332,7 @@ func TestNextAtBoundExactDifferential(t *testing.T) {
 			j := rng.Intn(len(live))
 			p := live[j]
 			if sh, sw := p.th.Stop(), p.tw.Stop(); sh != sw {
-				t.Fatalf("op %d: Stop diverged heap %v wheel %v", i, sh, sw)
+				t.Fatalf("op %d: Stop diverged oracle %v wheel %v", i, sh, sw)
 			}
 			live[j] = live[len(live)-1]
 			live = live[:len(live)-1]
@@ -336,7 +340,7 @@ func TestNextAtBoundExactDifferential(t *testing.T) {
 		default:
 			d := randDelay()
 			if nh, nw := h.RunUntil(h.Now()+d), w.RunUntil(w.Now()+d); nh != nw {
-				t.Fatalf("op %d: RunUntil ran %d on heap, %d on wheel", i, nh, nw)
+				t.Fatalf("op %d: RunUntil ran %d on oracle, %d on wheel", i, nh, nw)
 			}
 			check("rununtil", i)
 		}
@@ -351,7 +355,7 @@ func TestNextAtBoundExactDifferential(t *testing.T) {
 		}
 	}
 	if nh, nw := h.Run(), w.Run(); nh != nw {
-		t.Fatalf("final drain ran %d on heap, %d on wheel", nh, nw)
+		t.Fatalf("final drain ran %d on oracle, %d on wheel", nh, nw)
 	}
 	check("drain", -1)
 }

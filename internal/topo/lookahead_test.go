@@ -91,7 +91,7 @@ func TestLookaheadBruteForce(t *testing.T) {
 // TestLeafSpineLookahead pins the matrix a built fabric carries:
 // adjacent pairs (leaf<->spine) at one wire delay, distant pairs
 // (leaf<->leaf, spine<->spine) and every self-cycle at two, the global
-// minimum equal to the legacy Window, and each entry no larger than
+// minimum equal to the built link delay, and each entry no larger than
 // the true minimum path delay computed brute-force from the wire set
 // the builder installs.
 func TestLeafSpineLookahead(t *testing.T) {
@@ -130,8 +130,8 @@ func TestLeafSpineLookahead(t *testing.T) {
 				}
 			}
 		}
-		if la.Min() != part.Window {
-			t.Fatalf("matrix min %v != legacy window %v", la.Min(), part.Window)
+		if la.Min() != net.Cfg.LinkDelay {
+			t.Fatalf("matrix min %v != link delay %v", la.Min(), net.Cfg.LinkDelay)
 		}
 		if spines > 0 {
 			if got := la.At(0, leaves); got != delay {

@@ -47,11 +47,6 @@ type Config struct {
 	// egress (failure injection; 0 in all paper experiments).
 	LossProb float64
 
-	// Sched selects the event-queue implementation of the fabric's
-	// scheduler (timing wheel by default, min-heap for A/B runs). Both
-	// produce identical event orders; see internal/sim.
-	Sched sim.Impl
-
 	// Shards, when >= 1, asks multi-switch builders (LeafSpine) for a
 	// partitioned fabric: one logical shard per switch (leaf shards own
 	// their hosts), each with its own scheduler and packet pool, wired
@@ -75,10 +70,6 @@ type Partition struct {
 	// window: min(Config.Shards, N). Worker count never affects
 	// outcomes — shards only interact at barriers, in canonical order.
 	Workers int
-	// Window is the single global lock-step window width: the minimum
-	// propagation delay over cross-shard wires. Kept as the coarse
-	// fallback lookahead; the driver prefers the per-pair matrix below.
-	Window sim.Time
 	// Lookahead is the per-shard-pair lookahead matrix (closed under
 	// min-plus composition); see the Lookahead type. Derived from the
 	// same wires that get SetCross, so the two views always agree.
@@ -249,7 +240,7 @@ func Star(n int, cfg Config) *Network {
 	if cfg.LinkDelay == 0 {
 		cfg.LinkDelay = 20 * sim.Microsecond
 	}
-	s := sim.NewSchedulerImpl(cfg.Sched)
+	s := sim.NewScheduler()
 	net := &Network{Sched: s, Cfg: cfg, BottleneckRate: cfg.HostRate}
 	sw := netsim.NewSwitch("sw0", 1)
 	net.Switches = []*netsim.Switch{sw}
@@ -295,7 +286,7 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, cfg Config) *Network {
 	// Partitioning (Config.Shards >= 1): leaf i and its hosts form shard
 	// i, spine j forms shard leaves+j. The only cross-shard wires are
 	// leaf<->spine (a host's NIC peers with its own leaf), so the
-	// conservative window width is exactly LinkDelay.
+	// smallest lookahead entry is exactly LinkDelay.
 	var part *Partition
 	var mono *sim.Scheduler
 	if cfg.Shards >= 1 {
@@ -303,7 +294,6 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, cfg Config) *Network {
 		part = &Partition{
 			N:         n,
 			Workers:   min(cfg.Shards, n),
-			Window:    cfg.LinkDelay,
 			Scheds:    make([]*sim.Scheduler, n),
 			Pools:     make([]*netsim.PacketPool, n),
 			Outboxes:  make([]*netsim.Outbox, n),
@@ -311,7 +301,7 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, cfg Config) *Network {
 			HostShard: make([]int, leaves*hostsPerLeaf),
 		}
 		for i := 0; i < n; i++ {
-			part.Scheds[i] = sim.NewSchedulerImpl(cfg.Sched)
+			part.Scheds[i] = sim.NewScheduler()
 			part.Pools[i] = netsim.NewPacketPool()
 			part.Outboxes[i] = netsim.NewOutbox(i)
 			part.Inboxes[i] = netsim.NewInbox(part.Scheds[i])
@@ -339,7 +329,7 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, cfg Config) *Network {
 		part.ShardWorker = AssignWorkers(weights, part.Workers)
 		net.Part = part
 	} else {
-		mono = sim.NewSchedulerImpl(cfg.Sched)
+		mono = sim.NewScheduler()
 		net.Sched = mono
 	}
 	sched := func(shard int) *sim.Scheduler {

@@ -54,9 +54,13 @@ import (
 // invisible to simulated outcomes. Because shards interact exclusively
 // through the barrier steps above and every horizon is computed from
 // shard-local state, the worker count is invisible to simulated
-// outcomes: -shards=1, 2 and 4 are byte-identical by construction, and
-// a monolithic run differs from a windowed one only through the
-// documented teardown deferral.
+// outcomes: -shards=1, 2 and 4 are byte-identical by construction. A
+// monolithic run (RunSource) can differ from a windowed one in two
+// documented ways: the teardown deferral, and same-instant cross-shard
+// ties, which the barrier merges in (time, srcShard, seq) order where
+// the single scheduler keeps global insertion order (see
+// TestShardedDifferential). DESIGN.md §7.5 records why RunSource stays
+// a driver of its own rather than the one-shard case of this one.
 
 // ShardStats is the windowed engine's per-run instrumentation,
 // surfaced through Env.ShardStats into exp results and -benchjson
@@ -426,22 +430,6 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 	part := env.Net.Part
 	n := part.N
 	la := part.Lookahead
-	if la == nil {
-		// Builders that predate the matrix supply only the global
-		// minimum window: synthesize the equivalent complete matrix.
-		if part.Window <= 0 {
-			panic("transport: partitioned fabric without a positive lookahead window")
-		}
-		la = topo.NewLookahead(n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i != j {
-					la.AddWire(i, j, part.Window)
-				}
-			}
-		}
-		la.Close()
-	}
 	if m := la.Min(); m <= 0 && m != sim.MaxTime {
 		panic("transport: partitioned fabric with a non-positive lookahead entry")
 	}
