@@ -34,8 +34,8 @@ func main() {
 	)
 	flag.Parse()
 
-	// This is a single serial run, so the package-level compatibility view
-	// of the per-run counters is exact.
+	// This is a single serial run, so the package-level counters are
+	// exactly this run's.
 	pptproto.Debug.Reset()
 
 	d, err := ppt.RunDetailed(ppt.Config{

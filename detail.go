@@ -3,10 +3,8 @@ package ppt
 import (
 	"io"
 
-	"ppt/internal/netsim"
+	"ppt/internal/exp"
 	"ppt/internal/stats"
-	"ppt/internal/transport"
-	"ppt/internal/workload"
 )
 
 // Detail is the full measurement set of one simulation run, beyond the
@@ -42,49 +40,14 @@ func (d *Detail) Records() []stats.FCTRecord {
 
 // RunDetailed is Run with the full measurement set.
 func RunDetailed(cfg Config) (*Detail, error) {
-	if cfg.Transport == "" {
-		cfg.Transport = TransportPPT
-	}
-	if cfg.Topology == "" {
-		cfg.Topology = TopologySim
-	}
-	if cfg.Workload == "" {
-		cfg.Workload = "websearch"
-	}
-	if cfg.Load == 0 {
-		cfg.Load = 0.5
-	}
-	if cfg.Flows == 0 {
-		cfg.Flows = 500
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	dist, err := workload.ByName(cfg.Workload)
+	sum, env, err := exp.RunCell(cfg)
 	if err != nil {
 		return nil, err
 	}
-	tcfg, build, rtoMin, err := topologyFor(cfg.Topology)
-	if err != nil {
-		return nil, err
-	}
-	protoFn, tweak, err := transportFor(cfg.Transport)
-	if err != nil {
-		return nil, err
-	}
-	if tweak != nil {
-		tweak(&tcfg)
-	}
-	net := build(tcfg)
-	env := transport.NewEnv(net)
-	env.RTOMin = rtoMin
-	flows := buildFlows(dist, tcfg.HostRate, len(net.Hosts), cfg)
-	sum := transport.Run(env, protoFn(env), flows, transport.RunConfig{})
-
 	d := &Detail{
 		Summary:            sum,
 		Buckets:            env.Collector.Buckets(stats.DefaultBucketBounds),
-		Slowdowns:          env.Collector.Slowdowns(net.BottleneckRate, net.BaseRTT),
+		Slowdowns:          env.Collector.Slowdowns(env.Net.BottleneckRate, env.Net.BaseRTT),
 		Jain:               stats.JainIndex(env.Collector.Records()),
 		TransferEfficiency: env.Eff.Overall(),
 		collector:          env.Collector,
@@ -93,27 +56,4 @@ func RunDetailed(cfg Config) (*Detail, error) {
 		d.LowLoopShare = float64(env.Eff.UsefulLow) / float64(env.Eff.UsefulDelivered)
 	}
 	return d, nil
-}
-
-// buildFlows generates the workload for a fabric (shared by Run and
-// RunDetailed).
-func buildFlows(dist *workload.Dist, rate netsim.Rate, hosts int, cfg Config) []transport.SimpleFlow {
-	var pattern workload.Pattern = workload.AllToAll{N: hosts}
-	if cfg.Incast > 0 {
-		pattern = workload.Incast{N: hosts, Target: 0, Senders: cfg.Incast}
-	}
-	wf := workload.Generate(workload.GenConfig{
-		Dist: dist, Pattern: pattern, Load: cfg.Load,
-		HostRate: rate, NumFlows: cfg.Flows, Seed: cfg.Seed,
-	})
-	flows := make([]transport.SimpleFlow, len(wf))
-	for i, f := range wf {
-		fc := f.Size
-		if cfg.SendBuf > 0 && fc > cfg.SendBuf {
-			fc = cfg.SendBuf
-		}
-		flows[i] = transport.SimpleFlow{ID: f.ID, Src: f.Src, Dst: f.Dst,
-			Size: f.Size, Arrive: f.Arrive, FirstCall: fc}
-	}
-	return flows
 }

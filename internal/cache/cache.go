@@ -11,9 +11,8 @@
 //
 //   - Keys are built by the caller (internal/exp) from outcome-relevant
 //     fields only; engine knobs that the golden matrix proves invisible
-//     (sched, shards, stream, spill chunk, parallelism) are
-//     excluded, so a result computed on one engine configuration hits on
-//     every other.
+//     (shards, spill chunk, parallelism) are excluded, so a result
+//     computed on one engine configuration hits on every other.
 //   - Values are stats.Summary plus the row's extra metrics, encoded
 //     with float64s as raw IEEE-754 bits — no JSON round-trip, so NaN
 //     payloads and negative zero survive and a byte-compare of two

@@ -15,7 +15,7 @@ import (
 // hashes into content addresses (DESIGN.md §7.8). The ground rule:
 // a descriptor names every input that can change a cell's Summary or
 // extras, and nothing else. Engine knobs — shard count, worker count,
-// streaming, spill chunk — are deliberately ABSENT: the golden matrix
+// spill chunk — are deliberately ABSENT: the golden matrix
 // and the differentials prove them outcome-invisible, so a result
 // computed at -shards=4 must hit when replayed at -shards=1. That
 // exclusion is itself pinned by TestCacheKeyExcludesEngineKnobs.

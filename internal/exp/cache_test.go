@@ -20,8 +20,8 @@ func testExpCache(t *testing.T) *cache.Cache {
 
 // TestCacheKeyExcludesEngineKnobs pins the key construction contract:
 // the engine knobs the golden matrix proves outcome-invisible (shards,
-// stream, spill chunk) MUST NOT reach the cell descriptor,
-// while every outcome-relevant input MUST.
+// spill chunk) MUST NOT reach the cell descriptor, while every
+// outcome-relevant input MUST.
 func TestCacheKeyExcludesEngineKnobs(t *testing.T) {
 	base := runSpec{
 		fab: simFabric(3, 2, 8), sc: baseSchemes()["ppt"],
@@ -33,7 +33,6 @@ func TestCacheKeyExcludesEngineKnobs(t *testing.T) {
 	// Outcome-invisible: descriptor unchanged.
 	invisible := map[string]func(*runSpec){
 		"shards":     func(s *runSpec) { s.shards = 4 },
-		"stream":     func(s *runSpec) { s.stream = true },
 		"spillChunk": func(s *runSpec) { s.spillChunk = 1 << 14 },
 	}
 	for name, mutate := range invisible {
@@ -74,7 +73,7 @@ func TestCacheKeyExcludesEngineKnobs(t *testing.T) {
 }
 
 // TestCacheCrossEngineHit is the acceptance criterion: a cell computed
-// at -shards=1 must HIT when replayed at -shards=4 -parallel=4 -stream,
+// at -shards=1 must HIT when replayed at -shards=4 -parallel=4,
 // with byte-identical rendered output. This is the cache banking the
 // golden matrix's engine-equivalence guarantee.
 func TestCacheCrossEngineHit(t *testing.T) {
@@ -82,21 +81,21 @@ func TestCacheCrossEngineHit(t *testing.T) {
 		t.Skip("runs fig12 twice")
 	}
 	c := testExpCache(t)
-	run := func(shards, parallel int, stream bool) (*Result, string) {
+	run := func(shards, parallel int) (*Result, string) {
 		res, err := RunByID("fig12", Options{
 			Flows: 24, Seed: 1, Cache: c,
-			Shards: shards, Parallel: parallel, Stream: stream,
+			Shards: shards, Parallel: parallel,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, res.Render() + "\n--- csv ---\n" + res.CSV()
 	}
-	cold, coldOut := run(1, 1, false)
+	cold, coldOut := run(1, 1)
 	if cold.Cache == nil || cold.Cache.Misses == 0 || cold.Cache.Hits != 0 {
 		t.Fatalf("cold run cache stats: %+v", cold.Cache)
 	}
-	warm, warmOut := run(4, 4, true)
+	warm, warmOut := run(4, 4)
 	if warm.Cache == nil {
 		t.Fatal("warm run reported no cache stats")
 	}

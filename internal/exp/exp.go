@@ -18,6 +18,7 @@ import (
 	"ppt/internal/sim"
 	"ppt/internal/stats"
 	"ppt/internal/transport"
+	"ppt/internal/workload"
 )
 
 // Options scale and filter an experiment run.
@@ -53,14 +54,6 @@ type Options struct {
 	// golden matrix). Star/dumbbell fabrics and non-shardable protocols
 	// ignore it. Validated by RunByID.
 	Shards int
-	// Stream feeds every cell's workload through a lazy FlowSource —
-	// flows are generated (and assigned their first-syscall size) one at
-	// a time as the simulation consumes them — instead of materializing
-	// the whole trace up front. Results are byte-identical to the
-	// materialized path at every engine setting (pinned by the streamed
-	// golden test); the knob exists so million-flow workloads cost one
-	// flow of memory, not the trace.
-	Stream bool
 	// StrictShards makes a Shards > 1 request on a fabric that cannot
 	// partition (single-switch star/dumbbell topologies) fail the cell
 	// with a clear error instead of silently running monolithic. The
@@ -382,4 +375,77 @@ func RunByID(id string, o Options) (*Result, error) {
 		res.Cache = &d
 	}
 	return res, nil
+}
+
+// Config names one single-cell run — the public ppt.Run and RunDetailed
+// configuration, which the root package aliases. Zero fields take the
+// defaults noted.
+type Config struct {
+	Transport string  // one of ppt.Transports(); default "ppt"
+	Topology  string  // one of the ppt.Topology* names; default "sim"
+	Workload  string  // one of ppt.Workloads(); default "websearch"
+	Load      float64 // fraction of receiver bandwidth; default 0.5
+	Flows     int     // number of flows; default 500
+	Seed      int64   // workload seed; default 1
+
+	// Incast, when > 0, uses an N-to-1 pattern with this many senders
+	// instead of all-to-all.
+	Incast int
+
+	// SendBuf models the TCP send buffer in bytes: it caps each flow's
+	// first syscall (PPT's identification) and PPT's LCP reach
+	// (0 = unbounded, the paper's 2GB).
+	SendBuf int64
+}
+
+func (c Config) withDefaults() Config {
+	if c.Transport == "" {
+		c.Transport = "ppt"
+	}
+	if c.Topology == "" {
+		c.Topology = "sim"
+	}
+	if c.Workload == "" {
+		c.Workload = "websearch"
+	}
+	if c.Load == 0 {
+		c.Load = 0.5
+	}
+	if c.Flows == 0 {
+		c.Flows = 500
+	}
+	if c.Seed == 0 {
+		c.Seed = 1
+	}
+	return c
+}
+
+// RunCell simulates cfg to completion and returns its summary and
+// environment (for detailed metrics). The transport resolves in
+// baseSchemes and the topology in topologies, and the cell runs through
+// execute like every experiment cell. Its shard hint stays 0, so
+// leaf-spine fabrics run on the monolithic engine.
+func RunCell(cfg Config) (stats.Summary, *transport.Env, error) {
+	cfg = cfg.withDefaults()
+	dist, err := workload.ByName(cfg.Workload)
+	if err != nil {
+		return stats.Summary{}, nil, err
+	}
+	fab, ok := topologies()[cfg.Topology]
+	if !ok {
+		return stats.Summary{}, nil, fmt.Errorf("ppt: unknown topology %q", cfg.Topology)
+	}
+	sc, ok := baseSchemes()[cfg.Transport]
+	if !ok {
+		return stats.Summary{}, nil, fmt.Errorf("ppt: unknown transport %q (see Transports())", cfg.Transport)
+	}
+	var pattern workload.Pattern = workload.AllToAll{N: fab.hosts}
+	if cfg.Incast > 0 {
+		pattern = workload.Incast{N: fab.hosts, Target: 0, Senders: cfg.Incast}
+	}
+	sum, env := execute(runSpec{
+		fab: fab, sc: sc, dist: dist, pattern: pattern,
+		load: cfg.Load, flows: cfg.Flows, seed: cfg.Seed, sendBuf: cfg.SendBuf,
+	})
+	return sum, env, nil
 }

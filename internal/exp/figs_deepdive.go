@@ -220,9 +220,8 @@ func init() {
 				if buf != 0 {
 					label = fmt.Sprintf("sndbuf-%dKB", buf>>10)
 				}
-				cfg := ppt.Config{SendBuf: buf}
 				names = append(names, label)
-				outs = append(outs, p.submitSpec(label, runSpec{fab: fab, sc: pptScheme(label, cfg),
+				outs = append(outs, p.submitSpec(label, runSpec{fab: fab, sc: pptScheme(label, ppt.Config{}),
 					dist: workload.WebSearch, pattern: pattern, load: load,
 					flows: o.Flows, seed: o.Seed, sendBuf: buf}))
 			}

@@ -92,7 +92,7 @@ func runScaleSpill(o Options, id, title string, dist *workload.Dist, spill int) 
 					fab: fab, sc: all[name], dist: dist,
 					pattern: workload.AllToAll{N: fab.hosts},
 					load:    load, flows: o.Flows, seed: o.Seed + int64(rep),
-					stream: true, spillChunk: spill,
+					spillChunk: spill,
 				},
 				fmt.Sprintf("scale-spill/chunk=%d", spill),
 				func(env *transport.Env) map[string]float64 {

@@ -9,9 +9,9 @@ import (
 	"ppt/internal/topo"
 )
 
-// Every cell the package tests run — the golden matrix, the streamed
-// goldens and the differentials among them — ends with the run-end
-// conservation audit of its fabric.
+// Every cell the package tests run — the golden matrix and the
+// differentials among them — ends with the run-end conservation audit
+// of its fabric.
 func init() { auditNet = (*topo.Network).Audit }
 
 // Regenerate with: go test ./internal/exp -run TestGolden -update-golden

@@ -107,12 +107,6 @@ func (p *pool) submitSpec(label string, spec runSpec) *cellOut {
 func (p *pool) submitSpecExtra(label string, spec runSpec, extrasKind string, extras func(*transport.Env) map[string]float64) *cellOut {
 	out := &cellOut{}
 	spec.shards = p.opts.Shards
-	// Force-on only: experiments that always stream (the scale family)
-	// set spec.stream themselves; Options.Stream additionally streams
-	// every other cell.
-	if p.opts.Stream {
-		spec.stream = true
-	}
 	opts := p.opts
 	desc := specDesc(spec)
 	if extrasKind != "" {

@@ -129,6 +129,17 @@ func dumbbellFabric(senders int, ecnK int64) fabric {
 	}
 }
 
+// topologies maps the public topology names (ppt.Topology*) to fabrics.
+func topologies() map[string]fabric {
+	return map[string]fabric{
+		"testbed":            testbedFabric(),
+		"sim":                simFabric(3, 2, 8),
+		"sim-full":           simFabric(9, 4, 16),
+		"fast":               fastFabric(3, 2, 8),
+		"non-oversubscribed": nonOverFabric(3, 2, 8),
+	}
+}
+
 // scheme is one comparable transport.
 type scheme struct {
 	name string
@@ -205,15 +216,11 @@ type runSpec struct {
 	// shardable, so non-windowed cells stay byte-for-byte on the legacy
 	// monolithic path).
 	shards int
-	// stream feeds the workload through a lazy FlowSource instead of a
-	// materialized slice (from Options.Stream, or forced on by the scale
-	// experiments). Byte-identical outcomes either way.
-	stream bool
 	// spillChunk, when > 0, bounds the FCT collector to this many
-	// resident records (stats spill mode). It implies stream and
-	// composes with the windowed engine: per-shard completions fold
-	// into the spilling collector at round barriers in canonical order
-	// (stats.WindowFold), bit-identical to the in-memory merge.
+	// resident records (stats spill mode). It composes with the
+	// windowed engine: per-shard completions fold into the spilling
+	// collector at round barriers in canonical order (stats.WindowFold),
+	// bit-identical to the in-memory merge.
 	spillChunk int
 }
 
@@ -246,8 +253,9 @@ func (s *streamSource) Next() (transport.SimpleFlow, bool) {
 // fails the cell.
 var auditNet func(*topo.Network) error
 
-// execute builds the fabric, generates flows, and runs to completion,
-// returning the summary and the environment for extra metrics.
+// execute builds the fabric, streams the workload, and runs to
+// completion, returning the summary and the environment for extra
+// metrics.
 func execute(spec runSpec) (stats.Summary, *transport.Env) {
 	sum, env := simulate(spec)
 	if auditNet != nil {
@@ -274,52 +282,35 @@ func simulate(spec runSpec) (stats.Summary, *transport.Env) {
 	net := spec.fab.build(cfg)
 	env := transport.NewEnv(net)
 	env.RTOMin = spec.fab.rtoMin
+	env.SendBuf = spec.sendBuf
 
+	if spec.spillChunk > 0 {
+		if err := env.Collector.SetSpill(spec.spillChunk); err != nil {
+			panic(err)
+		}
+		// The spill file is unlinked at creation; Close just releases
+		// the descriptor. The counters callers read afterwards
+		// (ResidentPeak, SpilledRecords) survive Close.
+		defer env.Collector.Close()
+	}
 	app := spec.app
 	if app.Name == "" {
 		app = bufaware.Bulk
 	}
-	genCfg := workload.GenConfig{
-		Dist:     spec.dist,
-		Pattern:  spec.pattern,
-		Load:     spec.load,
-		HostRate: cfg.HostRate,
-		NumFlows: spec.flows,
-		Seed:     spec.seed,
+	src := &streamSource{
+		gen: workload.NewGenerator(workload.GenConfig{
+			Dist:     spec.dist,
+			Pattern:  spec.pattern,
+			Load:     spec.load,
+			HostRate: cfg.HostRate,
+			NumFlows: spec.flows,
+			Seed:     spec.seed,
+		}),
+		rng:     rand.New(rand.NewSource(spec.seed + 7)),
+		app:     app,
+		sendBuf: spec.sendBuf,
 	}
-	if spec.stream || spec.spillChunk > 0 {
-		if spec.spillChunk > 0 {
-			if err := env.Collector.SetSpill(spec.spillChunk); err != nil {
-				panic(err)
-			}
-			// The spill file is unlinked at creation; Close just releases
-			// the descriptor. The counters callers read afterwards
-			// (ResidentPeak, SpilledRecords) survive Close.
-			defer env.Collector.Close()
-		}
-		src := &streamSource{
-			gen:     workload.NewGenerator(genCfg),
-			rng:     rand.New(rand.NewSource(spec.seed + 7)),
-			app:     app,
-			sendBuf: spec.sendBuf,
-		}
-		return transport.RunSource(env, proto, src, transport.RunConfig{}), env
-	}
-	wf := workload.Generate(genCfg)
-	flows := make([]transport.SimpleFlow, len(wf))
-	sizes := make([]int64, len(wf))
-	for i, f := range wf {
-		sizes[i] = f.Size
-	}
-	firstCalls := bufaware.AssignFirstCalls(sizes, app, spec.sendBuf, spec.seed+7)
-	for i, f := range wf {
-		flows[i] = transport.SimpleFlow{
-			ID: f.ID, Src: f.Src, Dst: f.Dst, Size: f.Size,
-			Arrive: f.Arrive, FirstCall: firstCalls[i],
-		}
-	}
-	sum := transport.Run(env, proto, flows, transport.RunConfig{})
-	return sum, env
+	return transport.RunSource(env, proto, src, transport.RunConfig{}), env
 }
 
 // compare runs the given schemes over one workload and assembles rows,

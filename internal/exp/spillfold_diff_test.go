@@ -32,7 +32,6 @@ func TestWindowedSpillDifferential(t *testing.T) {
 			load:    0.5,
 			flows:   flows,
 			seed:    7,
-			stream:  true,
 		}
 		ref := spec
 		ref.shards = 1

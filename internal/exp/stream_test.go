@@ -1,20 +1,21 @@
 package exp
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"ppt/internal/bufaware"
+	"ppt/internal/stats"
+	"ppt/internal/transport"
 	"ppt/internal/workload"
 )
 
 // TestStreamedExecuteMatchesMaterialized is the exp-level streamed-vs-
-// materialized differential: the same cell spec through the lazy
-// FlowSource (with and without a spilling collector) must produce the
-// byte-identical summary the materialized path does. This pins both
-// halves of the streaming pipeline at once — the generator+classifier
-// RNG consumption order, and the spill fold — through a real transport.
+// materialized differential: a cell through execute's lazy FlowSource
+// (with and without a spilling collector) must produce the byte-
+// identical summary of the same cell composed trace-first (generate,
+// AssignFirstCalls, transport.Run). This pins both halves of the
+// streaming pipeline at once — the generator+classifier RNG consumption
+// order, and the spill fold — through a real transport.
 func TestStreamedExecuteMatchesMaterialized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three full cells")
@@ -28,18 +29,16 @@ func TestStreamedExecuteMatchesMaterialized(t *testing.T) {
 		pattern: workload.AllToAll{N: fab.hosts}, load: 0.5,
 		flows: 1500, seed: 3, app: bufaware.Memcached, sendBuf: 1 << 20,
 	}
-	want, _ := execute(base)
+	want := materialized(base)
 	if want.Flows != 1500 || want.Truncated {
 		t.Fatalf("reference cell did not complete: %+v", want)
 	}
 
-	st := base
-	st.stream = true
-	if got, _ := execute(st); got != want {
+	if got, _ := execute(base); got != want {
 		t.Fatalf("streamed summary %+v != materialized %+v", got, want)
 	}
 
-	sp := st
+	sp := base
 	sp.spillChunk = 64
 	got, env := execute(sp)
 	if got != want {
@@ -53,43 +52,34 @@ func TestStreamedExecuteMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestGoldenStreamed re-renders the golden experiment slice with
-// Options.Stream set — serially on the monolithic/windowed single-
-// worker path and 4-wide on the 4-shard windowed path — and requires
-// byte-identical output to the checked-in goldens. Together with
-// TestGoldenOutputs this proves streaming is invisible to simulated
-// outcomes across the whole engine matrix.
-func TestGoldenStreamed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs several experiments")
+// materialized runs a monolithic cell trace-first: the whole workload
+// generated up front, first calls from bufaware.AssignFirstCalls, then
+// transport.Run over the slice.
+func materialized(spec runSpec) stats.Summary {
+	cfg := spec.fab.cfg
+	if spec.sc.tweak != nil {
+		spec.sc.tweak(&cfg)
 	}
-	for _, tc := range goldenCases {
-		tc := tc
-		t.Run(tc.id, func(t *testing.T) {
-			t.Parallel()
-			want, err := os.ReadFile(filepath.Join("testdata", "golden_"+tc.id+".txt"))
-			if err != nil {
-				t.Fatalf("missing golden file (generate with -update-golden): %v", err)
-			}
-			for _, m := range []struct {
-				parallel, shards int
-			}{{1, 1}, {4, 4}} {
-				o := tc.opts
-				o.Stream = true
-				o.Parallel = m.parallel
-				o.Shards = m.shards
-				res, err := RunByID(tc.id, o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := res.Render() + "\n--- csv ---\n" + res.CSV()
-				if got != string(want) {
-					t.Fatalf("streamed parallel=%d shards=%d output differs from golden:\n--- got ---\n%s\n--- want ---\n%s",
-						m.parallel, m.shards, got, want)
-				}
-			}
-		})
+	env := transport.NewEnv(spec.fab.build(cfg))
+	env.RTOMin = spec.fab.rtoMin
+	env.SendBuf = spec.sendBuf
+	wf := workload.Generate(workload.GenConfig{
+		Dist: spec.dist, Pattern: spec.pattern, Load: spec.load,
+		HostRate: cfg.HostRate, NumFlows: spec.flows, Seed: spec.seed,
+	})
+	sizes := make([]int64, len(wf))
+	for i, f := range wf {
+		sizes[i] = f.Size
 	}
+	firstCalls := bufaware.AssignFirstCalls(sizes, spec.app, spec.sendBuf, spec.seed+7)
+	flows := make([]transport.SimpleFlow, len(wf))
+	for i, f := range wf {
+		flows[i] = transport.SimpleFlow{
+			ID: f.ID, Src: f.Src, Dst: f.Dst, Size: f.Size,
+			Arrive: f.Arrive, FirstCall: firstCalls[i],
+		}
+	}
+	return transport.Run(env, spec.sc.make(env), flows, transport.RunConfig{})
 }
 
 // TestScale1MSpills smoke-runs the scale family's experiment just past

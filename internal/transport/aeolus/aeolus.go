@@ -10,7 +10,6 @@ package aeolus
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"ppt/internal/netsim"
 	"ppt/internal/sim"
@@ -55,14 +54,6 @@ type grantInfo struct {
 	Prio      int8
 	ResendSeq int64
 	ResendLen int64
-}
-
-// Debug counters for diagnostic harnesses. Updated atomically so
-// concurrent runs (the parallel experiment pool) stay race-free; the
-// values then aggregate across whatever runs share the process.
-var Debug struct {
-	HoleReqs, RetryReqs, Keepalives int64
-	ResendBytes, GrantBytes         int64
 }
 
 // Proto is the Aeolus protocol factory; one instance per run.
@@ -198,7 +189,6 @@ func (s *sender) keepFired() {
 	pkt := s.f.Src.Data(s.f.ID, s.f.Dst.ID(), 0, int32(min64(netsim.MSS, s.f.Size)), 1)
 	pkt.Meta = &s.dinfo
 	pkt.Retrans = true
-	atomic.AddInt64(&Debug.Keepalives, 1)
 	s.f.Src.Send(pkt)
 	s.armKeepalive()
 }
@@ -218,7 +208,6 @@ func (s *sender) Handle(pkt *netsim.Packet) {
 	// at the scheduled priority.
 	if resendLen > 0 {
 		end := min64(resendSeq+resendLen, s.f.Size)
-		atomic.AddInt64(&Debug.ResendBytes, end-resendSeq)
 		for seq := resendSeq; seq < end; seq += netsim.MSS {
 			n := int32(min64(seq+netsim.MSS, end) - seq)
 			rp := s.f.Src.Data(s.f.ID, s.f.Dst.ID(), seq, n, prio)
@@ -228,9 +217,6 @@ func (s *sender) Handle(pkt *netsim.Packet) {
 		}
 	}
 	limit := min64(upTo, s.f.Size)
-	if limit > s.sentNext {
-		atomic.AddInt64(&Debug.GrantBytes, limit-s.sentNext)
-	}
 	for s.sentNext < limit {
 		end := min64(s.sentNext+netsim.MSS, limit)
 		pkt := s.f.Src.Data(s.f.ID, s.f.Dst.ID(), s.sentNext, int32(end-s.sentNext), prio)
@@ -368,7 +354,6 @@ func (rx *rxFlow) Recycle(env *transport.Env) {
 // arrival rate instead of blasting line-rate resend bursts.
 func (rx *rxFlow) grantSome(prio int8) {
 	if seq, n := rx.nextHolePacket(); n > 0 {
-		atomic.AddInt64(&Debug.HoleReqs, 1)
 		rx.reqd.Add(seq, seq+n)
 		g := rx.f.Dst.Ctrl(netsim.Grant, rx.f.ID, rx.f.Src.ID(), 0)
 		gi := rx.mgr.grants.Get()
@@ -456,7 +441,6 @@ func (rx *rxFlow) retryFired() {
 	// Forget past requests — whatever is still missing after an RTO
 	// was lost again — and kick recovery with one packet.
 	rx.reqd.Reset()
-	atomic.AddInt64(&Debug.RetryReqs, 1)
 	miss := rx.r.FirstMissing()
 	end := min64(miss+netsim.MSS, rx.f.Size)
 	rx.reqd.Add(miss, end)

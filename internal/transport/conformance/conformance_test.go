@@ -29,9 +29,10 @@ import (
 
 // proto describes one transport under test and its fabric needs.
 type proto struct {
-	name  string
-	make  func() transport.Protocol
-	tweak func(*topo.Config)
+	name    string
+	make    func() transport.Protocol
+	tweak   func(*topo.Config)
+	sendBuf int64 // Env.SendBuf (0 = unbounded)
 }
 
 func allProtocols() []proto {
@@ -42,7 +43,7 @@ func allProtocols() []proto {
 		{name: "ppt-noecn", make: func() transport.Protocol { return pptproto.Proto{Cfg: pptproto.Config{DisableECN: true}} }},
 		{name: "ppt-noewd", make: func() transport.Protocol { return pptproto.Proto{Cfg: pptproto.Config{DisableEWD: true}} }},
 		{name: "ppt-nosched", make: func() transport.Protocol { return pptproto.Proto{Cfg: pptproto.Config{DisableScheduling: true}} }},
-		{name: "ppt-sndbuf128k", make: func() transport.Protocol { return pptproto.Proto{Cfg: pptproto.Config{SendBuf: 128 << 10}} }},
+		{name: "ppt-sndbuf128k", make: func() transport.Protocol { return pptproto.Proto{} }, sendBuf: 128 << 10},
 		{name: "rc3", make: func() transport.Protocol { return rc3.Proto{} }},
 		{name: "pias", make: func() transport.Protocol { return pias.Proto{} }},
 		{name: "halfback", make: func() transport.Protocol { return halfback.Proto{} }},
@@ -149,6 +150,7 @@ func TestEveryTransportEveryScenario(t *testing.T) {
 				if sc.rtoMin != 0 {
 					env.RTOMin = sc.rtoMin
 				}
+				env.SendBuf = pr.sendBuf
 				flows := sc.flows(cfg, hosts)
 				sum := transport.Run(env, pr.make(), flows, transport.RunConfig{MaxEvents: 80_000_000})
 				if sum.Flows != len(flows) {

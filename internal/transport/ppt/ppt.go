@@ -50,12 +50,6 @@ type Config struct {
 	// case-2 trigger scans for the minimum (default 16).
 	AlphaHistory int
 
-	// SendBuf models the kernel TCP send buffer (§4.1, Fig 27): the
-	// LCP can only transmit bytes already copied into the buffer, i.e.
-	// within SendBuf of the cumulative ACK. Zero means effectively
-	// unbounded (the paper's 2GB setting).
-	SendBuf int64
-
 	// Ablations (all false in real PPT).
 	DisableECN            bool // LCP ignores ECE (Fig 15)
 	DisableEWD            bool // LCP sends at line rate, no 2:1 clock (Fig 16)
@@ -66,12 +60,6 @@ type Config struct {
 	// NoDelayLCPForLarge disables §3.1's one-RTT delay of the case-1
 	// loop for identified-large flows (ablation studies only).
 	NoDelayLCPForLarge bool
-
-	// Debug, when set, receives this run's dual-loop diagnostic
-	// counters instead of the package-level Debug variable. Experiments
-	// that run many simulations concurrently must supply per-run
-	// counters (or tolerate the shared global aggregating across runs).
-	Debug *DebugCounters
 
 	// OnFlowState, when set, is invoked on every per-window α update
 	// with a snapshot of the dual-loop state — the instrumentation
@@ -144,18 +132,9 @@ func (d *DebugCounters) Reset() {
 	atomic.StoreInt64(&d.NewHighBytes, 0)
 }
 
-// Debug is the process-wide compatibility view of the counters: runs
-// that do not supply Config.Debug accumulate here (cmd/ppttrace and the
-// diagnostic harnesses read it after a single serial run).
+// Debug accumulates every run's counters process-wide (cmd/ppttrace
+// reads it after a single serial run).
 var Debug DebugCounters
-
-// debugSink resolves where a run's counters go.
-func (c Config) debugSink() *DebugCounters {
-	if c.Debug != nil {
-		return c.Debug
-	}
-	return &Debug
-}
 
 // Proto is the PPT protocol factory.
 type Proto struct {
@@ -240,7 +219,6 @@ type sender struct {
 	env *transport.Env
 	f   *transport.Flow
 	cfg Config
-	dbg *DebugCounters
 	hcp *dctcp.Sender
 	lcp *lcpLoop
 
@@ -270,7 +248,6 @@ func (s *sender) hcpPrio(sent int64) int8 { return hcpPrio(s.cfg, s.f, sent) }
 // indistinguishable from a fresh newSender result.
 func (s *sender) init(env *transport.Env, f *transport.Flow, cfg Config) {
 	s.env, s.f, s.cfg = env, f, cfg
-	s.dbg = cfg.debugSink()
 	dcfg := cfg.DCTCP
 	dcfg.Prio = s.prioFn
 	s.hcp.Init(env, f, dcfg)
@@ -394,13 +371,8 @@ type lcpLoop struct {
 	termFn  func()
 	openFn  func()
 
-	// sent/acked accounting.
+	// oppSent is the cumulative opportunistic payload sent.
 	oppSent int64
-	// inflight is the opportunistic bytes sent but not yet covered by a
-	// low-priority ACK. A standing backlog here means the fabric is NOT
-	// actually idle for the low class — opening another loop would only
-	// deepen the stale queue — so loop initialization is gated on it.
-	inflight int64
 }
 
 // newIdleLCP builds the loop shell with its callbacks bound; init
@@ -428,7 +400,6 @@ func (l *lcpLoop) init() {
 	l.openTimer = sim.Timer{}
 	l.paceTimer = sim.Timer{}
 	l.oppSent = 0
-	l.inflight = 0
 }
 
 // stopTimers cancels every pending callback into the loop.
@@ -461,7 +432,7 @@ func (l *lcpLoop) openCase1() {
 	if l.s.f.SenderDone() {
 		return
 	}
-	l.s.dbg.inc(&l.s.dbg.Case1Opens)
+	Debug.inc(&Debug.Case1Opens)
 	i := int64(l.s.env.BDP()) - l.s.hcp.C.InitCwnd
 	l.open(i, false)
 }
@@ -491,18 +462,18 @@ func (l *lcpLoop) onAlpha(alpha float64) {
 		return
 	}
 	// I = (1/2 − α_min) · W_max  (Equation 2).
-	l.s.dbg.inc(&l.s.dbg.Case2Opens)
+	Debug.inc(&Debug.Case2Opens)
 	l.open(int64((0.5-alpha)*l.s.hcp.Wmax), true)
 }
 
 // bufferedTail is the highest byte offset present in the modeled send
-// buffer: the application has only copied SendBuf bytes beyond what the
-// receiver has consumed.
+// buffer (Env.SendBuf): the application has only copied SendBuf bytes
+// beyond what the receiver has consumed.
 func (l *lcpLoop) bufferedTail() int64 {
-	if l.s.cfg.SendBuf <= 0 {
+	if l.s.env.SendBuf <= 0 {
 		return l.s.f.Size
 	}
-	upper := l.s.hcp.SndUna + l.s.cfg.SendBuf
+	upper := l.s.hcp.SndUna + l.s.env.SendBuf
 	if upper > l.s.f.Size {
 		upper = l.s.f.Size
 	}
@@ -526,22 +497,13 @@ func (l *lcpLoop) open(i int64, guarded bool) {
 			return
 		}
 	}
-	// An unacknowledged backlog from previous loops contradicts the
-	// spare-bandwidth signal: those packets are still queued in the low
-	// class somewhere. Do not pile a fresh window on top of them. (This
-	// is part of the loop's congestion awareness, so the no-ECN
-	// ablation — an LCP blind to congestion, the paper's Fig 15 variant
-	// — drops it too.)
-	if !l.s.cfg.DisableECN && l.inflight >= i/2 {
-		return
-	}
 	l.guarded = guarded
 	// With a finite send buffer, a fresh loop restarts from the buffered
 	// tail: the buffer slid as the receiver consumed data, exposing
 	// bytes above where the previous loop stopped. (With an unbounded
 	// buffer tailNext is already the true frontier; resetting it would
 	// re-walk — and duplicate — the already-sent tail.)
-	if l.s.cfg.SendBuf > 0 {
+	if l.s.env.SendBuf > 0 {
 		if t := l.bufferedTail(); t > l.tailNext {
 			l.tailNext = t
 		}
@@ -578,7 +540,7 @@ func (l *lcpLoop) paceOne() {
 		l.pacing = false
 		return
 	}
-	l.s.dbg.inc(&l.s.dbg.PacedPkts)
+	Debug.inc(&Debug.PacedPkts)
 	l.budget -= netsim.MSS
 	l.paceTimer = l.s.env.Sched().After(l.paceGap, l.paceFn)
 }
@@ -616,7 +578,6 @@ func (l *lcpLoop) sendOpportunistic() bool {
 	l.s.f.Src.Send(pkt)
 	l.s.env.Eff.SentLowPayload += int64(n)
 	l.oppSent += int64(n)
-	l.inflight += int64(n)
 	l.tailNext = seq
 	return true
 }
@@ -629,13 +590,9 @@ func (l *lcpLoop) onLowAck(pkt *netsim.Packet) {
 	if meta != nil {
 		for i := 0; i < meta.LowN; i++ {
 			l.s.hcp.Skip.Add(meta.LowSeqs[i], meta.LowSeqs[i]+int64(meta.LowLens[i]))
-			l.inflight -= int64(meta.LowLens[i])
-		}
-		if l.inflight < 0 {
-			l.inflight = 0
 		}
 		// This sender is the meta's sole consumer: everything it carried
-		// is now folded into Skip/inflight, so hand it back to the pool.
+		// is now folded into Skip, so hand it back to the pool.
 		pkt.Meta = nil
 		putAckMeta(l.s.env, meta)
 		// Skipping delivered bytes shrinks HCP's in-flight estimate, so
@@ -650,7 +607,7 @@ func (l *lcpLoop) onLowAck(pkt *netsim.Packet) {
 		return // congestion: do not clock out a new opportunistic packet
 	}
 	if l.sendOpportunistic() {
-		l.s.dbg.inc(&l.s.dbg.ClockedPkts)
+		Debug.inc(&Debug.ClockedPkts)
 	}
 }
 
@@ -665,12 +622,6 @@ func (l *lcpLoop) terminate() {
 	l.active = false
 	l.pacing = false
 	l.budget = 0
-	// The loop is dead: whatever it still counted as in flight is either
-	// lost or stuck behind higher classes, and the receiver's quiet-flush
-	// has had 2 RTTs to report stragglers. Carrying the stale backlog
-	// forward would let the inflight gate in open() veto every future
-	// loop of this flow.
-	l.inflight = 0
 }
 
 // NewDualLoopReceiver exposes the PPT receiver for reuse by transports
@@ -688,7 +639,6 @@ type receiver struct {
 	env *transport.Env
 	f   *transport.Flow
 	cfg Config
-	dbg *DebugCounters
 	r   *transport.Reassembly
 
 	// pooled marks receivers drawn from the Env pool (see getReceiver).
@@ -706,7 +656,8 @@ type receiver struct {
 	hasPending  bool
 	// flushTimer acknowledges a pending arrival alone once the loop has
 	// gone quiet: without it, an odd opportunistic packet count strands
-	// the last arrival forever and the sender's inflight never drains.
+	// the last arrival forever and the sender's skip set never learns
+	// of the delivery.
 	flushTimer sim.Timer
 }
 
@@ -721,7 +672,6 @@ func newIdleReceiver() *receiver {
 // state a previous flow left behind.
 func (rc *receiver) init(env *transport.Env, f *transport.Flow, cfg Config) {
 	rc.env, rc.f, rc.cfg = env, f, cfg
-	rc.dbg = cfg.debugSink()
 	rc.r.Reset(f.Size)
 	rc.pendingSeq, rc.pendingLen, rc.pendingCE = 0, 0, false
 	rc.pendingTS, rc.pendingPrio = 0, 0
@@ -792,13 +742,13 @@ func (rc *receiver) Handle(pkt *netsim.Packet) {
 	}
 	added := rc.r.Add(pkt.Seq, pkt.PayloadLen)
 	if pkt.LowLoop {
-		rc.dbg.add(&rc.dbg.NewLowBytes, added)
-		rc.dbg.add(&rc.dbg.DupLowBytes, int64(pkt.PayloadLen)-added)
+		Debug.add(&Debug.NewLowBytes, added)
+		Debug.add(&Debug.DupLowBytes, int64(pkt.PayloadLen)-added)
 		rc.env.Eff.UsefulLow += added
 		rc.onOpportunistic(pkt)
 	} else {
-		rc.dbg.add(&rc.dbg.NewHighBytes, added)
-		rc.dbg.add(&rc.dbg.DupHighBytes, int64(pkt.PayloadLen)-added)
+		Debug.add(&Debug.NewHighBytes, added)
+		Debug.add(&Debug.DupHighBytes, int64(pkt.PayloadLen)-added)
 		rc.ackHigh(pkt)
 	}
 	if rc.r.Complete() {
@@ -818,7 +768,7 @@ func (rc *receiver) ackHigh(pkt *netsim.Packet) {
 // ACK (the 2:1 EWD clock of §3.2). A lone arrival is held for its pair,
 // but only until the quiet-flush timer fires: a loop that sent an odd
 // number of packets would otherwise strand its last packet unacked and
-// the sender's inflight would never drain.
+// the sender would never skip it.
 func (rc *receiver) onOpportunistic(pkt *netsim.Packet) {
 	if !rc.hasPending {
 		rc.pendingSeq, rc.pendingLen, rc.pendingCE = pkt.Seq, pkt.PayloadLen, pkt.CE
@@ -847,8 +797,8 @@ func (rc *receiver) onOpportunistic(pkt *netsim.Packet) {
 
 // flushPending acknowledges a buffered opportunistic arrival on its own
 // once the loop has gone quiet for 2 base RTTs (no pair showed up). The
-// single-packet ACK lets the sender retire the inflight bytes so the
-// `inflight >= i/2` gate cannot veto future loop opens.
+// single-packet ACK folds the delivered range into the sender's skip
+// set, so neither loop sends it again.
 func (rc *receiver) flushPending() {
 	if !rc.hasPending || rc.f.Done() {
 		return

@@ -368,8 +368,8 @@ func TestReceiverCoalescesTwoOpportunisticArrivals(t *testing.T) {
 func TestReceiverFlushesStrandedArrival(t *testing.T) {
 	// Regression for the stranded-odd-packet bug: a lone opportunistic
 	// arrival whose pair never shows up must still be acknowledged (as a
-	// single-packet low ACK) once the loop goes quiet, or the sender's
-	// inflight never drains and the i/2 gate vetoes every future loop.
+	// single-packet low ACK) once the loop goes quiet, or the sender
+	// never learns the range was delivered.
 	env := newEnv()
 	f := &transport.Flow{ID: 11, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
 		Size: 1_000_000, FirstCall: 1000, Start: 0}
@@ -405,9 +405,8 @@ func TestReceiverFlushesStrandedArrival(t *testing.T) {
 }
 
 func TestTerminateResetsInflight(t *testing.T) {
-	// Regression: terminate() must clear the loop's inflight so the
-	// `inflight >= i/2` gate cannot carry a stale backlog into the next
-	// loop open and veto it.
+	// A loop terminated with opportunistic packets still unacknowledged
+	// must not veto the next one: a case-2 trigger reopens it.
 	env := newEnv()
 	f := &transport.Flow{ID: 12, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
 		Size: 10_000_000, FirstCall: 1000}
@@ -417,14 +416,13 @@ func TestTerminateResetsInflight(t *testing.T) {
 	if !s.lcp.active {
 		t.Fatal("case-1 loop did not open")
 	}
-	if s.lcp.inflight == 0 {
-		t.Fatal("loop opened but inflight == 0; test premise broken")
+	if s.lcp.oppSent == 0 {
+		t.Fatal("loop opened but sent nothing; test premise broken")
 	}
 	s.lcp.terminate()
-	if s.lcp.inflight != 0 {
-		t.Fatalf("inflight = %d after terminate, want 0", s.lcp.inflight)
+	if s.lcp.active {
+		t.Fatal("loop still active after terminate")
 	}
-	// With the backlog cleared, a case-2 trigger must be able to reopen.
 	s.hcp.ExitedSS = true
 	s.hcp.Wmax = float64(50 * netsim.MSS)
 	s.lcp.onAlpha(0.30)
@@ -437,8 +435,8 @@ func TestTerminateResetsInflight(t *testing.T) {
 func TestOddOpportunisticCountDrainsInflight(t *testing.T) {
 	// End-to-end over the fabric: a loop that emits exactly one (odd)
 	// opportunistic packet must get that packet acknowledged — the
-	// receiver's quiet flush — so the sender's skip set and inflight
-	// reflect the delivery instead of stranding it forever.
+	// receiver's quiet flush — so the sender's skip set reflects the
+	// delivery instead of stranding it forever.
 	env := newEnv()
 	f := &transport.Flow{ID: 14, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
 		Size: 100_000, FirstCall: 1000}
@@ -448,18 +446,34 @@ func TestOddOpportunisticCountDrainsInflight(t *testing.T) {
 	f.Dst.Bind(f.ID, true, rc)
 	// One-packet loop: the EWD pair never forms.
 	s.lcp.open(netsim.MSS, false)
-	if !s.lcp.active || s.lcp.inflight != netsim.MSS {
-		t.Fatalf("loop active=%v inflight=%d after 1-packet open", s.lcp.active, s.lcp.inflight)
+	if !s.lcp.active || s.lcp.oppSent != netsim.MSS {
+		t.Fatalf("loop active=%v oppSent=%d after 1-packet open", s.lcp.active, s.lcp.oppSent)
 	}
 	env.Sched().Run()
-	if s.lcp.inflight != 0 {
-		t.Fatalf("inflight = %d after drain, want 0", s.lcp.inflight)
-	}
-	// The flush ACK (not just terminate's reset) must have delivered the
-	// packet into the sender's skip set.
+	// The flush ACK must have delivered the packet into the sender's
+	// skip set.
 	seq := f.Size - netsim.MSS
 	if !s.hcp.Skip.Contains(seq, f.Size) {
 		t.Fatalf("skip set missing flushed range [%d,%d): stranded packet never acked", seq, f.Size)
+	}
+}
+
+func TestSendBufBoundsLCPReach(t *testing.T) {
+	// With a finite send buffer the low loop starts from the buffered
+	// tail, SendBuf past the cumulative ACK, not from the flow tail
+	// (§4.1, Fig 27).
+	env := newEnv()
+	env.SendBuf = 128 << 10
+	f := &transport.Flow{ID: 15, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
+		Size: 10_000_000, FirstCall: 1000}
+	s := newSender(env, f, Config{}.withDefaults())
+	f.Src.Bind(f.ID, false, s)
+	s.launch()
+	if !s.lcp.active || s.lcp.oppSent == 0 {
+		t.Fatal("case-1 loop did not open")
+	}
+	if s.lcp.tailNext >= env.SendBuf {
+		t.Fatalf("LCP tail at %d, beyond the %d-byte send buffer", s.lcp.tailNext, env.SendBuf)
 	}
 }
 

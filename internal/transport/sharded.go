@@ -448,6 +448,7 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 			Net:          env.Net,
 			Collector:    stats.NewCollector(),
 			RTOMin:       env.RTOMin,
+			SendBuf:      env.SendBuf,
 			OnComplete:   env.OnComplete,
 			recycleFlows: recycle,
 			sched:        part.Scheds[i],

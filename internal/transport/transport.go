@@ -62,6 +62,11 @@ type Env struct {
 	// RTOMin floors every retransmission timer.
 	RTOMin sim.Time
 
+	// SendBuf models the kernel TCP send buffer in bytes (§4.1, Fig 27):
+	// PPT's low loop can only transmit bytes within SendBuf of the
+	// cumulative ACK. Zero means unbounded (the paper's 2GB setting).
+	SendBuf int64
+
 	// ShardStats holds the windowed engine's instrumentation after a
 	// sharded run (nil for monolithic runs). Execution-side counters
 	// only — they never influence simulated outcomes.

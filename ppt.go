@@ -16,26 +16,9 @@
 package ppt
 
 import (
-	"fmt"
-
 	"ppt/internal/bufaware"
 	"ppt/internal/exp"
-	"ppt/internal/netsim"
-	"ppt/internal/sim"
 	"ppt/internal/stats"
-	"ppt/internal/topo"
-	"ppt/internal/transport"
-	"ppt/internal/transport/aeolus"
-	"ppt/internal/transport/dctcp"
-	"ppt/internal/transport/expresspass"
-	"ppt/internal/transport/halfback"
-	"ppt/internal/transport/homa"
-	"ppt/internal/transport/hpcc"
-	"ppt/internal/transport/ndp"
-	"ppt/internal/transport/pias"
-	pptproto "ppt/internal/transport/ppt"
-	"ppt/internal/transport/rc3"
-	"ppt/internal/transport/swift"
 	"ppt/internal/workload"
 )
 
@@ -74,7 +57,7 @@ const (
 	// 10G switch, 80µs RTT, 50MB shared buffer (Table 3).
 	TopologyTestbed = "testbed"
 	// TopologySim is a 3-leaf/2-spine 40/100G oversubscribed leaf-spine
-	// slice of the paper's §6.2 fabric (48 hosts).
+	// slice of the paper's §6.2 fabric (24 hosts).
 	TopologySim = "sim"
 	// TopologySimFull is the paper's full 144-host, 9-leaf, 4-spine
 	// fabric.
@@ -91,23 +74,14 @@ func Workloads() []string {
 	return []string{"websearch", "datamining", "memcached-w1", "memcached-etc", "youtube-http"}
 }
 
-// Config describes one simulation run.
-type Config struct {
-	Transport string  // one of Transports(); default "ppt"
-	Topology  string  // one of the Topology* names; default TopologySim
-	Workload  string  // one of Workloads(); default "websearch"
-	Load      float64 // fraction of receiver bandwidth; default 0.5
-	Flows     int     // number of flows; default 500
-	Seed      int64   // workload seed; default 1
-
-	// Incast, when > 0, uses an N-to-1 pattern with this many senders
-	// instead of all-to-all.
-	Incast int
-
-	// SendBuf models the TCP send buffer in bytes for PPT's
-	// identification and LCP reach (0 = unbounded, the paper's 2GB).
-	SendBuf int64
-}
+// Config describes one simulation run: Transport is one of
+// Transports() (default "ppt"), Topology one of the Topology* names
+// (default TopologySim), Workload one of Workloads() (default
+// "websearch"); Load (default 0.5), Flows (default 500) and Seed
+// (default 1) scale it; Incast > 0 switches to an N-to-1 pattern with
+// that many senders; SendBuf models the TCP send buffer in bytes for
+// PPT's identification and LCP reach (0 = unbounded, the paper's 2GB).
+type Config = exp.Config
 
 // Summary re-exports the FCT breakdown every experiment reports.
 type Summary = stats.Summary
@@ -120,132 +94,8 @@ type Options = exp.Options
 
 // Run simulates cfg to completion and returns the FCT summary.
 func Run(cfg Config) (Summary, error) {
-	if cfg.Transport == "" {
-		cfg.Transport = TransportPPT
-	}
-	if cfg.Topology == "" {
-		cfg.Topology = TopologySim
-	}
-	if cfg.Workload == "" {
-		cfg.Workload = "websearch"
-	}
-	if cfg.Load == 0 {
-		cfg.Load = 0.5
-	}
-	if cfg.Flows == 0 {
-		cfg.Flows = 500
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-
-	dist, err := workload.ByName(cfg.Workload)
-	if err != nil {
-		return Summary{}, err
-	}
-	tcfg, build, rtoMin, err := topologyFor(cfg.Topology)
-	if err != nil {
-		return Summary{}, err
-	}
-	proto, tweak, err := transportFor(cfg.Transport)
-	if err != nil {
-		return Summary{}, err
-	}
-	if tweak != nil {
-		tweak(&tcfg)
-	}
-	net := build(tcfg)
-	env := transport.NewEnv(net)
-	env.RTOMin = rtoMin
-
-	flows := buildFlows(dist, tcfg.HostRate, len(net.Hosts), cfg)
-	return transport.Run(env, proto(env), flows, transport.RunConfig{}), nil
-}
-
-func topologyFor(name string) (topo.Config, func(topo.Config) *topo.Network, sim.Time, error) {
-	leafSpine := func(leaves, spines, perLeaf int) func(topo.Config) *topo.Network {
-		return func(c topo.Config) *topo.Network { return topo.LeafSpine(leaves, spines, perLeaf, c) }
-	}
-	switch name {
-	case TopologyTestbed:
-		return topo.Config{
-			HostRate: 10 * netsim.Gbps, LinkDelay: 20 * sim.Microsecond,
-			SharedBuffer: 50 << 20, ECNHighK: 100_000, ECNLowK: 80_000,
-			DynamicLowThreshold: true,
-		}, func(c topo.Config) *topo.Network { return topo.Star(15, c) }, 10 * sim.Millisecond, nil
-	case TopologySim:
-		return topo.Config{
-			HostRate: 40 * netsim.Gbps, CoreRate: 100 * netsim.Gbps,
-			PerPortBuffer: 120_000, ECNHighK: 96_000, ECNLowK: 86_000,
-		}, leafSpine(3, 2, 8), 1 * sim.Millisecond, nil
-	case TopologySimFull:
-		return topo.Config{
-			HostRate: 40 * netsim.Gbps, CoreRate: 100 * netsim.Gbps,
-			PerPortBuffer: 120_000, ECNHighK: 96_000, ECNLowK: 86_000,
-		}, leafSpine(9, 4, 16), 1 * sim.Millisecond, nil
-	case TopologyFast:
-		return topo.Config{
-			HostRate: 100 * netsim.Gbps, CoreRate: 400 * netsim.Gbps,
-			PerPortBuffer: 300_000, ECNHighK: 240_000, ECNLowK: 215_000,
-		}, leafSpine(3, 2, 8), 1 * sim.Millisecond, nil
-	case TopologyNonOversubscribed:
-		return topo.Config{
-			HostRate: 10 * netsim.Gbps, CoreRate: 40 * netsim.Gbps,
-			PerPortBuffer: 120_000, ECNHighK: 30_000, ECNLowK: 25_000,
-		}, leafSpine(3, 2, 8), 1 * sim.Millisecond, nil
-	default:
-		return topo.Config{}, nil, 0, fmt.Errorf("ppt: unknown topology %q", name)
-	}
-}
-
-func transportFor(name string) (func(*transport.Env) transport.Protocol, func(*topo.Config), error) {
-	switch name {
-	case TransportPPT:
-		return func(*transport.Env) transport.Protocol { return pptproto.Proto{} }, nil, nil
-	case TransportDCTCP:
-		return func(*transport.Env) transport.Protocol { return dctcp.Proto{} }, nil, nil
-	case TransportRC3:
-		return func(*transport.Env) transport.Protocol { return rc3.Proto{} }, nil, nil
-	case TransportPIAS:
-		return func(*transport.Env) transport.Protocol { return pias.Proto{} },
-			func(c *topo.Config) { c.ECNLowK = c.ECNHighK }, nil
-	case TransportHPCC:
-		return func(*transport.Env) transport.Protocol { return hpcc.Proto{} },
-			func(c *topo.Config) { c.EnableINT = true }, nil
-	case TransportHoma:
-		return func(*transport.Env) transport.Protocol { return homa.New(homa.Config{}) }, nil, nil
-	case TransportAeolus:
-		return func(*transport.Env) transport.Protocol { return aeolus.New(aeolus.Config{}) },
-			func(c *topo.Config) {
-				if c.PerPortBuffer > 0 {
-					c.DroppableThresh = c.PerPortBuffer / 8
-				} else {
-					c.DroppableThresh = 24_000
-				}
-			}, nil
-	case TransportNDP:
-		return func(*transport.Env) transport.Protocol { return ndp.New(ndp.Config{}) },
-			func(c *topo.Config) { c.TrimToHeader = true }, nil
-	case TransportSwift:
-		return func(*transport.Env) transport.Protocol { return swift.Proto{} }, nil, nil
-	case TransportSwiftPPT:
-		return func(*transport.Env) transport.Protocol {
-			return swift.Proto{Cfg: swift.Config{WithPPT: true}}
-		}, nil, nil
-	case TransportHPCCPPT:
-		return func(*transport.Env) transport.Protocol { return hpcc.PPTVariant{} },
-			func(c *topo.Config) { c.EnableINT = true }, nil
-	case TransportTCP10:
-		return func(*transport.Env) transport.Protocol {
-			return dctcp.Proto{Cfg: dctcp.Config{NoECN: true}}
-		}, nil, nil
-	case TransportHalfback:
-		return func(*transport.Env) transport.Protocol { return halfback.Proto{} }, nil, nil
-	case TransportExpressPass:
-		return func(*transport.Env) transport.Protocol { return expresspass.New(expresspass.Config{}) }, nil, nil
-	default:
-		return nil, nil, fmt.Errorf("ppt: unknown transport %q (see Transports())", name)
-	}
+	sum, _, err := exp.RunCell(cfg)
+	return sum, err
 }
 
 // RunExperiment regenerates one of the paper's tables or figures by id

@@ -36,7 +36,7 @@ func TestRunEveryTransport(t *testing.T) {
 
 func TestRunEveryTopology(t *testing.T) {
 	for _, topo := range []string{
-		TopologyTestbed, TopologySim, TopologyFast, TopologyNonOversubscribed,
+		TopologyTestbed, TopologySim, TopologySimFull, TopologyFast, TopologyNonOversubscribed,
 	} {
 		topo := topo
 		t.Run(topo, func(t *testing.T) {
@@ -75,6 +75,31 @@ func TestRunIncast(t *testing.T) {
 	}
 	if sum.Flows != 50 {
 		t.Fatalf("completed %d/50", sum.Flows)
+	}
+}
+
+func TestSendBufReachesPPT(t *testing.T) {
+	// SendBuf bounds PPT's low-loop reach (§4.1, Fig 27): a 128KB send
+	// buffer must change a PPT run, and leave DCTCP, which has no low
+	// loop, as it was.
+	for _, tc := range []struct {
+		transport string
+		changes   bool
+	}{{TransportPPT, true}, {TransportDCTCP, false}} {
+		cfg := Config{Transport: tc.transport, Topology: TopologyTestbed, Flows: 100}
+		unbounded, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.SendBuf = 128 << 10
+		bounded, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (bounded != unbounded) != tc.changes {
+			t.Errorf("%s: SendBuf 128KB gives %v, unbounded %v; want changed=%v",
+				tc.transport, bounded, unbounded, tc.changes)
+		}
 	}
 }
 
