@@ -76,3 +76,12 @@ func TestRunDetailedRejectsBadConfig(t *testing.T) {
 		t.Fatal("bad workload accepted")
 	}
 }
+
+func TestRunDetailedRejectsBadScale(t *testing.T) {
+	for _, tc := range badScales {
+		if _, err := RunDetailed(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("RunDetailed(Flows=%d Load=%v) error = %v, want one naming %s",
+				tc.cfg.Flows, tc.cfg.Load, err, tc.want)
+		}
+	}
+}

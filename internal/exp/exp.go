@@ -347,11 +347,8 @@ func RunByID(id string, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.Flows < 0 {
-		return nil, fmt.Errorf("exp: invalid flow count %d (want >= 1, or 0 for the default)", o.Flows)
-	}
-	if o.Load < 0 || math.IsNaN(o.Load) || math.IsInf(o.Load, 0) {
-		return nil, fmt.Errorf("exp: invalid load %v (want a finite load > 0, or 0 for the default)", o.Load)
+	if err := checkScale(o.Flows, o.Load); err != nil {
+		return nil, err
 	}
 	if o.Shards < 0 {
 		return nil, fmt.Errorf("exp: invalid shard count %d (want >= 1, or 0 for the default)", o.Shards)
@@ -375,6 +372,18 @@ func RunByID(id string, o Options) (*Result, error) {
 		res.Cache = &d
 	}
 	return res, nil
+}
+
+// checkScale rejects a workload scale no run can honour: a negative flow
+// count, or a negative, NaN or infinite load. Zero selects the default.
+func checkScale(flows int, load float64) error {
+	if flows < 0 {
+		return fmt.Errorf("exp: invalid flow count %d (want >= 1, or 0 for the default)", flows)
+	}
+	if load < 0 || math.IsNaN(load) || math.IsInf(load, 0) {
+		return fmt.Errorf("exp: invalid load %v (want a finite load > 0, or 0 for the default)", load)
+	}
+	return nil
 }
 
 // Config names one single-cell run — the public ppt.Run and RunDetailed
@@ -426,6 +435,9 @@ func (c Config) withDefaults() Config {
 // execute like every experiment cell. Its shard hint stays 0, so
 // leaf-spine fabrics run on the monolithic engine.
 func RunCell(cfg Config) (stats.Summary, *transport.Env, error) {
+	if err := checkScale(cfg.Flows, cfg.Load); err != nil {
+		return stats.Summary{}, nil, err
+	}
 	cfg = cfg.withDefaults()
 	dist, err := workload.ByName(cfg.Workload)
 	if err != nil {

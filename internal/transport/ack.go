@@ -14,12 +14,8 @@ type AckMeta struct {
 
 	// LowSeqs are the byte offsets of the opportunistic (low-loop) data
 	// packets this low-priority ACK covers; LowN of them are valid.
-	// A PPT receiver coalesces two opportunistic arrivals per ACK.
+	// lowloop's receiver coalesces two opportunistic arrivals per ACK.
 	LowSeqs [2]int64
 	LowLens [2]int32
 	LowN    int
-
-	// TailFrontier is the receiver's contiguous-suffix start, letting
-	// the sender cap its high-loop transmissions.
-	TailFrontier int64
 }

@@ -14,6 +14,7 @@ import (
 	"ppt/internal/netsim"
 	"ppt/internal/sim"
 	"ppt/internal/transport"
+	"ppt/internal/transport/lowloop"
 )
 
 // Config tunes HPCC.
@@ -57,8 +58,7 @@ func (Proto) Name() string { return "hpcc" }
 // Start implements transport.Protocol.
 func (p Proto) Start(env *transport.Env, f *transport.Flow) {
 	cfg := p.Cfg.withDefaults(env)
-	r := &receiver{env: env, f: f, r: transport.NewReassembly(f.Size)}
-	f.Dst.Bind(f.ID, true, r)
+	f.Dst.Bind(f.ID, true, newReceiver(env, f))
 	s := &sender{
 		env: env, f: f, cfg: cfg,
 		wnd: float64(cfg.InitWindow), wc: float64(cfg.InitWindow),
@@ -251,29 +251,39 @@ func (s *sender) maybeUpdateWc(mi bool) {
 	}
 }
 
+// receiver acknowledges every data packet, echoing its telemetry; with
+// the appendix-B variant its lowloop half also acknowledges the
+// opportunistic packets.
 type receiver struct {
+	lowloop.Receiver
 	env *transport.Env
 	f   *transport.Flow
-	r   *transport.Reassembly
 }
 
-// Handle implements netsim.Endpoint: per-packet ACK echoing telemetry.
+func newReceiver(env *transport.Env, f *transport.Flow) *receiver {
+	rc := &receiver{env: env, f: f}
+	rc.Init(env, f)
+	return rc
+}
+
+// Handle implements netsim.Endpoint.
 func (rc *receiver) Handle(pkt *netsim.Packet) {
 	if pkt.Kind != netsim.Data {
 		return
 	}
-	rc.r.Add(pkt.Seq, pkt.PayloadLen)
-	ack := rc.f.Dst.Ctrl(netsim.Ack, rc.f.ID, rc.f.Src.ID(), 0)
-	ack.Seq = rc.r.CumAck()
-	ack.EchoTS = pkt.SentAt
-	if len(pkt.INT) > 0 {
-		// Move ownership: the data packet is recycled when this Handle
-		// returns, so the ACK must take the telemetry array with it.
-		ack.Meta = pkt.INT
-		pkt.INT = nil
+	if rc.Deliver(pkt) {
+		ack := rc.f.Dst.Ctrl(netsim.Ack, rc.f.ID, rc.f.Src.ID(), 0)
+		ack.Seq = rc.R.CumAck()
+		ack.EchoTS = pkt.SentAt
+		if len(pkt.INT) > 0 {
+			// Move ownership: the data packet is recycled when this Handle
+			// returns, so the ACK must take the telemetry array with it.
+			ack.Meta = pkt.INT
+			pkt.INT = nil
+		}
+		rc.f.Dst.Send(ack)
 	}
-	rc.f.Dst.Send(ack)
-	if rc.r.Complete() {
+	if rc.R.Complete() {
 		rc.env.Complete(rc.f)
 	}
 }

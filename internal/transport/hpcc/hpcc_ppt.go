@@ -13,7 +13,8 @@ import (
 // bytes are smaller than BDP". WithPPT implements exactly that: the
 // per-ACK telemetry utilization U gates the low loop (U below the target
 // η means measured spare capacity), sized to the unused share of the
-// BDP, with the standard EWD/ECE machinery from the lowloop package.
+// BDP. The loop and the receiver's coalescing half are lowloop's, the
+// ones PPT itself runs.
 
 // PPTVariant wraps HPCC with PPT's low-priority loop (appendix B).
 type PPTVariant struct {
@@ -26,8 +27,7 @@ func (PPTVariant) Name() string { return "hpcc+ppt" }
 // Start implements transport.Protocol.
 func (p PPTVariant) Start(env *transport.Env, f *transport.Flow) {
 	cfg := p.Cfg.withDefaults(env)
-	r := &dualReceiver{env: env, f: f, r: transport.NewReassembly(f.Size)}
-	f.Dst.Bind(f.ID, true, r)
+	f.Dst.Bind(f.ID, true, newReceiver(env, f))
 	s := &pptSender{
 		sender: sender{
 			env: env, f: f, cfg: cfg,
@@ -49,6 +49,9 @@ type pptSender struct {
 
 // Frontier implements lowloop.Host.
 func (s *pptSender) Frontier() int64 { return s.sndNxt }
+
+// Acked implements lowloop.Host.
+func (s *pptSender) Acked() int64 { return s.sndUna }
 
 // Window implements lowloop.Host.
 func (s *pptSender) Window() float64 { return s.wnd }
@@ -90,59 +93,4 @@ func (s *pptSender) Handle(pkt *netsim.Packet) {
 	}
 	s.processCum(pkt)
 	s.trySend()
-}
-
-// dualReceiver acks HPCC data per packet with INT echo and coalesces
-// opportunistic arrivals 2:1 into low-priority ACKs.
-type dualReceiver struct {
-	env *transport.Env
-	f   *transport.Flow
-	r   *transport.Reassembly
-
-	pendingSeq int64
-	pendingLen int32
-	pendingCE  bool
-	hasPending bool
-}
-
-// Handle implements netsim.Endpoint.
-func (rc *dualReceiver) Handle(pkt *netsim.Packet) {
-	if pkt.Kind != netsim.Data {
-		return
-	}
-	added := rc.r.Add(pkt.Seq, pkt.PayloadLen)
-	if pkt.LowLoop {
-		rc.env.Eff.UsefulLow += added
-		if !rc.hasPending {
-			rc.pendingSeq, rc.pendingLen, rc.pendingCE = pkt.Seq, pkt.PayloadLen, pkt.CE
-			rc.hasPending = true
-		} else {
-			ack := rc.f.Dst.Ctrl(netsim.Ack, rc.f.ID, rc.f.Src.ID(), pkt.Prio)
-			ack.LowLoop = true
-			ack.Seq = rc.r.CumAck()
-			ack.ECE = pkt.CE || rc.pendingCE
-			ack.EchoTS = pkt.SentAt
-			ack.Meta = &transport.AckMeta{
-				LowSeqs: [2]int64{rc.pendingSeq, pkt.Seq},
-				LowLens: [2]int32{rc.pendingLen, pkt.PayloadLen},
-				LowN:    2,
-			}
-			rc.hasPending = false
-			rc.f.Dst.Send(ack)
-		}
-	} else {
-		ack := rc.f.Dst.Ctrl(netsim.Ack, rc.f.ID, rc.f.Src.ID(), 0)
-		ack.Seq = rc.r.CumAck()
-		ack.EchoTS = pkt.SentAt
-		if len(pkt.INT) > 0 {
-			// Move ownership: the data packet is recycled when Handle
-			// returns, so the ACK takes the telemetry array with it.
-			ack.Meta = pkt.INT
-			pkt.INT = nil
-		}
-		rc.f.Dst.Send(ack)
-	}
-	if rc.r.Complete() {
-		rc.env.Complete(rc.f)
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"ppt/internal/netsim"
 	"ppt/internal/sim"
 	"ppt/internal/transport"
+	"ppt/internal/transport/lowloop"
 	"ppt/internal/transport/transporttest"
 )
 
@@ -89,5 +90,28 @@ func TestDefaults(t *testing.T) {
 	}
 	if cfg.InitWindow != int64(env.BDP()) {
 		t.Fatalf("InitWindow = %d", cfg.InitWindow)
+	}
+}
+
+func TestPPTVariantAcksLoneOpportunisticArrival(t *testing.T) {
+	// A loop that sends one (odd) opportunistic packet never completes
+	// the receiver's 2:1 pair. The quiet flush must still low-ACK it, so
+	// the range lands in the sender's skip set instead of staying in the
+	// loop's backlog for good.
+	env := transporttest.NewStarEnv(4, transporttest.WithINT())
+	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 100_000}
+	cfg := Config{}.withDefaults(env)
+	s := &pptSender{sender: sender{env: env, f: f, cfg: cfg,
+		wnd: float64(cfg.InitWindow), wc: float64(cfg.InitWindow)}}
+	s.loop = lowloop.New(env, f, s)
+	f.Src.Bind(f.ID, false, s)
+	f.Dst.Bind(f.ID, true, newReceiver(env, f))
+	s.loop.Open(netsim.MSS, false)
+	if s.loop.OppSent() != netsim.MSS {
+		t.Fatalf("one-packet loop sent %d bytes", s.loop.OppSent())
+	}
+	env.Sched().Run()
+	if seq := f.Size - netsim.MSS; !s.skip.Contains(seq, f.Size) {
+		t.Fatalf("skip set missing [%d,%d): the lone arrival was never low-ACKed", seq, f.Size)
 	}
 }

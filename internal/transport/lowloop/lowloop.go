@@ -1,28 +1,29 @@
-// Package lowloop is PPT's low-priority control loop (§3) factored out
-// as a building block, the way appendix B of the paper proposes: any
-// window-based transport can bolt it on by providing its send frontier,
-// current window and RTT estimate, and by choosing when to open a loop
-// (DCTCP's α minimum, Swift's delay-below-target, HPCC's inflight-below-
-// BDP...). The loop sends opportunistic packets backwards from the flow
-// tail, paced at I/RTT, 2:1 ACK-clocked thereafter (EWD), silenced by
-// ECE, and self-terminating after two silent RTTs.
+// Package lowloop is PPT's low-priority control loop (§3.1–3.2) and its
+// receiving half, shared by every PPT-family transport: PPT itself (on
+// DCTCP), swift+ppt (Fig 14) and hpcc+ppt (appendix B). A loop sends
+// opportunistic packets backwards from the flow tail, paces its initial
+// window over one RTT, is 2:1 ACK-clocked thereafter (exponential window
+// decreasing, EWD), is silenced by ECE, and terminates itself after two
+// RTTs without a low-priority ACK.
 //
-// The ppt package keeps its own tightly-coupled copy of this logic (it
-// also drives identification and tagging); this package exists so the
-// Fig 14 delay-based variant and the appendix-B HPCC variant share one
-// implementation.
+// The host — the high-priority loop — provides its send frontier,
+// window, RTT estimate and cumulative ACK (Host), tags the opportunistic
+// packets, and decides when to open a loop: PPT on its case-1/case-2
+// triggers, Swift when measured delay falls below target, HPCC when
+// telemetry shows utilization below η.
 //
-// The two copies are not interchangeable. Open here refuses a loop
-// while the opportunistic bytes already sent are still unacknowledged
-// (inflight >= i/2), and nothing resets inflight on Terminate, so a
-// stale backlog keeps vetoing loops until low ACKs drain it. That gate
-// is load-bearing: without it, fig14 (500 flows) swift+ppt overall FCT
-// rose from 1006.8µs to 1692.5µs at seed 1 and from 1069.8µs to
-// 1709.2µs at seed 2 (plain swift: 1204.2µs at seed 1). PPT's copy
-// refuses a loop only while one is active.
+// A loop is refused while its backlog — the opportunistic bytes earlier
+// loops sent that are neither low-ACKed nor below the host's cumulative
+// ACK — is at least half its window, and Terminate leaves the backlog
+// in place. The paper describes no such gate. This rule was chosen over
+// no gate, and over a gate whose backlog only low ACKs drain, by a claim
+// table declared before any run (figs 8–16 and appendix B, seeds 1–5;
+// EXPERIMENTS.md, "The low loop's backlog rule").
 package lowloop
 
 import (
+	"sync/atomic"
+
 	"ppt/internal/netsim"
 	"ppt/internal/sim"
 	"ppt/internal/transport"
@@ -32,9 +33,11 @@ import (
 type Host interface {
 	// Frontier is the high loop's next-new-byte offset (snd_nxt).
 	Frontier() int64
+	// Acked is the high loop's cumulative ACK (snd_una).
+	Acked() int64
 	// Window is the high loop's current congestion window in bytes.
 	Window() float64
-	// RTT is the current round-trip estimate.
+	// RTT is the current round-trip estimate (0 = use the base RTT).
 	RTT() sim.Time
 	// LowPrio tags opportunistic packets (the mirror priority).
 	LowPrio() int8
@@ -46,26 +49,63 @@ type Host interface {
 	OnSkipUpdate()
 }
 
-// Loop is one flow's low-priority control loop.
+// Loop is one flow's low-priority control loop. The zero value is an
+// unbound shell; Init attaches it to a flow, so hosts that recycle
+// their senders recycle the loop with them.
 type Loop struct {
 	env  *transport.Env
 	f    *transport.Flow
 	host Host
 
-	active   bool
-	tailNext int64
-	budget   int64
-	paceGap  sim.Time
-	pacing   bool
-	inflight int64
-	oppSent  int64
+	// noECN and noEWD are the deep-dive ablations: opportunistic packets
+	// are sent non-ECT and ECE no longer silences the loop (Fig 15), and
+	// a loop sends the whole remaining tail at line rate (Fig 16).
+	noECN, noEWD bool
 
-	deadTimer sim.Timer
+	active bool
+	// tailNext is the low end of the tail the loop has covered; the next
+	// opportunistic segment ends here. It moves down from the flow tail.
+	tailNext int64
+	// budget is what remains of the current loop's initial window; once
+	// spent, the loop is purely ACK-clocked.
+	budget  int64
+	paceGap sim.Time
+	pacing  bool
+	// oppSent is the cumulative opportunistic payload sent.
+	oppSent int64
+	// sent holds every range the loop has sent. The host's skip set holds
+	// the low-ACKed ones (only the loop feeds it), so what sent covers
+	// above the host's cumulative ACK beyond the skip set is the backlog.
+	sent transport.IntervalSet
+
+	deadTimer, paceTimer sim.Timer
+	// paceFn and termFn are bound once: a method value built at every
+	// timer arm would allocate a closure per packet.
+	paceFn, termFn func()
 }
 
-// New builds an (inactive) loop over the whole flow tail.
+// New builds an inactive loop over f's tail with neither ablation.
 func New(env *transport.Env, f *transport.Flow, host Host) *Loop {
-	return &Loop{env: env, f: f, host: host, tailNext: f.Size}
+	l := &Loop{}
+	l.Init(env, f, host, false, false)
+	return l
+}
+
+// Init (re)targets the loop at a flow and resets every piece of loop
+// state; noECN and noEWD select the ablations. The host's cumulative
+// ACK must already be reset: it bounds the loop's reach when the
+// modeled send buffer (Env.SendBuf) is finite.
+func (l *Loop) Init(env *transport.Env, f *transport.Flow, host Host, noECN, noEWD bool) {
+	if l.paceFn == nil {
+		l.paceFn, l.termFn = l.paceOne, l.Terminate
+	}
+	l.env, l.f, l.host = env, f, host
+	l.noECN, l.noEWD = noECN, noEWD
+	l.active, l.pacing = false, false
+	l.budget, l.paceGap, l.oppSent = 0, 0, 0
+	l.sent.Reset()
+	l.deadTimer, l.paceTimer = sim.Timer{}, sim.Timer{}
+	l.tailNext = l.bufferedTail()
 }
 
 // Active reports whether a loop is currently open.
@@ -74,17 +114,43 @@ func (l *Loop) Active() bool { return l.active }
 // OppSent reports total opportunistic payload bytes sent.
 func (l *Loop) OppSent() int64 { return l.oppSent }
 
-// Open starts a loop with initial window i paced over one RTT. guarded
-// loops (mid-flow re-opens) cap the budget to the gap beyond two high
-// windows and are refused while a prior injection is still outstanding.
-func (l *Loop) Open(i int64, guarded bool) {
-	if i < netsim.MSS || l.active || l.f.Done() {
-		return
+// TailNext reports the low end of the tail the loop has covered.
+func (l *Loop) TailNext() int64 { return l.tailNext }
+
+// StopTimers cancels every pending callback into the loop, the
+// precondition for recycling it.
+func (l *Loop) StopTimers() {
+	l.deadTimer.Stop()
+	l.paceTimer.Stop()
+}
+
+// bufferedTail is the highest byte offset present in the modeled send
+// buffer (Env.SendBuf): the application has only copied SendBuf bytes
+// beyond what the receiver has consumed.
+func (l *Loop) bufferedTail() int64 {
+	if l.env.SendBuf <= 0 {
+		return l.f.Size
 	}
-	if l.tailNext <= l.host.Frontier() {
+	return min(l.host.Acked()+l.env.SendBuf, l.f.Size)
+}
+
+// Open starts a loop with initial window i, paced over one RTT — or,
+// under the EWD ablation, the whole remaining tail at line rate. A
+// guarded loop (a mid-flow re-open) caps its window to the gap beyond
+// two host windows. Open is refused while a loop is active, and while
+// the backlog is at least I/2.
+func (l *Loop) Open(i int64, guarded bool) {
+	if guarded {
+		Debug.Case2Opens.Add(1)
+	} else {
+		Debug.Case1Opens.Add(1)
+	}
+	if i < netsim.MSS || l.active || l.f.SenderDone() {
 		return
 	}
 	if guarded {
+		// Fill only the gap the host cannot cover itself this round: the
+		// unsent bytes minus roughly two windows of its progress.
 		spare := l.tailNext - l.host.Frontier() - 2*int64(l.host.Window())
 		if i > spare {
 			i = spare
@@ -93,13 +159,33 @@ func (l *Loop) Open(i int64, guarded bool) {
 			return
 		}
 	}
-	if l.inflight >= i/2 {
+	// With a finite send buffer, a fresh loop restarts from the buffered
+	// tail: the buffer slid as the receiver consumed data, exposing
+	// bytes above where the previous loop stopped. (With an unbounded
+	// buffer tailNext is already the true frontier; resetting it would
+	// re-walk — and duplicate — the already-sent tail.)
+	if l.env.SendBuf > 0 {
+		if t := l.bufferedTail(); t > l.tailNext {
+			l.tailNext = t
+		}
+	}
+	// Never send below what the host is about to cover.
+	if l.tailNext <= l.host.Frontier() {
+		return
+	}
+	acked := l.host.Acked()
+	if l.sent.CoveredIn(acked, l.f.Size)-l.host.SkipSet().CoveredIn(acked, l.f.Size) >= i/2 {
 		return
 	}
 	l.active = true
 	l.budget = i
-	pkts := (i + netsim.MSS - 1) / netsim.MSS
-	l.paceGap = l.rtt() / sim.Time(pkts)
+	if l.noEWD {
+		l.budget = l.tailNext - l.host.Frontier()
+		l.paceGap = l.f.Src.Rate().TxTime(netsim.MSS + netsim.HeaderBytes)
+	} else {
+		pkts := (i + netsim.MSS - 1) / netsim.MSS
+		l.paceGap = l.rtt() / sim.Time(pkts)
+	}
 	l.resetDeadTimer()
 	if !l.pacing {
 		l.pacing = true
@@ -114,23 +200,25 @@ func (l *Loop) rtt() sim.Time {
 	return l.env.BaseRTT()
 }
 
+// paceOne transmits the next packet of the initial window.
 func (l *Loop) paceOne() {
-	if !l.active || l.f.Done() || l.budget <= 0 {
+	if !l.active || l.f.SenderDone() || l.budget <= 0 || !l.send() {
 		l.pacing = false
 		return
 	}
-	if !l.send() {
-		l.pacing = false
-		return
-	}
+	Debug.PacedPkts.Add(1)
 	l.budget -= netsim.MSS
-	l.env.Sched().After(l.paceGap, l.paceOne)
+	l.paceTimer = l.env.Sched().After(l.paceGap, l.paceFn)
 }
 
-// send emits one opportunistic packet from the tail, staying one high
-// window ahead of the high loop's frontier and skipping delivered
-// ranges; false when crossed.
+// send emits one opportunistic packet from the tail, skipping ranges
+// already delivered; false when the loops have crossed and nothing
+// remains.
 func (l *Loop) send() bool {
+	// Stay one host window ahead of the high loop's frontier: the host
+	// covers that region itself within the next round, so opportunistic
+	// copies there lose the race and are pure duplication ("the window
+	// summation of LCP and HCP will not exceed the MW", §3).
 	frontier := l.host.Frontier() + int64(l.host.Window())
 	skip := l.host.SkipSet()
 	for l.tailNext > frontier && skip.Contains(l.tailNext-1, l.tailNext) {
@@ -141,6 +229,7 @@ func (l *Loop) send() bool {
 		seq = frontier
 	}
 	if cov := skip.ContiguousFrom(seq); cov > seq {
+		// The packet would start inside a delivered range; trim it.
 		seq = cov
 	}
 	if seq >= l.tailNext {
@@ -148,49 +237,192 @@ func (l *Loop) send() bool {
 	}
 	n := int32(l.tailNext - seq)
 	pkt := l.f.Src.Data(l.f.ID, l.f.Dst.ID(), seq, n, l.host.LowPrio())
-	pkt.ECT = true
+	pkt.ECT = !l.noECN
 	pkt.LowLoop = true
 	l.f.Src.Send(pkt)
 	l.env.Eff.SentLowPayload += int64(n)
 	l.oppSent += int64(n)
-	l.inflight += int64(n)
+	l.sent.Add(seq, l.tailNext)
 	l.tailNext = seq
 	return true
 }
 
-// OnLowAck processes a low-priority ACK: records delivered ranges on the
-// shared scoreboard and — unless the ACK carries ECE — clocks out one
-// new opportunistic packet (the EWD 2:1 halving).
+// OnLowAck processes a low-priority ACK: folds the delivered ranges into
+// the shared scoreboard, returns the consumed AckMeta to the pool, and —
+// unless the ACK carries ECE — clocks out one new opportunistic packet
+// (the EWD 2:1 halving, §3.2).
 func (l *Loop) OnLowAck(pkt *netsim.Packet) {
-	if meta, ok := pkt.Meta.(*transport.AckMeta); ok && meta.LowN > 0 {
+	if meta, ok := pkt.Meta.(*transport.AckMeta); ok {
 		skip := l.host.SkipSet()
 		for i := 0; i < meta.LowN; i++ {
 			skip.Add(meta.LowSeqs[i], meta.LowSeqs[i]+int64(meta.LowLens[i]))
-			l.inflight -= int64(meta.LowLens[i])
 		}
-		if l.inflight < 0 {
-			l.inflight = 0
-		}
+		// The loop is the meta's sole consumer: everything it carried is
+		// now on the scoreboard.
+		pkt.Meta = nil
+		putAckMeta(l.env, meta)
 		l.host.OnSkipUpdate()
 	}
 	if !l.active {
 		return
 	}
 	l.resetDeadTimer()
-	if pkt.ECE {
+	if pkt.ECE && !l.noECN {
 		return
 	}
-	l.send()
+	if l.send() {
+		Debug.ClockedPkts.Add(1)
+	}
 }
 
 func (l *Loop) resetDeadTimer() {
 	l.deadTimer.Stop()
-	l.deadTimer = l.env.Sched().After(2*l.rtt(), l.Terminate)
+	l.deadTimer = l.env.Sched().After(2*l.rtt(), l.termFn)
 }
 
-// Terminate closes the loop; a later Open starts a fresh one.
+// Terminate closes the loop after two RTTs of ACK silence; a later
+// trigger may open a fresh one (§3.2 remarks).
 func (l *Loop) Terminate() {
 	l.active = false
 	l.pacing = false
 	l.budget = 0
 }
+
+// Receiver is the receiving half of the low loop, embedded by the
+// receivers of ppt, swift and hpcc (their plain variants simply never
+// see an opportunistic packet). Deliver reassembles data from both
+// loops and answers opportunistic arrivals with one low-priority ACK
+// per two (the 2:1 EWD clock of §3.2); the host acknowledges high-loop
+// data itself.
+// A lone arrival is held for its pair only until the loop has been quiet
+// for two base RTTs, then acknowledged alone: a loop that sent an odd
+// number of packets would otherwise strand its last one, and the sender
+// would never learn to skip it.
+type Receiver struct {
+	R *transport.Reassembly
+
+	env *transport.Env
+	f   *transport.Flow
+
+	// The pending opportunistic arrival, waiting for its pair.
+	pendingSeq  int64
+	pendingLen  int32
+	pendingCE   bool
+	pendingTS   sim.Time
+	pendingPrio int8
+	hasPending  bool
+	flushTimer  sim.Timer
+	// flushFn is flush bound once, on the first held arrival: arming with
+	// a fresh method value would allocate per quiet period.
+	flushFn func()
+}
+
+// Init (re)targets the receiver at a flow, dropping any arrival a
+// previous flow left pending.
+func (rc *Receiver) Init(env *transport.Env, f *transport.Flow) {
+	if rc.R == nil {
+		rc.R = transport.NewReassembly(f.Size)
+	} else {
+		rc.R.Reset(f.Size)
+	}
+	rc.env, rc.f = env, f
+	rc.hasPending = false
+	rc.flushTimer = sim.Timer{}
+}
+
+// StopTimers cancels the quiet flush, the receiver's only callback.
+func (rc *Receiver) StopTimers() { rc.flushTimer.Stop() }
+
+// Deliver adds a data packet to the reassembly and acknowledges it if it
+// came from the low loop. It reports whether the packet came from the
+// high loop, whose per-packet ACK is the host's to send.
+func (rc *Receiver) Deliver(pkt *netsim.Packet) (high bool) {
+	added := rc.R.Add(pkt.Seq, pkt.PayloadLen)
+	if !pkt.LowLoop {
+		Debug.NewHighBytes.Add(added)
+		Debug.DupHighBytes.Add(int64(pkt.PayloadLen) - added)
+		return true
+	}
+	Debug.NewLowBytes.Add(added)
+	Debug.DupLowBytes.Add(int64(pkt.PayloadLen) - added)
+	rc.env.Eff.UsefulLow += added
+	if !rc.hasPending {
+		rc.pendingSeq, rc.pendingLen, rc.pendingCE = pkt.Seq, pkt.PayloadLen, pkt.CE
+		rc.pendingTS, rc.pendingPrio = pkt.SentAt, pkt.Prio
+		rc.hasPending = true
+		if rc.flushFn == nil {
+			rc.flushFn = rc.flush
+		}
+		rc.flushTimer.Stop()
+		rc.flushTimer = rc.env.Sched().After(2*rc.env.BaseRTT(), rc.flushFn)
+		return false
+	}
+	rc.flushTimer.Stop()
+	rc.flushTimer = sim.Timer{}
+	rc.hasPending = false
+	meta := getAckMeta(rc.env)
+	meta.LowSeqs = [2]int64{rc.pendingSeq, pkt.Seq}
+	meta.LowLens = [2]int32{rc.pendingLen, pkt.PayloadLen}
+	meta.LowN = 2
+	rc.sendLowAck(meta, pkt.Prio, pkt.CE || rc.pendingCE, pkt.SentAt)
+	return false
+}
+
+// flush acknowledges the pending arrival on its own once the loop has
+// gone quiet (no pair showed up).
+func (rc *Receiver) flush() {
+	if !rc.hasPending || rc.f.Done() {
+		return
+	}
+	rc.hasPending = false
+	rc.flushTimer = sim.Timer{}
+	meta := getAckMeta(rc.env)
+	meta.LowSeqs = [2]int64{rc.pendingSeq, 0}
+	meta.LowLens = [2]int32{rc.pendingLen, 0}
+	meta.LowN = 1
+	rc.sendLowAck(meta, rc.pendingPrio, rc.pendingCE, rc.pendingTS)
+}
+
+func (rc *Receiver) sendLowAck(meta *transport.AckMeta, prio int8, ece bool, echo sim.Time) {
+	ack := rc.f.Dst.Ctrl(netsim.Ack, rc.f.ID, rc.f.Src.ID(), prio)
+	ack.LowLoop = true
+	ack.Seq = rc.R.CumAck()
+	ack.ECE = ece
+	ack.EchoTS = echo
+	ack.Meta = meta
+	rc.f.Dst.Send(ack)
+}
+
+var ackMetaPool = transport.NewPoolKey("lowloop.ackmeta")
+
+func newAckMeta() *transport.AckMeta { return &transport.AckMeta{} }
+
+// getAckMeta draws a low-ACK meta from the run pool. Reuse is dirty:
+// every producer sets all fields. Loop.OnLowAck returns consumed metas;
+// a consumer that never does (the MW oracle) leaves them to the garbage
+// collector.
+func getAckMeta(env *transport.Env) *transport.AckMeta {
+	return transport.PoolFor(env, ackMetaPool, newAckMeta).Get()
+}
+
+func putAckMeta(env *transport.Env, m *transport.AckMeta) {
+	transport.PoolFor(env, ackMetaPool, newAckMeta).Put(m)
+}
+
+// DebugCounters aggregates the dual-loop diagnostics runs produce: why
+// loops opened (unguarded opens — PPT's case 1 — vs guarded mid-flow
+// re-opens, case 2; both count attempts, refused or not), how
+// opportunistic packets were emitted (paced vs ACK-clocked), and the
+// fresh/duplicate byte split per loop at the receiver. The counters are
+// atomic, so simulations running on different goroutines may share
+// them without tearing.
+type DebugCounters struct {
+	PacedPkts, ClockedPkts     atomic.Int64
+	Case1Opens, Case2Opens     atomic.Int64
+	DupLowBytes, NewLowBytes   atomic.Int64
+	DupHighBytes, NewHighBytes atomic.Int64
+}
+
+// Debug accumulates every run's counters process-wide (cmd/ppttrace
+// reads it after a single serial run).
+var Debug DebugCounters

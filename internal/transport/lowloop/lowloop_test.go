@@ -12,6 +12,7 @@ import (
 // fakeHost is a minimal high loop for driving the low loop directly.
 type fakeHost struct {
 	frontier int64
+	acked    int64
 	window   float64
 	rtt      sim.Time
 	skip     transport.IntervalSet
@@ -19,6 +20,7 @@ type fakeHost struct {
 }
 
 func (h *fakeHost) Frontier() int64                 { return h.frontier }
+func (h *fakeHost) Acked() int64                    { return h.acked }
 func (h *fakeHost) Window() float64                 { return h.window }
 func (h *fakeHost) RTT() sim.Time                   { return h.rtt }
 func (h *fakeHost) LowPrio() int8                   { return 5 }
@@ -136,9 +138,11 @@ func TestTerminatesAfterSilence(t *testing.T) {
 }
 
 func TestReopenGatedOnBacklog(t *testing.T) {
+	// Terminate leaves the closed loop's unacknowledged bytes in the
+	// backlog; low ACKs for them lift the veto.
 	l, _, env := setup(t, 10_000_000)
 	l.Open(4*netsim.MSS, false)
-	env.Sched().RunUntil(10 * env.BaseRTT()) // terminate with inflight unacked
+	env.Sched().RunUntil(10 * env.BaseRTT()) // terminate with the backlog unacked
 	l.Open(4*netsim.MSS, false)
 	if l.Active() {
 		t.Fatal("reopened while the previous injection is unacknowledged")
@@ -160,6 +164,48 @@ func TestReopenGatedOnBacklog(t *testing.T) {
 	}
 }
 
+func TestQuietFlushDrainsBacklog(t *testing.T) {
+	// End to end through the receiving half: a one-packet loop never
+	// completes a 2:1 pair, so only the quiet flush acknowledges it. That
+	// ACK must put the range on the scoreboard and drain the backlog,
+	// which would otherwise veto a two-packet loop.
+	l, h, env := setup(t, 10_000_000)
+	rc := &Receiver{}
+	rc.Init(env, l.f)
+	l.f.Dst.Bind(l.f.ID, true, epFunc(func(p *netsim.Packet) { rc.Deliver(p) }))
+	l.f.Src.Bind(l.f.ID, false, epFunc(l.OnLowAck))
+	l.Open(netsim.MSS, false)
+	env.Sched().Run()
+	if !h.skip.Contains(l.f.Size-netsim.MSS, l.f.Size) {
+		t.Fatal("lone arrival never low-ACKed")
+	}
+	l.Open(2*netsim.MSS, false)
+	if !l.Active() {
+		t.Fatal("two-packet loop refused: the flushed packet still counts as backlog")
+	}
+}
+
+func TestBacklogClearsBelowCumAck(t *testing.T) {
+	// Opportunistic bytes the host's cumulative ACK has passed stop
+	// counting, so a lost or stranded packet cannot veto loops for good.
+	// A finite send buffer makes this reachable: the next loop restarts
+	// from the buffered tail, above the stale bytes.
+	l, h, env := setup(t, 10_000_000)
+	env.SendBuf = 128 << 10
+	l.Init(env, l.f, h, false, false)
+	l.Open(4*netsim.MSS, false)
+	env.Sched().RunUntil(10 * env.BaseRTT()) // never low-ACKed: terminated
+	l.Open(4*netsim.MSS, false)
+	if l.Active() {
+		t.Fatal("reopened over an unacknowledged backlog")
+	}
+	h.acked, h.frontier = env.SendBuf, env.SendBuf // the high loop delivered them
+	l.Open(4*netsim.MSS, false)
+	if !l.Active() {
+		t.Fatal("bytes below the cumulative ACK still veto the loop")
+	}
+}
+
 func TestSendSkipsDeliveredTail(t *testing.T) {
 	l, h, env := setup(t, 10_000_000)
 	// The last two MSS were already delivered (and acked).
@@ -173,5 +219,109 @@ func TestSendSkipsDeliveredTail(t *testing.T) {
 	// frontier is under 10MB - 2 MSS.
 	if l.tailNext >= 10_000_000-2*netsim.MSS {
 		t.Fatalf("tailNext = %d did not skip the delivered suffix", l.tailNext)
+	}
+}
+
+func TestSendBufBoundsReach(t *testing.T) {
+	// With a finite send buffer a loop reaches only SendBuf past the
+	// host's cumulative ACK (§4.1, Fig 27); once the buffer has slid, a
+	// fresh loop restarts from the new buffered tail.
+	l, h, env := setup(t, 10_000_000)
+	env.SendBuf = 128 << 10
+	l.Init(env, l.f, h, false, false)
+	l.Open(4*netsim.MSS, false)
+	if l.OppSent() == 0 || l.TailNext() != env.SendBuf-netsim.MSS {
+		t.Fatalf("first packet ends at %d, want the %d-byte buffered tail", l.TailNext()+netsim.MSS, env.SendBuf)
+	}
+	l.Terminate()
+	h.acked, h.frontier = 1_000_000, 1_000_000
+	l.Open(10*netsim.MSS, false)
+	if want := h.acked + env.SendBuf - netsim.MSS; !l.Active() || l.TailNext() != want {
+		t.Fatalf("reopened loop at %d (active=%v), want %d", l.TailNext(), l.Active(), want)
+	}
+}
+
+// recordDst binds an endpoint at the flow's destination that keeps every
+// packet it receives.
+func recordDst(l *Loop) *[]netsim.Packet {
+	var got []netsim.Packet
+	l.f.Dst.Bind(l.f.ID, true, epFunc(func(p *netsim.Packet) { got = append(got, *p) }))
+	return &got
+}
+
+type epFunc func(*netsim.Packet)
+
+func (f epFunc) Handle(p *netsim.Packet) { f(p) }
+
+func TestNoECNAblation(t *testing.T) {
+	// Fig 15's variant: opportunistic packets go out non-ECT, and an ECE
+	// low ACK still clocks out a packet.
+	l, h, env := setup(t, 10_000_000)
+	l.Init(env, l.f, h, true, false)
+	got := recordDst(l)
+	l.Open(4*netsim.MSS, false)
+	env.Sched().RunUntil(env.BaseRTT())
+	if len(*got) == 0 {
+		t.Fatal("no opportunistic packet arrived")
+	}
+	for _, p := range *got {
+		if p.ECT {
+			t.Fatal("no-ECN ablation sent an ECT packet")
+		}
+	}
+	sent := l.OppSent()
+	ece := netsim.CtrlPacket(netsim.Ack, 1, 1, 0, 5)
+	ece.LowLoop, ece.ECE = true, true
+	l.OnLowAck(ece)
+	if l.OppSent() != sent+netsim.MSS {
+		t.Fatal("no-ECN ablation still silenced on ECE")
+	}
+}
+
+func TestNoEWDAblation(t *testing.T) {
+	// Fig 16's variant: a loop sends the whole remaining tail at line
+	// rate instead of pacing its initial window over one RTT.
+	l, h, env := setup(t, 10_000_000)
+	l.Init(env, l.f, h, false, true)
+	l.Open(4*netsim.MSS, false)
+	env.Sched().RunUntil(env.BaseRTT())
+	rtt := env.BaseRTT()
+	lineRate := int64(rtt / l.f.Src.Rate().TxTime(netsim.MSS+netsim.HeaderBytes))
+	if pkts := l.OppSent() / netsim.MSS; pkts < lineRate {
+		t.Fatalf("sent %d packets in one RTT, want the %d a line-rate loop sends", pkts, lineRate)
+	}
+}
+
+func TestStopTimersLeavesNoCallback(t *testing.T) {
+	l, _, env := setup(t, 10_000_000)
+	l.Open(10*netsim.MSS, false)
+	sent := l.OppSent()
+	l.StopTimers()
+	env.Sched().Run()
+	// A pacing callback would have sent more; a dead timer would have
+	// closed the loop.
+	if l.OppSent() != sent || !l.Active() {
+		t.Fatalf("after StopTimers: sent %d → %d, active=%v", sent, l.OppSent(), l.Active())
+	}
+}
+
+func TestECELowAckAllocatesNothing(t *testing.T) {
+	// The per-ACK path re-arms the dead timer with a pre-bound callback
+	// and hands the consumed meta back to the pool the receiver draws
+	// from, so a steady stream of ECE low ACKs allocates nothing.
+	l, _, env := setup(t, 10_000_000)
+	l.Open(4*netsim.MSS, false)
+	ack := netsim.CtrlPacket(netsim.Ack, 1, 1, 0, 5)
+	ack.LowLoop, ack.ECE = true, true
+	allocs := testing.AllocsPerRun(100, func() {
+		meta := getAckMeta(env)
+		meta.LowSeqs = [2]int64{9_000_000, 9_001_448}
+		meta.LowLens = [2]int32{netsim.MSS, netsim.MSS}
+		meta.LowN = 2
+		ack.Meta = meta
+		l.OnLowAck(ack)
+	})
+	if allocs != 0 {
+		t.Fatalf("ECE low ACK allocates %v times", allocs)
 	}
 }

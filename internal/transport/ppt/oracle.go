@@ -68,9 +68,7 @@ func (o Oracle) Start(env *transport.Env, f *transport.Flow) {
 	if frac == 0 {
 		frac = 1.0
 	}
-	cfg := Config{DisableScheduling: true}.withDefaults()
-	r := newReceiver(env, f, cfg)
-	f.Dst.Bind(f.ID, true, r)
+	f.Dst.Bind(f.ID, true, newReceiver(env, f))
 	s := &oracleSender{
 		env:      env,
 		f:        f,

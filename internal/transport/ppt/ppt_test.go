@@ -189,13 +189,13 @@ func TestLCPTerminatesAfterSilence(t *testing.T) {
 	s := newSender(env, f, Config{}.withDefaults())
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
-	if !s.lcp.active {
+	if !s.lcp.Active() {
 		t.Fatal("case-1 loop did not open")
 	}
 	// No receiver: no low-priority ACKs ever arrive; the loop must shut
 	// itself down after ~2 RTTs of silence.
 	env.Sched().RunUntil(env.BaseRTT() * 20)
-	if s.lcp.active {
+	if s.lcp.Active() {
 		t.Fatal("LCP loop still active after 20 RTTs of ACK silence")
 	}
 }
@@ -206,22 +206,23 @@ func TestCase2ReopensOnAlphaMinimum(t *testing.T) {
 		Size: 10_000_000, FirstCall: 1000}
 	s := newSender(env, f, Config{}.withDefaults())
 	f.Src.Bind(f.ID, false, s)
-	s.lcp.terminate()
+	s.lcp.Terminate()
 	// Pretend the flow left slow start with a healthy Wmax.
 	s.hcp.ExitedSS = true
 	s.hcp.Wmax = float64(50 * netsim.MSS)
 	// α descending to a fresh minimum triggers a loop.
-	s.lcp.onAlpha(0.30)
-	if s.lcp.active {
+	s.onAlpha(0.30)
+	if s.lcp.Active() {
 		t.Fatal("loop opened while α above history minimum")
 	}
-	s.lcp.onAlpha(0.10)
-	if !s.lcp.active {
+	s.onAlpha(0.10)
+	if !s.lcp.Active() {
 		t.Fatal("loop did not open at α minimum")
 	}
-	// I = (0.5 − 0.10)·Wmax = 0.4·50MSS = 20MSS.
+	// I = (0.5 − 0.10)·Wmax = 0.4·50MSS = 20MSS, paced out within one RTT.
 	wantI := int64(0.4 * 50 * netsim.MSS)
-	got := s.lcp.budget + netsim.MSS // one packet already paced out
+	env.Sched().RunUntil(env.BaseRTT())
+	got := s.lcp.OppSent()
 	if got < wantI-netsim.MSS || got > wantI+netsim.MSS {
 		t.Fatalf("initial window = %d, want ~%d", got, wantI)
 	}
@@ -233,33 +234,33 @@ func TestCase2RequiresSlowStartExit(t *testing.T) {
 		Size: 10_000_000, FirstCall: 1000}
 	s := newSender(env, f, Config{}.withDefaults())
 	f.Src.Bind(f.ID, false, s)
-	s.lcp.terminate()
+	s.lcp.Terminate()
 	s.hcp.ExitedSS = false
-	s.lcp.onAlpha(0.0)
-	if s.lcp.active {
+	s.onAlpha(0.0)
+	if s.lcp.Active() {
 		t.Fatal("case-2 loop opened during slow start")
 	}
 }
 
 func TestEquation2NeverExceedsHalfWmax(t *testing.T) {
-	// For any α_min >= 0, I <= Wmax/2.
-	env := newEnv()
-	f := &transport.Flow{ID: 6, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
-		Size: 1 << 30, FirstCall: 1000}
+	// For any α_min >= 0, I <= Wmax/2. The loop paces I out within one
+	// RTT, so OppSent after an RTT is I.
 	for _, alphaMin := range []float64{0, 0.1, 0.25, 0.4999, 0.5, 0.9} {
+		env := newEnv()
+		f := &transport.Flow{ID: 6, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
+			Size: 1 << 30, FirstCall: 1000}
 		s := newSender(env, f, Config{}.withDefaults())
 		s.hcp.ExitedSS = true
 		s.hcp.Wmax = float64(100 * netsim.MSS)
-		s.lcp.onAlpha(0.99) // prime the history
-		s.lcp.onAlpha(alphaMin)
-		if !s.lcp.active {
+		s.onAlpha(0.99) // prime the history
+		s.onAlpha(alphaMin)
+		if !s.lcp.Active() {
 			continue // α too high: loop legitimately not opened
 		}
-		i := s.lcp.budget + s.lcp.oppSent
-		if float64(i) > s.hcp.Wmax/2+netsim.MSS {
+		env.Sched().RunUntil(env.BaseRTT())
+		if i := s.lcp.OppSent(); float64(i) > s.hcp.Wmax/2+netsim.MSS {
 			t.Fatalf("α=%v: I=%d exceeds Wmax/2=%v", alphaMin, i, s.hcp.Wmax/2)
 		}
-		s.lcp.terminate()
 	}
 }
 
@@ -270,20 +271,20 @@ func TestECESuppressesOpportunisticSend(t *testing.T) {
 	s := newSender(env, f, Config{}.withDefaults())
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
-	sent := s.lcp.oppSent
+	sent := s.lcp.OppSent()
 	// ECE-marked low-priority ACK: ignored, no new packet (§3.2).
 	ece := netsim.CtrlPacket(netsim.Ack, f.ID, f.Dst.ID(), f.Src.ID(), 4)
 	ece.LowLoop = true
 	ece.ECE = true
 	s.Handle(ece)
-	if s.lcp.oppSent != sent {
+	if s.lcp.OppSent() != sent {
 		t.Fatal("ECE low-priority ACK triggered a new opportunistic packet")
 	}
 	// Clean ACK: exactly one new packet.
 	ok := netsim.CtrlPacket(netsim.Ack, f.ID, f.Dst.ID(), f.Src.ID(), 4)
 	ok.LowLoop = true
 	s.Handle(ok)
-	if s.lcp.oppSent <= sent {
+	if s.lcp.OppSent() <= sent {
 		t.Fatal("clean low-priority ACK did not clock out a packet")
 	}
 }
@@ -295,12 +296,12 @@ func TestNoECNAblationIgnoresECE(t *testing.T) {
 	s := newSender(env, f, Config{DisableECN: true}.withDefaults())
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
-	sent := s.lcp.oppSent
+	sent := s.lcp.OppSent()
 	ece := netsim.CtrlPacket(netsim.Ack, f.ID, f.Dst.ID(), f.Src.ID(), 4)
 	ece.LowLoop = true
 	ece.ECE = true
 	s.Handle(ece)
-	if s.lcp.oppSent <= sent {
+	if s.lcp.OppSent() <= sent {
 		t.Fatal("no-ECN ablation still suppressed on ECE")
 	}
 }
@@ -340,7 +341,7 @@ func TestReceiverCoalescesTwoOpportunisticArrivals(t *testing.T) {
 			highAcks++
 		}
 	}))
-	rc := newReceiver(env, f, Config{}.withDefaults())
+	rc := newReceiver(env, f)
 	f.Dst.Bind(f.ID, true, rc)
 	mk := func(seq int64, low bool) *netsim.Packet {
 		p := netsim.DataPacket(f.ID, f.Src.ID(), f.Dst.ID(), seq, netsim.MSS, 0)
@@ -380,7 +381,7 @@ func TestReceiverFlushesStrandedArrival(t *testing.T) {
 			lowMetas = append(lowMetas, meta)
 		}
 	}))
-	rc := newReceiver(env, f, Config{}.withDefaults())
+	rc := newReceiver(env, f)
 	f.Dst.Bind(f.ID, true, rc)
 	p := netsim.DataPacket(f.ID, f.Src.ID(), f.Dst.ID(), 900_000, netsim.MSS, 4)
 	p.LowLoop = true
@@ -404,31 +405,39 @@ func TestReceiverFlushesStrandedArrival(t *testing.T) {
 	}
 }
 
-func TestTerminateResetsInflight(t *testing.T) {
-	// A loop terminated with opportunistic packets still unacknowledged
-	// must not veto the next one: a case-2 trigger reopens it.
+func TestTerminateKeepsBacklog(t *testing.T) {
+	// A terminated loop's unacknowledged opportunistic bytes stay in the
+	// backlog: a case-2 trigger whose window is at most twice the backlog
+	// is refused until low ACKs for those bytes drain it (or HCP's
+	// cumulative ACK passes them).
 	env := newEnv()
 	f := &transport.Flow{ID: 12, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
 		Size: 10_000_000, FirstCall: 1000}
 	s := newSender(env, f, Config{}.withDefaults())
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
-	if !s.lcp.active {
-		t.Fatal("case-1 loop did not open")
+	env.Sched().RunUntil(env.BaseRTT()) // case-1 window paced out, no receiver
+	backlog := s.lcp.OppSent()
+	if !s.lcp.Active() || backlog == 0 {
+		t.Fatal("case-1 loop sent nothing; test premise broken")
 	}
-	if s.lcp.oppSent == 0 {
-		t.Fatal("loop opened but sent nothing; test premise broken")
-	}
-	s.lcp.terminate()
-	if s.lcp.active {
-		t.Fatal("loop still active after terminate")
-	}
+	s.lcp.Terminate()
+	// Equation 2 at α_min = 0.10 gives I = 0.4·Wmax = the backlog.
 	s.hcp.ExitedSS = true
-	s.hcp.Wmax = float64(50 * netsim.MSS)
-	s.lcp.onAlpha(0.30)
-	s.lcp.onAlpha(0.10)
-	if !s.lcp.active {
-		t.Fatal("case-2 reopen suppressed after terminate")
+	s.hcp.Wmax = float64(backlog) / 0.4
+	s.onAlpha(0.30)
+	s.onAlpha(0.10)
+	if s.lcp.Active() {
+		t.Fatal("case-2 loop opened over an unacknowledged backlog")
+	}
+	ack := netsim.CtrlPacket(netsim.Ack, f.ID, f.Dst.ID(), f.Src.ID(), 4)
+	ack.LowLoop = true
+	ack.Meta = &transport.AckMeta{LowSeqs: [2]int64{f.Size - backlog},
+		LowLens: [2]int32{int32(backlog)}, LowN: 1}
+	s.Handle(ack)
+	s.onAlpha(0.05)
+	if !s.lcp.Active() {
+		t.Fatal("case-2 loop refused after its backlog was acknowledged")
 	}
 }
 
@@ -442,12 +451,12 @@ func TestOddOpportunisticCountDrainsInflight(t *testing.T) {
 		Size: 100_000, FirstCall: 1000}
 	s := newSender(env, f, Config{}.withDefaults())
 	f.Src.Bind(f.ID, false, s)
-	rc := newReceiver(env, f, Config{}.withDefaults())
+	rc := newReceiver(env, f)
 	f.Dst.Bind(f.ID, true, rc)
 	// One-packet loop: the EWD pair never forms.
-	s.lcp.open(netsim.MSS, false)
-	if !s.lcp.active || s.lcp.oppSent != netsim.MSS {
-		t.Fatalf("loop active=%v oppSent=%d after 1-packet open", s.lcp.active, s.lcp.oppSent)
+	s.lcp.Open(netsim.MSS, false)
+	if !s.lcp.Active() || s.lcp.OppSent() != netsim.MSS {
+		t.Fatalf("loop active=%v oppSent=%d after 1-packet open", s.lcp.Active(), s.lcp.OppSent())
 	}
 	env.Sched().Run()
 	// The flush ACK must have delivered the packet into the sender's
@@ -469,11 +478,11 @@ func TestSendBufBoundsLCPReach(t *testing.T) {
 	s := newSender(env, f, Config{}.withDefaults())
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
-	if !s.lcp.active || s.lcp.oppSent == 0 {
+	if !s.lcp.Active() || s.lcp.OppSent() == 0 {
 		t.Fatal("case-1 loop did not open")
 	}
-	if s.lcp.tailNext >= env.SendBuf {
-		t.Fatalf("LCP tail at %d, beyond the %d-byte send buffer", s.lcp.tailNext, env.SendBuf)
+	if s.lcp.TailNext() >= env.SendBuf {
+		t.Fatalf("LCP tail at %d, beyond the %d-byte send buffer", s.lcp.TailNext(), env.SendBuf)
 	}
 }
 

@@ -2,10 +2,11 @@
 // equivalent to Swift [21], as used by the paper's Figure 14 study: the
 // congestion window is adjusted purely on measured fabric RTT against a
 // target delay (the ns-3 variant the paper describes, which ignores host
-// congestion). WithPPT layers the paper's LCP design on top: an
-// opportunistic low-priority loop opens whenever the measured delay
-// falls below target, uses the same 2:1 EWD clocking, and closes after
-// two silent RTTs, with PPT's mirror-symmetric flow scheduling.
+// congestion). WithPPT layers the paper's LCP design on top: the sender
+// hosts a lowloop.Loop — the loop PPT itself runs, with its 2:1 EWD
+// clocking, ECE silencing and two-RTT termination — and opens it
+// whenever the measured delay falls below target, with PPT's
+// mirror-symmetric flow scheduling.
 package swift
 
 import (
@@ -13,7 +14,6 @@ import (
 	"ppt/internal/sim"
 	"ppt/internal/transport"
 	"ppt/internal/transport/lowloop"
-	"ppt/internal/transport/ppt"
 )
 
 // Config tunes the delay-based loop.
@@ -71,11 +71,9 @@ func (p Proto) Start(env *transport.Env, f *transport.Flow) {
 	if cfg.WithPPT && f.FirstCall > 100_000 {
 		f.IdentifiedLarge = true
 	}
-	if cfg.WithPPT {
-		f.Dst.Bind(f.ID, true, ppt.NewDualLoopReceiver(env, f))
-	} else {
-		f.Dst.Bind(f.ID, true, &receiver{env: env, f: f, r: transport.NewReassembly(f.Size)})
-	}
+	rc := &receiver{env: env, f: f}
+	rc.Init(env, f)
+	f.Dst.Bind(f.ID, true, rc)
 	s := &sender{env: env, f: f, cfg: cfg, cwnd: float64(cfg.InitCwnd)}
 	if cfg.WithPPT {
 		s.loop = lowloop.New(env, f, s)
@@ -106,6 +104,9 @@ type sender struct {
 
 // Frontier implements lowloop.Host.
 func (s *sender) Frontier() int64 { return s.sndNxt }
+
+// Acked implements lowloop.Host.
+func (s *sender) Acked() int64 { return s.sndUna }
 
 // Window implements lowloop.Host.
 func (s *sender) Window() float64 { return s.cwnd }
@@ -299,11 +300,12 @@ func (s *sender) rtt() sim.Time {
 	return s.env.BaseRTT()
 }
 
-// receiver is the plain delay-echo receiver.
+// receiver echoes send timestamps on per-packet cumulative ACKs; with
+// WithPPT, its lowloop half also acknowledges the opportunistic packets.
 type receiver struct {
+	lowloop.Receiver
 	env *transport.Env
 	f   *transport.Flow
-	r   *transport.Reassembly
 }
 
 // Handle implements netsim.Endpoint.
@@ -311,12 +313,13 @@ func (rc *receiver) Handle(pkt *netsim.Packet) {
 	if pkt.Kind != netsim.Data {
 		return
 	}
-	rc.r.Add(pkt.Seq, pkt.PayloadLen)
-	ack := rc.f.Dst.Ctrl(netsim.Ack, rc.f.ID, rc.f.Src.ID(), 0)
-	ack.Seq = rc.r.CumAck()
-	ack.EchoTS = pkt.SentAt
-	rc.f.Dst.Send(ack)
-	if rc.r.Complete() {
+	if rc.Deliver(pkt) {
+		ack := rc.f.Dst.Ctrl(netsim.Ack, rc.f.ID, rc.f.Src.ID(), 0)
+		ack.Seq = rc.R.CumAck()
+		ack.EchoTS = pkt.SentAt
+		rc.f.Dst.Send(ack)
+	}
+	if rc.R.Complete() {
 		rc.env.Complete(rc.f)
 	}
 }

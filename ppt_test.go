@@ -1,6 +1,7 @@
 package ppt
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -112,6 +113,29 @@ func TestRunRejectsUnknownNames(t *testing.T) {
 	}
 	if _, err := Run(Config{Workload: "bitcoin"}); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+}
+
+// badScales are the workload scales exp.RunByID rejects; the public
+// runs must reject them too, with one error naming the value.
+var badScales = []struct {
+	cfg  Config
+	want string
+}{
+	{Config{Flows: -5}, "-5"},
+	{Config{Flows: -3}, "-3"},
+	{Config{Load: -1}, "-1"},
+	{Config{Load: math.NaN()}, "NaN"},
+	{Config{Load: math.Inf(1)}, "+Inf"},
+	{Config{Load: math.Inf(-1)}, "-Inf"},
+}
+
+func TestRunRejectsBadScale(t *testing.T) {
+	for _, tc := range badScales {
+		if _, err := Run(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Run(Flows=%d Load=%v) error = %v, want one naming %s",
+				tc.cfg.Flows, tc.cfg.Load, err, tc.want)
+		}
 	}
 }
 
