@@ -45,15 +45,16 @@ func TestCacheKeyExcludesEngineKnobs(t *testing.T) {
 
 	// Outcome-relevant: descriptor must change.
 	relevant := map[string]func(*runSpec){
-		"seed":    func(s *runSpec) { s.seed = 4 },
-		"flows":   func(s *runSpec) { s.flows = 101 },
-		"load":    func(s *runSpec) { s.load = 0.6 },
-		"scheme":  func(s *runSpec) { s.sc = baseSchemes()["dctcp"] },
-		"dist":    func(s *runSpec) { s.dist = workload.DataMining },
-		"pattern": func(s *runSpec) { s.pattern = workload.Incast{N: 3, Target: 0} },
-		"sendBuf": func(s *runSpec) { s.sendBuf = 128 << 10 },
-		"fabric":  func(s *runSpec) { s.fab = fastFabric(3, 2, 8) },
-		"shape":   func(s *runSpec) { s.fab = simFabric(4, 2, 6) }, // same hosts, different wiring
+		"seed":     func(s *runSpec) { s.seed = 4 },
+		"flows":    func(s *runSpec) { s.flows = 101 },
+		"load":     func(s *runSpec) { s.load = 0.6 },
+		"scheme":   func(s *runSpec) { s.sc = baseSchemes()["dctcp"] },
+		"dist":     func(s *runSpec) { s.dist = workload.DataMining },
+		"pattern":  func(s *runSpec) { s.pattern = workload.Incast{N: 3, Target: 0} },
+		"sendBuf":  func(s *runSpec) { s.sendBuf = 128 << 10 },
+		"fabric":   func(s *runSpec) { s.fab = fastFabric(3, 2, 8) },
+		"shape":    func(s *runSpec) { s.fab = simFabric(4, 2, 6) }, // same hosts, different wiring
+		"observer": func(s *runSpec) { s.obs = switchDrops },
 	}
 	for name, mutate := range relevant {
 		spec := base
@@ -69,6 +70,17 @@ func TestCacheKeyExcludesEngineKnobs(t *testing.T) {
 	tweaked.sc = scheme{name: "ppt", tweak: tweakINT, make: base.sc.make}
 	if specDesc(tweaked) == baseDesc {
 		t.Error("scheme tweak (post-tweak switch config) does not reach the descriptor")
+	}
+
+	// The oracle's fill fraction, and which observer stores the extras
+	// (fig28 and fig29 run the same cells), must each reach it too.
+	if specDesc(hypothetical(Options{}, base, 0.5)) == specDesc(hypothetical(Options{}, base, 1.0)) {
+		t.Error("the hypothetical scheme's fill fraction does not reach the descriptor")
+	}
+	occ, eff := base, base
+	occ.obs, eff.obs = occupancy, efficiency
+	if specDesc(occ) == specDesc(eff) {
+		t.Error("the observer tag does not reach the descriptor")
 	}
 }
 
@@ -115,10 +127,12 @@ func TestCacheCrossEngineHit(t *testing.T) {
 // the extras must replay from the stored value, byte-identically.
 func TestCacheReplaysExtras(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs three experiments twice")
+		t.Skip("runs five experiments twice")
 	}
 	// fig15: ablation extras (low-eff/low-drops/...); fig3: oracle cells
-	// with switch-drops; scale1M: spill extras (resident_peak/spilled).
+	// with switch-drops; scale1M: spill extras (resident_peak/spilled);
+	// fig20: the utilization sampler, the oracle among its cells; fig28:
+	// the occupancy sampler.
 	for _, tc := range []struct {
 		id    string
 		flows int
@@ -126,6 +140,8 @@ func TestCacheReplaysExtras(t *testing.T) {
 		{"fig15", 20},
 		{"fig3", 12},
 		{"scale1M", 2_000},
+		{"fig20", 20},
+		{"fig28", 20},
 	} {
 		tc := tc
 		t.Run(tc.id, func(t *testing.T) {

@@ -59,7 +59,7 @@ func TestShardedDifferential(t *testing.T) {
 
 		base := spec
 		base.shards = 1
-		baseSum, baseEnv := execute(base)
+		baseSum, _, baseEnv := execute(base)
 		totalEvents += baseEnv.Net.Executed()
 		if baseEnv.Net.Part == nil {
 			t.Fatalf("trial %d: shards=1 did not build a partitioned fabric", trial)
@@ -69,7 +69,7 @@ func TestShardedDifferential(t *testing.T) {
 		for _, shards := range []int{2, 4, 8, 1} {
 			alt := spec
 			alt.shards = shards
-			altSum, altEnv := execute(alt)
+			altSum, _, altEnv := execute(alt)
 			totalEvents += altEnv.Net.Executed()
 			if baseSum != altSum {
 				t.Errorf("trial %d (%s flows=%d load=%g seed=%d): shards=%d summary diverged from shards=1\nbase: %+v\nalt:  %+v",

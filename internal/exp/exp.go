@@ -455,7 +455,7 @@ func RunCell(cfg Config) (stats.Summary, *transport.Env, error) {
 	if cfg.Incast > 0 {
 		pattern = workload.Incast{N: fab.hosts, Target: 0, Senders: cfg.Incast}
 	}
-	sum, env := execute(runSpec{
+	sum, _, env := execute(runSpec{
 		fab: fab, sc: sc, dist: dist, pattern: pattern,
 		load: cfg.Load, flows: cfg.Flows, seed: cfg.Seed, sendBuf: cfg.SendBuf,
 	})

@@ -7,7 +7,9 @@ import (
 
 // TestEveryExperimentRunsAtSmokeScale is the registry's integration
 // test: every registered table/figure must run to completion at a tiny
-// workload size and produce at least one row.
+// workload size and produce at least one row, with no failed cell. It
+// goes through RunByID, which turns every failed pool cell — a run-end
+// audit panic included — into a "cell failed" note.
 func TestEveryExperimentRunsAtSmokeScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration sweep")
@@ -20,9 +22,17 @@ func TestEveryExperimentRunsAtSmokeScale(t *testing.T) {
 			if e.ID == "ident" {
 				flows = 5000
 			}
-			res := e.Run(Options{Flows: flows, Seed: 2}.withDefaults(e.DefFlows))
-			if res == nil || len(res.Rows) == 0 {
+			res, err := RunByID(e.ID, Options{Flows: flows, Seed: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) == 0 {
 				t.Fatalf("%s produced no rows", e.ID)
+			}
+			for _, n := range res.Notes {
+				if strings.HasPrefix(n, "cell failed") {
+					t.Errorf("%s: %s", e.ID, n)
+				}
 			}
 			if res.ID != e.ID {
 				t.Fatalf("result id %q != %q", res.ID, e.ID)

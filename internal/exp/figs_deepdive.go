@@ -35,45 +35,36 @@ func ablation(id, title, note string, defFlows int, variant ppt.Config, plainBuf
 			pattern := workload.AllToAll{N: fab.hosts}
 			p := newPool(o)
 			var outs []*cellOut
-			var names []string
 			for _, cfg := range []ppt.Config{{}, variant} {
 				sc := pptScheme((ppt.Proto{Cfg: cfg}).Name(), cfg)
-				names = append(names, sc.name)
-				// The LCP health extras come from the extractor so they are
-				// part of the cached value (an ablation cell and a plain
-				// comparison cell over the same spec are different cache
-				// entries — the extras tag separates them).
-				outs = append(outs, p.submitSpecExtra(sc.name, runSpec{fab: fab, sc: sc,
+				outs = append(outs, p.submitSpec(sc.name, runSpec{fab: fab, sc: sc,
 					dist: workload.WebSearch, pattern: pattern, load: load,
-					flows: o.Flows, seed: o.Seed},
-					"lcp-ablation", func(env *transport.Env) map[string]float64 {
-						var lowDrops, lowMarks int64
-						for _, sp := range env.Net.SwitchPorts() {
-							lowDrops += sp.Stats.DropsLow
-							lowMarks += sp.Stats.MarksLow
-						}
-						return map[string]float64{
-							"low-eff":    env.Eff.LowLoop(),
-							"low-drops":  float64(lowDrops),
-							"low-marks":  float64(lowMarks),
-							"low-sentMB": float64(env.Eff.SentLowPayload) / 1e6,
-						}
-					}))
+					flows: o.Flows, seed: o.Seed, obs: lcpHealth}))
 			}
 			p.run()
-			var rows []Row
-			for i, out := range outs {
-				if out.failed() {
-					rows = append(rows, Row{Label: names[i]})
-					continue
-				}
-				rows = append(rows, Row{Label: names[i], Sum: out.sum, Extra: out.extra})
-			}
-			return &Result{ID: id, Title: title, Rows: rows, Notes: []string{note,
+			return &Result{ID: id, Title: title, Rows: cellRows(outs), Notes: []string{note,
 				"with dynamic-threshold switches, the damage of a misbehaving LCP surfaces as wasted low-class traffic (low-eff, low-drops) before it surfaces as FCT"}}
 		},
 	})
 }
+
+// lcpHealth reports the low loop's health after the run: its transfer
+// efficiency, its drops and marks at the switches, and the payload it
+// sent. Its tag keeps an ablation cell and a plain comparison cell over
+// the same spec in different cache entries.
+var lcpHealth = readAfter("lcp-ablation", func(env *transport.Env) map[string]float64 {
+	var lowDrops, lowMarks int64
+	for _, sp := range env.Net.SwitchPorts() {
+		lowDrops += sp.Stats.DropsLow
+		lowMarks += sp.Stats.MarksLow
+	}
+	return map[string]float64{
+		"low-eff":    env.Eff.LowLoop(),
+		"low-drops":  float64(lowDrops),
+		"low-marks":  float64(lowMarks),
+		"low-sentMB": float64(env.Eff.SentLowPayload) / 1e6,
+	}
+})
 
 func init() {
 	ablation("fig15", "Ablation: ECN for the LCP loop (plain shared buffers)",
@@ -107,7 +98,7 @@ func init() {
 			// flag it forever.
 			measure := func(sc scheme) Row {
 				start := time.Now()
-				sum, env := execute(runSpec{fab: fab, sc: sc, dist: workload.WebSearch,
+				sum, _, env := execute(runSpec{fab: fab, sc: sc, dist: workload.WebSearch,
 					pattern: workload.AllToAll{N: fab.hosts}, load: load, flows: o.Flows, seed: o.Seed})
 				elapsed := time.Since(start)
 				events := env.Sched().Executed
@@ -130,23 +121,16 @@ func init() {
 		Title:    "Link utilization: PPT vs DCTCP vs hypothetical DCTCP (ideal 0.5)",
 		DefFlows: 400,
 		Run: func(o Options) *Result {
+			all := baseSchemes()
 			p := newPool(o)
-			rows := make([]Row, 3)
-			p.submit("fig20 dctcp", func() (err error) {
-				rows[0], err = utilizationRun(o, 0.5, "dctcp", 0)
-				return err
-			})
-			p.submit("fig20 ppt", func() (err error) {
-				rows[1], err = utilizationRun(o, 0.5, "ppt", 0)
-				return err
-			})
-			p.submit("fig20 hypothetical", func() (err error) {
-				rows[2], err = utilizationRun(o, 0.5, "", 1.0)
-				return err
-			})
+			outs := []*cellOut{
+				p.submitSpec("dctcp", utilSpec(o, all["dctcp"])),
+				p.submitSpec("ppt", utilSpec(o, all["ppt"])),
+				p.submitSpec("hypothetical", hypothetical(o, utilSpec(o, scheme{}), 1.0)),
+			}
 			p.run()
 			return &Result{ID: "fig20", Title: "bottleneck utilization under web search at 0.5 load",
-				Rows:  rows,
+				Rows:  cellRows(outs),
 				Notes: []string{"paper: PPT ~ hypothetical, both hold ~50%; DCTCP dips to ~25% (up to 1.8x lower)"}}
 		},
 	})
@@ -164,28 +148,21 @@ func init() {
 			pattern := workload.AllToAll{N: fab.hosts}
 			p := newPool(o)
 			var outs []*cellOut
-			var names []string
 			for _, frac := range []float64{0.2, 0.4, 0.6, 0.8} {
 				frac := frac
 				sc := scheme{
 					name:  fmt.Sprintf("rc3-low%d%%", int(frac*100)),
 					tweak: func(c *topo.Config) { c.LowClassCap = int64(frac * float64(c.PerPortBuffer)) },
-					make:  func(*transport.Env) transport.Protocol { return rc3.Proto{} },
+					make:  func() transport.Protocol { return rc3.Proto{} },
 				}
-				names = append(names, sc.name)
 				outs = append(outs, p.submitSpec(sc.name, runSpec{fab: fab, sc: sc,
 					dist: workload.WebSearch, pattern: pattern, load: load,
 					flows: o.Flows, seed: o.Seed}))
 			}
 			pptRows := compareCells(p, o, fab, workload.WebSearch, pattern, load, []string{"ppt"})
 			p.run()
-			var rows []Row
-			for i, out := range outs {
-				rows = append(rows, Row{Label: names[i], Sum: out.sum})
-			}
-			rows = append(rows, pptRows()...)
 			return &Result{ID: "fig24", Title: "RC3 low-priority buffer caps",
-				Rows:  rows,
+				Rows:  append(cellRows(outs), pptRows()...),
 				Notes: []string{"paper: PPT beats RC3 at every cap, by up to 71% overall and 73%/75% small avg/tail"}}
 		},
 	})
@@ -214,24 +191,18 @@ func init() {
 			pattern := workload.AllToAll{N: fab.hosts}
 			p := newPool(o)
 			var outs []*cellOut
-			var names []string
 			for _, buf := range []int64{128 << 10, 2 << 20, 4 << 20, 0 /* 2GB: unbounded */} {
 				label := "sndbuf-2GB"
 				if buf != 0 {
 					label = fmt.Sprintf("sndbuf-%dKB", buf>>10)
 				}
-				names = append(names, label)
 				outs = append(outs, p.submitSpec(label, runSpec{fab: fab, sc: pptScheme(label, ppt.Config{}),
 					dist: workload.WebSearch, pattern: pattern, load: load,
 					flows: o.Flows, seed: o.Seed, sendBuf: buf}))
 			}
 			p.run()
-			var rows []Row
-			for i, out := range outs {
-				rows = append(rows, Row{Label: names[i], Sum: out.sum})
-			}
 			return &Result{ID: "fig27", Title: "send-buffer sensitivity",
-				Rows:  rows,
+				Rows:  cellRows(outs),
 				Notes: []string{"paper: 128KB still beats proactive schemes on small flows; >=2MB recovers overall/large FCT too"}}
 		},
 	})
@@ -240,97 +211,65 @@ func init() {
 		ID:       "fig28",
 		Title:    "Buffer occupancy by class under 60%/80% ECN thresholds (Fig 28)",
 		DefFlows: 300,
-		Run:      func(o Options) *Result { return bufferStudy(o, false) },
+		Run: func(o Options) *Result {
+			return &Result{ID: "fig28", Title: "per-class buffer occupancy",
+				Rows:  bufferStudy(o, occupancy),
+				Notes: []string{"paper: PPT's low-priority queue holds only 2.6-3.1% of occupancy; RC3's holds 17.4-30.2%"}}
+		},
 	})
 	register(&Experiment{
 		ID:       "fig29",
 		Title:    "Transfer efficiency under 60%/80% ECN thresholds (Fig 29)",
 		DefFlows: 300,
-		Run:      func(o Options) *Result { return bufferStudy(o, true) },
+		Run: func(o Options) *Result {
+			return &Result{ID: "fig29", Title: "transfer efficiency (useful/sent)",
+				Rows:  bufferStudy(o, efficiency),
+				Notes: []string{"paper: PPT ~ DCTCP; RC3 loses 14.6-18.4% overall and ~50% on the low-priority loop"}}
+		},
 	})
 }
 
-// bufferStudy runs the Fig 28/29 dumbbell: 2 senders, 40G, 120KB buffer,
-// same ECN threshold for both classes at 60% and 80% of the buffer.
-func bufferStudy(o Options, efficiency bool) *Result {
+// bufferStudy runs the Fig 28/29 dumbbell cells under obs: 2 senders,
+// 40G, 120KB buffer, the same ECN threshold for both classes at 60% and
+// 80% of the buffer.
+func bufferStudy(o Options, obs observer) []Row {
 	load := 0.8
 	if o.Load != 0 {
 		load = o.Load
 	}
-	type cell struct {
-		name, label string
-		k           int64
-	}
-	var cells []cell
+	all := baseSchemes()
+	p := newPool(o)
+	var outs []*cellOut
 	for _, frac := range []float64{0.6, 0.8} {
 		k := int64(frac * 120_000)
+		fab := dumbbellFabric(2, k)
+		fab.cfg.ECNLowK = k // same threshold for both classes (per the paper)
 		for _, name := range []string{"dctcp", "rc3", "ppt"} {
 			if !o.wants(name) {
 				continue
 			}
-			cells = append(cells, cell{name, fmt.Sprintf("%s@K=%d%%", name, int(frac*100)), k})
+			outs = append(outs, p.submitSpec(fmt.Sprintf("%s@K=%d%%", name, int(frac*100)), runSpec{
+				fab: fab, sc: all[name], dist: workload.WebSearch, pattern: workload.Incast{N: 3, Target: 0},
+				load: load, flows: o.Flows, seed: o.Seed, obs: obs}))
 		}
-	}
-	p := newPool(o)
-	rows := make([]Row, len(cells))
-	for i, c := range cells {
-		i, c := i, c
-		rows[i] = Row{Label: c.label}
-		p.submit(c.label, func() error {
-			sum, extra, err := o.cachedCell(
-				bufStudyDesc(c.name, c.k, load, o.Flows, o.Seed, efficiency),
-				func() (stats.Summary, map[string]float64) {
-					return runBufferCell(o, c.name, c.k, load, efficiency)
-				})
-			if err != nil {
-				return err
-			}
-			rows[i] = Row{Label: c.label, Sum: sum, Extra: extra}
-			return nil
-		})
 	}
 	p.run()
-	title := "per-class buffer occupancy"
-	notes := []string{"paper: PPT's low-priority queue holds only 2.6-3.1% of occupancy; RC3's holds 17.4-30.2%"}
-	id := "fig28"
-	if efficiency {
-		id = "fig29"
-		title = "transfer efficiency (useful/sent)"
-		notes = []string{"paper: PPT ~ DCTCP; RC3 loses 14.6-18.4% overall and ~50% on the low-priority loop"}
-	}
-	return &Result{ID: id, Title: title, Rows: rows, Notes: notes}
+	return cellRows(outs)
 }
 
-// runBufferCell is one bufferStudy cell: a fresh dumbbell with the given
-// shared ECN threshold, a buffer-occupancy sampler on the bottleneck,
-// and one scheme driven to completion. Runs inside the cell cache
-// (bufStudyDesc), so everything it returns must come from this one
-// computation.
-func runBufferCell(o Options, name string, k int64, load float64, efficiency bool) (stats.Summary, map[string]float64) {
-	sc := baseSchemes()[name]
-	fab := dumbbellFabric(2, k)
-	fab.cfg.ECNLowK = k // same threshold for both classes (per the paper)
-	cfg := fab.cfg
-	if sc.tweak != nil {
-		sc.tweak(&cfg)
+// occupancy samples the bottleneck's per-class queue every 20µs and
+// reports the mean occupancy of each class (Fig 28).
+var occupancy = observer{tag: "occupancy", arm: func(env *transport.Env) func() map[string]float64 {
+	bs := stats.SampleBuffers(env.Sched(), env.Net.Switches[0].Port(0), 20*sim.Microsecond)
+	return func() map[string]float64 {
+		bs.Stop()
+		hi, lo := bs.MeanOccupancy()
+		return map[string]float64{"high-occ-KB": hi / 1000, "low-occ-KB": lo / 1000}
 	}
-	net := fab.build(cfg)
-	env := transport.NewEnv(net)
-	env.RTOMin = fab.rtoMin
-	bs := stats.SampleBuffers(env.Sched(), net.Switches[0].Port(0), 20*sim.Microsecond)
-	flows := makeFlows(cfg, workload.WebSearch, workload.Incast{N: 3, Target: 0}, load, o.Flows, o.Seed)
-	sum := transport.Run(env, sc.make(env), flows, transport.RunConfig{})
-	o.addEvents(env.Sched().Executed)
-	bs.Stop()
-	hi, lo := bs.MeanOccupancy()
-	if efficiency {
-		return sum, map[string]float64{
-			"transfer-eff": env.Eff.Overall(),
-			"low-eff":      env.Eff.LowLoop(),
-		}
-	}
-	return sum, map[string]float64{
-		"high-occ-KB": hi / 1000,
-		"low-occ-KB":  lo / 1000,
-	}
-}
+}}
+
+// efficiency reports the run's transfer efficiency, overall and on the
+// low loop (Fig 29).
+var efficiency = readAfter("efficiency", func(env *transport.Env) map[string]float64 {
+	return map[string]float64{"transfer-eff": env.Eff.Overall(), "low-eff": env.Eff.LowLoop()}
+})

@@ -6,93 +6,68 @@ import (
 	"ppt/internal/bufaware"
 	"ppt/internal/sim"
 	"ppt/internal/stats"
-	"ppt/internal/topo"
 	"ppt/internal/transport"
 	"ppt/internal/transport/ppt"
 	"ppt/internal/workload"
 )
 
-// makeFlows generates a workload for a fabric (shared by the oracle's
-// two passes, which must see identical flows).
-func makeFlows(cfg topo.Config, dist *workload.Dist, pattern workload.Pattern, load float64, n int, seed int64) []transport.SimpleFlow {
-	wf := workload.Generate(workload.GenConfig{
-		Dist: dist, Pattern: pattern, Load: load,
-		HostRate: cfg.HostRate, NumFlows: n, Seed: seed,
-	})
-	flows := make([]transport.SimpleFlow, len(wf))
-	for i, f := range wf {
-		flows[i] = transport.SimpleFlow{ID: f.ID, Src: f.Src, Dst: f.Dst, Size: f.Size, Arrive: f.Arrive}
+// hypothetical returns spec running the two-pass hypothetical DCTCP of
+// §2.3, which fills each flow to frac × the maximum window (MW) plain
+// DCTCP reached for it. The scheme's protocol is made by running pass 1
+// — DCTCP recording each flow's MW — through execute on the same spec
+// without its observer. Both passes count toward the run's events. The
+// scheme's name carries frac: that keeps the cache's scheme-name
+// invariant.
+func hypothetical(o Options, spec runSpec, frac float64) runSpec {
+	pass1 := spec
+	pass1.obs = observer{}
+	spec.sc = scheme{
+		name: fmt.Sprintf("hypothetical-%gxMW", frac),
+		make: func() transport.Protocol {
+			rec := ppt.NewMWRecorder()
+			p1 := pass1
+			p1.sc = scheme{name: rec.Name(), make: func() transport.Protocol { return rec }}
+			_, _, env := execute(p1)
+			o.addEvents(env.Net.Executed())
+			return ppt.Oracle{MW: rec.MW(), FillFraction: frac}
+		},
 	}
-	return flows
+	return spec
 }
 
-// runOracle runs the two-pass hypothetical DCTCP (§2.3) and returns the
-// second-pass summary. Both passes count toward the experiment's event
-// total.
-func runOracle(o Options, fab fabric, flows []transport.SimpleFlow, frac float64) (stats.Summary, *transport.Env) {
-	rec := ppt.NewMWRecorder()
-	env1 := transport.NewEnv(fab.build(fab.cfg))
-	env1.RTOMin = fab.rtoMin
-	transport.Run(env1, rec, flows, transport.RunConfig{})
-	env2 := transport.NewEnv(fab.build(fab.cfg))
-	env2.RTOMin = fab.rtoMin
-	sum := transport.Run(env2, ppt.Oracle{MW: rec.MW(), FillFraction: frac}, flows, transport.RunConfig{})
-	o.addEvents(env1.Sched().Executed + env2.Sched().Executed)
-	return sum, env2
+// utilSpec is the Fig 1/20 cell: web search from both senders of the
+// dumbbell to host 0 at load 0.5, the bottleneck downlink sampled.
+func utilSpec(o Options, sc scheme) runSpec {
+	return runSpec{fab: dumbbellFabric(2, 120_000), sc: sc, dist: workload.WebSearch,
+		pattern: workload.Incast{N: 3, Target: 0}, load: 0.5, flows: o.Flows, seed: o.Seed,
+		obs: utilization}
 }
 
-// utilizationRun drives one scheme (named in baseSchemes, or the
-// two-pass oracle when oracleFrac > 0) on the Fig 1/20 dumbbell and
-// samples the bottleneck downlink every 100µs. The whole cell —
-// summary and utilization extras — runs through the result cache.
-func utilizationRun(o Options, load float64, schemeName string, oracleFrac float64) (Row, error) {
-	fab := dumbbellFabric(2, 120_000)
-	label := "hypothetical"
-	var sc scheme
-	if oracleFrac <= 0 {
-		sc = baseSchemes()[schemeName]
-		label = sc.make(nil).Name()
+// utilization samples the bottleneck downlink every 100µs and reports
+// its steady-state mean and minimum (the first 10% of samples skipped).
+var utilization = observer{tag: "util", arm: func(env *transport.Env) func() map[string]float64 {
+	us := stats.SampleUtilization(env.Sched(), env.Net.Switches[0].Port(0), 100*sim.Microsecond)
+	return func() map[string]float64 {
+		us.Stop()
+		var from sim.Time
+		if n := len(us.Samples); n > 0 {
+			from = us.Samples[n/10].At
+		}
+		return map[string]float64{
+			"util-mean": us.Mean(from, sim.MaxTime),
+			"util-min":  us.Min(from, sim.MaxTime),
+		}
 	}
-	sum, extra, err := o.cachedCell(
-		utilDesc(fab, load, o.Flows, o.Seed, schemeName, oracleFrac),
-		func() (stats.Summary, map[string]float64) {
-			cfg := fab.cfg
-			flows := makeFlows(cfg, workload.WebSearch, workload.Incast{N: 3, Target: 0}, load, o.Flows, o.Seed)
-			net := fab.build(cfg)
-			env := transport.NewEnv(net)
-			env.RTOMin = fab.rtoMin
-			us := stats.SampleUtilization(env.Sched(), net.Switches[0].Port(0), 100*sim.Microsecond)
-			var sum stats.Summary
-			if oracleFrac > 0 {
-				// Oracle runs its own two passes on fresh fabrics; the sampler
-				// above is replaced by one on the second-pass fabric.
-				rec := ppt.NewMWRecorder()
-				transport.Run(env, rec, flows, transport.RunConfig{})
-				net2 := fab.build(cfg)
-				env2 := transport.NewEnv(net2)
-				env2.RTOMin = fab.rtoMin
-				us = stats.SampleUtilization(env2.Sched(), net2.Switches[0].Port(0), 100*sim.Microsecond)
-				sum = transport.Run(env2, ppt.Oracle{MW: rec.MW(), FillFraction: oracleFrac}, flows, transport.RunConfig{})
-				o.addEvents(env2.Sched().Executed)
-			} else {
-				sum = transport.Run(env, sc.make(env), flows, transport.RunConfig{})
-			}
-			o.addEvents(env.Sched().Executed)
-			us.Stop()
-			// Steady state: skip the first 10% of samples.
-			n := len(us.Samples)
-			var from sim.Time
-			if n > 0 {
-				from = us.Samples[n/10].At
-			}
-			to := sim.MaxTime
-			return sum, map[string]float64{
-				"util-mean": us.Mean(from, to),
-				"util-min":  us.Min(from, to),
-			}
-		})
-	return Row{Label: label, Sum: sum, Extra: extra}, err
-}
+}}
+
+// switchDrops counts the run's drops at every switch port.
+var switchDrops = readAfter("switch-drops", func(env *transport.Env) map[string]float64 {
+	var drops int64
+	for _, sp := range env.Net.SwitchPorts() {
+		drops += sp.Stats.Drops
+	}
+	return map[string]float64{"switch-drops": float64(drops)}
+})
 
 func init() {
 	register(&Experiment{
@@ -100,12 +75,11 @@ func init() {
 		Title:    "DCTCP link utilization fluctuates under Web Search at load 0.5 (ideal 0.5)",
 		DefFlows: 400,
 		Run: func(o Options) *Result {
-			row, err := utilizationRun(o, 0.5, "dctcp", 0)
-			if err != nil {
-				o.errs.add(fmt.Sprintf("fig1 dctcp: %v", err))
-			}
+			p := newPool(o)
+			out := p.submitSpec("dctcp", utilSpec(o, baseSchemes()["dctcp"]))
+			p.run()
 			return &Result{ID: "fig1", Title: "DCTCP link utilization (dumbbell 2->1, 40G)",
-				Rows:  []Row{row},
+				Rows:  cellRows([]*cellOut{out}),
 				Notes: []string{"paper: DCTCP fluctuates between ~25% and ~50%; util-min well below 0.5 reproduces the drop"}}
 		},
 	})
@@ -119,28 +93,14 @@ func init() {
 			pattern := workload.AllToAll{N: fab.hosts}
 			p := newPool(o)
 			baseRows := compareCells(p, o, fab, workload.WebSearch, pattern, 0.5, []string{"ndp", "homa", "dctcp"})
-			var oracleSum stats.Summary
-			wantOracle := o.wants("hypothetical")
-			if wantOracle {
-				p.submit("hypothetical", func() error {
-					var err error
-					oracleSum, _, err = o.cachedCell(
-						oracleDesc(fab, workload.WebSearch, pattern, 0.5, o.Flows, o.Seed, 1.0),
-						func() (stats.Summary, map[string]float64) {
-							flows := makeFlows(fab.cfg, workload.WebSearch, pattern, 0.5, o.Flows, o.Seed)
-							sum, _ := runOracle(o, fab, flows, 1.0)
-							return sum, nil
-						})
-					return err
-				})
+			var oracle []*cellOut
+			if o.wants("hypothetical") {
+				oracle = append(oracle, p.submitSpec("hypothetical", hypothetical(o, runSpec{fab: fab,
+					dist: workload.WebSearch, pattern: pattern, load: 0.5, flows: o.Flows, seed: o.Seed}, 1.0)))
 			}
 			p.run()
-			rows := baseRows()
-			if wantOracle {
-				rows = append(rows, Row{Label: "hypothetical", Sum: oracleSum})
-			}
 			return &Result{ID: "fig2", Title: "overall avg FCT, hypothetical DCTCP vs baselines",
-				Rows:  rows,
+				Rows:  append(baseRows(), cellRows(oracle)...),
 				Notes: []string{"paper: hypothetical DCTCP beats Homa by ~33% and NDP by ~40% on overall avg FCT"}}
 		},
 	})
@@ -151,38 +111,16 @@ func init() {
 		DefFlows: 300,
 		Run: func(o Options) *Result {
 			fab := simFabric(3, 2, 8)
-			pattern := workload.AllToAll{N: fab.hosts}
-			// flows is shared read-only by every cell: each oracle pass
-			// copies what it needs into its own fabric.
-			flows := makeFlows(fab.cfg, workload.DataMining, pattern, 0.6, o.Flows, o.Seed)
-			fracs := []float64{0.5, 0.75, 1.0, 1.25, 1.5}
+			spec := runSpec{fab: fab, dist: workload.DataMining, pattern: workload.AllToAll{N: fab.hosts},
+				load: 0.6, flows: o.Flows, seed: o.Seed, obs: switchDrops}
 			p := newPool(o)
-			rows := make([]Row, len(fracs))
-			for i, frac := range fracs {
-				i, frac := i, frac
-				label := fmt.Sprintf("fill-%.2fxMW", frac)
-				rows[i] = Row{Label: label}
-				p.submit(label, func() error {
-					sum, extra, err := o.cachedCell(
-						oracleDesc(fab, workload.DataMining, pattern, 0.6, o.Flows, o.Seed, frac)+"extras=switch-drops\n",
-						func() (stats.Summary, map[string]float64) {
-							sum, env := runOracle(o, fab, flows, frac)
-							var drops int64
-							for _, sp := range env.Net.SwitchPorts() {
-								drops += sp.Stats.Drops
-							}
-							return sum, map[string]float64{"switch-drops": float64(drops)}
-						})
-					if err != nil {
-						return err
-					}
-					rows[i] = Row{Label: label, Sum: sum, Extra: extra}
-					return nil
-				})
+			var outs []*cellOut
+			for _, frac := range []float64{0.5, 0.75, 1.0, 1.25, 1.5} {
+				outs = append(outs, p.submitSpec(fmt.Sprintf("fill-%.2fxMW", frac), hypothetical(o, spec, frac)))
 			}
 			p.run()
 			return &Result{ID: "fig3", Title: "FCT vs fill fraction of MW",
-				Rows:  rows,
+				Rows:  cellRows(outs),
 				Notes: []string{"paper: under-filling (0.5xMW) wastes capacity; over-filling (1.5xMW) bursts and loses packets; 1.0xMW is the sweet spot"}}
 		},
 	})

@@ -69,6 +69,16 @@ func runScaleSpill(o Options, id, title string, dist *workload.Dist, spill int) 
 	if o.Load != 0 {
 		load = o.Load
 	}
+	// The spill accounting rides in the observer so it can replay from
+	// the cache (there is no collector on a hit). Its tag carries the
+	// chunk size: resident_peak/spilled are a function of it, even
+	// though the Summary is not.
+	obs := readAfter(fmt.Sprintf("scale-spill/chunk=%d", spill), func(env *transport.Env) map[string]float64 {
+		return map[string]float64{
+			"resident_peak":   float64(env.Collector.ResidentPeak()),
+			"spilled_records": float64(env.Collector.SpilledRecords()),
+		}
+	})
 	all := baseSchemes()
 	p := newPool(o)
 	type schemeCells struct {
@@ -82,24 +92,13 @@ func runScaleSpill(o Options, id, title string, dist *workload.Dist, spill int) 
 		}
 		outs := make([]*cellOut, o.Repeats)
 		for rep := 0; rep < o.Repeats; rep++ {
-			// The spill accounting rides in the extras extractor so it can
-			// replay from the cache (there is no collector on a hit). The
-			// extras tag carries the chunk size: resident_peak/spilled are
-			// a function of it, even though the Summary is not.
-			outs[rep] = p.submitSpecExtra(
+			outs[rep] = p.submitSpec(
 				fmt.Sprintf("%s flows=%d seed=%d", name, o.Flows, o.Seed+int64(rep)),
 				runSpec{
 					fab: fab, sc: all[name], dist: dist,
 					pattern: workload.AllToAll{N: fab.hosts},
 					load:    load, flows: o.Flows, seed: o.Seed + int64(rep),
-					spillChunk: spill,
-				},
-				fmt.Sprintf("scale-spill/chunk=%d", spill),
-				func(env *transport.Env) map[string]float64 {
-					return map[string]float64{
-						"resident_peak":   float64(env.Collector.ResidentPeak()),
-						"spilled_records": float64(env.Collector.SpilledRecords()),
-					}
+					spillChunk: spill, obs: obs,
 				})
 		}
 		cells = append(cells, schemeCells{name, outs})

@@ -45,7 +45,7 @@ func TestLookaheadMatrixDifferential(t *testing.T) {
 
 		base := spec
 		base.shards = 1
-		baseSum, baseEnv := execute(base)
+		baseSum, _, baseEnv := execute(base)
 		part := baseEnv.Net.Part
 		if part == nil || part.Lookahead == nil {
 			t.Fatalf("trial %d: partitioned build carries no lookahead matrix", trial)
@@ -78,7 +78,7 @@ func TestLookaheadMatrixDifferential(t *testing.T) {
 		for _, shards := range []int{2, n, n + 3, 1} {
 			alt := spec
 			alt.shards = shards
-			altSum, altEnv := execute(alt)
+			altSum, _, altEnv := execute(alt)
 			if baseSum != altSum {
 				t.Errorf("trial %d (leaves=%d spines=%d perLeaf=%d %s flows=%d seed=%d): shards=%d summary diverged\nbase: %+v\nalt:  %+v",
 					trial, leaves, spines, perLeaf, spec.sc.name, spec.flows, spec.seed, shards, baseSum, altSum)

@@ -5,10 +5,9 @@ import (
 	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
+	"ppt/internal/cache"
 	"ppt/internal/stats"
-	"ppt/internal/transport"
 )
 
 // This file is the parallel experiment runner. Every simulation cell —
@@ -57,10 +56,10 @@ type poolJob struct {
 }
 
 // cellOut is the landing slot for one execute() cell: the summary plus
-// any extras the cell's extractor computed. Deliberately no *Env — a
-// cache hit replays a cell without ever building an environment, so
-// everything a caller needs must land here (via the extras extractor)
-// during the compute itself.
+// the extras its observer computed. Deliberately no *Env — a cache hit
+// replays a cell without ever building an environment, so everything a
+// caller needs must land here (via the observer) during the compute
+// itself.
 type cellOut struct {
 	sum   stats.Summary
 	extra map[string]float64
@@ -68,6 +67,16 @@ type cellOut struct {
 }
 
 func (c *cellOut) failed() bool { return c.job.err != nil }
+
+// cellRows assembles one table row per cell, labelled as submitted. A
+// failed cell keeps its row, empty, so the table's shape is stable.
+func cellRows(outs []*cellOut) []Row {
+	rows := make([]Row, len(outs))
+	for i, c := range outs {
+		rows[i] = Row{Label: c.job.label, Sum: c.sum, Extra: c.extra}
+	}
+	return rows
+}
 
 // pool fans submitted cells across worker goroutines. Submission order
 // is preserved: each job writes only its own slot, and failures are
@@ -90,53 +99,44 @@ func (p *pool) submit(label string, fn func() error) *poolJob {
 }
 
 // submitSpec registers one execute() cell and returns its output slot,
-// valid after run().
+// valid after run(). With a result cache configured the cell is
+// answered content-addressed by specDesc: execute runs only on a miss
+// (or in verify mode), and its summary and extras are the stored value.
+// Event and sharding accounting stays inside that computation, so a hit
+// deliberately contributes zero events (nothing was simulated). A
+// verify-mode divergence fails the cell; pptsim turns the mismatch count
+// into a non-zero exit.
 func (p *pool) submitSpec(label string, spec runSpec) *cellOut {
-	return p.submitSpecExtra(label, spec, "", nil)
-}
-
-// submitSpecExtra is submitSpec for cells that report extra metrics:
-// extras (when non-nil) runs against the cell's environment right
-// after execute, inside the cached computation — so the extras are
-// part of the stored value and replay on a hit, when no environment
-// exists. extrasKind tags the cache descriptor so a cell with extras
-// never shares an entry with a summary-only cell over the same spec
-// (same simulation, different stored value). Event/sharding accounting
-// stays inside the computation too: a hit deliberately contributes
-// zero events (nothing was simulated).
-func (p *pool) submitSpecExtra(label string, spec runSpec, extrasKind string, extras func(*transport.Env) map[string]float64) *cellOut {
+	o := p.opts
 	out := &cellOut{}
-	spec.shards = p.opts.Shards
-	opts := p.opts
-	desc := specDesc(spec)
-	if extrasKind != "" {
-		desc += "extras=" + extrasKind + "\n"
+	spec.shards = o.Shards
+	compute := func() cache.Value {
+		sum, extra, env := execute(spec)
+		o.addEvents(env.Net.Executed())
+		o.sharding.add(env.ShardStats)
+		return cache.Value{Sum: sum, Extra: extra}
 	}
 	out.job = p.submit(label, func() error {
-		sum, extra, err := opts.cachedCell(desc, func() (stats.Summary, map[string]float64) {
-			sum, env := execute(spec)
-			if opts.events != nil {
-				atomic.AddUint64(opts.events, env.Net.Executed())
+		var v cache.Value
+		if o.Cache == nil {
+			v = compute()
+		} else {
+			key := o.Cache.NewKey(specDesc(spec))
+			var res cache.Outcome
+			if v, res = o.Cache.Do(key, o.CacheVerify, compute); res.Mismatch {
+				return fmt.Errorf("cache verify mismatch: stored entry %s diverges from fresh execution", key)
 			}
-			opts.sharding.add(env.ShardStats)
-			if extras == nil {
-				return sum, nil
-			}
-			return sum, extras(env)
-		})
-		if err != nil {
-			return err
 		}
-		out.sum, out.extra = sum, extra
+		out.sum, out.extra = v.Sum, v.Extra
 		return nil
 	})
-	if p.opts.StrictShards && p.opts.Shards > 1 && !spec.fab.partitionable {
+	if o.StrictShards && o.Shards > 1 && !spec.fab.partitionable {
 		// Fail the cell up front with an error naming the topology:
 		// a single-switch fabric would otherwise silently ignore the
 		// shard request and run monolithic.
 		out.job.err = fmt.Errorf(
-			"topology %q does not partition: -shards %d needs a multi-switch fabric (topo.LeafSpine partitions; topo.Star and topo.Dumbbell are single-switch)",
-			spec.fab.name, p.opts.Shards)
+			"topology %q does not partition: -shards %d needs a multi-switch fabric (topo.LeafSpine partitions; topo.Star is single-switch)",
+			spec.fab.name, o.Shards)
 	}
 	return out
 }

@@ -37,9 +37,10 @@ type fabric struct {
 	// leaf-spine), and a closure can't be hashed.
 	shape string
 	// partitionable marks builders that honor Config.Shards with a real
-	// multi-switch partition (topo.LeafSpine). Single-switch builders
-	// (topo.Star, topo.Dumbbell) have nothing to shard and silently run
-	// monolithic; Options.StrictShards turns that into a cell error.
+	// multi-switch partition (topo.LeafSpine). The single-switch
+	// builder (topo.Star: the testbed and the dumbbell) has nothing to
+	// shard and silently runs monolithic; Options.StrictShards turns
+	// that into a cell error.
 	partitionable bool
 }
 
@@ -147,7 +148,7 @@ type scheme struct {
 	// (trimming, INT, selective drop).
 	tweak func(*topo.Config)
 	// make builds a fresh protocol instance for one run.
-	make func(env *transport.Env) transport.Protocol
+	make func() transport.Protocol
 }
 
 func tweakTrim(c *topo.Config) { c.TrimToHeader = true }
@@ -164,37 +165,37 @@ func tweakDrop(c *topo.Config) {
 func pptScheme(name string, cfg ppt.Config) scheme {
 	return scheme{
 		name: name,
-		make: func(env *transport.Env) transport.Protocol { return ppt.Proto{Cfg: cfg} },
+		make: func() transport.Protocol { return ppt.Proto{Cfg: cfg} },
 	}
 }
 
 func baseSchemes() map[string]scheme {
 	return map[string]scheme{
-		"dctcp": {name: "dctcp", make: func(*transport.Env) transport.Protocol { return dctcp.Proto{} }},
-		"rc3":   {name: "rc3", make: func(*transport.Env) transport.Protocol { return rc3.Proto{} }},
+		"dctcp": {name: "dctcp", make: func() transport.Protocol { return dctcp.Proto{} }},
+		"rc3":   {name: "rc3", make: func() transport.Protocol { return rc3.Proto{} }},
 		// PIAS uses all eight priorities for demotion, so every queue
 		// marks like the high class (one per-port DCTCP threshold).
 		"pias": {name: "pias", tweak: func(c *topo.Config) { c.ECNLowK = c.ECNHighK },
-			make: func(*transport.Env) transport.Protocol { return pias.Proto{} }},
-		"hpcc": {name: "hpcc", tweak: tweakINT, make: func(*transport.Env) transport.Protocol { return hpcc.Proto{} }},
-		"homa": {name: "homa", make: func(*transport.Env) transport.Protocol { return homa.New(homa.Config{}) }},
+			make: func() transport.Protocol { return pias.Proto{} }},
+		"hpcc": {name: "hpcc", tweak: tweakINT, make: func() transport.Protocol { return hpcc.Proto{} }},
+		"homa": {name: "homa", make: func() transport.Protocol { return homa.New(homa.Config{}) }},
 		"aeolus": {name: "aeolus", tweak: tweakDrop,
-			make: func(*transport.Env) transport.Protocol { return aeolus.New(aeolus.Config{}) }},
+			make: func() transport.Protocol { return aeolus.New(aeolus.Config{}) }},
 		"ndp": {name: "ndp", tweak: tweakTrim,
-			make: func(*transport.Env) transport.Protocol { return ndp.New(ndp.Config{}) }},
+			make: func() transport.Protocol { return ndp.New(ndp.Config{}) }},
 		"ppt":       pptScheme("ppt", ppt.Config{}),
-		"swift":     {name: "swift", make: func(*transport.Env) transport.Protocol { return swift.Proto{} }},
-		"swift+ppt": {name: "swift+ppt", make: func(*transport.Env) transport.Protocol { return swift.Proto{Cfg: swift.Config{WithPPT: true}} }},
+		"swift":     {name: "swift", make: func() transport.Protocol { return swift.Proto{} }},
+		"swift+ppt": {name: "swift+ppt", make: func() transport.Protocol { return swift.Proto{Cfg: swift.Config{WithPPT: true}} }},
 		"hpcc+ppt": {name: "hpcc+ppt", tweak: tweakINT,
-			make: func(*transport.Env) transport.Protocol { return hpcc.PPTVariant{} }},
+			make: func() transport.Protocol { return hpcc.PPTVariant{} }},
 		// tcp10 is the TCP-10 row of Table 1: loss-driven TCP with an
 		// initial window of 10 (no ECN reaction).
-		"tcp10": {name: "tcp10", make: func(*transport.Env) transport.Protocol {
+		"tcp10": {name: "tcp10", make: func() transport.Protocol {
 			return dctcp.Proto{Cfg: dctcp.Config{NoECN: true}}
 		}},
-		"halfback": {name: "halfback", make: func(*transport.Env) transport.Protocol { return halfback.Proto{} }},
+		"halfback": {name: "halfback", make: func() transport.Protocol { return halfback.Proto{} }},
 		"expresspass": {name: "expresspass",
-			make: func(*transport.Env) transport.Protocol { return expresspass.New(expresspass.Config{}) }},
+			make: func() transport.Protocol { return expresspass.New(expresspass.Config{}) }},
 	}
 }
 
@@ -210,7 +211,9 @@ type runSpec struct {
 	// sendBuf models the TCP send buffer for first-call identification
 	// and LCP reach (0 = unbounded / 2GB).
 	sendBuf int64
-	app     bufaware.AppModel
+	// obs watches the run and computes the cell's extras (zero value:
+	// a summary-only cell).
+	obs observer
 	// shards is the partition hint for this cell (from Options.Shards;
 	// applied only when the fabric partitions and the protocol is
 	// shardable, so non-windowed cells stay byte-for-byte on the legacy
@@ -224,16 +227,34 @@ type runSpec struct {
 	spillChunk int
 }
 
+// observer watches one cell. execute calls arm on the built Env, after
+// the fabric, Env and spill are set up and before the workload starts;
+// arm returns the reader that computes the cell's extras once the run
+// has ended. The extras are part of the cached value, so they replay on
+// a hit, when no Env exists. tag names the extras in the cache
+// descriptor: two observers over the same simulation store different
+// values, so they must never share an entry.
+type observer struct {
+	tag string
+	arm func(env *transport.Env) func() map[string]float64
+}
+
+// readAfter is an observer that arms nothing and computes the extras
+// from the Env once the run has ended.
+func readAfter(tag string, read func(env *transport.Env) map[string]float64) observer {
+	return observer{tag: tag, arm: func(env *transport.Env) func() map[string]float64 {
+		return func() map[string]float64 { return read(env) }
+	}}
+}
+
 // streamSource adapts a lazy workload generator into transport's
-// FlowSource, assigning each flow its first-syscall size on the fly.
-// It draws from the classifier RNG exactly once per flow in generation
-// order — the same consumption sequence as bufaware.AssignFirstCalls
-// over the materialized trace — so a streamed cell releases
-// bit-identical flows to a materialized one.
+// FlowSource, assigning each flow its first-syscall size on the fly
+// under the bulk application model. It draws from the classifier RNG
+// exactly once per flow in generation order — the same consumption
+// sequence as bufaware.AssignFirstCalls over the materialized trace.
 type streamSource struct {
 	gen     *workload.Generator
 	rng     *rand.Rand
-	app     bufaware.AppModel
 	sendBuf int64
 }
 
@@ -244,7 +265,7 @@ func (s *streamSource) Next() (transport.SimpleFlow, bool) {
 	}
 	return transport.SimpleFlow{
 		ID: f.ID, Src: f.Src, Dst: f.Dst, Size: f.Size,
-		Arrive: f.Arrive, FirstCall: s.app.FirstCall(s.rng, f.Size, s.sendBuf),
+		Arrive: f.Arrive, FirstCall: bufaware.Bulk.FirstCall(s.rng, f.Size, s.sendBuf),
 	}, true
 }
 
@@ -253,29 +274,29 @@ func (s *streamSource) Next() (transport.SimpleFlow, bool) {
 // fails the cell.
 var auditNet func(*topo.Network) error
 
-// execute builds the fabric, streams the workload, and runs to
-// completion, returning the summary and the environment for extra
-// metrics.
-func execute(spec runSpec) (stats.Summary, *transport.Env) {
-	sum, env := simulate(spec)
+// execute runs one cell: it builds the fabric and Env, arms the cell's
+// observer, streams the workload to completion, reads the extras and
+// audits the fabric. It returns the summary, the extras and the Env.
+func execute(spec runSpec) (stats.Summary, map[string]float64, *transport.Env) {
+	sum, extra, env := simulate(spec)
 	if auditNet != nil {
 		if err := auditNet(env.Net); err != nil {
 			panic(err)
 		}
 	}
-	return sum, env
+	return sum, extra, env
 }
 
 // simulate is execute without the audit.
-func simulate(spec runSpec) (stats.Summary, *transport.Env) {
+func simulate(spec runSpec) (stats.Summary, map[string]float64, *transport.Env) {
 	cfg := spec.fab.cfg
 	if spec.sc.tweak != nil {
 		spec.sc.tweak(&cfg)
 	}
 	// Partition only for protocols that implement the windowed engine's
-	// split start; every maker ignores its env argument, so probing with
-	// nil is safe and the probe doubles as the run's protocol instance.
-	proto := spec.sc.make(nil)
+	// split start. make may itself run a cell (the hypothetical DCTCP's
+	// pass 1), so it runs before this cell's fabric exists.
+	proto := spec.sc.make()
 	if _, ok := proto.(transport.ShardableProtocol); ok && spec.shards >= 1 {
 		cfg.Shards = spec.shards
 	}
@@ -293,9 +314,9 @@ func simulate(spec runSpec) (stats.Summary, *transport.Env) {
 		// (ResidentPeak, SpilledRecords) survive Close.
 		defer env.Collector.Close()
 	}
-	app := spec.app
-	if app.Name == "" {
-		app = bufaware.Bulk
+	var read func() map[string]float64
+	if spec.obs.arm != nil {
+		read = spec.obs.arm(env)
 	}
 	src := &streamSource{
 		gen: workload.NewGenerator(workload.GenConfig{
@@ -307,10 +328,14 @@ func simulate(spec runSpec) (stats.Summary, *transport.Env) {
 			Seed:     spec.seed,
 		}),
 		rng:     rand.New(rand.NewSource(spec.seed + 7)),
-		app:     app,
 		sendBuf: spec.sendBuf,
 	}
-	return transport.RunSource(env, proto, src, transport.RunConfig{}), env
+	sum := transport.RunSource(env, proto, src, transport.RunConfig{})
+	var extra map[string]float64
+	if read != nil {
+		extra = read()
+	}
+	return sum, extra, env
 }
 
 // compare runs the given schemes over one workload and assembles rows,

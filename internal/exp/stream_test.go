@@ -13,34 +13,34 @@ import (
 // materialized differential: a cell through execute's lazy FlowSource
 // (with and without a spilling collector) must produce the byte-
 // identical summary of the same cell composed trace-first (generate,
-// AssignFirstCalls, transport.Run). This pins both halves of the
-// streaming pipeline at once — the generator+classifier RNG consumption
-// order, and the spill fold — through a real transport.
+// AssignFirstCalls under the bulk model, transport.Run). This pins both
+// halves of the streaming pipeline at once — the generator and the
+// first-call assignment, and the spill fold — through a real transport.
 func TestStreamedExecuteMatchesMaterialized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three full cells")
 	}
 	fab := simFabric(3, 2, 8)
-	// The memcached app model draws the classifier RNG per flow with
-	// a real chunking probability, so any divergence in draw order
-	// between AssignFirstCalls and the stream shows up immediately.
+	// Every memcached W1 flow is under 100KB, so under the bulk model
+	// each first call is the whole message; the 1MB send buffer still
+	// bounds PPT's LCP reach, on both sides of the comparison.
 	base := runSpec{
 		fab: fab, sc: baseSchemes()["ppt"], dist: workload.MemcachedW1,
 		pattern: workload.AllToAll{N: fab.hosts}, load: 0.5,
-		flows: 1500, seed: 3, app: bufaware.Memcached, sendBuf: 1 << 20,
+		flows: 1500, seed: 3, sendBuf: 1 << 20,
 	}
 	want := materialized(base)
 	if want.Flows != 1500 || want.Truncated {
 		t.Fatalf("reference cell did not complete: %+v", want)
 	}
 
-	if got, _ := execute(base); got != want {
+	if got, _, _ := execute(base); got != want {
 		t.Fatalf("streamed summary %+v != materialized %+v", got, want)
 	}
 
 	sp := base
 	sp.spillChunk = 64
-	got, env := execute(sp)
+	got, _, env := execute(sp)
 	if got != want {
 		t.Fatalf("streamed+spilled summary %+v != materialized %+v", got, want)
 	}
@@ -53,8 +53,8 @@ func TestStreamedExecuteMatchesMaterialized(t *testing.T) {
 }
 
 // materialized runs a monolithic cell trace-first: the whole workload
-// generated up front, first calls from bufaware.AssignFirstCalls, then
-// transport.Run over the slice.
+// generated up front, first calls from bufaware.AssignFirstCalls under
+// the bulk model, then transport.Run over the slice.
 func materialized(spec runSpec) stats.Summary {
 	cfg := spec.fab.cfg
 	if spec.sc.tweak != nil {
@@ -71,7 +71,7 @@ func materialized(spec runSpec) stats.Summary {
 	for i, f := range wf {
 		sizes[i] = f.Size
 	}
-	firstCalls := bufaware.AssignFirstCalls(sizes, spec.app, spec.sendBuf, spec.seed+7)
+	firstCalls := bufaware.AssignFirstCalls(sizes, bufaware.Bulk, spec.sendBuf, spec.seed+7)
 	flows := make([]transport.SimpleFlow, len(wf))
 	for i, f := range wf {
 		flows[i] = transport.SimpleFlow{
@@ -79,7 +79,7 @@ func materialized(spec runSpec) stats.Summary {
 			Arrive: f.Arrive, FirstCall: firstCalls[i],
 		}
 	}
-	return transport.Run(env, spec.sc.make(env), flows, transport.RunConfig{})
+	return transport.Run(env, spec.sc.make(), flows, transport.RunConfig{})
 }
 
 // TestScale1MSpills smoke-runs the scale family's experiment just past

@@ -1,8 +1,10 @@
-// Package topo builds the three fabric shapes the paper evaluates on:
-// the CloudLab-style single-switch testbed (15 hosts, 10G, 80µs RTT), the
-// 144-server leaf–spine simulation fabric (40/100G oversubscribed 1.4:1,
-// 100/400G variant, and the non-oversubscribed 10/40G variant), and a
-// 2-sender dumbbell used for the link-utilization microbenchmarks.
+// Package topo builds the two fabric shapes the paper evaluates on: a
+// single-switch star (Star) — the CloudLab-style testbed, and the
+// 2-sender dumbbell of the link-utilization and buffer microbenchmarks —
+// and a two-tier leaf–spine (LeafSpine), the simulation fabric with its
+// 40/100G, 100/400G and non-oversubscribed 10/40G variants. The paper's
+// parameters for each fabric live in one place, internal/exp's fabric
+// table.
 package topo
 
 import (
@@ -417,67 +419,4 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, cfg Config) *Network {
 		net.attachPool()
 	}
 	return net
-}
-
-// Dumbbell builds `senders` hosts plus one receiver on a single switch;
-// the receiver downlink is the bottleneck. Used by the Fig 1/20/28/29
-// microbenchmarks (2 senders, 40G, 120KB buffer).
-func Dumbbell(senders int, cfg Config) *Network {
-	if cfg.HostRate == 0 {
-		cfg.HostRate = 40 * netsim.Gbps
-	}
-	if cfg.LinkDelay == 0 {
-		cfg.LinkDelay = 1 * sim.Microsecond
-	}
-	return Star(senders+1, cfg)
-}
-
-// Paper-profile helpers ------------------------------------------------
-
-// TestbedProfile reproduces Table 3: 15 hosts on a 10G switch with 50MB
-// shared buffer, 80µs base RTT, K_H=100KB, K_L=80KB.
-func TestbedProfile() *Network {
-	return Star(15, Config{
-		HostRate:     10 * netsim.Gbps,
-		LinkDelay:    20 * sim.Microsecond,
-		SharedBuffer: 50 << 20,
-		ECNHighK:     100_000,
-		ECNLowK:      80_000,
-	})
-}
-
-// SimProfile reproduces §6.2: 144 servers, 9 leaves, 4 spines, 40/100G,
-// 120KB per-port buffer, K_H=96KB, K_L=86KB.
-func SimProfile() *Network {
-	return LeafSpine(9, 4, 16, Config{
-		HostRate:      40 * netsim.Gbps,
-		CoreRate:      100 * netsim.Gbps,
-		PerPortBuffer: 120_000,
-		ECNHighK:      96_000,
-		ECNLowK:       86_000,
-	})
-}
-
-// FastSimProfile is the 100/400G variant of Fig 22. ECN thresholds scale
-// with the 2.5× higher line rate at equal base RTT.
-func FastSimProfile() *Network {
-	return LeafSpine(9, 4, 16, Config{
-		HostRate:      100 * netsim.Gbps,
-		CoreRate:      400 * netsim.Gbps,
-		PerPortBuffer: 300_000,
-		ECNHighK:      240_000,
-		ECNLowK:       215_000,
-	})
-}
-
-// NonOversubscribedProfile reproduces appendix E: 9 leaves × 16 hosts at
-// 10G with 4 spines at 40G (16×10G = 4×40G, 1:1).
-func NonOversubscribedProfile() *Network {
-	return LeafSpine(9, 4, 16, Config{
-		HostRate:      10 * netsim.Gbps,
-		CoreRate:      40 * netsim.Gbps,
-		PerPortBuffer: 120_000,
-		ECNHighK:      30_000,
-		ECNLowK:       25_000,
-	})
 }

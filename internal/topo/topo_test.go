@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"strings"
 	"testing"
 
 	"ppt/internal/netsim"
@@ -33,46 +34,6 @@ func TestStarLatencyFirstProbe(t *testing.T) {
 	want := 40*sim.Microsecond + 2*(10*netsim.Gbps).TxTime(netsim.MSS+netsim.HeaderBytes)
 	if lat != want {
 		t.Fatalf("latency = %v, want %v", lat, want)
-	}
-}
-
-func TestTestbedProfile(t *testing.T) {
-	net := TestbedProfile()
-	if len(net.Hosts) != 15 || len(net.Switches) != 1 {
-		t.Fatalf("hosts=%d switches=%d", len(net.Hosts), len(net.Switches))
-	}
-	// Base RTT should be near the paper's 80us.
-	if net.BaseRTT < 80*sim.Microsecond || net.BaseRTT > 85*sim.Microsecond {
-		t.Fatalf("base RTT = %v", net.BaseRTT)
-	}
-	// 10G * ~80us = ~100KB BDP.
-	if bdp := net.BDP(); bdp < 95_000 || bdp > 110_000 {
-		t.Fatalf("BDP = %d", bdp)
-	}
-	pc := net.Switches[0].Port(0).Config()
-	if pc.ECNHighK != 100_000 || pc.ECNLowK != 80_000 {
-		t.Fatalf("ECN thresholds = %d/%d", pc.ECNHighK, pc.ECNLowK)
-	}
-}
-
-func TestSimProfileShape(t *testing.T) {
-	net := SimProfile()
-	if len(net.Hosts) != 144 {
-		t.Fatalf("hosts = %d", len(net.Hosts))
-	}
-	if len(net.Switches) != 13 {
-		t.Fatalf("switches = %d", len(net.Switches))
-	}
-	if net.BottleneckRate != 40*netsim.Gbps {
-		t.Fatalf("bottleneck = %v", net.BottleneckRate)
-	}
-	// Each leaf has 16 downlinks + 4 uplinks.
-	if got := len(net.Switches[0].Ports()); got != 20 {
-		t.Fatalf("leaf ports = %d", got)
-	}
-	// Each spine has 9 downlinks.
-	if got := len(net.Switches[9].Ports()); got != 9 {
-		t.Fatalf("spine ports = %d", got)
 	}
 }
 
@@ -113,36 +74,40 @@ func TestLeafSpineAllPairs(t *testing.T) {
 	}
 }
 
-func TestOversubscriptionRatio(t *testing.T) {
-	net := SimProfile()
-	// 16 hosts × 40G vs 4 uplinks × 100G per leaf = 1.6:1 raw; paper
-	// calls it 1.4:1 with their accounting — assert it is oversubscribed.
-	hostBW := 16 * 40
-	coreBW := 4 * 100
-	if hostBW <= coreBW {
-		t.Fatal("fabric not oversubscribed")
-	}
-	_ = net
-}
-
-func TestNonOversubscribedProfile(t *testing.T) {
-	net := NonOversubscribedProfile()
-	if net.BottleneckRate != 10*netsim.Gbps {
-		t.Fatalf("bottleneck = %v", net.BottleneckRate)
-	}
-	// 16×10G == 4×40G.
-	if 16*10 != 4*40 {
-		t.Fatal("ratio wrong")
-	}
-}
-
+// TestFastSimProfile checks LeafSpine on the 100/400G rates of Fig 22:
+// the host link is the bottleneck, and the BDP exceeds that of the
+// 40/100G fabric of the same shape.
 func TestFastSimProfile(t *testing.T) {
-	net := FastSimProfile()
+	net := LeafSpine(9, 4, 16, Config{HostRate: 100 * netsim.Gbps, CoreRate: 400 * netsim.Gbps})
 	if net.BottleneckRate != 100*netsim.Gbps {
 		t.Fatalf("bottleneck = %v", net.BottleneckRate)
 	}
-	if net.BDP() <= SimProfile().BDP() {
-		t.Fatal("faster fabric should have larger BDP")
+	slow := LeafSpine(9, 4, 16, Config{HostRate: 40 * netsim.Gbps, CoreRate: 100 * netsim.Gbps})
+	if net.BDP() <= slow.BDP() {
+		t.Fatalf("fast BDP %d not above 40/100G BDP %d", net.BDP(), slow.BDP())
+	}
+}
+
+// TestNonOversubscribedProfile checks LeafSpine on the 10/40G rates of
+// appendix E: the host link is the bottleneck, and every leaf's uplink
+// capacity equals its downlink capacity (1:1).
+func TestNonOversubscribedProfile(t *testing.T) {
+	net := LeafSpine(9, 4, 16, Config{HostRate: 10 * netsim.Gbps, CoreRate: 40 * netsim.Gbps})
+	if net.BottleneckRate != 10*netsim.Gbps {
+		t.Fatalf("bottleneck = %v", net.BottleneckRate)
+	}
+	for _, leaf := range net.Switches[:9] {
+		var down, up netsim.Rate
+		for _, p := range leaf.Ports() {
+			if strings.Contains(p.Name(), "-spine") {
+				up += p.Config().Rate
+			} else {
+				down += p.Config().Rate
+			}
+		}
+		if down == 0 || up != down {
+			t.Fatalf("%s: downlink %v, uplink %v", leaf.Name(), down, up)
+		}
 	}
 }
 
@@ -154,21 +119,11 @@ func TestSwitchPortsEnumeration(t *testing.T) {
 	}
 }
 
-func TestDumbbellBottleneck(t *testing.T) {
-	net := Dumbbell(2, Config{PerPortBuffer: 120_000, ECNHighK: 120_000})
-	if len(net.Hosts) != 3 {
-		t.Fatalf("hosts = %d", len(net.Hosts))
-	}
-	if net.Hosts[0].Rate() != 40*netsim.Gbps {
-		t.Fatalf("rate = %v", net.Hosts[0].Rate())
-	}
-}
-
 func TestNICMarksECN(t *testing.T) {
 	// When the host's own line rate is the first bottleneck, the queue
 	// forms at the NIC; it must mark there or a sender facing an
 	// equal-rate path would grow its window without bound.
-	net := TestbedProfile()
+	net := Star(15, Config{HostRate: 10 * netsim.Gbps, ECNHighK: 100_000, ECNLowK: 80_000})
 	nic := net.Hosts[0].NIC().Config()
 	if nic.ECNHighK != net.Cfg.ECNHighK || nic.ECNLowK != net.Cfg.ECNLowK {
 		t.Fatalf("NIC ECN thresholds = %d/%d, want %d/%d",

@@ -567,7 +567,14 @@ func TestCwndBoundedBySelfCongestion(t *testing.T) {
 	// NIC rate equals the path bottleneck must still see marks (at its
 	// own egress queue) and settle near BDP + K instead of inflating
 	// its window forever.
-	net := topo.TestbedProfile()
+	// The Table 3 testbed: 15 hosts on a 10G switch, 80µs base RTT.
+	net := topo.Star(15, topo.Config{
+		HostRate:     10 * netsim.Gbps,
+		LinkDelay:    20 * sim.Microsecond,
+		SharedBuffer: 50 << 20,
+		ECNHighK:     100_000,
+		ECNLowK:      80_000,
+	})
 	env := transport.NewEnv(net)
 	env.RTOMin = 10 * sim.Millisecond
 	var maxCwnd float64
