@@ -16,12 +16,15 @@ import (
 // That exclusion is itself pinned by TestCacheKeyExcludesEngineKnobs.
 //
 // Scheme-name invariant: a scheme's name uniquely determines its
-// protocol constructor and parameters (ablation variants carry
-// distinct ppt.Proto names, fig24/fig27 bake the swept parameter into
-// the label, the hypothetical DCTCP its fill fraction), so name +
-// post-tweak switch config is a complete scheme identity. A new scheme
-// whose name doesn't pin its parameters must encode them in the name
-// (as fig24/fig27 do) or extend specDesc.
+// protocol constructor and parameters, so name + post-tweak switch
+// config is a complete scheme identity. Every transport parameter is a
+// constant of its package or derived from the fabric, except the few a
+// name or label carries: dctcp's NoECN (tcp10), swift's WithPPT
+// (swift+ppt), PPT's four ablations (distinct ppt.Proto names), the
+// hypothetical DCTCP's fill fraction, and the parameter fig24/fig27
+// sweep. TestSchemeNamesPinParameters checks the scheme table and the
+// ablation names. A new scheme whose name doesn't pin its parameters
+// must encode them in the name (as fig24/fig27 do) or extend specDesc.
 
 // specDesc is the canonical descriptor of one execute() cell: the
 // fabric's builder shape (two builders can share name and config but

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ppt/internal/cache"
+	"ppt/internal/transport/ppt"
 	"ppt/internal/workload"
 )
 
@@ -16,6 +17,31 @@ func testExpCache(t *testing.T) *cache.Cache {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestSchemeNamesPinParameters pins the scheme-name invariant of
+// cache.go: the descriptor carries a scheme only by name, so each name
+// must stand for one protocol with one set of parameters.
+func TestSchemeNamesPinParameters(t *testing.T) {
+	for key, sc := range baseSchemes() {
+		if sc.name != key {
+			t.Errorf("scheme %q is named %q", key, sc.name)
+		}
+		if got := sc.make().Name(); got != key {
+			t.Errorf("scheme %q builds a protocol named %q", key, got)
+		}
+	}
+	// Figs 15–18 name each ablation cell after its protocol.
+	seen := map[string]bool{"ppt": true}
+	for _, cfg := range []ppt.Config{
+		{DisableECN: true}, {DisableEWD: true}, {DisableScheduling: true}, {DisableIdentification: true},
+	} {
+		name := ppt.Proto{Cfg: cfg}.Name()
+		if seen[name] {
+			t.Errorf("ablation %+v reuses the scheme name %q", cfg, name)
+		}
+		seen[name] = true
+	}
 }
 
 // TestCacheKeyExcludesEngineKnobs pins the key construction contract:

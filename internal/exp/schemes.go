@@ -178,11 +178,11 @@ func baseSchemes() map[string]scheme {
 		"pias": {name: "pias", tweak: func(c *topo.Config) { c.ECNLowK = c.ECNHighK },
 			make: func() transport.Protocol { return pias.Proto{} }},
 		"hpcc": {name: "hpcc", tweak: tweakINT, make: func() transport.Protocol { return hpcc.Proto{} }},
-		"homa": {name: "homa", make: func() transport.Protocol { return homa.New(homa.Config{}) }},
+		"homa": {name: "homa", make: func() transport.Protocol { return homa.New() }},
 		"aeolus": {name: "aeolus", tweak: tweakDrop,
-			make: func() transport.Protocol { return aeolus.New(aeolus.Config{}) }},
+			make: func() transport.Protocol { return aeolus.New() }},
 		"ndp": {name: "ndp", tweak: tweakTrim,
-			make: func() transport.Protocol { return ndp.New(ndp.Config{}) }},
+			make: func() transport.Protocol { return ndp.New() }},
 		"ppt":       pptScheme("ppt", ppt.Config{}),
 		"swift":     {name: "swift", make: func() transport.Protocol { return swift.Proto{} }},
 		"swift+ppt": {name: "swift+ppt", make: func() transport.Protocol { return swift.Proto{Cfg: swift.Config{WithPPT: true}} }},
@@ -195,7 +195,7 @@ func baseSchemes() map[string]scheme {
 		}},
 		"halfback": {name: "halfback", make: func() transport.Protocol { return halfback.Proto{} }},
 		"expresspass": {name: "expresspass",
-			make: func() transport.Protocol { return expresspass.New(expresspass.Config{}) }},
+			make: func() transport.Protocol { return expresspass.New() }},
 	}
 }
 

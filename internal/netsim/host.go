@@ -117,14 +117,6 @@ func (h *Host) Bind(flow uint32, receiver bool, ep Endpoint) {
 	}
 }
 
-// Endpoint returns the endpoint bound for one direction of a flow
-// without removing it, or nil when the key is not bound. The windowed
-// run driver uses this to quiesce a completed flow's sender timers at a
-// barrier while deferring the Unbind/recycle to the shard's next window.
-func (h *Host) Endpoint(flow uint32, receiver bool) Endpoint {
-	return h.endpoints[endpointKey(flow, receiver)]
-}
-
 // endpointShrinkAt is the peak table size beyond which an emptied
 // endpoint map is released rather than kept for reuse.
 const endpointShrinkAt = 64

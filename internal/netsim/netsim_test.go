@@ -437,7 +437,7 @@ func TestPropertyAccountingDrainsToZero(t *testing.T) {
 			return false
 		}
 		for prio := int8(0); prio < NumPriorities; prio++ {
-			if p.QueuedAt(prio) != 0 {
+			if p.bytesQueued[prio] != 0 {
 				return false
 			}
 		}

@@ -81,16 +81,12 @@ type PortConfig struct {
 	Delay sim.Time // propagation delay of the attached wire
 
 	// ECNHighK / ECNLowK are instantaneous marking thresholds in bytes
-	// for the high class (priorities < LowClassStart) and low class.
+	// for the high class (priorities < lowClassStart) and low class.
 	// Zero disables marking for that class. High-class marking compares
 	// against high-class occupancy only (lower classes cannot delay it
 	// under SP); low-class marking compares against total occupancy.
 	ECNHighK int64
 	ECNLowK  int64
-
-	// LowClassStart is the first priority belonging to the low class
-	// (default 4, the PPT split). Only used for marking decisions.
-	LowClassStart int8
 
 	// QueueCap bounds this port's total occupancy in bytes. Zero means
 	// the port is limited only by its shared pool (if any).
@@ -215,9 +211,6 @@ func NewPort(name string, s *sim.Scheduler, cfg PortConfig, peer Device, pool *B
 	if cfg.Rate <= 0 {
 		panic("netsim: port needs a rate")
 	}
-	if cfg.LowClassStart == 0 {
-		cfg.LowClassStart = 4
-	}
 	p := &Port{name: name, sched: s, cfg: cfg, peer: peer, pool: pool}
 	p.busyUntil, p.lastStart = -1, -1
 	p.slack = cfg.Delay
@@ -264,10 +257,11 @@ func (p *Port) QueuedLow() int64 { return p.lowQueued }
 // QueuedHigh reports the buffered bytes in the high class.
 func (p *Port) QueuedHigh() int64 { return p.totalQueued - p.lowQueued }
 
-// QueuedAt reports the buffered bytes of one priority queue.
-func (p *Port) QueuedAt(prio int8) int64 { return p.bytesQueued[prio] }
+// lowClassStart is the first priority of the low class: the PPT split
+// of §4.2, HCP on P0–P3 and LCP on P4–P7.
+const lowClassStart = 4
 
-func (p *Port) isLow(prio int8) bool { return prio >= p.cfg.LowClassStart }
+func (p *Port) isLow(prio int8) bool { return prio >= lowClassStart }
 
 // Enqueue offers pkt to the port: it first starts every departure owed
 // by now, so admission and marking see the queue an eager engine would,

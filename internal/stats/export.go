@@ -2,11 +2,8 @@ package stats
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
-
-	"ppt/internal/sim"
 )
 
 // WriteCSV dumps raw completions as CSV (flow id, size, start/end in
@@ -30,33 +27,4 @@ func (c *Collector) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses completions previously written by WriteCSV.
-func ReadCSV(r io.Reader) (*Collector, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return NewCollector(), nil
-	}
-	c := NewCollector()
-	for i, row := range rows[1:] {
-		if len(row) < 4 {
-			return nil, fmt.Errorf("stats: csv row %d has %d fields", i+2, len(row))
-		}
-		flow, err1 := strconv.ParseUint(row[0], 10, 32)
-		size, err2 := strconv.ParseInt(row[1], 10, 64)
-		start, err3 := strconv.ParseInt(row[2], 10, 64)
-		end, err4 := strconv.ParseInt(row[3], 10, 64)
-		for _, e := range []error{err1, err2, err3, err4} {
-			if e != nil {
-				return nil, fmt.Errorf("stats: csv row %d: %w", i+2, e)
-			}
-		}
-		c.Complete(uint32(flow), size, sim.Time(start*1000), sim.Time(end*1000))
-	}
-	return c, nil
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -163,30 +162,4 @@ func JainIndex(records []FCTRecord) float64 {
 // (Lo, Hi] bucket semantics used above.
 func searchInts64(bounds []int64, v int64) int {
 	return sort.Search(len(bounds), func(i int) bool { return bounds[i] >= v })
-}
-
-// Gini computes the Gini coefficient of per-flow throughput (0 = equal).
-func Gini(records []FCTRecord) float64 {
-	n := len(records)
-	if n == 0 {
-		return 0
-	}
-	xs := make([]float64, 0, n)
-	for _, r := range records {
-		if r.FCT() > 0 {
-			xs = append(xs, float64(r.Size)/float64(r.FCT()))
-		}
-	}
-	sort.Float64s(xs)
-	var cum, total float64
-	for i, x := range xs {
-		cum += float64(i+1) * x
-		total += x
-	}
-	if total == 0 {
-		return 0
-	}
-	nn := float64(len(xs))
-	g := (2*cum)/(nn*total) - (nn+1)/nn
-	return math.Max(0, g)
 }

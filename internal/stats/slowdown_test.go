@@ -2,7 +2,9 @@ package stats
 
 import (
 	"bytes"
+	"encoding/csv"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -122,22 +124,6 @@ func TestJainIndexUnfairness(t *testing.T) {
 	}
 }
 
-func TestGini(t *testing.T) {
-	c := NewCollector()
-	for i := uint32(1); i <= 4; i++ {
-		c.Complete(i, 1_000_000, 0, sim.Millisecond)
-	}
-	if g := Gini(c.Records()); g > 1e-9 {
-		t.Fatalf("equal throughput gini = %v", g)
-	}
-	u := NewCollector()
-	u.Complete(1, 1_000_000, 0, sim.Millisecond)
-	u.Complete(2, 1_000_000, 0, 1000*sim.Millisecond)
-	if g := Gini(u.Records()); g < 0.3 {
-		t.Fatalf("unequal gini = %v", g)
-	}
-}
-
 // Property: Jain's index is always in (0, 1] for nonempty inputs.
 func TestPropertyJainBounds(t *testing.T) {
 	prop := func(fcts []uint32) bool {
@@ -164,25 +150,16 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := c.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	rows, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Count() != 2 {
-		t.Fatalf("round trip count = %d", got.Count())
+	want := [][]string{
+		{"flow", "size_bytes", "start_ns", "end_ns", "fct_us"},
+		{"1", "50000", "10000", "60000", "50.000"},
+		{"2", "5000000", "0", "3000000", "3000.000"},
 	}
-	a, b := c.Summarize(), got.Summarize()
-	if a.OverallAvg != b.OverallAvg || a.SmallCount != b.SmallCount {
-		t.Fatalf("summaries differ: %v vs %v", a, b)
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("flow,size_bytes,start_ns,end_ns,fct_us\nx,1,2,3,4\n")); err == nil {
-		t.Fatal("bad flow id accepted")
-	}
-	c, err := ReadCSV(strings.NewReader(""))
-	if err != nil || c.Count() != 0 {
-		t.Fatalf("empty read: %v %d", err, c.Count())
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("rows = %q, want %q", rows, want)
 	}
 }

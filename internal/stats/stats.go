@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"ppt/internal/netsim"
 	"ppt/internal/sim"
@@ -443,20 +442,4 @@ func (e Efficiency) LowLoop() float64 {
 		return 0
 	}
 	return float64(e.UsefulLow) / float64(e.SentLowPayload)
-}
-
-// Table renders rows of labelled summaries as an aligned text table —
-// the form every experiment prints.
-func Table(title string, rows []struct {
-	Label string
-	Sum   Summary
-}) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-18s %12s %12s %12s %12s %8s\n", "scheme", "overall-avg", "small-avg", "small-p99", "large-avg", "flows")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-18s %12s %12s %12s %12s %8d\n",
-			r.Label, r.Sum.OverallAvg, r.Sum.SmallAvg, r.Sum.SmallP99, r.Sum.LargeAvg, r.Sum.Flows)
-	}
-	return b.String()
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -227,21 +226,5 @@ func TestEfficiency(t *testing.T) {
 	var zero Efficiency
 	if zero.Overall() != 0 || zero.LowLoop() != 0 {
 		t.Fatal("zero division not guarded")
-	}
-}
-
-func TestTableRendering(t *testing.T) {
-	rows := []struct {
-		Label string
-		Sum   Summary
-	}{
-		{"ppt", Summary{Flows: 10, OverallAvg: sim.Millisecond}},
-		{"dctcp", Summary{Flows: 10, OverallAvg: 2 * sim.Millisecond}},
-	}
-	out := Table("fig12", rows)
-	for _, want := range []string{"fig12", "ppt", "dctcp", "overall-avg", "1ms", "2ms"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -16,29 +16,16 @@ import (
 	"ppt/internal/transport"
 )
 
-// Config tunes Aeolus.
-type Config struct {
-	// RTTBytes is the unscheduled allowance / grant window.
-	RTTBytes int64
-	// Overcommit matches Homa's setting (2 in the paper).
-	Overcommit int
-	// UnschedPrio is the droppable class for pre-credit packets
-	// (default P6: below every scheduled priority).
-	UnschedPrio int8
-}
-
-func (c Config) withDefaults(env *transport.Env) Config {
-	if c.RTTBytes == 0 {
-		c.RTTBytes = int64(env.BDP())
-	}
-	if c.Overcommit == 0 {
-		c.Overcommit = 2
-	}
-	if c.UnschedPrio == 0 {
-		c.UnschedPrio = 6
-	}
-	return c
-}
+// Aeolus's constants. RTTbytes, the unscheduled allowance and grant
+// window, is not one of them: Start reads it from the Env as the fabric
+// BDP.
+const (
+	// overcommit matches Homa's setting (2 in the paper).
+	overcommit = 2
+	// unschedPrio is the droppable class for pre-credit packets: P6,
+	// below every scheduled priority.
+	unschedPrio = 6
+)
 
 type dataInfo struct {
 	Size int64
@@ -58,13 +45,12 @@ type grantInfo struct {
 
 // Proto is the Aeolus protocol factory; one instance per run.
 type Proto struct {
-	Cfg      Config
 	managers map[int32]*rxManager
 }
 
 // New builds an Aeolus protocol instance.
-func New(cfg Config) *Proto {
-	return &Proto{Cfg: cfg, managers: make(map[int32]*rxManager)}
+func New() *Proto {
+	return &Proto{managers: make(map[int32]*rxManager)}
 }
 
 // Name implements transport.Protocol.
@@ -86,10 +72,10 @@ func newGrantInfo() *grantInfo { return &grantInfo{} }
 
 // Start implements transport.Protocol.
 func (p *Proto) Start(env *transport.Env, f *transport.Flow) {
-	cfg := p.Cfg.withDefaults(env)
+	rttBytes := int64(env.BDP())
 	mgr := p.managers[f.Dst.ID()]
 	if mgr == nil {
-		mgr = &rxManager{env: env, cfg: cfg,
+		mgr = &rxManager{env: env, rttBytes: rttBytes,
 			grants: transport.PoolFor(env, grantInfoPool, newGrantInfo)}
 		p.managers[f.Dst.ID()] = mgr
 	}
@@ -100,7 +86,7 @@ func (p *Proto) Start(env *transport.Env, f *transport.Flow) {
 	f.Dst.Bind(f.ID, true, rx)
 
 	s := transport.PoolFor(env, senderPool, newIdleSender).Get()
-	s.init(env, f, cfg)
+	s.init(env, f, rttBytes)
 	s.pooled = true
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
@@ -108,9 +94,9 @@ func (p *Proto) Start(env *transport.Env, f *transport.Flow) {
 
 type sender struct {
 	transport.PoolNode
-	env *transport.Env
-	f   *transport.Flow
-	cfg Config
+	env      *transport.Env
+	f        *transport.Flow
+	rttBytes int64 // unscheduled allowance
 
 	sentNext int64
 	keep     sim.Timer
@@ -137,8 +123,8 @@ func newIdleSender() *sender {
 }
 
 // init (re)targets the sender at a flow.
-func (s *sender) init(env *transport.Env, f *transport.Flow, cfg Config) {
-	s.env, s.f, s.cfg = env, f, cfg
+func (s *sender) init(env *transport.Env, f *transport.Flow, rttBytes int64) {
+	s.env, s.f, s.rttBytes = env, f, rttBytes
 	s.sentNext = 0
 	s.keep = sim.Timer{}
 	s.gotRx = false
@@ -158,11 +144,11 @@ func (s *sender) Recycle(env *transport.Env) {
 }
 
 func (s *sender) launch() {
-	unsched := min64(s.cfg.RTTBytes, s.f.Size)
+	unsched := min64(s.rttBytes, s.f.Size)
 	first := true
 	for s.sentNext < unsched {
 		end := min64(s.sentNext+netsim.MSS, unsched)
-		pkt := s.f.Src.Data(s.f.ID, s.f.Dst.ID(), s.sentNext, int32(end-s.sentNext), s.cfg.UnschedPrio)
+		pkt := s.f.Src.Data(s.f.ID, s.f.Dst.ID(), s.sentNext, int32(end-s.sentNext), unschedPrio)
 		pkt.Meta = &s.dinfo
 		if first {
 			// The probe packet is protected so the receiver always
@@ -227,8 +213,8 @@ func (s *sender) Handle(pkt *netsim.Packet) {
 }
 
 type rxManager struct {
-	env *transport.Env
-	cfg Config
+	env      *transport.Env
+	rttBytes int64 // per-flow grant window
 
 	// order holds the inbound flows sorted by (remaining bytes, flow ID);
 	// see the identical structure in package homa. Arrivals only shrink a
@@ -282,10 +268,9 @@ func (m *rxManager) reposition(rx *rxFlow) {
 }
 
 func (m *rxManager) pump() {
-	k := m.cfg.Overcommit
 	rank := 0
 	for _, rx := range m.order {
-		if rank >= k {
+		if rank >= overcommit {
 			break
 		}
 		if rx.granted >= rx.f.Size && rx.r.Complete() {
@@ -331,7 +316,7 @@ func newIdleRxFlow() *rxFlow {
 func (rx *rxFlow) init(mgr *rxManager, f *transport.Flow) {
 	rx.mgr, rx.f = mgr, f
 	rx.r.Reset(f.Size)
-	rx.granted = min64(mgr.cfg.RTTBytes, f.Size)
+	rx.granted = min64(mgr.rttBytes, f.Size)
 	rx.reqd.Reset()
 	rx.retry = sim.Timer{}
 }
@@ -362,7 +347,7 @@ func (rx *rxFlow) grantSome(prio int8) {
 		g.Meta = gi
 		rx.f.Dst.Send(g)
 	}
-	for rx.granted-rx.r.Received() < rx.mgr.cfg.RTTBytes && rx.granted < rx.f.Size {
+	for rx.granted-rx.r.Received() < rx.mgr.rttBytes && rx.granted < rx.f.Size {
 		upTo := min64(rx.granted+netsim.MSS, rx.f.Size)
 		g := rx.f.Dst.Ctrl(netsim.Grant, rx.f.ID, rx.f.Src.ID(), 0)
 		gi := rx.mgr.grants.Get()

@@ -53,12 +53,12 @@ func allProtocols() []proto {
 			tweak: func(c *topo.Config) { c.EnableINT = true }},
 		{name: "hpcc+ppt", make: func() transport.Protocol { return hpcc.PPTVariant{} },
 			tweak: func(c *topo.Config) { c.EnableINT = true }},
-		{name: "homa", make: func() transport.Protocol { return homa.New(homa.Config{}) }},
-		{name: "aeolus", make: func() transport.Protocol { return aeolus.New(aeolus.Config{}) },
+		{name: "homa", make: func() transport.Protocol { return homa.New() }},
+		{name: "aeolus", make: func() transport.Protocol { return aeolus.New() },
 			tweak: func(c *topo.Config) { c.DroppableThresh = 24_000 }},
-		{name: "ndp", make: func() transport.Protocol { return ndp.New(ndp.Config{}) },
+		{name: "ndp", make: func() transport.Protocol { return ndp.New() },
 			tweak: func(c *topo.Config) { c.TrimToHeader = true }},
-		{name: "expresspass", make: func() transport.Protocol { return expresspass.New(expresspass.Config{}) }},
+		{name: "expresspass", make: func() transport.Protocol { return expresspass.New() }},
 	}
 }
 
@@ -210,5 +210,51 @@ func TestLossInjectionDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("non-deterministic loss: %d vs %d", a, b)
+	}
+}
+
+// TestBlindWindowsFollowTheFabric checks the windows that are the
+// fabric's BDP rather than a constant: Homa's and Aeolus's unscheduled
+// RTTbytes and NDP's first window are sent in full, and HPCC (plain and
+// with PPT's low loop) starts with a window of one BDP, which admits
+// the whole segments that fit in it. It runs on two star fabrics whose
+// BDPs differ. Each flow starts with the scheduler stopped, so no
+// grant, pull or ACK can come back; settling the sender's NIC then
+// counts every data byte the sender put on the wire on its own.
+func TestBlindWindowsFollowTheFabric(t *testing.T) {
+	want := map[string]func(bdp int64) int64{
+		"homa":     func(bdp int64) int64 { return bdp },
+		"aeolus":   func(bdp int64) int64 { return bdp },
+		"ndp":      func(bdp int64) int64 { return bdp },
+		"hpcc":     func(bdp int64) int64 { return bdp / netsim.MSS * netsim.MSS },
+		"hpcc+ppt": func(bdp int64) int64 { return bdp / netsim.MSS * netsim.MSS },
+	}
+	bdps := map[int64]bool{}
+	for _, delay := range []sim.Time{5 * sim.Microsecond, 20 * sim.Microsecond} {
+		for _, pr := range allProtocols() {
+			sent, ok := want[pr.name]
+			if !ok {
+				continue
+			}
+			cfg := baseConfig()
+			cfg.LinkDelay = delay
+			if pr.tweak != nil {
+				pr.tweak(&cfg)
+			}
+			net := topo.Star(2, cfg)
+			env := transport.NewEnv(net)
+			bdp := int64(env.BDP())
+			bdps[bdp] = true
+			f := &transport.Flow{ID: 1, Src: net.Hosts[0], Dst: net.Hosts[1], Size: 4 * bdp, FirstCall: 4 * bdp}
+			pr.make().Start(env, f)
+			nic := net.Hosts[0].NIC()
+			nic.SettleTx(sim.MaxTime)
+			if got := nic.Stats.TxDataBytes; got != sent(bdp) {
+				t.Errorf("%s, BDP %d: sent %d bytes before any reply, want %d", pr.name, bdp, got, sent(bdp))
+			}
+		}
+	}
+	if len(bdps) != 2 {
+		t.Fatalf("fabrics share a BDP: %v", bdps)
 	}
 }

@@ -17,35 +17,22 @@ import (
 
 // Config tunes a sender.
 type Config struct {
-	// G is the α estimation gain g of Equation 1 (default 1/16).
-	G float64
-	// InitCwnd is the initial congestion window in bytes (default
-	// 10 MSS, the modern Linux default the paper's TCP-10 row cites).
-	InitCwnd int64
 	// Prio tags data packets given cumulative bytes sent (default P0).
 	Prio func(bytesSent int64) int8
-	// AckPrio tags this flow's ACKs (default P0).
-	AckPrio int8
 	// NoECN disables ECT marking (pure loss-based TCP behaviour).
 	NoECN bool
 }
 
-// defaultPrio is the zero-config tagger; a package-level func so
-// withDefaults does not allocate a closure per flow.
-func defaultPrio(int64) int8 { return 0 }
+// g is the α estimation gain of Equation 1.
+const g = 1.0 / 16
 
-func (c Config) withDefaults() Config {
-	if c.G == 0 {
-		c.G = 1.0 / 16
-	}
-	if c.InitCwnd == 0 {
-		c.InitCwnd = 10 * netsim.MSS
-	}
-	if c.Prio == nil {
-		c.Prio = defaultPrio
-	}
-	return c
-}
+// InitCwnd is the initial congestion window in bytes: 10 MSS, the
+// modern Linux default the paper's TCP-10 row cites.
+const InitCwnd = 10 * netsim.MSS
+
+// defaultPrio is the zero-config tagger; a package-level func so Init
+// does not allocate a closure per flow.
+func defaultPrio(int64) int8 { return 0 }
 
 // Sender is the DCTCP congestion-controlled sender for one flow.
 type Sender struct {
@@ -125,11 +112,13 @@ func NewSender(env *transport.Env, f *transport.Flow, cfg Config) *Sender {
 // recycled struct after Init is indistinguishable from a fresh
 // NewSender result (the Skip set keeps its backing array, emptied).
 func (s *Sender) Init(env *transport.Env, f *transport.Flow, cfg Config) {
-	cfg = cfg.withDefaults()
+	if cfg.Prio == nil {
+		cfg.Prio = defaultPrio
+	}
 	s.Env = env
 	s.F = f
 	s.C = cfg
-	s.Cwnd = float64(cfg.InitCwnd)
+	s.Cwnd = InitCwnd
 	s.Ssthresh = 1 << 40
 	s.SndUna = 0
 	s.SndNxt = 0
@@ -336,7 +325,7 @@ func (s *Sender) maybeUpdateAlpha() {
 	}
 	if s.ackedInWin > 0 {
 		f := float64(s.markedInWin) / float64(s.ackedInWin)
-		s.Alpha = (1-s.C.G)*s.Alpha + s.C.G*f
+		s.Alpha = (1-g)*s.Alpha + g*f
 		if s.markedInWin > 0 {
 			// ECN window reduction: cwnd *= (1 - α/2).
 			s.Cwnd *= 1 - s.Alpha/2
@@ -393,8 +382,6 @@ type Receiver struct {
 	Env *transport.Env
 	F   *transport.Flow
 	R   *transport.Reassembly
-	// AckPrio tags outgoing ACKs.
-	AckPrio int8
 
 	pooled bool
 }
@@ -412,7 +399,6 @@ func (r *Receiver) Init(env *transport.Env, f *transport.Flow) {
 	r.Env = env
 	r.F = f
 	r.R.Reset(f.Size)
-	r.AckPrio = 0
 }
 
 // Handle implements netsim.Endpoint for the receiver side.
@@ -421,7 +407,7 @@ func (r *Receiver) Handle(pkt *netsim.Packet) {
 		return
 	}
 	r.R.Add(pkt.Seq, pkt.PayloadLen)
-	ack := r.F.Dst.Ctrl(netsim.Ack, r.F.ID, r.F.Src.ID(), r.AckPrio)
+	ack := r.F.Dst.Ctrl(netsim.Ack, r.F.ID, r.F.Src.ID(), 0)
 	ack.Seq = r.R.CumAck()
 	ack.ECE = pkt.CE
 	ack.EchoTS = pkt.SentAt
@@ -488,8 +474,14 @@ type Proto struct {
 	Cfg Config
 }
 
-// Name implements transport.Protocol.
-func (Proto) Name() string { return "dctcp" }
+// Name implements transport.Protocol: "tcp10" without ECN (Table 1's
+// TCP-10 row), "dctcp" otherwise.
+func (p Proto) Name() string {
+	if p.Cfg.NoECN {
+		return "tcp10"
+	}
+	return "dctcp"
+}
 
 // RecyclesFlows implements transport.FlowRecycler: both endpoints stop
 // their timers on Recycle, so no pending callback can reach the Flow

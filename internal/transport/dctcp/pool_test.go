@@ -55,7 +55,7 @@ func TestPooledSenderResetNoStaleState(t *testing.T) {
 	if s2 != s1 {
 		t.Fatal("pool did not recycle the sender")
 	}
-	if s2.Cwnd != float64(s2.C.InitCwnd) || s2.SndNxt != 0 || s2.SndUna != 0 {
+	if s2.Cwnd != InitCwnd || s2.SndNxt != 0 || s2.SndUna != 0 {
 		t.Fatalf("stale window state: cwnd=%v sndnxt=%d snduna=%d", s2.Cwnd, s2.SndNxt, s2.SndUna)
 	}
 	if s2.Skip.Total() != 0 {

@@ -15,27 +15,15 @@ import (
 	"ppt/internal/transport"
 )
 
-// Config tunes ExpressPass.
-type Config struct {
-	// CreditRate scales the credit pace relative to the downlink
-	// (default 1.0; the real system shapes credits to ~95% to leave
-	// room for other traffic).
-	CreditRate float64
-}
-
 // Proto is the ExpressPass protocol factory; one instance per run (it
 // owns the per-host credit pacers).
 type Proto struct {
-	Cfg    Config
 	pacers map[int32]*creditPacer
 }
 
 // New builds an ExpressPass instance.
-func New(cfg Config) *Proto {
-	if cfg.CreditRate == 0 {
-		cfg.CreditRate = 1.0
-	}
-	return &Proto{Cfg: cfg, pacers: make(map[int32]*creditPacer)}
+func New() *Proto {
+	return &Proto{pacers: make(map[int32]*creditPacer)}
 }
 
 // Name implements transport.Protocol.
@@ -45,7 +33,7 @@ func (*Proto) Name() string { return "expresspass" }
 func (p *Proto) Start(env *transport.Env, f *transport.Flow) {
 	pacer := p.pacers[f.Dst.ID()]
 	if pacer == nil {
-		pacer = &creditPacer{env: env, host: f.Dst, rate: p.Cfg.CreditRate}
+		pacer = &creditPacer{env: env, host: f.Dst}
 		p.pacers[f.Dst.ID()] = pacer
 	}
 	rx := &receiver{env: env, f: f, r: transport.NewReassembly(f.Size), pacer: pacer}
@@ -113,12 +101,12 @@ type creditInfo struct {
 	ResendLen int32
 }
 
-// creditPacer emits credits at the downlink packet rate, round-robin
-// across this host's active inbound flows.
+// creditPacer emits credits at the full downlink packet rate (the real
+// system shapes credits to ~95% to leave room for other traffic),
+// round-robin across this host's active inbound flows.
 type creditPacer struct {
 	env    *transport.Env
 	host   *netsim.Host
-	rate   float64
 	queue  []*receiver
 	pacing bool
 }
@@ -146,8 +134,7 @@ func (cp *creditPacer) tick() {
 	credit := rx.f.Dst.Ctrl(netsim.Grant, rx.f.ID, rx.f.Src.ID(), 0)
 	rx.f.Dst.Send(credit)
 	slot := cp.host.Rate().TxTime(netsim.MSS + netsim.HeaderBytes)
-	gap := sim.Time(float64(slot) / cp.rate)
-	cp.env.Sched().After(gap, cp.tick)
+	cp.env.Sched().After(slot, cp.tick)
 }
 
 // receiver reassembles and requests retransmissions for definite holes.

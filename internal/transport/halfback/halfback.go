@@ -15,31 +15,20 @@ import (
 	"ppt/internal/transport/dctcp"
 )
 
-// Config tunes Halfback.
-type Config struct {
-	// Threshold is the short-flow cutoff (default 141KB, the paper's
-	// figure for Halfback's first-RTT pacing).
-	Threshold int64
-	// DCTCP configures the fallback loop for large flows.
-	DCTCP dctcp.Config
-}
+// threshold is the short-flow cutoff: 141KB, the paper's figure for
+// Halfback's first-RTT pacing.
+const threshold = 141_000
 
 // Proto is the Halfback protocol factory.
-type Proto struct {
-	Cfg Config
-}
+type Proto struct{}
 
 // Name implements transport.Protocol.
 func (Proto) Name() string { return "halfback" }
 
 // Start implements transport.Protocol.
-func (p Proto) Start(env *transport.Env, f *transport.Flow) {
-	threshold := p.Cfg.Threshold
-	if threshold == 0 {
-		threshold = 141_000
-	}
+func (Proto) Start(env *transport.Env, f *transport.Flow) {
 	if f.Size > threshold {
-		dctcp.Proto{Cfg: p.Cfg.DCTCP}.Start(env, f)
+		dctcp.Proto{}.Start(env, f)
 		return
 	}
 	r := &receiver{env: env, f: f, r: transport.NewReassembly(f.Size)}

@@ -3,7 +3,7 @@
 // senders blindly transmit RTTbytes of "unscheduled" data at line rate
 // when a message starts (the pre-credit phase the paper criticizes), and
 // receivers drive the rest with per-packet grants, overcommitting the
-// downlink to a configurable number of flows chosen SRPT-style by
+// downlink to a fixed number of flows (overcommit) chosen SRPT-style by
 // remaining bytes — which requires knowing flow sizes a priori.
 // Loss recovery is timeout-based (as in the Aeolus simulator the paper
 // uses to evaluate Homa), via receiver RESEND requests.
@@ -17,26 +17,11 @@ import (
 	"ppt/internal/transport"
 )
 
-// Config tunes Homa.
-type Config struct {
-	// RTTBytes is the unscheduled allowance and per-flow grant window
-	// (Table 3: 50KB testbed, 45KB simulations). Zero derives it from
-	// the fabric BDP.
-	RTTBytes int64
-	// Overcommit is the number of flows granted concurrently (paper
-	// setting: 2).
-	Overcommit int
-}
-
-func (c Config) withDefaults(env *transport.Env) Config {
-	if c.RTTBytes == 0 {
-		c.RTTBytes = int64(env.BDP())
-	}
-	if c.Overcommit == 0 {
-		c.Overcommit = 2
-	}
-	return c
-}
+// overcommit is the number of flows a receiver grants concurrently (the
+// paper's setting). RTTbytes, the unscheduled allowance and per-flow
+// grant window, is not a constant: Start reads it from the Env as the
+// fabric BDP.
+const overcommit = 2
 
 // dataInfo rides on every data packet so the receiver learns the flow
 // size (Homa's prior-knowledge assumption).
@@ -64,14 +49,12 @@ type resendInfo struct {
 // Proto is the Homa protocol factory. One Proto instance owns the
 // per-host receiver managers, so use a single instance per run.
 type Proto struct {
-	Cfg Config
-
 	managers map[int32]*rxManager
 }
 
 // New builds a Homa protocol instance.
-func New(cfg Config) *Proto {
-	return &Proto{Cfg: cfg, managers: make(map[int32]*rxManager)}
+func New() *Proto {
+	return &Proto{managers: make(map[int32]*rxManager)}
 }
 
 // Name implements transport.Protocol.
@@ -93,10 +76,10 @@ func newGrantInfo() *grantInfo { return &grantInfo{} }
 
 // Start implements transport.Protocol.
 func (p *Proto) Start(env *transport.Env, f *transport.Flow) {
-	cfg := p.Cfg.withDefaults(env)
+	rttBytes := int64(env.BDP())
 	mgr := p.managers[f.Dst.ID()]
 	if mgr == nil {
-		mgr = &rxManager{env: env, cfg: cfg,
+		mgr = &rxManager{env: env, rttBytes: rttBytes,
 			grants: transport.PoolFor(env, grantInfoPool, newGrantInfo)}
 		p.managers[f.Dst.ID()] = mgr
 	}
@@ -107,7 +90,7 @@ func (p *Proto) Start(env *transport.Env, f *transport.Flow) {
 	f.Dst.Bind(f.ID, true, rx)
 
 	s := transport.PoolFor(env, senderPool, newIdleSender).Get()
-	s.init(env, f, cfg)
+	s.init(env, f, rttBytes)
 	s.pooled = true
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
@@ -126,9 +109,9 @@ func unschedPrio(size, rttBytes int64) int8 {
 // sender transmits unscheduled bytes blindly, then obeys grants.
 type sender struct {
 	transport.PoolNode
-	env *transport.Env
-	f   *transport.Flow
-	cfg Config
+	env      *transport.Env
+	f        *transport.Flow
+	rttBytes int64 // unscheduled allowance
 
 	sentNext int64     // next new byte to transmit
 	keep     sim.Timer // pre-grant keepalive
@@ -158,8 +141,8 @@ func newIdleSender() *sender {
 }
 
 // init (re)targets the sender at a flow.
-func (s *sender) init(env *transport.Env, f *transport.Flow, cfg Config) {
-	s.env, s.f, s.cfg = env, f, cfg
+func (s *sender) init(env *transport.Env, f *transport.Flow, rttBytes int64) {
+	s.env, s.f, s.rttBytes = env, f, rttBytes
 	s.sentNext = 0
 	s.keep = sim.Timer{}
 	s.gotRx = false
@@ -180,11 +163,11 @@ func (s *sender) Recycle(env *transport.Env) {
 }
 
 func (s *sender) launch() {
-	unsched := min64(s.cfg.RTTBytes, s.f.Size)
+	unsched := min64(s.rttBytes, s.f.Size)
 	// Line-rate blind transmission: dump the whole unscheduled span on
 	// the NIC; it serializes at line rate (the pre-credit burst).
 	for s.sentNext < unsched {
-		s.sendChunk(s.sentNext, unsched, unschedPrio(s.f.Size, s.cfg.RTTBytes), false, false)
+		s.sendChunk(s.sentNext, unsched, unschedPrio(s.f.Size, s.rttBytes), false, false)
 	}
 	s.armKeepalive()
 }
@@ -254,10 +237,10 @@ func (s *sender) Handle(pkt *netsim.Packet) {
 
 // rxManager is the per-host receiver scheduler: it ranks incomplete
 // inbound flows by remaining bytes (SRPT) and keeps grants flowing to
-// the top Overcommit of them.
+// the top overcommit of them.
 type rxManager struct {
-	env *transport.Env
-	cfg Config
+	env      *transport.Env
+	rttBytes int64 // per-flow grant window
 
 	// order holds the inbound flows sorted by (remaining bytes, flow ID)
 	// — the SRPT ranking pump used to recompute with a full sort on every
@@ -313,13 +296,12 @@ func (m *rxManager) reposition(rx *rxFlow) {
 	}
 }
 
-// pump tops up grants for the first Overcommit ungranted flows in SRPT
+// pump tops up grants for the first overcommit ungranted flows in SRPT
 // order after every arrival.
 func (m *rxManager) pump() {
-	k := m.cfg.Overcommit
 	rank := 0
 	for _, rx := range m.order {
-		if rank >= k {
+		if rank >= overcommit {
 			break
 		}
 		if rx.granted >= rx.f.Size {
@@ -331,8 +313,8 @@ func (m *rxManager) pump() {
 		if prio > 7 {
 			prio = 7
 		}
-		// Keep RTTBytes outstanding: granted beyond what has arrived.
-		for rx.granted-rx.r.Received() < m.cfg.RTTBytes && rx.granted < rx.f.Size {
+		// Keep RTTbytes outstanding: granted beyond what has arrived.
+		for rx.granted-rx.r.Received() < m.rttBytes && rx.granted < rx.f.Size {
 			upTo := min64(rx.granted+netsim.MSS, rx.f.Size)
 			g := rx.f.Dst.Ctrl(netsim.Grant, rx.f.ID, rx.f.Src.ID(), 0)
 			gi := m.grants.Get()
@@ -374,7 +356,7 @@ func newIdleRxFlow() *rxFlow {
 func (rx *rxFlow) init(mgr *rxManager, f *transport.Flow) {
 	rx.mgr, rx.f = mgr, f
 	rx.r.Reset(f.Size)
-	rx.granted = min64(mgr.cfg.RTTBytes, f.Size)
+	rx.granted = min64(mgr.rttBytes, f.Size)
 	rx.retry = sim.Timer{}
 	rx.resend = resendInfo{}
 }
@@ -425,8 +407,8 @@ func (rx *rxFlow) retryFired() {
 	}
 	miss := rx.r.FirstMissing()
 	end := rx.r.NextCovered(miss, rx.f.Size)
-	if end-miss > rx.mgr.cfg.RTTBytes {
-		end = miss + rx.mgr.cfg.RTTBytes
+	if end-miss > rx.mgr.rttBytes {
+		end = miss + rx.mgr.rttBytes
 	}
 	req := rx.f.Dst.Ctrl(netsim.Ctrl, rx.f.ID, rx.f.Src.ID(), 0)
 	rx.resend = resendInfo{Seq: miss, Len: end - miss}

@@ -11,7 +11,7 @@ import (
 
 func TestSingleFlowCompletes(t *testing.T) {
 	env := transporttest.NewStarEnv(4)
-	sum := transporttest.MustComplete(t, env, New(Config{}), []transport.SimpleFlow{
+	sum := transporttest.MustComplete(t, env, New(), []transport.SimpleFlow{
 		{ID: 1, Src: 0, Dst: 1, Size: 2_000_000},
 	})
 	if sum.OverallAvg < 1600*sim.Microsecond {
@@ -22,7 +22,7 @@ func TestSingleFlowCompletes(t *testing.T) {
 func TestTinyFlowUnscheduledOnly(t *testing.T) {
 	// A sub-RTTbytes flow completes in about one way + no grants.
 	env := transporttest.NewStarEnv(4)
-	sum := transporttest.MustComplete(t, env, New(Config{}), []transport.SimpleFlow{
+	sum := transporttest.MustComplete(t, env, New(), []transport.SimpleFlow{
 		{ID: 1, Src: 0, Dst: 1, Size: 5_000},
 	})
 	if sum.OverallAvg > env.BaseRTT() {
@@ -48,7 +48,7 @@ func TestSRPTFavorsShortFlow(t *testing.T) {
 		{ID: 1, Src: 1, Dst: 0, Size: 8_000_000},
 		{ID: 2, Src: 2, Dst: 0, Size: 400_000, Arrive: 100 * sim.Microsecond},
 	}
-	transporttest.MustComplete(t, env, New(Config{}), flows)
+	transporttest.MustComplete(t, env, New(), flows)
 	var short, long sim.Time
 	for _, r := range env.Collector.Records() {
 		if r.FlowID == 2 {
@@ -66,7 +66,7 @@ func TestSRPTFavorsShortFlow(t *testing.T) {
 
 func TestOvercommitGrantsTwoFlows(t *testing.T) {
 	env := transporttest.NewStarEnv(6)
-	proto := New(Config{Overcommit: 2})
+	proto := New()
 	flows := transporttest.IncastFlows(4, 2_000_000)
 	transporttest.MustComplete(t, env, proto, flows)
 	// With overcommitment 2, the receiver should have granted two flows
@@ -86,7 +86,7 @@ func TestLossRecoveryViaResend(t *testing.T) {
 	env := transporttest.NewStarEnv(9, transporttest.WithBuffer(30_000))
 	env.RTOMin = 300 * sim.Microsecond
 	flows := transporttest.IncastFlows(8, 150_000)
-	transporttest.MustComplete(t, env, New(Config{}), flows)
+	transporttest.MustComplete(t, env, New(), flows)
 	var drops int64
 	for _, p := range env.Net.SwitchPorts() {
 		drops += p.Stats.Drops
@@ -104,39 +104,28 @@ func TestKeepaliveRecoversLostProbe(t *testing.T) {
 	env.RTOMin = 300 * sim.Microsecond
 	flows := transporttest.IncastFlows(8, 100_000)
 	flows = append(flows, transport.SimpleFlow{ID: 99, Src: 8, Dst: 0, Size: 1_000, Arrive: 5 * sim.Microsecond})
-	transporttest.MustComplete(t, env, New(Config{}), flows)
+	transporttest.MustComplete(t, env, New(), flows)
 }
 
 func TestGrantWindowBounded(t *testing.T) {
 	// The receiver must never grant more than RTTbytes beyond received.
 	env := transporttest.NewStarEnv(4)
-	cfg := Config{RTTBytes: 20_000}.withDefaults(env)
-	mgr := &rxManager{env: env, cfg: cfg,
+	const rttBytes = 20_000
+	mgr := &rxManager{env: env, rttBytes: rttBytes,
 		grants: transport.PoolFor(env, grantInfoPool, newGrantInfo)}
 	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[1], Dst: env.Net.Hosts[0], Size: 1_000_000}
-	rx := &rxFlow{mgr: mgr, f: f, r: transport.NewReassembly(f.Size), granted: cfg.RTTBytes}
+	rx := &rxFlow{mgr: mgr, f: f, r: transport.NewReassembly(f.Size), granted: rttBytes}
 	mgr.insert(rx)
 	mgr.pump()
-	if rx.granted-rx.r.Received() > cfg.RTTBytes {
+	if rx.granted-rx.r.Received() > rttBytes {
 		t.Fatalf("outstanding grants %d exceed RTTbytes %d",
-			rx.granted-rx.r.Received(), cfg.RTTBytes)
+			rx.granted-rx.r.Received(), rttBytes)
 	}
 	// Simulate arrivals; grants must advance but stay bounded.
 	rx.r.Add(0, netsim.MSS)
 	mgr.pump()
-	if rx.granted-rx.r.Received() > cfg.RTTBytes {
+	if rx.granted-rx.r.Received() > rttBytes {
 		t.Fatalf("outstanding grants %d exceed RTTbytes after arrival",
 			rx.granted-rx.r.Received())
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	env := transporttest.NewStarEnv(2)
-	cfg := Config{}.withDefaults(env)
-	if cfg.RTTBytes != int64(env.BDP()) {
-		t.Fatalf("RTTBytes default = %d, want BDP %d", cfg.RTTBytes, env.BDP())
-	}
-	if cfg.Overcommit != 2 {
-		t.Fatalf("Overcommit default = %d", cfg.Overcommit)
 	}
 }

@@ -17,52 +17,30 @@ import (
 	"ppt/internal/transport/lowloop"
 )
 
-// Config tunes HPCC.
-type Config struct {
-	// Eta is the target utilization η (default 0.95).
-	Eta float64
-	// MaxStage bounds consecutive additive-increase stages (default 5).
-	MaxStage int
-	// WAI is the additive increase in bytes per adjustment (default
-	// MSS/2 — a fraction of a packet, per the paper's guidance for
-	// many concurrent flows).
-	WAI float64
-	// InitWindow in bytes (default: fabric BDP).
-	InitWindow int64
-}
-
-func (c Config) withDefaults(env *transport.Env) Config {
-	if c.Eta == 0 {
-		c.Eta = 0.95
-	}
-	if c.MaxStage == 0 {
-		c.MaxStage = 5
-	}
-	if c.WAI == 0 {
-		c.WAI = netsim.MSS / 2
-	}
-	if c.InitWindow == 0 {
-		c.InitWindow = int64(env.BDP())
-	}
-	return c
-}
+// HPCC's constants. The initial window is not one of them: it is the
+// fabric BDP, which Start reads from the Env.
+const (
+	// eta is the target utilization η.
+	eta = 0.95
+	// maxStage bounds consecutive additive-increase stages.
+	maxStage = 5
+	// wAI is the additive increase in bytes per adjustment: MSS/2 (724
+	// bytes), a fraction of a packet, per the paper's guidance for many
+	// concurrent flows.
+	wAI = netsim.MSS / 2
+)
 
 // Proto is the HPCC protocol factory.
-type Proto struct {
-	Cfg Config
-}
+type Proto struct{}
 
 // Name implements transport.Protocol.
 func (Proto) Name() string { return "hpcc" }
 
 // Start implements transport.Protocol.
-func (p Proto) Start(env *transport.Env, f *transport.Flow) {
-	cfg := p.Cfg.withDefaults(env)
+func (Proto) Start(env *transport.Env, f *transport.Flow) {
 	f.Dst.Bind(f.ID, true, newReceiver(env, f))
-	s := &sender{
-		env: env, f: f, cfg: cfg,
-		wnd: float64(cfg.InitWindow), wc: float64(cfg.InitWindow),
-	}
+	w := float64(env.BDP())
+	s := &sender{env: env, f: f, wnd: w, wc: w}
 	f.Src.Bind(f.ID, false, s)
 	s.trySend()
 }
@@ -70,7 +48,6 @@ func (p Proto) Start(env *transport.Env, f *transport.Flow) {
 type sender struct {
 	env *transport.Env
 	f   *transport.Flow
-	cfg Config
 
 	wnd          float64 // current window W
 	wc           float64 // reference window W_c
@@ -198,11 +175,11 @@ func (s *sender) react(cur []netsim.INTHop) {
 	if u == 0 {
 		return
 	}
-	if u >= s.cfg.Eta || s.incStage >= s.cfg.MaxStage {
-		s.wnd = s.wc/(u/s.cfg.Eta) + s.cfg.WAI
+	if u >= eta || s.incStage >= maxStage {
+		s.wnd = s.wc/(u/eta) + wAI
 		s.maybeUpdateWc(true)
 	} else {
-		s.wnd = s.wc + s.cfg.WAI
+		s.wnd = s.wc + wAI
 		s.maybeUpdateWc(false)
 	}
 	if s.wnd < netsim.MSS {

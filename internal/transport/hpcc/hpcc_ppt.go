@@ -17,23 +17,16 @@ import (
 // ones PPT itself runs.
 
 // PPTVariant wraps HPCC with PPT's low-priority loop (appendix B).
-type PPTVariant struct {
-	Cfg Config
-}
+type PPTVariant struct{}
 
 // Name implements transport.Protocol.
 func (PPTVariant) Name() string { return "hpcc+ppt" }
 
 // Start implements transport.Protocol.
-func (p PPTVariant) Start(env *transport.Env, f *transport.Flow) {
-	cfg := p.Cfg.withDefaults(env)
+func (PPTVariant) Start(env *transport.Env, f *transport.Flow) {
 	f.Dst.Bind(f.ID, true, newReceiver(env, f))
-	s := &pptSender{
-		sender: sender{
-			env: env, f: f, cfg: cfg,
-			wnd: float64(cfg.InitWindow), wc: float64(cfg.InitWindow),
-		},
-	}
+	w := float64(env.BDP())
+	s := &pptSender{sender: sender{env: env, f: f, wnd: w, wc: w}}
 	s.loop = lowloop.New(env, f, s)
 	f.Src.Bind(f.ID, false, s)
 	s.trySend()
@@ -85,7 +78,7 @@ func (s *pptSender) Handle(pkt *netsim.Packet) {
 		pkt.Meta = nil
 		// The appendix-B trigger: telemetry says the path has spare
 		// capacity for opportunistic packets.
-		if s.lastU > 0 && s.lastU < s.cfg.Eta && !s.loop.Active() {
+		if s.lastU > 0 && s.lastU < eta && !s.loop.Active() {
 			i := int64((1 - s.lastU) * float64(s.env.BDP()))
 			s.loop.Open(i, s.loopOpens > 0)
 			s.loopOpens++

@@ -54,15 +54,15 @@ func TestConvergesWithoutDrops(t *testing.T) {
 func TestReactShrinksWindowAtHighUtilization(t *testing.T) {
 	env := transporttest.NewStarEnv(4, transporttest.WithINT())
 	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 1 << 30}
-	cfg := Config{}.withDefaults(env)
-	s := &sender{env: env, f: f, cfg: cfg, wnd: float64(cfg.InitWindow), wc: float64(cfg.InitWindow)}
+	bdp := float64(env.BDP())
+	s := &sender{env: env, f: f, wnd: bdp, wc: bdp}
 	baseT := env.BaseRTT()
 	// First sample establishes the baseline.
 	s.react([]netsim.INTHop{{QLen: 0, TxBytes: 0, TS: 0, Rate: 10 * netsim.Gbps}})
 	// Second sample: link fully utilized with a standing queue.
 	bytesPerRTT := int64(float64(10*netsim.Gbps) / 8 * baseT.Seconds())
 	s.react([]netsim.INTHop{{QLen: 100_000, TxBytes: bytesPerRTT, TS: baseT, Rate: 10 * netsim.Gbps}})
-	if s.wnd >= float64(cfg.InitWindow) {
+	if s.wnd >= bdp {
 		t.Fatalf("window %v did not shrink under U>η", s.wnd)
 	}
 }
@@ -70,26 +70,15 @@ func TestReactShrinksWindowAtHighUtilization(t *testing.T) {
 func TestReactGrowsWindowWhenIdle(t *testing.T) {
 	env := transporttest.NewStarEnv(4, transporttest.WithINT())
 	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 1 << 30}
-	cfg := Config{}.withDefaults(env)
-	s := &sender{env: env, f: f, cfg: cfg, wnd: float64(cfg.InitWindow) / 2, wc: float64(cfg.InitWindow) / 2}
+	half := float64(env.BDP()) / 2
+	s := &sender{env: env, f: f, wnd: half, wc: half}
 	baseT := env.BaseRTT()
 	s.react([]netsim.INTHop{{QLen: 0, TxBytes: 0, TS: 0, Rate: 10 * netsim.Gbps}})
 	// 30% utilization, empty queue.
 	tx := int64(float64(10*netsim.Gbps) / 8 * baseT.Seconds() * 0.3)
 	s.react([]netsim.INTHop{{QLen: 0, TxBytes: tx, TS: baseT, Rate: 10 * netsim.Gbps}})
-	if s.wnd <= float64(cfg.InitWindow)/2 {
+	if s.wnd <= half {
 		t.Fatalf("window %v did not grow at U=0.3", s.wnd)
-	}
-}
-
-func TestDefaults(t *testing.T) {
-	env := transporttest.NewStarEnv(2)
-	cfg := Config{}.withDefaults(env)
-	if cfg.Eta != 0.95 || cfg.MaxStage != 5 {
-		t.Fatalf("defaults = %+v", cfg)
-	}
-	if cfg.InitWindow != int64(env.BDP()) {
-		t.Fatalf("InitWindow = %d", cfg.InitWindow)
 	}
 }
 
@@ -100,9 +89,8 @@ func TestPPTVariantAcksLoneOpportunisticArrival(t *testing.T) {
 	// loop's backlog for good.
 	env := transporttest.NewStarEnv(4, transporttest.WithINT())
 	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 100_000}
-	cfg := Config{}.withDefaults(env)
-	s := &pptSender{sender: sender{env: env, f: f, cfg: cfg,
-		wnd: float64(cfg.InitWindow), wc: float64(cfg.InitWindow)}}
+	bdp := float64(env.BDP())
+	s := &pptSender{sender: sender{env: env, f: f, wnd: bdp, wc: bdp}}
 	s.loop = lowloop.New(env, f, s)
 	f.Src.Bind(f.ID, false, s)
 	f.Dst.Bind(f.ID, true, newReceiver(env, f))

@@ -15,24 +15,9 @@ import (
 	"ppt/internal/transport"
 )
 
-// Config tunes NDP.
-type Config struct {
-	// InitWindow is the blind first-RTT window (default: fabric BDP).
-	InitWindow int64
-	// DataPrio is the priority data packets travel at; trimmed headers,
-	// NACKs and PULLs ride P0.
-	DataPrio int8
-}
-
-func (c Config) withDefaults(env *transport.Env) Config {
-	if c.InitWindow == 0 {
-		c.InitWindow = int64(env.BDP())
-	}
-	if c.DataPrio == 0 {
-		c.DataPrio = 1
-	}
-	return c
-}
+// dataPrio is the priority data packets travel at; trimmed headers,
+// NACKs and PULLs ride P0.
+const dataPrio = 1
 
 // nackInfo identifies a trimmed packet to retransmit.
 type nackInfo struct {
@@ -43,13 +28,12 @@ type nackInfo struct {
 // Proto is the NDP protocol factory; one instance per run (it owns the
 // per-host pull pacers).
 type Proto struct {
-	Cfg    Config
 	pacers map[int32]*pullPacer
 }
 
 // New builds an NDP protocol instance.
-func New(cfg Config) *Proto {
-	return &Proto{Cfg: cfg, pacers: make(map[int32]*pullPacer)}
+func New() *Proto {
+	return &Proto{pacers: make(map[int32]*pullPacer)}
 }
 
 // Name implements transport.Protocol.
@@ -57,7 +41,6 @@ func (*Proto) Name() string { return "ndp" }
 
 // Start implements transport.Protocol.
 func (p *Proto) Start(env *transport.Env, f *transport.Flow) {
-	cfg := p.Cfg.withDefaults(env)
 	pacer := p.pacers[f.Dst.ID()]
 	if pacer == nil {
 		pacer = &pullPacer{env: env, host: f.Dst}
@@ -67,7 +50,7 @@ func (p *Proto) Start(env *transport.Env, f *transport.Flow) {
 	rx := &receiver{env: env, f: f, r: transport.NewReassembly(f.Size), pacer: pacer}
 	rx.retryFn = rx.retryFired
 	f.Dst.Bind(f.ID, true, rx)
-	s := &sender{env: env, f: f, cfg: cfg}
+	s := &sender{env: env, f: f}
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
 }
@@ -77,14 +60,14 @@ func (p *Proto) Start(env *transport.Env, f *transport.Flow) {
 type sender struct {
 	env *transport.Env
 	f   *transport.Flow
-	cfg Config
 
 	sentNext int64
 	rtxQueue []nackInfo
 }
 
+// launch sends the blind first window: one BDP at line rate.
 func (s *sender) launch() {
-	limit := s.cfg.InitWindow
+	limit := int64(s.env.BDP())
 	if limit > s.f.Size {
 		limit = s.f.Size
 	}
@@ -101,7 +84,7 @@ func (s *sender) sendNext(limit int64) {
 	if end <= s.sentNext {
 		return
 	}
-	pkt := s.f.Src.Data(s.f.ID, s.f.Dst.ID(), s.sentNext, int32(end-s.sentNext), s.cfg.DataPrio)
+	pkt := s.f.Src.Data(s.f.ID, s.f.Dst.ID(), s.sentNext, int32(end-s.sentNext), dataPrio)
 	s.f.Src.Send(pkt)
 	s.sentNext = end
 }
@@ -120,7 +103,7 @@ func (s *sender) Handle(pkt *netsim.Packet) {
 		if len(s.rtxQueue) > 0 {
 			ni := s.rtxQueue[0]
 			s.rtxQueue = s.rtxQueue[1:]
-			rp := s.f.Src.Data(s.f.ID, s.f.Dst.ID(), ni.Seq, ni.Len, s.cfg.DataPrio)
+			rp := s.f.Src.Data(s.f.ID, s.f.Dst.ID(), ni.Seq, ni.Len, dataPrio)
 			rp.Retrans = true
 			s.f.Src.Send(rp)
 			return

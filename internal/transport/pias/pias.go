@@ -4,7 +4,7 @@
 // approximating least-attained-service without knowing flow sizes.
 //
 // PIAS uses all eight priorities (it has no low-priority loop), with
-// demotion thresholds tuned per workload; the defaults here follow the
+// demotion thresholds tuned per workload; the thresholds here follow the
 // roughly-geometric spacing the PIAS paper derives for heavy-tailed
 // datacenter workloads.
 package pias
@@ -14,43 +14,34 @@ import (
 	"ppt/internal/transport/dctcp"
 )
 
-// DefaultThresholds demote a flow through P0..P7 as bytes are sent.
-var DefaultThresholds = [7]int64{
+// thresholds are the bytes-sent boundaries that demote a flow through
+// P0..P7.
+var thresholds = [7]int64{
 	50_000, 100_000, 200_000, 500_000, 1_000_000, 5_000_000, 20_000_000,
 }
 
-// Config tunes PIAS.
-type Config struct {
-	DCTCP      dctcp.Config
-	Thresholds [7]int64
+// prio is the sender's tagger: the flow's priority given the bytes it
+// has sent.
+func prio(sent int64) int8 {
+	for i, t := range thresholds {
+		if sent < t {
+			return int8(i)
+		}
+	}
+	return 7
 }
 
 // Proto is the PIAS protocol factory.
-type Proto struct {
-	Cfg Config
-}
+type Proto struct{}
 
 // Name implements transport.Protocol.
 func (Proto) Name() string { return "pias" }
 
 // Start implements transport.Protocol.
-func (p Proto) Start(env *transport.Env, f *transport.Flow) {
-	th := p.Cfg.Thresholds
-	if th == ([7]int64{}) {
-		th = DefaultThresholds
-	}
-	cfg := p.Cfg.DCTCP
-	cfg.Prio = func(sent int64) int8 {
-		for i, t := range th {
-			if sent < t {
-				return int8(i)
-			}
-		}
-		return 7
-	}
+func (Proto) Start(env *transport.Env, f *transport.Flow) {
 	r := dctcp.NewReceiver(env, f)
 	f.Dst.Bind(f.ID, true, r)
-	s := dctcp.NewSender(env, f, cfg)
+	s := dctcp.NewSender(env, f, dctcp.Config{Prio: prio})
 	f.Src.Bind(f.ID, false, s)
 	s.Launch()
 }

@@ -18,21 +18,6 @@ func TestSingleFlowCompletes(t *testing.T) {
 }
 
 func TestDemotionThresholds(t *testing.T) {
-	env := transporttest.NewStarEnv(4)
-	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 1 << 40}
-	var prio func(int64) int8
-	// Capture the prio function PIAS installs.
-	probe := Proto{Cfg: Config{DCTCP: dctcp.Config{}}}
-	_ = probe
-	th := DefaultThresholds
-	prio = func(sent int64) int8 {
-		for i, t := range th {
-			if sent < t {
-				return int8(i)
-			}
-		}
-		return 7
-	}
 	cases := []struct {
 		sent int64
 		want int8
@@ -45,7 +30,6 @@ func TestDemotionThresholds(t *testing.T) {
 			t.Errorf("prio(%d) = %d, want %d", c.sent, got, c.want)
 		}
 	}
-	_ = f
 }
 
 func TestSmallFlowsBypassElephant(t *testing.T) {

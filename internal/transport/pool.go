@@ -118,17 +118,6 @@ type EndpointRecycler interface {
 	Recycle(env *Env)
 }
 
-// SenderQuiescer is implemented by sender endpoints that can cancel
-// every pending timer referencing the struct without being recycled.
-// The windowed run driver quiesces a completed flow's sender at the
-// barrier that stages its teardown — the cheap, schedule-visible half
-// of the work — and defers the Unbind/Recycle/freelist half to the
-// shard's next granted window, off the serial barrier path. Senders
-// without the hook simply tear down at the barrier, as before.
-type SenderQuiescer interface {
-	StopTimers()
-}
-
 // FlowRecycler marks protocols whose endpoints guarantee that, by the
 // time Env.Complete has recycled them, no pending timer or retained
 // reference can reach the *Flow. Only then may Run recycle Flow structs

@@ -36,31 +36,11 @@ import (
 
 // Config tunes PPT.
 type Config struct {
-	// DCTCP configures the embedded HCP loop.
-	DCTCP dctcp.Config
-
-	// IdentifyThreshold is the buffer-aware classifier's first-syscall
-	// byte threshold (default 100KB, Table 3).
-	IdentifyThreshold int64
-
-	// DemoteThresholds are the bytes-sent boundaries at which an
-	// unidentified flow moves from P0→P1→P2→P3 (mirror P4→…→P7).
-	DemoteThresholds [3]int64
-
-	// AlphaHistory is how many recent per-RTT α observations the
-	// case-2 trigger scans for the minimum (default 16).
-	AlphaHistory int
-
 	// Ablations (all false in real PPT).
 	DisableECN            bool // LCP ignores ECE (Fig 15)
 	DisableEWD            bool // LCP sends at line rate, no 2:1 clock (Fig 16)
 	DisableScheduling     bool // no per-flow priorities: HCP=P0, LCP=P4 (Fig 17)
 	DisableIdentification bool // treat every flow as unidentified (Fig 18)
-	DisableLCP            bool // degenerate to plain DCTCP with tagging
-
-	// NoDelayLCPForLarge disables §3.1's one-RTT delay of the case-1
-	// loop for identified-large flows (ablation studies only).
-	NoDelayLCPForLarge bool
 
 	// OnFlowState, when set, is invoked on every per-window α update
 	// with a snapshot of the dual-loop state — the instrumentation
@@ -79,18 +59,17 @@ type FlowState struct {
 	TailNext  int64   // LCP tail frontier
 }
 
-func (c Config) withDefaults() Config {
-	if c.IdentifyThreshold == 0 {
-		c.IdentifyThreshold = 100_000
-	}
-	if c.DemoteThresholds == [3]int64{} {
-		c.DemoteThresholds = [3]int64{100_000, 1_000_000, 10_000_000}
-	}
-	if c.AlphaHistory == 0 {
-		c.AlphaHistory = 16
-	}
-	return c
-}
+// identifyThreshold is the buffer-aware classifier's first-syscall
+// byte threshold (Table 3: 100KB).
+const identifyThreshold = 100_000
+
+// demoteThresholds are the bytes-sent boundaries at which an
+// unidentified flow moves from P0→P1→P2→P3 (mirror P4→…→P7).
+var demoteThresholds = [3]int64{100_000, 1_000_000, 10_000_000}
+
+// alphaHistory is how many recent per-RTT α observations the case-2
+// trigger scans for the minimum.
+const alphaHistory = 16
 
 // Proto is the PPT protocol factory.
 type Proto struct {
@@ -132,11 +111,10 @@ func (p Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
 // threshold), then build, bind, and launch the sender at the flow's
 // arrival time in the source host's shard.
 func (p Proto) StartSender(env *transport.Env, f *transport.Flow) {
-	cfg := p.Cfg.withDefaults()
-	if !cfg.DisableIdentification && f.FirstCall > cfg.IdentifyThreshold {
+	if !p.Cfg.DisableIdentification && f.FirstCall > identifyThreshold {
 		f.IdentifiedLarge = true
 	}
-	s := getSender(env, f, cfg)
+	s := getSender(env, f, p.Cfg)
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
 }
@@ -156,7 +134,7 @@ func hcpPrio(cfg Config, f *transport.Flow, bytesSent int64) int8 {
 	if f.IdentifiedLarge {
 		return 3
 	}
-	for i, th := range cfg.DemoteThresholds {
+	for i, th := range demoteThresholds {
 		if bytesSent < th {
 			return int8(i)
 		}
@@ -177,9 +155,6 @@ type sender struct {
 	hcp *dctcp.Sender
 	lcp lowloop.Loop
 
-	// useLCP mirrors !cfg.DisableLCP; the loop itself is always present
-	// so it can be recycled along with the sender.
-	useLCP bool
 	// pooled marks senders drawn from the Env pool (see getSender).
 	pooled bool
 
@@ -210,34 +185,21 @@ func (s *sender) hcpPrio(sent int64) int8 { return hcpPrio(s.cfg, s.f, sent) }
 // indistinguishable from a fresh newSender result.
 func (s *sender) init(env *transport.Env, f *transport.Flow, cfg Config) {
 	s.env, s.f, s.cfg = env, f, cfg
-	dcfg := cfg.DCTCP
-	dcfg.Prio = s.prioFn
-	s.hcp.Init(env, f, dcfg)
-	s.useLCP = !cfg.DisableLCP
+	s.hcp.Init(env, f, dctcp.Config{Prio: s.prioFn})
 	s.lcp.Init(env, f, s, cfg.DisableECN, cfg.DisableEWD)
 	s.alphas = s.alphas[:0]
 	s.openTimer = sim.Timer{}
-	if s.useLCP {
-		s.hcp.OnAlpha = s.alphaFn
-	}
+	s.hcp.OnAlpha = s.alphaFn
 	if cfg.OnFlowState != nil {
 		// Tracing path: the wrapper closure allocates per flow, which is
 		// fine — dynamics traces run a handful of flows.
-		prev := s.hcp.OnAlpha
 		s.hcp.OnAlpha = func(alpha float64) {
-			if prev != nil {
-				prev(alpha)
-			}
-			st := FlowState{
+			s.onAlpha(alpha)
+			cfg.OnFlowState(f.ID, env.Now(), FlowState{
 				Cwnd: s.hcp.Cwnd, Alpha: s.hcp.Alpha, Wmax: s.hcp.Wmax,
-				SndUna: s.hcp.SndUna,
-			}
-			if s.useLCP {
-				st.LCPActive = s.lcp.Active()
-				st.OppSent = s.lcp.OppSent()
-				st.TailNext = s.lcp.TailNext()
-			}
-			cfg.OnFlowState(f.ID, env.Now(), st)
+				LCPActive: s.lcp.Active(), OppSent: s.lcp.OppSent(),
+				SndUna: s.hcp.SndUna, TailNext: s.lcp.TailNext(),
+			})
 		}
 	}
 }
@@ -250,12 +212,9 @@ func newSender(env *transport.Env, f *transport.Flow, cfg Config) *sender {
 
 func (s *sender) launch() {
 	s.hcp.Launch()
-	if !s.useLCP {
-		return
-	}
 	// The case-1 loop opens at flow start, delayed to the second RTT for
 	// identified-large flows (§3.1).
-	if s.f.IdentifiedLarge && !s.cfg.NoDelayLCPForLarge {
+	if s.f.IdentifiedLarge {
 		s.openTimer = s.env.Sched().After(s.env.BaseRTT(), s.openFn)
 		return
 	}
@@ -267,7 +226,7 @@ func (s *sender) openCase1() {
 	if s.f.SenderDone() {
 		return
 	}
-	s.lcp.Open(int64(s.env.BDP())-s.hcp.C.InitCwnd, false)
+	s.lcp.Open(int64(s.env.BDP())-dctcp.InitCwnd, false)
 }
 
 // onAlpha is the case-2 trigger: fires on every per-window α update. A
@@ -277,8 +236,8 @@ func (s *sender) openCase1() {
 func (s *sender) onAlpha(alpha float64) {
 	prior := s.alphas
 	s.alphas = append(s.alphas, alpha)
-	if len(s.alphas) > s.cfg.AlphaHistory {
-		s.alphas = s.alphas[len(s.alphas)-s.cfg.AlphaHistory:]
+	if len(s.alphas) > alphaHistory {
+		s.alphas = s.alphas[len(s.alphas)-alphaHistory:]
 	}
 	if s.lcp.Active() || !s.hcp.ExitedSS || s.f.SenderDone() || len(prior) == 0 {
 		return
@@ -316,22 +275,15 @@ func (s *sender) SkipSet() *transport.IntervalSet { return s.hcp.Skip }
 // HCP's in-flight estimate, so the high loop may transmit right now.
 func (s *sender) OnSkipUpdate() { s.hcp.TrySend() }
 
-// StopTimers implements transport.SenderQuiescer: cancel every pending
-// timer that could call back into this sender (HCP RTO, the delayed
-// case-1 open, the loop's pacing and dead timers) without recycling it.
-// Idempotent, so the later Recycle's own stops are harmless.
-func (s *sender) StopTimers() {
+// Recycle implements transport.EndpointRecycler: every timer that could
+// call back into this sender (HCP RTO, the delayed case-1 open, the
+// loop's pacing and dead timers) is stopped, then pool-owned structs
+// return to the freelist. Senders built with newSender (tests, traces)
+// are left alone — their creators may still hold them.
+func (s *sender) Recycle(env *transport.Env) {
 	s.hcp.StopTimers()
 	s.lcp.StopTimers()
 	s.openTimer.Stop()
-}
-
-// Recycle implements transport.EndpointRecycler: every timer that could
-// call back into this sender is stopped, then pool-owned structs return
-// to the freelist. Senders built with newSender (tests, traces) are left
-// alone — their creators may still hold them.
-func (s *sender) Recycle(env *transport.Env) {
-	s.StopTimers()
 	if !s.pooled {
 		return
 	}
@@ -348,10 +300,10 @@ func (s *sender) Handle(pkt *netsim.Packet) {
 	if s.f.SenderDone() || pkt.Kind != netsim.Ack {
 		return
 	}
-	if !pkt.LowLoop {
-		s.hcp.ProcessAck(pkt)
-	} else if s.useLCP {
+	if pkt.LowLoop {
 		s.lcp.OnLowAck(pkt)
+	} else {
+		s.hcp.ProcessAck(pkt)
 	}
 }
 

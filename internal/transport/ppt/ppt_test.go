@@ -112,7 +112,7 @@ func TestIdentifiedLargeFlowTaggedLow(t *testing.T) {
 	if !f.IdentifiedLarge {
 		t.Fatal("5MB first syscall not identified as large")
 	}
-	cfg := Config{}.withDefaults()
+	cfg := Config{}
 	if got := hcpPrio(cfg, f, 0); got != 3 {
 		t.Fatalf("identified-large HCP prio = %d, want 3", got)
 	}
@@ -126,14 +126,14 @@ func TestSmallFirstCallNotIdentified(t *testing.T) {
 	if f.IdentifiedLarge {
 		t.Fatal("16KB first syscall identified as large")
 	}
-	cfg := Config{}.withDefaults()
+	cfg := Config{}
 	if got := hcpPrio(cfg, f, 0); got != 0 {
 		t.Fatalf("unidentified flow starts at prio %d, want 0", got)
 	}
 }
 
 func TestMirrorSymmetricDemotion(t *testing.T) {
-	cfg := Config{}.withDefaults()
+	cfg := Config{}
 	f := &transport.Flow{Size: 1 << 40}
 	cases := []struct {
 		sent int64
@@ -150,7 +150,7 @@ func TestMirrorSymmetricDemotion(t *testing.T) {
 }
 
 func TestSchedulingDisabledFlattensPriorities(t *testing.T) {
-	cfg := Config{DisableScheduling: true}.withDefaults()
+	cfg := Config{DisableScheduling: true}
 	f := &transport.Flow{Size: 1 << 30, IdentifiedLarge: true}
 	if got := hcpPrio(cfg, f, 1<<29); got != 0 {
 		t.Fatalf("prio = %d, want 0 with scheduling disabled", got)
@@ -186,7 +186,7 @@ func TestLCPTerminatesAfterSilence(t *testing.T) {
 	env := newEnv()
 	f := &transport.Flow{ID: 3, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
 		Size: 10_000_000, FirstCall: 1000}
-	s := newSender(env, f, Config{}.withDefaults())
+	s := newSender(env, f, Config{})
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
 	if !s.lcp.Active() {
@@ -204,7 +204,7 @@ func TestCase2ReopensOnAlphaMinimum(t *testing.T) {
 	env := newEnv()
 	f := &transport.Flow{ID: 4, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
 		Size: 10_000_000, FirstCall: 1000}
-	s := newSender(env, f, Config{}.withDefaults())
+	s := newSender(env, f, Config{})
 	f.Src.Bind(f.ID, false, s)
 	s.lcp.Terminate()
 	// Pretend the flow left slow start with a healthy Wmax.
@@ -232,7 +232,7 @@ func TestCase2RequiresSlowStartExit(t *testing.T) {
 	env := newEnv()
 	f := &transport.Flow{ID: 5, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
 		Size: 10_000_000, FirstCall: 1000}
-	s := newSender(env, f, Config{}.withDefaults())
+	s := newSender(env, f, Config{})
 	f.Src.Bind(f.ID, false, s)
 	s.lcp.Terminate()
 	s.hcp.ExitedSS = false
@@ -249,7 +249,7 @@ func TestEquation2NeverExceedsHalfWmax(t *testing.T) {
 		env := newEnv()
 		f := &transport.Flow{ID: 6, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
 			Size: 1 << 30, FirstCall: 1000}
-		s := newSender(env, f, Config{}.withDefaults())
+		s := newSender(env, f, Config{})
 		s.hcp.ExitedSS = true
 		s.hcp.Wmax = float64(100 * netsim.MSS)
 		s.onAlpha(0.99) // prime the history
@@ -268,7 +268,7 @@ func TestECESuppressesOpportunisticSend(t *testing.T) {
 	env := newEnv()
 	f := &transport.Flow{ID: 7, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
 		Size: 10_000_000, FirstCall: 1000}
-	s := newSender(env, f, Config{}.withDefaults())
+	s := newSender(env, f, Config{})
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
 	sent := s.lcp.OppSent()
@@ -293,7 +293,7 @@ func TestNoECNAblationIgnoresECE(t *testing.T) {
 	env := newEnv()
 	f := &transport.Flow{ID: 8, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
 		Size: 10_000_000, FirstCall: 1000}
-	s := newSender(env, f, Config{DisableECN: true}.withDefaults())
+	s := newSender(env, f, Config{DisableECN: true})
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
 	sent := s.lcp.OppSent()
@@ -310,7 +310,7 @@ func TestLowAckUpdatesSkipSet(t *testing.T) {
 	env := newEnv()
 	f := &transport.Flow{ID: 9, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
 		Size: 10_000_000, FirstCall: 1000}
-	s := newSender(env, f, Config{}.withDefaults())
+	s := newSender(env, f, Config{})
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
 	ackp := netsim.CtrlPacket(netsim.Ack, f.ID, f.Dst.ID(), f.Src.ID(), 4)
@@ -413,7 +413,7 @@ func TestTerminateKeepsBacklog(t *testing.T) {
 	env := newEnv()
 	f := &transport.Flow{ID: 12, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
 		Size: 10_000_000, FirstCall: 1000}
-	s := newSender(env, f, Config{}.withDefaults())
+	s := newSender(env, f, Config{})
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
 	env.Sched().RunUntil(env.BaseRTT()) // case-1 window paced out, no receiver
@@ -449,7 +449,7 @@ func TestOddOpportunisticCountDrainsInflight(t *testing.T) {
 	env := newEnv()
 	f := &transport.Flow{ID: 14, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
 		Size: 100_000, FirstCall: 1000}
-	s := newSender(env, f, Config{}.withDefaults())
+	s := newSender(env, f, Config{})
 	f.Src.Bind(f.ID, false, s)
 	rc := newReceiver(env, f)
 	f.Dst.Bind(f.ID, true, rc)
@@ -475,7 +475,7 @@ func TestSendBufBoundsLCPReach(t *testing.T) {
 	env.SendBuf = 128 << 10
 	f := &transport.Flow{ID: 15, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
 		Size: 10_000_000, FirstCall: 1000}
-	s := newSender(env, f, Config{}.withDefaults())
+	s := newSender(env, f, Config{})
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
 	if !s.lcp.Active() || s.lcp.OppSent() == 0 {

@@ -17,33 +17,22 @@ import (
 	"ppt/internal/transport/dctcp"
 )
 
-// Config tunes RC3.
-type Config struct {
-	// DCTCP configures the primary loop.
-	DCTCP dctcp.Config
-	// LevelBase is the packet count of the first low-priority level
-	// (default 40; each subsequent level is 10× larger, per RC3).
-	LevelBase int64
-}
+// levelBase is the packet count of the first low-priority level; each
+// subsequent level is 10× larger, per RC3.
+const levelBase = 40
 
 // Proto is the RC3 protocol factory.
-type Proto struct {
-	Cfg Config
-}
+type Proto struct{}
 
 // Name implements transport.Protocol.
 func (Proto) Name() string { return "rc3" }
 
 // Start implements transport.Protocol.
-func (p Proto) Start(env *transport.Env, f *transport.Flow) {
-	cfg := p.Cfg
-	if cfg.LevelBase == 0 {
-		cfg.LevelBase = 40
-	}
+func (Proto) Start(env *transport.Env, f *transport.Flow) {
 	r := &receiver{env: env, f: f, r: transport.NewReassembly(f.Size)}
 	f.Dst.Bind(f.ID, true, r)
-	s := &sender{env: env, f: f, cfg: cfg, tailNext: f.Size}
-	s.hcp = dctcp.NewSender(env, f, cfg.DCTCP)
+	s := &sender{env: env, f: f, tailNext: f.Size}
+	s.hcp = dctcp.NewSender(env, f, dctcp.Config{})
 	f.Src.Bind(f.ID, false, s)
 	s.hcp.Launch()
 	s.launchLCP()
@@ -52,7 +41,6 @@ func (p Proto) Start(env *transport.Env, f *transport.Flow) {
 type sender struct {
 	env *transport.Env
 	f   *transport.Flow
-	cfg Config
 	hcp *dctcp.Sender
 
 	tailNext int64 // next tail byte frontier (descending)
@@ -73,11 +61,11 @@ func (s *sender) launchLCP() {
 }
 
 // lowPrio maps cumulative low-loop packets sent to the RC3 exponential
-// priority levels: first LevelBase packets at P4, 10× that at P5, 10×
+// priority levels: first levelBase packets at P4, 10× that at P5, 10×
 // again at P6, remainder at P7.
 func (s *sender) lowPrio() int8 {
 	pktsSent := s.oppSent / netsim.MSS
-	level := s.cfg.LevelBase
+	level := int64(levelBase)
 	for p := int8(4); p < 7; p++ {
 		if pktsSent < level {
 			return p

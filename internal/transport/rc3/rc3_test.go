@@ -40,7 +40,7 @@ func TestLowLoopStartsImmediately(t *testing.T) {
 func TestExponentialPriorityLevels(t *testing.T) {
 	env := transporttest.NewStarEnv(4)
 	f := &transport.Flow{ID: 5, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 1 << 30}
-	s := &sender{env: env, f: f, cfg: Config{LevelBase: 40}, tailNext: f.Size}
+	s := &sender{env: env, f: f, tailNext: f.Size}
 	s.hcp = dctcp.NewSender(env, f, dctcp.Config{})
 	cases := []struct {
 		pktsSent int64
@@ -62,7 +62,7 @@ func TestNoECESuppression(t *testing.T) {
 	env := transporttest.NewStarEnv(4)
 	f := &transport.Flow{ID: 5, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
 		Size: 100_000_000, FirstCall: 100}
-	s := &sender{env: env, f: f, cfg: Config{LevelBase: 40}, tailNext: f.Size}
+	s := &sender{env: env, f: f, tailNext: f.Size}
 	s.hcp = dctcp.NewSender(env, f, dctcp.Config{})
 	f.Src.Bind(f.ID, false, s)
 	s.launchLCP()

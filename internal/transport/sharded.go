@@ -36,12 +36,10 @@ import (
 //     (time, srcShard, seq) order (netsim.MergeWindows);
 //  2. receiver starts for flows released this round whose destination
 //     is another shard, in source-shard index order;
-//  3. sender quiesces for cross-shard flows completed this round, in
-//     completing-shard index order: the sender is frozen (srcDone set,
-//     timers stopped) at the barrier, while the expensive
-//     Unbind/Recycle/freelist half of the teardown is deferred to the
-//     sender shard's next granted window and applied there by the
-//     owning worker, off the serial barrier path (DESIGN.md §7.7);
+//  3. sender teardowns for cross-shard flows completed this round, in
+//     completing-shard index order: srcDone is set, the sender is
+//     unbound and recycled (which stops its timers), and the flow
+//     returns to the source shard's freelist;
 //  4. global stop / event-budget / deadline checks.
 //
 // The logical partition and the matrix are fixed by the topology;
@@ -189,12 +187,6 @@ type shardedRun struct {
 	// tear stages cross-shard sender teardowns, indexed by the
 	// completing (receiver) shard — again a single writer per window.
 	tear [][]*Flow
-	// pendTear holds quiesced senders awaiting the deferred recycle
-	// half of their teardown, indexed by the sender's (source) shard.
-	// Written by the driver at barriers, drained by the worker owning
-	// the shard just before its next window runs — the start/done
-	// channel handoffs order the two.
-	pendTear [][]*Flow
 }
 
 func (r *shardedRun) flowDone() { r.remaining.Add(-1) }
@@ -232,25 +224,14 @@ func (r *shardedRun) applyReceiverStarts() {
 	}
 }
 
-// quiesceTeardowns freezes every sender staged for teardown this round
-// and regroups the flows per source shard for deferred recycling. Runs
-// on the driver thread at a barrier, iterating completing shards in
-// index order (entries within a slice are in completion order) so each
-// source shard's deferred queue is a deterministic subsequence of the
-// old global application order.
-//
-// Setting srcDone and stopping the sender's timers here is the entire
-// schedule-visible half of a teardown: every sender packet handler and
-// timer callback early-returns on SenderDone, and after StopTimers the
-// shard's pending set matches what a full barrier teardown would have
-// left — so horizons, and with them the whole round trajectory, are
-// bit-identical to applying everything at the barrier. The remaining
-// half (NIC unbind, endpoint recycle, flow freelist) touches only
-// shard-local pools that are read exclusively while the shard
-// executes, so it rides the shard's next granted window instead of the
-// serial barrier path. Senders without the StopTimers hook tear down
-// at the barrier, as before.
-func (r *shardedRun) quiesceTeardowns() {
+// applyTeardowns tears down every sender staged this round: it sets
+// srcDone, unbinds the endpoint from the source NIC, recycles it (which
+// stops its timers) and returns a recyclable flow to the source shard's
+// freelist. Runs on the driver thread at a barrier, iterating
+// completing shards in index order (entries within a slice are in
+// completion order), so the order in which each source shard's pools
+// receive the structs is a pure function of the workload.
+func (r *shardedRun) applyTeardowns() {
 	for i := range r.tear {
 		staged := r.tear[i]
 		if len(staged) == 0 {
@@ -258,46 +239,17 @@ func (r *shardedRun) quiesceTeardowns() {
 		}
 		for j, f := range staged {
 			f.srcDone = true
-			if q, ok := f.Src.Endpoint(f.ID, false).(SenderQuiescer); ok {
-				q.StopTimers()
-				d := r.hostShard[f.Src.ID()]
-				r.pendTear[d] = append(r.pendTear[d], f)
-			} else {
-				r.recycleSender(f)
+			se := r.envs[r.hostShard[f.Src.ID()]]
+			if rec, ok := f.Src.Unbind(f.ID, false).(EndpointRecycler); ok {
+				rec.Recycle(se)
+			}
+			if f.pooled && se.recycleFlows {
+				se.putFlow(f)
 			}
 			staged[j] = nil
 		}
 		r.tear[i] = staged[:0]
 	}
-}
-
-// recycleSender is the deferred half of a sender teardown: unbind the
-// endpoint from the source NIC, recycle it, and return a recyclable
-// flow to the source shard's freelist.
-func (r *shardedRun) recycleSender(f *Flow) {
-	se := r.envs[r.hostShard[f.Src.ID()]]
-	src := f.Src.Unbind(f.ID, false)
-	if rec, ok := src.(EndpointRecycler); ok {
-		rec.Recycle(se)
-	}
-	if f.pooled && se.recycleFlows {
-		se.putFlow(f)
-	}
-}
-
-// applyTeardowns recycles every quiesced sender of shard d. Called by
-// the worker owning d just before the shard's window runs (or by the
-// driver after the round loop exits, to flush shards that never ran
-// again). Recycled structs land in the pools the shard's own releaser
-// pops while executing, so applying just before RunUntil presents
-// exactly the pool state a barrier-time application would have.
-func (r *shardedRun) applyTeardowns(d int) {
-	staged := r.pendTear[d]
-	for j, f := range staged {
-		r.recycleSender(f)
-		staged[j] = nil
-	}
-	r.pendTear[d] = staged[:0]
 }
 
 // shardIdle marks a shard with no event inside its horizon this round:
@@ -317,10 +269,6 @@ type crew struct {
 	scheds []*sim.Scheduler
 	owned  [][]int // worker -> owned shard indices, ascending
 	runTo  []sim.Time
-	// preRun, when set, runs on the owning worker for each non-idle
-	// shard just before its RunUntil — the deferred teardown hook. Set
-	// once by the driver before the first start signal.
-	preRun func(shard int)
 	start  []chan struct{}
 	done   chan struct{}
 }
@@ -359,9 +307,6 @@ func startCrew(scheds []*sim.Scheduler, shardWorker []int, workers int, runTo []
 func (c *crew) runShards(w int) {
 	for _, i := range c.owned[w] {
 		if rt := c.runTo[i]; rt != shardIdle {
-			if c.preRun != nil {
-				c.preRun(i)
-			}
 			c.scheds[i].RunUntil(rt)
 		}
 	}
@@ -440,7 +385,6 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 		hostShard: part.HostShard,
 		recv:      make([][]*Flow, n),
 		tear:      make([][]*Flow, n),
-		pendTear:  make([][]*Flow, n),
 	}
 	run.envs = make([]*Env, n)
 	for i := range run.envs {
@@ -548,11 +492,6 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 	horizons := make([]sim.Time, n) // h_d for the current round
 	runTo := make([]sim.Time, n)    // per-shard deadline, shardIdle to skip
 	settleTo := make([]sim.Time, n) // furthest horizon each shard ever ran to
-	preTear := func(i int) {
-		if len(run.pendTear[i]) > 0 {
-			run.applyTeardowns(i)
-		}
-	}
 	var workerPool *crew
 	var workerBusy []bool
 	// assign is the live shard→worker map: seeded from the partition's
@@ -563,7 +502,6 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 	var lastExec, loadBuf []uint64
 	if workers > 1 {
 		workerPool = startCrew(part.Scheds, part.ShardWorker, workers, runTo)
-		workerPool.preRun = preTear
 		workerBusy = make([]bool, workers)
 		defer workerPool.stop()
 		assign = make([]int, n)
@@ -688,7 +626,6 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 		case workerPool == nil:
 			for i, s := range part.Scheds {
 				if rt := runTo[i]; rt != shardIdle {
-					preTear(i)
 					s.RunUntil(rt)
 				}
 			}
@@ -710,7 +647,7 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 		// Barrier: every shard quiescent, driver thread only.
 		st.CrossPackets += uint64(netsim.MergeWindows(part.Outboxes, part.Inboxes))
 		run.applyReceiverStarts()
-		run.quiesceTeardowns()
+		run.applyTeardowns()
 		for d := 0; d < n; d++ {
 			if h := horizons[d]; h > deadline {
 				floors[d] = deadline + 1
@@ -763,10 +700,6 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 		if minRun >= deadline {
 			break
 		}
-	}
-	// Flush teardowns deferred to shards that never ran another window.
-	for d := range run.pendTear {
-		preTear(d)
 	}
 	for i, s := range part.Scheds {
 		st.ShardEvents[i] = s.Executed - startExec[i]

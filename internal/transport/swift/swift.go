@@ -18,39 +18,25 @@ import (
 
 // Config tunes the delay-based loop.
 type Config struct {
-	// TargetDelay is the fabric RTT target (default: 1.5 × base RTT).
-	TargetDelay sim.Time
-	// AI is the additive increase per RTT in MSS units (default 1).
-	AI float64
-	// Beta scales multiplicative decrease (default 0.8).
-	Beta float64
-	// MaxMD floors a single decrease factor (default 0.5).
-	MaxMD float64
-	// InitCwnd in bytes (default 10 MSS).
-	InitCwnd int64
-
 	// WithPPT enables the dual-loop + scheduling variant of Fig 14.
 	WithPPT bool
 }
 
-func (c Config) withDefaults(env *transport.Env) Config {
-	if c.TargetDelay == 0 {
-		c.TargetDelay = env.BaseRTT() + env.BaseRTT()/2
-	}
-	if c.AI == 0 {
-		c.AI = 1
-	}
-	if c.Beta == 0 {
-		c.Beta = 0.8
-	}
-	if c.MaxMD == 0 {
-		c.MaxMD = 0.5
-	}
-	if c.InitCwnd == 0 {
-		c.InitCwnd = 10 * netsim.MSS
-	}
-	return c
-}
+// The control law's constants. The target delay is not one of them: it
+// follows the fabric (targetDelay).
+const (
+	// ai is the additive increase per RTT in MSS units.
+	ai = 1
+	// beta scales multiplicative decrease.
+	beta = 0.8
+	// maxMD floors a single decrease factor.
+	maxMD = 0.5
+	// initCwnd is the initial window in bytes (10 MSS).
+	initCwnd = 10 * netsim.MSS
+)
+
+// targetDelay is the fabric RTT target: 1.5 × the base RTT.
+func targetDelay(env *transport.Env) sim.Time { return env.BaseRTT() + env.BaseRTT()/2 }
 
 // Proto is the Swift-like protocol factory.
 type Proto struct {
@@ -67,15 +53,14 @@ func (p Proto) Name() string {
 
 // Start implements transport.Protocol.
 func (p Proto) Start(env *transport.Env, f *transport.Flow) {
-	cfg := p.Cfg.withDefaults(env)
-	if cfg.WithPPT && f.FirstCall > 100_000 {
+	if p.Cfg.WithPPT && f.FirstCall > 100_000 {
 		f.IdentifiedLarge = true
 	}
 	rc := &receiver{env: env, f: f}
 	rc.Init(env, f)
 	f.Dst.Bind(f.ID, true, rc)
-	s := &sender{env: env, f: f, cfg: cfg, cwnd: float64(cfg.InitCwnd)}
-	if cfg.WithPPT {
+	s := &sender{env: env, f: f, cfg: p.Cfg, target: targetDelay(env), cwnd: initCwnd}
+	if p.Cfg.WithPPT {
 		s.loop = lowloop.New(env, f, s)
 	}
 	f.Src.Bind(f.ID, false, s)
@@ -86,6 +71,8 @@ type sender struct {
 	env *transport.Env
 	f   *transport.Flow
 	cfg Config
+	// target is the fabric RTT target (targetDelay).
+	target sim.Time
 
 	cwnd           float64
 	sndUna, sndNxt int64
@@ -246,9 +233,9 @@ func (s *sender) adjust(rtt sim.Time, acked int64) {
 	if rtt == 0 {
 		return
 	}
-	if rtt < s.cfg.TargetDelay {
+	if rtt < s.target {
 		// Additive increase, normalized per window.
-		s.cwnd += s.cfg.AI * netsim.MSS * float64(acked) / s.cwnd
+		s.cwnd += ai * netsim.MSS * float64(acked) / s.cwnd
 		if s.loop != nil && !s.loop.Active() {
 			// The paper's Fig 14 trigger: delay below target means the
 			// fabric has spare capacity for opportunistic packets.
@@ -265,9 +252,9 @@ func (s *sender) adjust(rtt sim.Time, acked int64) {
 	}
 	s.decreased = true
 	s.lastDecrease = now
-	md := 1 - s.cfg.Beta*float64(rtt-s.cfg.TargetDelay)/float64(rtt)
-	if md < 1-s.cfg.MaxMD {
-		md = 1 - s.cfg.MaxMD
+	md := 1 - beta*float64(rtt-s.target)/float64(rtt)
+	if md < 1-maxMD {
+		md = 1 - maxMD
 	}
 	s.cwnd *= md
 	if s.cwnd < netsim.MSS {

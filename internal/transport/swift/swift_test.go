@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ppt/internal/sim"
+	"ppt/internal/topo"
 	"ppt/internal/transport"
 	"ppt/internal/transport/transporttest"
 )
@@ -36,13 +37,27 @@ func TestDelayStaysNearTarget(t *testing.T) {
 	}
 }
 
+// TestTargetDelayFollowsTheFabric: the delay target Start sets is 1.5×
+// the base RTT, on two star fabrics with different BDPs.
+func TestTargetDelayFollowsTheFabric(t *testing.T) {
+	for _, delay := range []sim.Time{5 * sim.Microsecond, 20 * sim.Microsecond} {
+		env := transporttest.NewStarEnv(2, func(c *topo.Config) { c.LinkDelay = delay })
+		size := 4 * int64(env.BDP())
+		f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: size, FirstCall: size}
+		Proto{}.Start(env, f)
+		s := f.Src.Unbind(f.ID, false).(*sender)
+		if want := env.BaseRTT() * 3 / 2; s.target != want {
+			t.Errorf("base RTT %v: target delay %v, want %v", env.BaseRTT(), s.target, want)
+		}
+	}
+}
+
 func TestAdjustIncreasesBelowTarget(t *testing.T) {
 	env := transporttest.NewStarEnv(4)
 	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 1 << 30}
-	cfg := Config{}.withDefaults(env)
-	s := &sender{env: env, f: f, cfg: cfg, cwnd: float64(cfg.InitCwnd)}
+	s := &sender{env: env, f: f, target: targetDelay(env), cwnd: initCwnd}
 	before := s.cwnd
-	s.adjust(cfg.TargetDelay/2, 10_000)
+	s.adjust(s.target/2, 10_000)
 	if s.cwnd <= before {
 		t.Fatal("no additive increase below target delay")
 	}
@@ -51,27 +66,25 @@ func TestAdjustIncreasesBelowTarget(t *testing.T) {
 func TestAdjustDecreasesAboveTarget(t *testing.T) {
 	env := transporttest.NewStarEnv(4)
 	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 1 << 30}
-	cfg := Config{}.withDefaults(env)
-	s := &sender{env: env, f: f, cfg: cfg, cwnd: float64(cfg.InitCwnd), srtt: env.BaseRTT()}
+	s := &sender{env: env, f: f, target: targetDelay(env), cwnd: initCwnd, srtt: env.BaseRTT()}
 	before := s.cwnd
-	s.adjust(cfg.TargetDelay*3, 10_000)
+	s.adjust(s.target*3, 10_000)
 	if s.cwnd >= before {
 		t.Fatal("no decrease above target delay")
 	}
-	// Bounded by MaxMD.
-	if s.cwnd < before*(1-cfg.MaxMD)-1 {
-		t.Fatalf("decrease %v -> %v exceeds MaxMD", before, s.cwnd)
+	// Bounded by maxMD.
+	if s.cwnd < before*(1-maxMD)-1 {
+		t.Fatalf("decrease %v -> %v exceeds maxMD", before, s.cwnd)
 	}
 }
 
 func TestDecreaseThrottledPerRTT(t *testing.T) {
 	env := transporttest.NewStarEnv(4)
 	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 1 << 30}
-	cfg := Config{}.withDefaults(env)
-	s := &sender{env: env, f: f, cfg: cfg, cwnd: float64(cfg.InitCwnd), srtt: env.BaseRTT()}
-	s.adjust(cfg.TargetDelay*3, 10_000)
+	s := &sender{env: env, f: f, target: targetDelay(env), cwnd: initCwnd, srtt: env.BaseRTT()}
+	s.adjust(s.target*3, 10_000)
 	after := s.cwnd
-	s.adjust(cfg.TargetDelay*3, 10_000) // same instant: throttled
+	s.adjust(s.target*3, 10_000) // same instant: throttled
 	if s.cwnd != after {
 		t.Fatal("second decrease within an RTT not throttled")
 	}
