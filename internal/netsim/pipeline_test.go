@@ -7,11 +7,12 @@ import (
 )
 
 // The pipeline tests pin the on-demand departure rule (DESIGN.md §7.6).
-// Most drive one packet script through two identically configured ports
-// — one at its natural slack (a local wire decides owed departures as
-// late as the in-flight packet's delivery, Delay after busyUntil) and one
-// with the slack forced to zero (a drain timer decides every departure at
-// its own instant) — and assert the two are observationally identical:
+// Most drive one packet script through two ports that differ only in
+// EnableINT — one at its natural slack (a local wire decides owed
+// departures as late as the in-flight packet's delivery, Delay after
+// busyUntil) and one at zero slack (an INT port, whose drain timer
+// decides every departure at its own instant; the script's packets
+// carry no INT records) — and assert the two are observationally identical:
 // same departures at the same instants, same deliveries, same counters,
 // same pool behaviour. Only the event count may differ.
 
@@ -26,10 +27,11 @@ func pairRun(t *testing.T, cfg PortConfig, poolCap int64, script func(s *sim.Sch
 		if poolCap > 0 {
 			pool = NewBufferPool(poolCap)
 		}
-		p, k := newTestPort(s, cfg, pool)
-		if zeroSlack {
-			p.slack = 0
-		}
+		c := cfg
+		// An INT port whose packets carry no INT records: its drain
+		// timer decides each departure at its own instant.
+		c.EnableINT = zeroSlack
+		p, k := newTestPort(s, c, pool)
 		script(s, p)
 		s.Run()
 		// Mirror the run drivers: settle at the final executed horizon,
@@ -50,36 +52,37 @@ func pairRun(t *testing.T, cfg PortConfig, poolCap int64, script func(s *sim.Sch
 	return
 }
 
-// assertSameOutcome fails unless both runs delivered the same packets at
-// the same times with the same markings, and the ports (and pools) ended
-// with identical counters.
+// assertSameOutcome fails unless both runs — a port that decides owed
+// departures late and the zero-slack port that decides each at its
+// instant — delivered the same packets at the same times with the same
+// markings, and the ports (and pools) ended with identical counters.
 func assertSameOutcome(t *testing.T, pn, pz *Port, kn, kz *sink, bn, bz *BufferPool) {
 	t.Helper()
 	if len(kn.pkts) != len(kz.pkts) {
-		t.Fatalf("natural slack delivered %d packets, zero slack %d", len(kn.pkts), len(kz.pkts))
+		t.Fatalf("late-deciding port delivered %d packets, zero slack %d", len(kn.pkts), len(kz.pkts))
 	}
 	for i := range kn.pkts {
 		a, b := kn.pkts[i], kz.pkts[i]
 		if kn.at[i] != kz.at[i] {
-			t.Fatalf("delivery %d: natural slack at %v, zero slack at %v", i, kn.at[i], kz.at[i])
+			t.Fatalf("delivery %d: late-deciding port at %v, zero slack at %v", i, kn.at[i], kz.at[i])
 		}
 		if a.FlowID != b.FlowID || a.Seq != b.Seq || a.WireLen != b.WireLen ||
 			a.Prio != b.Prio || a.CE != b.CE || a.Trimmed != b.Trimmed {
-			t.Fatalf("delivery %d differs: natural %+v, zero %+v", i, a, b)
+			t.Fatalf("delivery %d differs: late %+v, zero %+v", i, a, b)
 		}
 	}
 	if pn.Stats != pz.Stats {
-		t.Fatalf("stats differ:\nnatural %+v\nzero    %+v", pn.Stats, pz.Stats)
+		t.Fatalf("stats differ:\nlate %+v\nzero %+v", pn.Stats, pz.Stats)
 	}
 	if (bn == nil) != (bz == nil) {
 		t.Fatalf("pool presence differs")
 	}
 	if bn != nil {
 		if bn.Drops != bz.Drops {
-			t.Fatalf("pool drops: natural %d, zero %d", bn.Drops, bz.Drops)
+			t.Fatalf("pool drops: late-deciding port %d, zero slack %d", bn.Drops, bz.Drops)
 		}
 		if u1, u2 := bn.Used(), bz.Used(); u1 != u2 {
-			t.Fatalf("pool used: natural %d, zero %d", u1, u2)
+			t.Fatalf("pool used: late-deciding port %d, zero slack %d", u1, u2)
 		}
 	}
 }
@@ -346,45 +349,88 @@ func TestINTHopRecordedAtTxDone(t *testing.T) {
 	}
 }
 
-// A cross-shard port deposits each packet into the outbox at its
-// transmit start, due at txDone + Delay (>= now + Delay), and keeps its
-// departures on time with the zero-slack drain: a queued packet is
-// deposited at exactly the previous packet's serialize-complete instant.
+// A non-INT cross port puts each packet on its wire at transmit start,
+// due at txDone + Delay, and arms no drain: a departure owed at the
+// previous packet's serialize-complete instant waits for the next
+// arrival or the end of the round (Outbox.Advance), which starts it at
+// exactly that instant.
 func TestCrossPortDepositsAtStart(t *testing.T) {
 	s := sim.NewScheduler()
 	delay := 1 * sim.Microsecond
 	p, k := newTestPort(s, PortConfig{Delay: delay}, nil)
 	o := NewOutbox(0)
-	p.SetCross(o, 1)
+	p.SetCross(o, NewInbox(sim.NewScheduler()))
 	tx := (10 * Gbps).TxTime(1064)
 
-	// Observers armed before the script: the one at 0 runs first, the
-	// one at tx-1 sees only the inline start, the one at tx+1 sees the
-	// second packet deposited by the drain at tx.
+	// Observers armed before the script: the one at 0 runs first; the
+	// one at tx+1 sees only the inline start, because nothing decides
+	// the departure owed at tx before the round ends.
 	var seen []int
-	for _, at := range []sim.Time{0, tx - 1, tx + 1} {
-		s.At(at, func() { seen = append(seen, len(o.entries)) })
+	for _, at := range []sim.Time{0, tx + 1} {
+		s.At(at, func() { seen = append(seen, len(p.cross.out)) })
 	}
 	s.At(0, func() {
-		p.Enqueue(DataPacket(1, 0, 1, 0, 1000, 0))
-		p.Enqueue(DataPacket(2, 0, 1, 0, 1000, 0))
+		for i := uint32(1); i <= 3; i++ {
+			p.Enqueue(DataPacket(i, 0, 1, 0, 1000, 0))
+		}
 	})
-	s.Run()
+	// Round 1 ends between the second departure (owed at tx) and the
+	// third (owed at 2tx); round 2 covers the third.
+	for _, r := range []struct{ end, owed, after sim.Time }{
+		{tx + tx/2, tx, 2 * tx},
+		{3 * tx, 2 * tx, sim.MaxTime},
+	} {
+		s.RunUntil(r.end)
+		if got := o.NextDeparture(); got != r.owed {
+			t.Fatalf("before the round ending at %v: next owed departure %v, want %v", r.end, got, r.owed)
+		}
+		o.Advance(r.end)
+		if got := o.NextDeparture(); got != r.after {
+			t.Fatalf("after the round ending at %v: next owed departure %v, want %v", r.end, got, r.after)
+		}
+	}
 
-	if want := []int{0, 1, 2}; len(seen) != 3 || seen[0] != want[0] || seen[1] != want[1] || seen[2] != want[2] {
-		t.Fatalf("outbox sizes over time = %v, want %v", seen, want)
+	if len(seen) != 2 || seen[0] != 0 || seen[1] != 1 {
+		t.Fatalf("wire sizes over time = %v, want [0 1]", seen)
 	}
 	if len(k.pkts) != 0 {
 		t.Fatalf("cross port delivered %d packets locally", len(k.pkts))
 	}
-	for i, e := range o.entries {
+	if len(p.cross.out) != 3 {
+		t.Fatalf("%d departures on the wire, want 3", len(p.cross.out))
+	}
+	for i, e := range p.cross.out {
 		start := sim.Time(i) * tx
-		if e.At != start+tx+delay || e.Dst != 1 || e.Port != p {
-			t.Fatalf("deposit %d = {At %v Dst %d}, want At %v Dst 1", i, e.At, e.Dst, start+tx+delay)
+		if e.at != start+tx+delay || e.pkt.FlowID != uint32(i+1) {
+			t.Fatalf("departure %d = flow %d due %v, want flow %d due %v", i, e.pkt.FlowID, e.at, i+1, start+tx+delay)
 		}
 	}
-	if s.Executed != 3+1+1 { // three observers, the script, one drain
-		t.Fatalf("executed %d events, want 5", s.Executed)
+	if s.Executed != 2+1 { // two observers and the script: no drain
+		t.Fatalf("executed %d events, want 3", s.Executed)
+	}
+
+	// An INT cross port keeps its drain: the outbox does not list it,
+	// and each backlogged departure is decided at its own instant.
+	s = sim.NewScheduler()
+	q, _ := newTestPort(s, PortConfig{Delay: delay, EnableINT: true}, nil)
+	o = NewOutbox(0)
+	q.SetCross(o, NewInbox(sim.NewScheduler()))
+	var owed sim.Time
+	s.At(1, func() { owed = o.NextDeparture() })
+	s.At(tx+1, func() { seen = append(seen[:0], len(q.cross.out)) })
+	s.At(0, func() {
+		q.Enqueue(DataPacket(1, 0, 1, 0, 1000, 0))
+		q.Enqueue(DataPacket(2, 0, 1, 0, 1000, 0))
+	})
+	s.Run()
+	if owed != sim.MaxTime {
+		t.Fatalf("outbox reports an owed departure at %v on an INT port", owed)
+	}
+	if seen[0] != 2 {
+		t.Fatalf("INT cross port had %d departures on the wire just after tx, want 2", seen[0])
+	}
+	if s.Executed != 2+1+1 { // two observers, the script, one drain
+		t.Fatalf("INT cross port executed %d events, want 4", s.Executed)
 	}
 }
 
@@ -429,7 +475,11 @@ func TestFastPathPendCompactionUnderSaturation(t *testing.T) {
 // once. The departure trace — (flow, seq, start, txDone) per packet,
 // recovered from the delivery instants — must be identical whether owed
 // departures are decided as late as the slack allows or at their own
-// instant, and the late-deciding port must execute fewer events.
+// instant, and the late-deciding port must execute fewer events. A
+// non-INT cross port running the script, whose owed departures are
+// decided only by arrivals and at the ends of rounds of random width,
+// must put the same (due, flow, seq) sequence on its wire, with no
+// drain event.
 func TestSlackRandomizedDifferential(t *testing.T) {
 	cfg := PortConfig{
 		Rate:            40 * Gbps,
@@ -474,5 +524,39 @@ func TestSlackRandomizedDifferential(t *testing.T) {
 	}
 	if en >= ez {
 		t.Fatalf("natural slack executed %d events, zero slack %d; late decisions must cost fewer", en, ez)
+	}
+
+	s := sim.NewScheduler()
+	bc := NewBufferPool(30000)
+	pc, _ := newTestPort(s, cfg, bc)
+	o := NewOutbox(0)
+	pc.SetCross(o, NewInbox(sim.NewScheduler()))
+	script(s, pc)
+	rng := uint64(9)
+	end := sim.Time(0)
+	for s.Pending() > 0 || o.NextDeparture() != sim.MaxTime {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		end += 1 + sim.Time(rng%uint64(3*sim.Microsecond))
+		s.RunUntil(end)
+		o.Advance(end)
+	}
+	out := pc.cross.out
+	pc.SettleTx(out[len(out)-1].at)
+	if err := pc.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := bc.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	kc := &sink{}
+	for _, e := range out {
+		kc.pkts = append(kc.pkts, e.pkt)
+		kc.at = append(kc.at, e.at)
+	}
+	assertSameOutcome(t, pc, pz, kc, kz, bc, bz)
+	if s.Executed != 300 {
+		t.Fatalf("cross port executed %d events, want the script's 300 and no drain", s.Executed)
 	}
 }

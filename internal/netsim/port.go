@@ -164,17 +164,18 @@ type Port struct {
 	// txDone+Delay — and defers the transmit-side accounting (TxBytes,
 	// pool release, ...) in pend. wire holds packets propagating toward
 	// the peer: the delay is one constant per port, so deliveries are
-	// strictly FIFO and the next delivery always takes the head. slack
-	// bounds how late an owed departure may be decided; drain is the
-	// timer that keeps a zero-slack port on time. intq holds INT packets
-	// awaiting their tx-complete hook. The callbacks are bound once at
-	// construction so the hot path schedules them without allocating.
+	// strictly FIFO and the next delivery always takes the head;
+	// delivered counts the packets it handed to the peer. drain is the
+	// timer that keeps an INT port's departures on time. intq holds INT
+	// packets awaiting their tx-complete hook. The callbacks are bound
+	// once at construction so the hot path schedules them without
+	// allocating.
 	busyUntil sim.Time
 	lastStart sim.Time
 	lastWire  int64
-	slack     sim.Time
 	drain     sim.Timer
 	wire      pktRing
+	delivered int64
 	intq      pktRing
 	pend      []pendTx
 	pendHead  int
@@ -183,12 +184,11 @@ type Port struct {
 	onTxDone  func()
 
 	// cross, when set, marks the wire as crossing a shard boundary in a
-	// partitioned fabric: transmissions are deposited into the outbox at
-	// transmit start (due at txDone+Delay) instead of propagating through
-	// the local scheduler, and the destination shard's Inbox calls
-	// deliverCross at the due time. crossDst is the peer device's shard.
-	cross    *Outbox
-	crossDst int32
+	// partitioned fabric: each departure joins the cross wire's FIFO at
+	// transmit start (due at txDone+Delay) instead of propagating
+	// through the local scheduler, and the destination shard's Inbox
+	// calls deliverCross at the due time (cross.go).
+	cross *crossWire
 
 	Stats PortStats
 }
@@ -213,10 +213,6 @@ func NewPort(name string, s *sim.Scheduler, cfg PortConfig, peer Device, pool *B
 	}
 	p := &Port{name: name, sched: s, cfg: cfg, peer: peer, pool: pool}
 	p.busyUntil, p.lastStart = -1, -1
-	p.slack = cfg.Delay
-	if cfg.EnableINT {
-		p.slack = 0
-	}
 	p.lossState = cfg.LossSeed*2654435761 + 0x9e3779b97f4a7c15
 	p.onDrain = p.drainTx
 	p.onDeliver = p.deliver
@@ -406,6 +402,12 @@ func (p *Port) mark(pkt *Packet) {
 }
 
 func (p *Port) push(pkt *Packet) {
+	if now := p.sched.Now(); p.busyUntil <= now {
+		// Idle: Enqueue advanced through now, so the queues are empty,
+		// and the packet starts inline at its own instant.
+		p.start(pkt, now)
+		return
+	}
 	prio := pkt.Prio
 	p.queues[prio].push(pkt)
 	n := int64(pkt.WireLen)
@@ -414,16 +416,10 @@ func (p *Port) push(pkt *Packet) {
 	if p.isLow(prio) {
 		p.lowQueued += n
 	}
-	if p.busyUntil <= p.sched.Now() {
-		// Idle: Enqueue advanced through now, so this packet is the only
-		// one waiting, and it starts inline at its own instant.
-		p.start(p.pop(), p.sched.Now())
-		return
-	}
-	// A backlog needs the drain timer unless the in-flight packet's own
-	// delivery, at busyUntil + Delay, comes within the slack.
-	if (p.cross != nil || p.slack < p.cfg.Delay) && !p.drain.Pending() {
-		p.drain = p.sched.At(p.busyUntil+p.slack, p.onDrain)
+	// Only an INT port arms the drain timer for a backlog, unless its
+	// in-flight packet's own delivery observes it at busyUntil (Delay 0).
+	if p.cfg.EnableINT && p.cfg.Delay > 0 && !p.drain.Pending() {
+		p.drain = p.sched.At(p.busyUntil, p.onDrain)
 	}
 }
 
@@ -443,16 +439,20 @@ func (p *Port) drop(pkt *Packet) {
 // backlogged port are started on demand, at their exact instant, the
 // next time the port is observed: every Enqueue (before admission),
 // every SettleTx (pool settles, samplers, the run drivers' final
-// settle), and every delivery event of the port's own wire. No
-// observation comes later than busyUntil + slack:
+// settle), every delivery event of the port's own wire, and on a cross
+// wire the end of the shard's window. The latest a departure owed at
+// busyUntil is decided (the port's slack) is:
 //
-//   - a local wire has slack Delay, and the in-flight packet's own
-//     delivery at busyUntil + Delay is the guaranteed observation;
-//   - a cross-shard wire and an INT port have slack 0, kept by one drain
-//     timer at busyUntil while a backlog waits.
+//   - busyUntil + Delay on a local wire: the in-flight packet's own
+//     delivery then is the guaranteed observation;
+//   - busyUntil on an INT port, kept by one drain timer while a backlog
+//     waits (its tx-complete hook must be armed at txDone);
+//   - on a non-INT cross wire, the end of the round whose window holds
+//     busyUntil (Outbox.Advance).
 //
 // A late decision never lands in the past: a delivery armed for a
-// departure at t0 fires at t0 + TxTime + Delay > t0 + slack.
+// departure at t0 fires at t0 + TxTime + Delay > t0 + Delay, and a cross
+// departure is due beyond every peer's horizon of its round.
 
 // advance starts every departure owed through limit, each at its exact
 // instant busyUntil.
@@ -462,8 +462,9 @@ func (p *Port) advance(limit sim.Time) {
 	}
 }
 
-// start begins serializing pkt at instant t (<= now). The delivery (or,
-// on a cross-shard wire, the outbox deposit) is armed right here, so it
+// start begins serializing pkt at instant t (<= now, or on a cross
+// port <= the end of the window). The delivery is armed right here (on
+// a cross-shard wire, the packet joins the wire's FIFO instead), so it
 // is the packet's only event; the transmit-side accounting is deferred
 // in pend and applied by SettleTx.
 func (p *Port) start(pkt *Packet, t sim.Time) {
@@ -489,20 +490,21 @@ func (p *Port) start(pkt *Packet, t sim.Time) {
 		p.sched.At(txDone, p.onTxDone)
 	}
 	if p.cross != nil {
-		// Conservative: t >= the shard's eff, so At >= eff + Delay.
-		p.cross.deposit(txDone+p.cfg.Delay, pkt, p, p.crossDst)
+		// Conservative: t >= the shard's eff, so the due time is at
+		// least eff + Delay (DESIGN.md §7.6).
+		p.cross.push(txDone+p.cfg.Delay, pkt)
 		return
 	}
 	p.wire.push(pkt)
 	p.sched.At(txDone+p.cfg.Delay, p.onDeliver)
 }
 
-// drainTx is the drain timer of a zero-slack port: it starts the
-// departures owed by now and re-arms while a backlog remains.
+// drainTx is an INT port's drain timer: it starts the departures owed
+// by now and re-arms while a backlog remains.
 func (p *Port) drainTx() {
 	p.advance(p.sched.Now())
 	if p.totalQueued > 0 {
-		p.drain = p.sched.At(p.busyUntil+p.slack, p.onDrain)
+		p.drain = p.sched.At(p.busyUntil, p.onDrain)
 	}
 }
 
@@ -531,6 +533,7 @@ func (p *Port) txDoneINT() {
 // departure owed at that instant, then hands the wire head to the peer.
 func (p *Port) deliver() {
 	p.SettleTx(p.sched.Now() - p.cfg.Delay)
+	p.delivered++
 	p.peer.Receive(p.wire.pop())
 }
 
@@ -578,18 +581,19 @@ func (p *Port) settlePend(limit sim.Time) {
 	}
 }
 
-// SetCross marks this port's wire as crossing into shard dstShard of a
-// partitioned fabric, routing transmissions through the outbox (see
-// cross.go). Called by topo builders only. A cross wire has no local
-// delivery event to observe the port, so its owed departures are kept
-// on time by the zero-slack drain timer instead: each departure is
-// decided at its own instant t >= the shard's eff, and its deposit is
-// due at t + TxTime + Delay, beyond every peer's horizon (DESIGN.md
-// §7.6).
-func (p *Port) SetCross(o *Outbox, dstShard int) {
-	p.cross = o
-	p.crossDst = int32(dstShard)
-	p.slack = 0
+// SetCross makes this port's wire cross from the outbox's shard into
+// the inbox's shard of a partitioned fabric (see cross.go); only
+// topo.LeafSpine calls it. It panics on a second wire from one shard
+// into the same inbox: the delivery order rests on one wire per shard
+// pair. With no local delivery to observe the port, a non-INT cross
+// port's owed departures are decided at the end of each window: the
+// outbox lists it for the run driver (DESIGN.md §7.6).
+func (p *Port) SetCross(o *Outbox, in *Inbox) {
+	p.cross = &crossWire{port: p}
+	in.add(o.shard, p.cross)
+	if !p.cfg.EnableINT {
+		o.ports = append(o.ports, p)
+	}
 }
 
 // deliverCross hands a cross-shard packet to the peer at its stamped
@@ -619,7 +623,9 @@ func (p *Port) pop() *Packet {
 
 // Audit checks the port's packet conservation after a run's final
 // settle: every packet offered to Enqueue was transmitted, dropped, or
-// is still queued or serializing, and no queued packet waits behind a
+// is still queued or serializing; every packet started was delivered or
+// is still on the wire (the local wire ring, or the cross wire's
+// unpublished and unread entries); and no queued packet waits behind a
 // transmitter that was free by the port's clock — a departure the
 // on-demand path never started.
 func (p *Port) Audit() error {
@@ -632,6 +638,14 @@ func (p *Port) Audit() error {
 	if s.RxPackets != s.TxPackets+s.Drops+s.RandomDrops+int64(queued+serializing) {
 		return fmt.Errorf("netsim: port %s: rx %d != tx %d + drops %d + random drops %d + queued %d + serializing %d",
 			p.name, s.RxPackets, s.TxPackets, s.Drops, s.RandomDrops, queued, serializing)
+	}
+	delivered, onWire := p.delivered, p.wire.len()
+	if w := p.cross; w != nil {
+		delivered, onWire = w.delivered, w.onWire()
+	}
+	if s.TxPackets+int64(serializing) != delivered+int64(onWire) {
+		return fmt.Errorf("netsim: port %s: tx %d + serializing %d != delivered %d + on wire %d",
+			p.name, s.TxPackets, serializing, delivered, onWire)
 	}
 	if queued > 0 && p.busyUntil <= p.sched.Now() {
 		return fmt.Errorf("netsim: port %s: %d packets queued behind a transmitter idle since %v (now %v)",

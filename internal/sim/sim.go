@@ -14,11 +14,11 @@
 // handles, so a stale handle to a reused slot can never cancel someone
 // else's event. A hierarchical timing wheel orders the pending events
 // (amortized O(1) schedule and pop, see wheel.go). Pop order is fully
-// determined by the strict (time, seq) total order, so the wheel's
-// internal shape never affects simulated outcomes; randomized
-// differential tests replay millions of operations against a
-// standalone reference heap and require identical pops, clocks and
-// Stop results.
+// determined by the strict (time, seq) total order, seq being the order
+// of insertion, so the wheel's internal shape never affects simulated
+// outcomes; randomized differential tests replay millions of operations
+// against a standalone reference heap and require identical pops, clocks
+// and Stop results.
 package sim
 
 import (
@@ -65,9 +65,10 @@ func (t Time) String() string {
 }
 
 // event is a scheduled callback, stored inline in the scheduler's slot
-// array. seq breaks ties so that events scheduled earlier run earlier
-// when their firing times are equal (FIFO semantics), which downstream
-// protocol code depends on for determinism. gen distinguishes the slot's
+// array. Events with equal firing times run in insertion order (FIFO
+// semantics), which downstream protocol code depends on for
+// determinism; no field records that order, because the wheel keeps it
+// structurally (wheel.go, facts 1–3). gen distinguishes the slot's
 // current occupant from stale Timer handles.
 //
 // where is the id of the wheel bucket (or spill list) holding the slot,
@@ -75,7 +76,6 @@ func (t Time) String() string {
 // bucket lists through the slot array.
 type event struct {
 	at    Time
-	seq   uint64
 	fn    func()
 	gen   uint32
 	where int32
@@ -87,7 +87,6 @@ type event struct {
 // The zero value is not usable; construct with NewScheduler.
 type Scheduler struct {
 	now     Time
-	seq     uint64
 	events  []event // slot storage; index = Timer.slot
 	free    []int32 // LIFO freelist of vacant slot ids
 	stopped bool
@@ -143,9 +142,7 @@ func (s *Scheduler) At(t Time, fn func()) Timer {
 	}
 	e := &s.events[slot]
 	e.at = t
-	e.seq = s.seq
 	e.fn = fn
-	s.seq++
 	s.wheelInsert(slot, t)
 	return Timer{s: s, slot: slot, gen: e.gen}
 }

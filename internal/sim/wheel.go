@@ -17,8 +17,9 @@ import "math/bits"
 // slot array, so schedule/stop/pop are pointer splices — amortized O(1),
 // allocation-free, with O(1) Stop by construction.
 //
-// Determinism. Pop order must be exactly the (time, seq) total order.
-// The wheel gets this from three structural facts:
+// Determinism. Pop order must be exactly the (time, seq) total order,
+// where seq is insertion order; no event stores it. The wheel gets this
+// from three structural facts:
 //
 //  1. Level separation: a level-l event (l >= 1) has byte l strictly
 //     above the cursor's, with all higher bytes equal, so every event in

@@ -83,6 +83,8 @@ type Partition struct {
 	// identical for any assignment.
 	ShardWorker []int
 
+	// Per shard: the scheduler, the packet pool, and the outbox and inbox
+	// of its cross wires (netsim/cross.go), one per shard pair direction.
 	Scheds   []*sim.Scheduler
 	Pools    []*netsim.PacketPool
 	Outboxes []*netsim.Outbox
@@ -379,7 +381,7 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, cfg Config) *Network {
 			uplinks = append(uplinks, leaf.AddPort(up))
 			if part != nil {
 				up.SetPacketPool(part.Pools[li])
-				up.SetCross(part.Outboxes[li], leaves+si)
+				up.SetCross(part.Outboxes[li], part.Inboxes[leaves+si])
 			}
 		}
 		for other := 0; other < leaves; other++ {
@@ -406,7 +408,7 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, cfg Config) *Network {
 			}
 			if part != nil {
 				down.SetPacketPool(part.Pools[shard])
-				down.SetCross(part.Outboxes[shard], li)
+				down.SetCross(part.Outboxes[shard], part.Inboxes[li])
 			}
 		}
 	}

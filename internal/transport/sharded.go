@@ -26,14 +26,16 @@ import (
 //
 // where eff_s is a lower bound on the next instant shard s could emit
 // anything (its earliest pending event, the next unreleased arrival,
-// or its already-executed floor, whichever binds). The min ranges over
+// the earliest departure one of its cross ports owes, or its
+// already-executed floor, whichever binds). The min ranges over
 // s = d too: L[d][d] is the minimum cycle delay through another shard,
 // bounding how far d may run before its own transmissions can reflect
 // back. Every cross-shard effect is applied at the round barrier in a
 // canonical order:
 //
-//  1. cross-shard packets, merged per destination shard in
-//     (time, srcShard, seq) order (netsim.MergeWindows);
+//  1. cross-shard packets: every cross wire's departures of the window
+//     are published to its destination shard, which delivers them in
+//     (due, srcShard, FIFO) order (netsim.MergeWindows);
 //  2. receiver starts for flows released this round whose destination
 //     is another shard, in source-shard index order;
 //  3. sender teardowns for cross-shard flows completed this round, in
@@ -55,7 +57,7 @@ import (
 // outcomes: -shards=1, 2 and 4 are byte-identical by construction. A
 // monolithic run (RunSource) can differ from a windowed one in two
 // documented ways: the teardown deferral, and same-instant cross-shard
-// ties, which the barrier merges in (time, srcShard, seq) order where
+// ties, which the inbox delivers in (due, srcShard, FIFO) order where
 // the single scheduler keeps global insertion order (see
 // TestShardedDifferential). DESIGN.md §7.5 records why RunSource stays
 // a driver of its own rather than the one-shard case of this one.
@@ -72,11 +74,11 @@ type ShardStats struct {
 	// Rounds counts barrier synchronizations (window rounds).
 	Rounds uint64 `json:",omitempty"`
 	// WindowsRun / WindowsSkipped count per-shard window executions:
-	// a shard with no event inside its horizon skips the round without
-	// touching its scheduler.
+	// a shard with no event and no owed cross departure inside its
+	// horizon skips the round without touching its scheduler.
 	WindowsRun     uint64 `json:",omitempty"`
 	WindowsSkipped uint64 `json:",omitempty"`
-	// CrossPackets counts cross-shard entries merged at barriers.
+	// CrossPackets counts cross-shard packets published at barriers.
 	CrossPackets uint64 `json:",omitempty"`
 	// RunNs is driver wall-clock spent executing shard windows;
 	// BarrierNs is driver wall-clock spent in barrier work (merge,
@@ -252,39 +254,52 @@ func (r *shardedRun) applyTeardowns() {
 	}
 }
 
-// shardIdle marks a shard with no event inside its horizon this round:
-// the crew skips it entirely (no RunUntil, no clock churn).
+// shardIdle marks a shard with nothing to do inside its horizon this
+// round: the crew skips it entirely (no RunUntil, no clock churn).
 const shardIdle = sim.Time(-1)
+
+// runWindow executes shard i's window: every event through runTo, then
+// every departure its cross ports owe by then, which no event stands
+// for (DESIGN.md §7.6). A window cut short by the event Limit decides
+// nothing past the executed point.
+func runWindow(part *topo.Partition, i int, runTo sim.Time) {
+	s := part.Scheds[i]
+	s.RunUntil(runTo)
+	if s.Limit != 0 && s.Executed >= s.Limit {
+		runTo = s.Now()
+	}
+	part.Outboxes[i].Advance(runTo)
+}
 
 // crew is the persistent worker pool of one windowed run. Worker w
 // owns a set of logical shards — seeded from Partition.ShardWorker's
 // deterministic host-count-weighted packing, re-packed mid-run by the
 // driver's event-load rebalancer (reassign) — executing them
 // sequentially each round. runTo and owned are written by the driver
-// before the start signal and shard scheduler state by the owning
-// worker before the done signal; the channel handoffs give the
-// happens-before edges that make the barrier a real synchronization
-// point (the race detector checks this under -race golden runs).
+// before the start signal and shard state by the owning worker before
+// the done signal; the channel handoffs give the happens-before edges
+// that make the barrier a real synchronization point (the race
+// detector checks this under -race golden runs).
 type crew struct {
-	scheds []*sim.Scheduler
-	owned  [][]int // worker -> owned shard indices, ascending
-	runTo  []sim.Time
-	start  []chan struct{}
-	done   chan struct{}
+	part  *topo.Partition
+	owned [][]int // worker -> owned shard indices, ascending
+	runTo []sim.Time
+	start []chan struct{}
+	done  chan struct{}
 }
 
-func startCrew(scheds []*sim.Scheduler, shardWorker []int, workers int, runTo []sim.Time) *crew {
+func startCrew(part *topo.Partition, workers int, runTo []sim.Time) *crew {
 	c := &crew{
-		scheds: scheds,
-		owned:  make([][]int, workers),
-		runTo:  runTo,
-		start:  make([]chan struct{}, workers),
-		done:   make(chan struct{}, workers),
+		part:  part,
+		owned: make([][]int, workers),
+		runTo: runTo,
+		start: make([]chan struct{}, workers),
+		done:  make(chan struct{}, workers),
 	}
-	for i := range scheds {
+	for i := range part.Scheds {
 		w := i % workers
-		if shardWorker != nil {
-			w = shardWorker[i]
+		if part.ShardWorker != nil {
+			w = part.ShardWorker[i]
 		}
 		c.owned[w] = append(c.owned[w], i)
 	}
@@ -307,7 +322,7 @@ func startCrew(scheds []*sim.Scheduler, shardWorker []int, workers int, runTo []
 func (c *crew) runShards(w int) {
 	for _, i := range c.owned[w] {
 		if rt := c.runTo[i]; rt != shardIdle {
-			c.scheds[i].RunUntil(rt)
+			runWindow(c.part, i, rt)
 		}
 	}
 }
@@ -488,6 +503,7 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 	}
 	st := &ShardStats{Shards: n, Workers: workers, ShardEvents: make([]uint64, n)}
 	floors := make([]sim.Time, n)   // every event < floors[d] is executed
+	owed := make([]sim.Time, n)     // earliest departure a cross port owes
 	effs := make([]sim.Time, n)     // earliest possible next emission per shard
 	horizons := make([]sim.Time, n) // h_d for the current round
 	runTo := make([]sim.Time, n)    // per-shard deadline, shardIdle to skip
@@ -501,7 +517,7 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 	var assign []int
 	var lastExec, loadBuf []uint64
 	if workers > 1 {
-		workerPool = startCrew(part.Scheds, part.ShardWorker, workers, runTo)
+		workerPool = startCrew(part, workers, runTo)
 		workerBusy = make([]bool, workers)
 		defer workerPool.stop()
 		assign = make([]int, n)
@@ -535,8 +551,9 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 	for {
 		// eff_s: shard s cannot emit anything (packet, release, or
 		// derived event) before this instant. Its earliest pending
-		// event and the next unreleased arrival both bound it from
-		// below; its floor keeps it monotonic when the shard is ahead.
+		// event, the earliest departure its cross ports owe and the next
+		// unreleased arrival all bound it from below; its floor keeps it
+		// monotonic when the shard is ahead.
 		srcArr := sim.MaxTime
 		if srcHave {
 			srcArr = srcNext.Arrive
@@ -546,6 +563,10 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 			next := srcArr
 			if at, ok := s.NextAtBound(); ok && at < next {
 				next = at
+			}
+			owed[i] = part.Outboxes[i].NextDeparture()
+			if owed[i] < next {
+				next = owed[i]
 			}
 			if next != sim.MaxTime {
 				idle = false
@@ -597,7 +618,8 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 		// shard executes; arrivals beyond a shard's own horizon just
 		// sit armed until a later round.
 		feed(maxRun)
-		// A shard with no event inside its horizon skips the round.
+		// A shard with no event and no owed departure inside its
+		// horizon skips the round.
 		launched := 0
 		soloWorker := -1
 		if workerBusy != nil {
@@ -607,7 +629,7 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 		}
 		for i, s := range part.Scheds {
 			at, ok := s.NextAtBound()
-			if !ok || at > runTo[i] {
+			if (!ok || at > runTo[i]) && owed[i] > runTo[i] {
 				runTo[i] = shardIdle
 				st.WindowsSkipped++
 				continue
@@ -624,9 +646,9 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 		t0 := time.Now()
 		switch {
 		case workerPool == nil:
-			for i, s := range part.Scheds {
-				if rt := runTo[i]; rt != shardIdle {
-					s.RunUntil(rt)
+			for i, rt := range runTo {
+				if rt != shardIdle {
+					runWindow(part, i, rt)
 				}
 			}
 		case launched == 1:
@@ -645,7 +667,7 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 		}
 		t1 := time.Now()
 		// Barrier: every shard quiescent, driver thread only.
-		st.CrossPackets += uint64(netsim.MergeWindows(part.Outboxes, part.Inboxes))
+		st.CrossPackets += uint64(netsim.MergeWindows(part.Inboxes))
 		run.applyReceiverStarts()
 		run.applyTeardowns()
 		for d := 0; d < n; d++ {
