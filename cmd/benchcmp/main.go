@@ -283,12 +283,8 @@ func shardExtras(e benchfmt.Entry) string {
 	if t := e.WindowsRun + e.WindowsSkipped; t > 0 {
 		skipFrac = float64(e.WindowsSkipped) / float64(t)
 	}
-	s := fmt.Sprintf(" [rounds %d, windows skipped %.0f%%, barrier %.0f%%, event share %.0f-%.0f%%",
+	return fmt.Sprintf(" [rounds %d, windows skipped %.0f%%, barrier %.0f%%, event share %.0f-%.0f%%]",
 		e.Rounds, 100*skipFrac, 100*e.BarrierFrac, 100*e.EventMinShare, 100*e.EventMaxShare)
-	if e.Rebalances > 0 || e.WorkerSpread > 0 {
-		s += fmt.Sprintf(", rebalances %d, worker spread %.0f%%", e.Rebalances, 100*e.WorkerSpread)
-	}
-	return s + "]"
 }
 
 // diagnose names the dominant windowed-engine cost of a sharded entry

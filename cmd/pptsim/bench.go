@@ -94,8 +94,6 @@ func benchOne(name, id string, o exp.Options) (benchfmt.Entry, error) {
 		entry.CrossPackets = st.CrossPackets
 		entry.BarrierFrac = st.BarrierFrac()
 		entry.EventMinShare, entry.EventMaxShare = st.EventShareBounds()
-		entry.Rebalances = st.Rebalances
-		entry.WorkerSpread = st.WorkerSpread
 	}
 	if cs := res.Cache; cs != nil {
 		entry.CacheHits = cs.Hits + cs.Shared

@@ -26,9 +26,7 @@ type Entry struct {
 	// bound each shard's share of the executed events (spread = load
 	// imbalance, deterministic on any machine — unlike the wall-clock
 	// busy fractions they replaced, which degenerated to 1/shards on
-	// time-shared CPUs); rebalances counts runtime event-load worker
-	// reassignments and worker-spread is the final per-worker event-load
-	// spread ((max-min)/total) under the last assignment.
+	// time-shared CPUs).
 	Rounds         uint64  `json:",omitempty"`
 	WindowsRun     uint64  `json:",omitempty"`
 	WindowsSkipped uint64  `json:",omitempty"`
@@ -36,8 +34,6 @@ type Entry struct {
 	BarrierFrac    float64 `json:",omitempty"`
 	EventMinShare  float64 `json:",omitempty"`
 	EventMaxShare  float64 `json:",omitempty"`
-	Rebalances     uint64  `json:",omitempty"`
-	WorkerSpread   float64 `json:",omitempty"`
 
 	// Result-cache accounting, present only when -benchjson ran with
 	// -cache. A hit-dominated entry measured replay latency rather than

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -43,6 +44,25 @@ func sampleValue() Value {
 	}
 }
 
+// bitExactValue holds the values a text codec would lose: negative
+// zero, a NaN with a non-default payload, infinities, the smallest
+// subnormal and the int64 extremes.
+func bitExactValue() Value {
+	return Value{
+		Sum: stats.Summary{
+			Flows:      1,
+			OverallAvg: sim.Time(math.MaxInt64),
+			SmallAvg:   sim.Time(math.MinInt64),
+		},
+		Extra: map[string]float64{
+			"negzero": math.Copysign(0, -1),
+			"nan":     math.Float64frombits(0x7ff8_0000_dead_beef),
+			"inf":     math.Inf(1),
+			"tiny":    5e-324, // smallest subnormal
+		},
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	c := testCache(t)
 	key := c.NewKey("cell-a")
@@ -66,20 +86,7 @@ func TestRoundTrip(t *testing.T) {
 // bit-for-bit. A JSON-based codec fails every case here.
 func TestBitExactness(t *testing.T) {
 	c := testCache(t)
-	weirdNaN := math.Float64frombits(0x7ff8_0000_dead_beef) // non-default payload
-	want := Value{
-		Sum: stats.Summary{
-			Flows:      1,
-			OverallAvg: sim.Time(math.MaxInt64),
-			SmallAvg:   sim.Time(math.MinInt64),
-		},
-		Extra: map[string]float64{
-			"negzero": math.Copysign(0, -1),
-			"nan":     weirdNaN,
-			"inf":     math.Inf(1),
-			"tiny":    5e-324, // smallest subnormal
-		},
-	}
+	want := bitExactValue()
 	key := c.NewKey("bit-exact")
 	c.Put(key, want)
 	got, ok := c.Get(key)
@@ -178,6 +185,15 @@ func TestCorruptEntriesReadAsMiss(t *testing.T) {
 		{"flipped-payload-bit", func(b []byte) []byte { b[headerLen+3] ^= 0x01; return b }},
 		{"flipped-crc", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }},
 		{"trailing-junk", func(b []byte) []byte { return append(b, 0xaa, 0xbb) }},
+		// A valid frame whose payload declares 2^32−1 extras: the count
+		// must be checked against the bytes left before anything is
+		// sized by it. It follows eight int64s and the Truncated byte.
+		{"huge-extra-count", func(b []byte) []byte {
+			payload := b[headerLen : len(b)-4]
+			binary.LittleEndian.PutUint32(payload[8*8+1:], math.MaxUint32)
+			binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(payload, castagnoli))
+			return b
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

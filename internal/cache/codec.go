@@ -134,6 +134,11 @@ func decodePayload(buf []byte) (Value, error) {
 	}
 	nExtra := binary.LittleEndian.Uint32(buf[pos:])
 	pos += 4
+	// Each extra takes at least 2+8 bytes; check the declared count
+	// against what is left before sizing anything by it.
+	if left := len(buf) - pos; uint64(nExtra) > uint64(left/10) {
+		return Value{}, fmt.Errorf("%d extras declared in %d bytes", nExtra, left)
+	}
 	if nExtra > 0 {
 		v.Extra = make(map[string]float64, nExtra)
 	}

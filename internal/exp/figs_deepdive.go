@@ -14,20 +14,17 @@ import (
 )
 
 // ablation compares real PPT against one disabled-component variant on
-// the standard web-search sim setup (§6.3.1). plainBuffers runs on
-// drop-tail shared buffers without dynamic thresholds — the paper's ns-3
-// switch model — where the LCP's own protections (ECN, EWD) are the only
-// thing standing between opportunistic floods and normal traffic.
-func ablation(id, title, note string, defFlows int, variant ppt.Config, plainBuffers bool) {
+// the standard web-search sim setup (§6.3.1). Like every leaf-spine
+// figure it runs on drop-tail shared buffers — the paper's ns-3 switch
+// model — where the LCP's own protections (ECN, EWD) are the only thing
+// standing between opportunistic floods and normal traffic.
+func ablation(id, title, note string, defFlows int, variant ppt.Config) {
 	register(&Experiment{
 		ID:       id,
 		Title:    title,
 		DefFlows: defFlows,
 		Run: func(o Options) *Result {
 			fab := simFabric(3, 2, 8)
-			if plainBuffers {
-				fab.cfg.DynamicLowThreshold = false
-			}
 			load := 0.5
 			if o.Load != 0 {
 				load = o.Load
@@ -43,7 +40,7 @@ func ablation(id, title, note string, defFlows int, variant ppt.Config, plainBuf
 			}
 			p.run()
 			return &Result{ID: id, Title: title, Rows: cellRows(outs), Notes: []string{note,
-				"with dynamic-threshold switches, the damage of a misbehaving LCP surfaces as wasted low-class traffic (low-eff, low-drops) before it surfaces as FCT"}}
+				"drop-tail shared buffers, as on every leaf-spine figure; low-eff, low-drops, low-marks and low-sentMB are the low loop's efficiency, switch drops and marks, and payload sent"}}
 		},
 	})
 }
@@ -67,18 +64,18 @@ var lcpHealth = readAfter("lcp-ablation", func(env *transport.Env) map[string]fl
 })
 
 func init() {
-	ablation("fig15", "Ablation: ECN for the LCP loop (plain shared buffers)",
-		"paper: without ECN, overall avg +18.9%, small avg/tail +59.6%/+78.4%; on dynamic-threshold switches the effect vanishes (DT subsumes the protection)",
-		500, ppt.Config{DisableECN: true}, true)
-	ablation("fig16", "Ablation: exponential window decreasing (EWD, plain shared buffers)",
+	ablation("fig15", "Ablation: ECN for the LCP loop",
+		"paper: without ECN, overall avg +18.9%, small avg/tail +59.6%/+78.4%",
+		500, ppt.Config{DisableECN: true})
+	ablation("fig16", "Ablation: exponential window decreasing (EWD)",
 		"paper: without EWD (line-rate LCP), overall avg +26%, small avg/tail +63.5%/+85.8%",
-		500, ppt.Config{DisableEWD: true}, true)
+		500, ppt.Config{DisableEWD: true})
 	ablation("fig17", "Ablation: buffer-aware flow scheduling",
 		"paper: without scheduling, overall avg +26%, small avg/tail +66%/+51.2%",
-		500, ppt.Config{DisableScheduling: true}, false)
+		500, ppt.Config{DisableScheduling: true})
 	ablation("fig18", "Ablation: buffer-aware flow identification",
 		"paper: without identification, small avg/tail +4.3%/+31.9% (overall slightly lower)",
-		500, ppt.Config{DisableIdentification: true}, false)
+		500, ppt.Config{DisableIdentification: true})
 
 	register(&Experiment{
 		ID:       "fig19",

@@ -95,18 +95,16 @@ func satAdd(a, b sim.Time) sim.Time {
 	return a + b
 }
 
-// AssignWorkers maps each shard to one of `workers` worker slots with a
+// assignWorkers maps each shard to one of `workers` worker slots with a
 // deterministic longest-processing-time bin packing over the given
 // weights. Builders call it with static expected loads (host count for
-// a leaf shard, 1 for a switch-only shard); the windowed run driver
-// re-runs it mid-run over measured executed-event counts to rebalance.
-// Heavier shards are placed first, each onto the currently lightest
-// worker; every tie — equal weights, equal worker loads — breaks by
-// lowest index, so the assignment is a pure function of
-// (weights, workers), never of timing. Worker assignment only decides
-// which goroutine executes a shard's window; it is invisible to
-// simulated outcomes.
-func AssignWorkers(weights []uint64, workers int) []int {
+// a leaf shard, 1 for a switch-only shard). Heavier shards are placed
+// first, each onto the currently lightest worker; every tie — equal
+// weights, equal worker loads — breaks by lowest index, so the
+// assignment is a pure function of (weights, workers), never of timing.
+// Worker assignment only decides which goroutine executes a shard's
+// window; it is invisible to simulated outcomes.
+func assignWorkers(weights []uint64, workers int) []int {
 	n := len(weights)
 	if workers < 1 {
 		workers = 1

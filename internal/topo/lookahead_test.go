@@ -158,8 +158,8 @@ func TestAssignWorkers(t *testing.T) {
 			weights[i] = uint64(1 + rng.Intn(20))
 			total += weights[i]
 		}
-		a := AssignWorkers(weights, workers)
-		b := AssignWorkers(weights, workers)
+		a := assignWorkers(weights, workers)
+		b := assignWorkers(weights, workers)
 		if len(a) != n {
 			t.Fatalf("assignment length %d, want %d", len(a), n)
 		}
@@ -170,7 +170,7 @@ func TestAssignWorkers(t *testing.T) {
 		load := make([]uint64, eff)
 		for i, w := range a {
 			if w != b[i] {
-				t.Fatal("AssignWorkers is not deterministic")
+				t.Fatal("assignWorkers is not deterministic")
 			}
 			if w < 0 || w >= eff {
 				t.Fatalf("shard %d assigned out-of-range worker %d", i, w)
@@ -196,7 +196,7 @@ func TestAssignWorkers(t *testing.T) {
 	// The leaf-spine case the engine cares about: 4 heavy leaves + 2
 	// light spines over 2 workers must split the leaves evenly instead
 	// of stranding them round-robin.
-	got := AssignWorkers([]uint64{17, 17, 17, 17, 1, 1}, 2)
+	got := assignWorkers([]uint64{17, 17, 17, 17, 1, 1}, 2)
 	perWorker := [2]int{}
 	for i := 0; i < 4; i++ {
 		perWorker[got[i]]++

@@ -77,10 +77,10 @@ type Partition struct {
 	// same wires that get SetCross, so the two views always agree.
 	Lookahead *Lookahead
 	// ShardWorker maps each shard to the worker slot that executes its
-	// windows: a deterministic host-count-weighted LPT packing
-	// (assignWorkers) so Workers < N doesn't strand heavy leaf shards
-	// on one goroutine. Purely an execution detail — outcomes are
-	// identical for any assignment.
+	// windows for the whole run: a deterministic host-count-weighted
+	// LPT packing (assignWorkers) so Workers < N doesn't strand heavy
+	// leaf shards on one goroutine. Purely an execution detail —
+	// outcomes are identical for any assignment.
 	ShardWorker []int
 
 	// Per shard: the scheduler, the packet pool, and the outbox and inbox
@@ -330,7 +330,7 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, cfg Config) *Network {
 		}
 		la.Close()
 		part.Lookahead = la
-		part.ShardWorker = AssignWorkers(weights, part.Workers)
+		part.ShardWorker = assignWorkers(weights, part.Workers)
 		net.Part = part
 	} else {
 		mono = sim.NewScheduler()

@@ -46,21 +46,18 @@ import (
 //
 // The logical partition and the matrix are fixed by the topology;
 // Config.Shards only caps how many worker goroutines execute the
-// shards each round. The worker assignment starts from the
-// deterministic static packing in Partition.ShardWorker and is
-// re-balanced mid-run from measured per-shard executed-event counts
-// (every rebalanceRounds rounds, with hysteresis) — worker placement
-// only decides which goroutine executes a window, so the rebalance is
-// invisible to simulated outcomes. Because shards interact exclusively
-// through the barrier steps above and every horizon is computed from
-// shard-local state, the worker count is invisible to simulated
-// outcomes: -shards=1, 2 and 4 are byte-identical by construction. A
-// monolithic run (RunSource) can differ from a windowed one in two
-// documented ways: the teardown deferral, and same-instant cross-shard
-// ties, which the inbox delivers in (due, srcShard, FIFO) order where
-// the single scheduler keeps global insertion order (see
-// TestShardedDifferential). DESIGN.md §7.5 records why RunSource stays
-// a driver of its own rather than the one-shard case of this one.
+// shards each round. Each worker owns the shards that the static
+// packing in Partition.ShardWorker gives it, for the whole run. Because
+// shards interact exclusively through the barrier steps above and every
+// horizon is computed from shard-local state, the worker count and
+// placement are invisible to simulated outcomes: -shards=1, 2 and 4 are
+// byte-identical by construction. A monolithic run (RunSource) can
+// differ from a windowed one in two documented ways: the teardown
+// deferral, and same-instant cross-shard ties, which the inbox delivers
+// in (due, srcShard, FIFO) order where the single scheduler keeps
+// global insertion order (see TestShardedDifferential and
+// TestCrossShardTieOrder). DESIGN.md §7.5 records why RunSource stays a
+// driver of its own rather than the one-shard case of this one.
 
 // ShardStats is the windowed engine's per-run instrumentation,
 // surfaced through Env.ShardStats into exp results and -benchjson
@@ -92,14 +89,6 @@ type ShardStats struct {
 	// meaningless on time-shared CPUs (every shard of a 1-CPU container
 	// reported an identical fraction).
 	ShardEvents []uint64 `json:",omitempty"`
-	// Rebalances counts adopted event-load-aware worker reassignments
-	// (LPT re-runs that beat the current packing by the hysteresis
-	// margin). Zero for single-worker runs.
-	Rebalances uint64 `json:",omitempty"`
-	// WorkerSpread is the final assignment's per-worker share spread of
-	// executed events: (heaviest − lightest worker) over the total. A
-	// small spread means the packing kept workers evenly fed.
-	WorkerSpread float64 `json:",omitempty"`
 }
 
 // Merge folds another run's counters into s (element-wise for
@@ -126,10 +115,6 @@ func (s *ShardStats) Merge(o *ShardStats) {
 	}
 	for i, v := range o.ShardEvents {
 		s.ShardEvents[i] += v
-	}
-	s.Rebalances += o.Rebalances
-	if o.WorkerSpread > s.WorkerSpread {
-		s.WorkerSpread = o.WorkerSpread
 	}
 }
 
@@ -272,14 +257,13 @@ func runWindow(part *topo.Partition, i int, runTo sim.Time) {
 }
 
 // crew is the persistent worker pool of one windowed run. Worker w
-// owns a set of logical shards — seeded from Partition.ShardWorker's
-// deterministic host-count-weighted packing, re-packed mid-run by the
-// driver's event-load rebalancer (reassign) — executing them
-// sequentially each round. runTo and owned are written by the driver
-// before the start signal and shard state by the owning worker before
-// the done signal; the channel handoffs give the happens-before edges
-// that make the barrier a real synchronization point (the race
-// detector checks this under -race golden runs).
+// owns the logical shards Partition.ShardWorker's deterministic
+// host-count-weighted packing gives it, executing them sequentially
+// each round. runTo is written by the driver before the start signal
+// and shard state by the owning worker before the done signal; the
+// channel handoffs give the happens-before edges that make the barrier
+// a real synchronization point (the race detector checks this under
+// -race golden runs).
 type crew struct {
 	part  *topo.Partition
 	owned [][]int // worker -> owned shard indices, ascending
@@ -296,11 +280,7 @@ func startCrew(part *topo.Partition, workers int, runTo []sim.Time) *crew {
 		start: make([]chan struct{}, workers),
 		done:  make(chan struct{}, workers),
 	}
-	for i := range part.Scheds {
-		w := i % workers
-		if part.ShardWorker != nil {
-			w = part.ShardWorker[i]
-		}
+	for i, w := range part.ShardWorker {
 		c.owned[w] = append(c.owned[w], i)
 	}
 	for w := range c.start {
@@ -324,18 +304,6 @@ func (c *crew) runShards(w int) {
 		if rt := c.runTo[i]; rt != shardIdle {
 			runWindow(c.part, i, rt)
 		}
-	}
-}
-
-// reassign rebuilds the worker→shard ownership from a new shard→worker
-// map. Driver-only, between rounds: every worker is parked on its start
-// channel, and the next start signal publishes the new slices.
-func (c *crew) reassign(shardWorker []int) {
-	for w := range c.owned {
-		c.owned[w] = c.owned[w][:0]
-	}
-	for i, w := range shardWorker {
-		c.owned[w] = append(c.owned[w], i)
 	}
 }
 
@@ -510,35 +478,10 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 	settleTo := make([]sim.Time, n) // furthest horizon each shard ever ran to
 	var workerPool *crew
 	var workerBusy []bool
-	// assign is the live shard→worker map: seeded from the partition's
-	// static host-count packing, re-packed mid-run from measured event
-	// loads. Purely an execution-placement concern — outcomes never see
-	// it.
-	var assign []int
-	var lastExec, loadBuf []uint64
 	if workers > 1 {
 		workerPool = startCrew(part, workers, runTo)
 		workerBusy = make([]bool, workers)
 		defer workerPool.stop()
-		assign = make([]int, n)
-		for i := range assign {
-			if part.ShardWorker != nil {
-				assign[i] = part.ShardWorker[i]
-			} else {
-				assign[i] = i % workers
-			}
-		}
-		lastExec = make([]uint64, n)
-		for i, s := range part.Scheds {
-			lastExec[i] = s.Executed
-		}
-		loadBuf = make([]uint64, n)
-	}
-	shardWorker := func(i int) int {
-		if assign != nil {
-			return assign[i]
-		}
-		return i % workers
 	}
 
 	// The round loop. Each iteration computes per-shard horizons from
@@ -636,7 +579,7 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 			}
 			st.WindowsRun++
 			if workerBusy != nil {
-				if w := shardWorker(i); !workerBusy[w] {
+				if w := part.ShardWorker[i]; !workerBusy[w] {
 					workerBusy[w] = true
 					launched++
 					soloWorker = w
@@ -691,28 +634,6 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 		st.Rounds++
 		st.RunNs += t1.Sub(t0).Nanoseconds()
 		st.BarrierNs += time.Since(t1).Nanoseconds()
-		if workerPool != nil && st.Rounds%rebalanceRounds == 0 {
-			// Event-load-aware rebalance: re-run the LPT packing over the
-			// last window of measured per-shard executed events, adopting
-			// it only on a clear win (hysteresis — reassignment churn
-			// costs locality and buys nothing on near-ties).
-			var total uint64
-			for i, s := range part.Scheds {
-				loadBuf[i] = s.Executed - lastExec[i]
-				lastExec[i] = s.Executed
-				total += loadBuf[i]
-			}
-			if total > 0 {
-				prop := topo.AssignWorkers(loadBuf, workers)
-				cur := workerMakespan(assign, loadBuf, workers)
-				alt := workerMakespan(prop, loadBuf, workers)
-				if alt*16 <= cur*15 {
-					copy(assign, prop)
-					workerPool.reassign(assign)
-					st.Rebalances++
-				}
-			}
-		}
 		if run.remaining.Load() <= 0 && !srcHave {
 			break
 		}
@@ -725,26 +646,6 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 	}
 	for i, s := range part.Scheds {
 		st.ShardEvents[i] = s.Executed - startExec[i]
-	}
-	if workerPool != nil {
-		spans := make([]uint64, workers)
-		var total uint64
-		for i, v := range st.ShardEvents {
-			spans[assign[i]] += v
-			total += v
-		}
-		if total > 0 {
-			lo, hi := spans[0], spans[0]
-			for _, v := range spans[1:] {
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
-			st.WorkerSpread = float64(hi-lo) / float64(total)
-		}
 	}
 	env.ShardStats = st
 
@@ -792,31 +693,6 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 		sum.Unfinished = left
 	}
 	return sum
-}
-
-// rebalanceRounds is how many barrier rounds pass between event-load
-// rebalance checks. Large enough that the sampled window smooths
-// transient skew and the LPT + makespan arithmetic amortizes to noise,
-// small enough that a workload phase change (incast burst moving
-// between leaves, a long-flow tail) reaches the packing while it still
-// matters.
-const rebalanceRounds = 1024
-
-// workerMakespan is the heaviest per-worker total of the given
-// per-shard loads under an assignment — the quantity LPT minimizes and
-// the rebalancer's adoption criterion.
-func workerMakespan(assign []int, load []uint64, workers int) uint64 {
-	spans := make([]uint64, workers)
-	for i, w := range assign {
-		spans[w] += load[i]
-	}
-	var max uint64
-	for _, v := range spans {
-		if v > max {
-			max = v
-		}
-	}
-	return max
 }
 
 // satAddTime adds two times, saturating at sim.MaxTime (an idle shard's

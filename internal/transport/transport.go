@@ -283,7 +283,7 @@ type SimpleFlow struct {
 // source). It is the streaming counterpart of a materialized
 // []SimpleFlow: a million-flow workload pulled through a FlowSource
 // costs one SimpleFlow of lookahead instead of the whole slice.
-// workload.Generator and workload.TraceReader adapt to it trivially.
+// exp's streamSource adapts a workload.Generator to it.
 type FlowSource interface {
 	// Next returns the next flow; ok is false once the source is
 	// exhausted, and stays false on every later call.

@@ -1,14 +1,9 @@
 package workload
 
 import (
-	"bytes"
-	"fmt"
-	"math"
-	"strings"
 	"testing"
 
 	"ppt/internal/netsim"
-	"ppt/internal/sim"
 )
 
 // TestGeneratorMatchesGenerate pins the streaming contract: NewGenerator
@@ -46,141 +41,5 @@ func TestGeneratorMatchesGenerate(t *testing.T) {
 				t.Fatalf("cfg %d: Next returned a flow after exhaustion", ci)
 			}
 		}
-	}
-}
-
-// TestTraceRoundTripExactPs pins the lossless encoding over arrivals
-// chosen to defeat float formatting: odd picosecond counts far beyond
-// 2^52 ps, where the old 'f',3 (and even an 'f',6 float) path rounds.
-func TestTraceRoundTripExactPs(t *testing.T) {
-	arrivals := []sim.Time{
-		0,
-		1,                       // single picosecond
-		999_999,                 // just under 1 µs
-		1_000_001,               // 1 µs + 1 ps
-		123_456_789_012_345_677, // odd, > 2^52: float64 can't hold it
-		1<<62 + 3,
-		sim.Time(math.MaxInt64), // max int64
-	}
-	orig := make([]Flow, len(arrivals))
-	for i, a := range arrivals {
-		orig[i] = Flow{ID: uint32(i + 1), Src: i % 3, Dst: i%3 + 1, Size: int64(i + 100), Arrive: a}
-	}
-	var buf bytes.Buffer
-	if err := WriteFlows(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFlows(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range orig {
-		if got[i] != orig[i] {
-			t.Fatalf("flow %d: %+v != %+v (trace:\n%s)", i, got[i], orig[i], buf.String())
-		}
-	}
-}
-
-// TestReadFlowsOldPrecision keeps compatibility with traces written by
-// the earlier 3-decimal formatter: they parse exactly at their stated
-// (nanosecond) granularity.
-func TestReadFlowsOldPrecision(t *testing.T) {
-	trace := "id,src,dst,size_bytes,arrive_us\n" +
-		"1,0,1,100,0.000\n" +
-		"2,0,1,100,12.500\n" +
-		"3,0,1,100,122.999\n" +
-		"4,0,1,100,1e3\n" // scientific notation via the float fallback
-	flows, err := ReadFlows(strings.NewReader(trace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []sim.Time{0, 12_500_000, 122_999_000, 1_000_000_000}
-	for i, w := range want {
-		if flows[i].Arrive != w {
-			t.Fatalf("flow %d arrive = %d, want %d", i, flows[i].Arrive, w)
-		}
-	}
-}
-
-// TestParseArriveRounds pins round-to-nearest on the float fallback —
-// the old conversion truncated, so a value a hair under an integer
-// picosecond count lost a picosecond.
-func TestParseArriveRounds(t *testing.T) {
-	got, err := parseArriveUS("122.9999999999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 123_000_000 {
-		t.Fatalf("parsed %d, want 123000000", got)
-	}
-}
-
-// TestTraceReaderStreams drives the streaming reader directly: flows
-// arrive one at a time, Err is nil at clean EOF, and validation errors
-// carry line numbers.
-func TestTraceReaderStreams(t *testing.T) {
-	orig := Generate(GenConfig{
-		Dist: WebSearch, Pattern: AllToAll{N: 8}, Load: 0.5,
-		HostRate: 10 * netsim.Gbps, NumFlows: 50, Seed: 7,
-	})
-	var buf bytes.Buffer
-	if err := WriteFlows(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	tr := NewTraceReader(&buf)
-	for i, w := range orig {
-		f, ok := tr.Next()
-		if !ok {
-			t.Fatalf("reader dried up at %d: %v", i, tr.Err())
-		}
-		if f != w {
-			t.Fatalf("flow %d: %+v != %+v", i, f, w)
-		}
-	}
-	if _, ok := tr.Next(); ok {
-		t.Fatal("reader yielded past end of trace")
-	}
-	if err := tr.Err(); err != nil {
-		t.Fatalf("clean EOF returned error %v", err)
-	}
-
-	bad := "id,src,dst,size_bytes,arrive_us\n1,0,1,100,0\n2,3,3,100,1\n"
-	tr = NewTraceReader(strings.NewReader(bad))
-	if _, ok := tr.Next(); !ok {
-		t.Fatal("valid first row rejected")
-	}
-	if _, ok := tr.Next(); ok {
-		t.Fatal("src==dst row accepted")
-	}
-	if err := tr.Err(); err == nil || !strings.Contains(err.Error(), "line 3") {
-		t.Fatalf("error %v does not name line 3", err)
-	}
-	// Errors latch: further calls stay exhausted with the same error.
-	if _, ok := tr.Next(); ok {
-		t.Fatal("reader resumed after error")
-	}
-}
-
-// TestTraceReaderDupBitset exercises the bitset dedup across word
-// boundaries and growth, including sparse high ids.
-func TestTraceReaderDupBitset(t *testing.T) {
-	var sb strings.Builder
-	sb.WriteString("id,src,dst,size_bytes,arrive_us\n")
-	ids := []uint32{1, 63, 64, 65, 1000, 4_000_000_000}
-	for i, id := range ids {
-		fmt.Fprintf(&sb, "%d,0,1,100,%d\n", id, i)
-	}
-	fmt.Fprintf(&sb, "%d,0,1,100,99\n", 64) // duplicate, far behind the max id
-	tr := NewTraceReader(strings.NewReader(sb.String()))
-	for i := range ids {
-		if _, ok := tr.Next(); !ok {
-			t.Fatalf("unique id %d rejected: %v", ids[i], tr.Err())
-		}
-	}
-	if _, ok := tr.Next(); ok {
-		t.Fatal("duplicate id 64 accepted")
-	}
-	if err := tr.Err(); err == nil || !strings.Contains(err.Error(), "duplicate flow id 64") {
-		t.Fatalf("error = %v", err)
 	}
 }
