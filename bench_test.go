@@ -75,15 +75,17 @@ func BenchmarkFig29TransferEff(b *testing.B)     { runExp(b, "fig29", benchFlows
 func BenchmarkTable2Workloads(b *testing.B)      { runExp(b, "table2", 1) }
 func BenchmarkIdentAccuracy(b *testing.B)        { runExp(b, "ident", 20_000) }
 
-// BenchmarkFig19Datapath isolates per-packet datapath cost — the
-// analogue of the paper's kernel CPU overhead measurement (Fig 19): the
-// marginal cost of PPT's dual-loop bookkeeping over plain DCTCP, in
-// wall-clock ns per simulated event.
+// BenchmarkFig19Datapath compares PPT's whole-run cost with plain
+// DCTCP's on the testbed fabric — the analogue of the paper's kernel
+// CPU overhead measurement (Fig 19). It reports wall-clock ns and
+// allocations per run of benchFlows flows (a new seed each iteration),
+// and flows-per-run to show every run completed; `pptsim -exp fig19`
+// gives the per-event figure.
 func BenchmarkFig19Datapath(b *testing.B) {
 	for _, tr := range []string{TransportDCTCP, TransportPPT} {
 		b.Run(tr, func(b *testing.B) {
 			b.ReportAllocs()
-			var events float64
+			var flows float64
 			for i := 0; i < b.N; i++ {
 				sum, err := Run(Config{
 					Transport: tr,
@@ -99,9 +101,9 @@ func BenchmarkFig19Datapath(b *testing.B) {
 				if sum.Flows != benchFlows {
 					b.Fatalf("incomplete run: %d flows", sum.Flows)
 				}
-				events += float64(sum.Flows)
+				flows += float64(sum.Flows)
 			}
-			b.ReportMetric(events/float64(b.N), "flows-per-run")
+			b.ReportMetric(flows/float64(b.N), "flows-per-run")
 		})
 	}
 }

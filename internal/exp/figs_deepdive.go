@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"ppt/internal/sim"
@@ -63,6 +64,9 @@ var lcpHealth = readAfter("lcp-ablation", func(env *transport.Env) map[string]fl
 	}
 })
 
+// fig19Runs is how many timed runs fig19 makes of each scheme.
+const fig19Runs = 5
+
 func init() {
 	ablation("fig15", "Ablation: ECN for the LCP loop",
 		"paper: without ECN, overall avg +18.9%, small avg/tail +59.6%/+78.4%",
@@ -92,21 +96,39 @@ func init() {
 			// distort. For the same reason it bypasses the result cache —
 			// wall-ns-per-event is not a pure function of the spec, so a
 			// replayed number would be meaningless and -cache-verify would
-			// flag it forever.
-			measure := func(sc scheme) Row {
-				start := time.Now()
-				sum, _, env := execute(runSpec{fab: fab, sc: sc, dist: workload.WebSearch,
-					pattern: workload.AllToAll{N: fab.hosts}, load: load, flows: o.Flows, seed: o.Seed})
-				elapsed := time.Since(start)
-				events := env.Sched().Executed
-				o.addEvents(events)
-				return Row{Label: sc.name, Sum: sum, Extra: map[string]float64{
-					"wall-ns-per-event": float64(elapsed.Nanoseconds()) / float64(events),
-					"events":            float64(events),
-				}}
-			}
+			// flag it forever. One timed run per scheme read host noise: two
+			// runs of one build put ppt at 290 and 500 ns/event. So each
+			// scheme runs fig19Runs times in alternating order (dctcp, ppt,
+			// ppt, dctcp, ...), drift on the host hits both alike, and the
+			// median is the figure, with min and max as its spread.
 			all := baseSchemes()
-			rows := []Row{measure(all["dctcp"]), measure(all["ppt"])}
+			schemes := []scheme{all["dctcp"], all["ppt"]}
+			rows := make([]Row, len(schemes))
+			perEvent := make([][]float64, len(schemes))
+			for r := 0; r < fig19Runs; r++ {
+				for i := range schemes {
+					k := i
+					if r%2 == 1 {
+						k = len(schemes) - 1 - i
+					}
+					start := time.Now()
+					sum, _, env := execute(runSpec{fab: fab, sc: schemes[k], dist: workload.WebSearch,
+						pattern: workload.AllToAll{N: fab.hosts}, load: load, flows: o.Flows, seed: o.Seed})
+					elapsed := time.Since(start)
+					events := env.Sched().Executed
+					o.addEvents(events)
+					perEvent[k] = append(perEvent[k], float64(elapsed.Nanoseconds())/float64(events))
+					if r == 0 {
+						rows[k] = Row{Label: schemes[k].name, Sum: sum, Extra: map[string]float64{"events": float64(events)}}
+					}
+				}
+			}
+			for k, ns := range perEvent {
+				sort.Float64s(ns)
+				rows[k].Extra["wall-ns-per-event"] = ns[len(ns)/2]
+				rows[k].Extra["wall-ns-per-event-min"] = ns[0]
+				rows[k].Extra["wall-ns-per-event-max"] = ns[len(ns)-1]
+			}
 			return &Result{ID: "fig19", Title: "per-event datapath cost (see also BenchmarkFig19*)",
 				Rows:  rows,
 				Notes: []string{"paper: PPT's kernel CPU overhead is <1% above DCTCP; here the analogous claim is a small per-event cost gap"}}

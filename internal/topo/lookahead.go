@@ -94,46 +94,3 @@ func satAdd(a, b sim.Time) sim.Time {
 	}
 	return a + b
 }
-
-// assignWorkers maps each shard to one of `workers` worker slots with a
-// deterministic longest-processing-time bin packing over the given
-// weights. Builders call it with static expected loads (host count for
-// a leaf shard, 1 for a switch-only shard). Heavier shards are placed
-// first, each onto the currently lightest worker; every tie — equal
-// weights, equal worker loads — breaks by lowest index, so the
-// assignment is a pure function of (weights, workers), never of timing.
-// Worker assignment only decides which goroutine executes a shard's
-// window; it is invisible to simulated outcomes.
-func assignWorkers(weights []uint64, workers int) []int {
-	n := len(weights)
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	// Shard indices sorted by descending weight, index ascending on
-	// ties (stable insertion sort: n is the switch count, tiny).
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && weights[order[j]] > weights[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	load := make([]uint64, workers)
-	out := make([]int, n)
-	for _, s := range order {
-		w := 0
-		for v := 1; v < workers; v++ {
-			if load[v] < load[w] {
-				w = v
-			}
-		}
-		out[s] = w
-		load[w] += weights[s]
-	}
-	return out
-}

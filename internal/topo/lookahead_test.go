@@ -143,65 +143,3 @@ func TestLeafSpineLookahead(t *testing.T) {
 		}
 	}
 }
-
-// TestAssignWorkers pins the partitioner's determinism and balance: a
-// pure function of (weights, workers), every shard assigned a slot in
-// range, and no worker carrying more than the LPT bound of the total.
-func TestAssignWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(16)
-		workers := 1 + rng.Intn(8)
-		weights := make([]uint64, n)
-		total := uint64(0)
-		for i := range weights {
-			weights[i] = uint64(1 + rng.Intn(20))
-			total += weights[i]
-		}
-		a := assignWorkers(weights, workers)
-		b := assignWorkers(weights, workers)
-		if len(a) != n {
-			t.Fatalf("assignment length %d, want %d", len(a), n)
-		}
-		eff := workers
-		if eff > n {
-			eff = n
-		}
-		load := make([]uint64, eff)
-		for i, w := range a {
-			if w != b[i] {
-				t.Fatal("assignWorkers is not deterministic")
-			}
-			if w < 0 || w >= eff {
-				t.Fatalf("shard %d assigned out-of-range worker %d", i, w)
-			}
-			load[w] += weights[i]
-		}
-		// LPT guarantee: max load <= avg + max single weight.
-		maxLoad, maxW := uint64(0), uint64(0)
-		for _, l := range load {
-			if l > maxLoad {
-				maxLoad = l
-			}
-		}
-		for _, w := range weights {
-			if w > maxW {
-				maxW = w
-			}
-		}
-		if bound := total/uint64(eff) + maxW; maxLoad > bound {
-			t.Fatalf("max worker load %d exceeds LPT bound %d (total %d over %d workers)", maxLoad, bound, total, eff)
-		}
-	}
-	// The leaf-spine case the engine cares about: 4 heavy leaves + 2
-	// light spines over 2 workers must split the leaves evenly instead
-	// of stranding them round-robin.
-	got := assignWorkers([]uint64{17, 17, 17, 17, 1, 1}, 2)
-	perWorker := [2]int{}
-	for i := 0; i < 4; i++ {
-		perWorker[got[i]]++
-	}
-	if perWorker[0] != 2 || perWorker[1] != 2 {
-		t.Fatalf("4 equal leaves over 2 workers split %v, want 2+2 (assignment %v)", perWorker, got)
-	}
-}

@@ -64,24 +64,21 @@ type Config struct {
 // Partition describes a sharded fabric: the per-shard schedulers and
 // packet pools, the cross-shard mailboxes, and the host-to-shard map
 // the windowed run driver needs. Shard indices are topology-determined:
-// leaf i (plus its hosts) is shard i, spine j is shard leaves+j.
+// leaf i (plus its hosts) is shard i, spine j is shard leaves+j. The
+// partition binds no shard to a goroutine: the windowed driver's
+// workers claim each round's runnable shards as they come free
+// (transport/sharded.go, DESIGN.md §7.5).
 type Partition struct {
 	// N is the logical shard count (leaves + spines).
 	N int
-	// Workers caps the worker goroutines driving the shards each
-	// window: min(Config.Shards, N). Worker count never affects
-	// outcomes — shards only interact at barriers, in canonical order.
+	// Workers caps the goroutines that run the shards each window:
+	// min(Config.Shards, N). Worker count never affects outcomes —
+	// shards only interact at barriers, in canonical order.
 	Workers int
 	// Lookahead is the per-shard-pair lookahead matrix (closed under
 	// min-plus composition); see the Lookahead type. Derived from the
 	// same wires that get SetCross, so the two views always agree.
 	Lookahead *Lookahead
-	// ShardWorker maps each shard to the worker slot that executes its
-	// windows for the whole run: a deterministic host-count-weighted
-	// LPT packing (assignWorkers) so Workers < N doesn't strand heavy
-	// leaf shards on one goroutine. Purely an execution detail —
-	// outcomes are identical for any assignment.
-	ShardWorker []int
 
 	// Per shard: the scheduler, the packet pool, and the outbox and inbox
 	// of its cross wires (netsim/cross.go), one per shard pair direction.
@@ -313,24 +310,16 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, cfg Config) *Network {
 		// Per-pair lookahead: one directed wire per leaf<->spine link at
 		// LinkDelay, closed under min-plus so distant pairs (leaf->leaf
 		// via a spine) get their true 2×LinkDelay bound instead of the
-		// global minimum. Load-balanced worker assignment weights each
-		// leaf shard by its hosts (plus the switch itself) and each
-		// spine shard by the switch alone.
+		// global minimum.
 		la := NewLookahead(n)
-		weights := make([]uint64, n)
 		for li := 0; li < leaves; li++ {
 			for si := 0; si < spines; si++ {
 				la.AddWire(li, leaves+si, cfg.LinkDelay)
 				la.AddWire(leaves+si, li, cfg.LinkDelay)
 			}
-			weights[li] = uint64(hostsPerLeaf) + 1
-		}
-		for si := 0; si < spines; si++ {
-			weights[leaves+si] = 1
 		}
 		la.Close()
 		part.Lookahead = la
-		part.ShardWorker = assignWorkers(weights, part.Workers)
 		net.Part = part
 	} else {
 		mono = sim.NewScheduler()

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,12 +47,12 @@ import (
 //  4. global stop / event-budget / deadline checks.
 //
 // The logical partition and the matrix are fixed by the topology;
-// Config.Shards only caps how many worker goroutines execute the
-// shards each round. Each worker owns the shards that the static
-// packing in Partition.ShardWorker gives it, for the whole run. Because
-// shards interact exclusively through the barrier steps above and every
+// Config.Shards only caps how many goroutines execute the shards each
+// round: the driver itself plus Workers−1 helpers, which claim the
+// round's runnable shards one by one (crew, below). Because shards
+// interact exclusively through the barrier steps above and every
 // horizon is computed from shard-local state, the worker count and
-// placement are invisible to simulated outcomes: -shards=1, 2 and 4 are
+// claim order are invisible to simulated outcomes: -shards=1, 2 and 4 are
 // byte-identical by construction. A monolithic run (RunSource) can
 // differ from a windowed one in two documented ways: the teardown
 // deferral, and same-instant cross-shard ties, which the inbox delivers
@@ -256,61 +258,167 @@ func runWindow(part *topo.Partition, i int, runTo sim.Time) {
 	part.Outboxes[i].Advance(runTo)
 }
 
-// crew is the persistent worker pool of one windowed run. Worker w
-// owns the logical shards Partition.ShardWorker's deterministic
-// host-count-weighted packing gives it, executing them sequentially
-// each round. runTo is written by the driver before the start signal
-// and shard state by the owning worker before the done signal; the
-// channel handoffs give the happens-before edges that make the barrier
-// a real synchronization point (the race detector checks this under
-// -race golden runs).
+// Idle helpers poll for the next round, yielding the processor every
+// spinYield polls so that sibling goroutines keep their CPU (a poll that
+// never yielded made `go test ./internal/exp` take 43% longer), and park
+// after spinBudget without one. The budget outlasts a round's barrier
+// work, so in a busy run helpers seldom park.
+const (
+	spinYield  = 64
+	spinBudget = 50 * time.Microsecond
+)
+
+// crew runs each round's shards on the driver goroutine and workers−1
+// helper goroutines (DESIGN.md §7.5). No shard belongs to a worker:
+// every participant claims runnable shards one by one, so a parked,
+// late or descheduled helper costs only the parallelism it would have
+// added, and no goroutine ever waits for one that has not started.
+//
+// A round is one epoch. claimed[i] is the last epoch in which shard i
+// was claimed; a participant in round e claims it with
+// CompareAndSwap(e−1, e), so a straggler still in round e−1 can claim
+// nothing in round e. The driver writes runTo and marks idle shards
+// claimed before it stores the epoch, and a participant reads them only
+// after loading it; a runner decrements left after writing its shard's
+// state, and the driver reads that state only after left reaches zero.
 type crew struct {
-	part  *topo.Partition
-	owned [][]int // worker -> owned shard indices, ascending
-	runTo []sim.Time
-	start []chan struct{}
-	done  chan struct{}
+	work    func(i int, runTo sim.Time)
+	runTo   []sim.Time
+	workers int
+	claimed []atomic.Uint64
+	epoch   atomic.Uint64
+	left    atomic.Int64 // runnable shards of the round not yet finished
+	quit    atomic.Bool
+	helpers []helper
+	exited  sync.WaitGroup
 }
 
-func startCrew(part *topo.Partition, workers int, runTo []sim.Time) *crew {
+type helper struct {
+	parked atomic.Bool
+	wake   chan struct{}
+}
+
+// newCrew starts workers−1 helpers. work runs one shard's window
+// (runWindow in production); runTo is the driver's per-shard deadline
+// array, shardIdle for a shard that skips the round.
+func newCrew(workers int, runTo []sim.Time, work func(i int, runTo sim.Time)) *crew {
 	c := &crew{
-		part:  part,
-		owned: make([][]int, workers),
-		runTo: runTo,
-		start: make([]chan struct{}, workers),
-		done:  make(chan struct{}, workers),
+		work:    work,
+		runTo:   runTo,
+		workers: workers,
+		claimed: make([]atomic.Uint64, len(runTo)),
+		helpers: make([]helper, workers-1),
 	}
-	for i, w := range part.ShardWorker {
-		c.owned[w] = append(c.owned[w], i)
-	}
-	for w := range c.start {
-		ch := make(chan struct{}, 1)
-		c.start[w] = ch
-		go func(w int, ch chan struct{}) {
-			for range ch {
-				c.runShards(w)
-				c.done <- struct{}{}
-			}
-		}(w, ch)
+	c.exited.Add(len(c.helpers))
+	for k := range c.helpers {
+		c.helpers[k].wake = make(chan struct{}, 1)
+		go c.help(k + 1)
 	}
 	return c
 }
 
-// runShards executes worker w's non-idle shards up to their per-shard
-// horizons. Called from the worker goroutine, or from the driver when
-// only one worker has work this round (saving the channel round trip).
-func (c *crew) runShards(w int) {
-	for _, i := range c.owned[w] {
-		if rt := c.runTo[i]; rt != shardIdle {
-			runWindow(c.part, i, rt)
+// round runs every shard whose runTo is not shardIdle and returns once
+// all of them have finished. Driver goroutine only.
+func (c *crew) round() {
+	e := c.epoch.Load() + 1
+	runnable := 0
+	for i, rt := range c.runTo {
+		if rt == shardIdle {
+			c.claimed[i].Store(e)
+		} else {
+			runnable++
+		}
+	}
+	c.left.Store(int64(runnable))
+	c.epoch.Store(e)
+	for k := range c.helpers {
+		if h := &c.helpers[k]; h.parked.Load() {
+			h.nudge()
+		}
+	}
+	c.claim(0, e)
+	// Every shard still out was claimed by a participant running it.
+	for n := 1; c.left.Load() != 0; n++ {
+		if n%spinYield == 0 {
+			runtime.Gosched()
 		}
 	}
 }
 
-func (c *crew) stop() {
-	for _, ch := range c.start {
-		close(ch)
+// claim walks the shards from worker w's starting point, so each worker
+// tends to keep the same shards from round to round, and runs every
+// shard it wins in round e.
+func (c *crew) claim(w int, e uint64) {
+	n := len(c.claimed)
+	i := w * n / c.workers
+	for range n {
+		if c.claimed[i].Load() == e-1 && c.claimed[i].CompareAndSwap(e-1, e) {
+			c.work(i, c.runTo[i])
+			c.left.Add(-1)
+		}
+		if i++; i == n {
+			i = 0
+		}
 	}
+}
+
+func (c *crew) help(w int) {
+	defer c.exited.Done()
+	h := &c.helpers[w-1]
+	var seen uint64
+	for {
+		seen = c.await(h, seen)
+		if c.quit.Load() {
+			return
+		}
+		c.claim(w, seen)
+	}
+}
+
+// await returns the first epoch after seen: it polls for spinBudget,
+// then parks until the driver wakes it. The parked flag is set before
+// the last poll and the driver reads it after storing the epoch, so
+// either that poll sees the new round or the driver sees the flag.
+func (c *crew) await(h *helper, seen uint64) uint64 {
+	deadline := time.Now().Add(spinBudget)
+	for n := 1; ; n++ {
+		if e := c.epoch.Load(); e != seen {
+			return e
+		}
+		if n%spinYield != 0 {
+			continue
+		}
+		runtime.Gosched()
+		if time.Now().Before(deadline) {
+			continue
+		}
+		h.parked.Store(true)
+		if e := c.epoch.Load(); e != seen {
+			h.parked.Store(false)
+			return e
+		}
+		<-h.wake // a stale token only costs one more spin
+		h.parked.Store(false)
+		deadline = time.Now().Add(spinBudget)
+	}
+}
+
+// nudge leaves a wake token for h without ever blocking the sender.
+func (h *helper) nudge() {
+	select {
+	case h.wake <- struct{}{}:
+	default:
+	}
+}
+
+// stop ends the crew and returns once every helper has exited.
+func (c *crew) stop() {
+	c.quit.Store(true)
+	c.epoch.Add(1)
+	for k := range c.helpers {
+		c.helpers[k].nudge()
+	}
+	c.exited.Wait()
 }
 
 // shardQueue is one shard's pending-release buffer: the driver pushes
@@ -477,10 +585,8 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 	runTo := make([]sim.Time, n)    // per-shard deadline, shardIdle to skip
 	settleTo := make([]sim.Time, n) // furthest horizon each shard ever ran to
 	var workerPool *crew
-	var workerBusy []bool
 	if workers > 1 {
-		workerPool = startCrew(part, workers, runTo)
-		workerBusy = make([]bool, workers)
+		workerPool = newCrew(workers, runTo, func(i int, rt sim.Time) { runWindow(part, i, rt) })
 		defer workerPool.stop()
 	}
 
@@ -563,13 +669,6 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 		feed(maxRun)
 		// A shard with no event and no owed departure inside its
 		// horizon skips the round.
-		launched := 0
-		soloWorker := -1
-		if workerBusy != nil {
-			for w := range workerBusy {
-				workerBusy[w] = false
-			}
-		}
 		for i, s := range part.Scheds {
 			at, ok := s.NextAtBound()
 			if (!ok || at > runTo[i]) && owed[i] > runTo[i] {
@@ -578,35 +677,16 @@ func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg Run
 				continue
 			}
 			st.WindowsRun++
-			if workerBusy != nil {
-				if w := part.ShardWorker[i]; !workerBusy[w] {
-					workerBusy[w] = true
-					launched++
-					soloWorker = w
-				}
-			}
 		}
 		t0 := time.Now()
-		switch {
-		case workerPool == nil:
+		if workerPool == nil {
 			for i, rt := range runTo {
 				if rt != shardIdle {
 					runWindow(part, i, rt)
 				}
 			}
-		case launched == 1:
-			// One busy worker: run its shards on the driver thread and
-			// skip the channel round trip.
-			workerPool.runShards(soloWorker)
-		default:
-			for w, busy := range workerBusy {
-				if busy {
-					workerPool.start[w] <- struct{}{}
-				}
-			}
-			for i := 0; i < launched; i++ {
-				<-workerPool.done
-			}
+		} else {
+			workerPool.round()
 		}
 		t1 := time.Now()
 		// Barrier: every shard quiescent, driver thread only.
