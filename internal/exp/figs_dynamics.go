@@ -84,6 +84,7 @@ func runDynamics(o Options) *Result {
 	}
 	sum := transport.Run(env, ppt.Proto{Cfg: pcfg}, flows, transport.RunConfig{})
 	o.addEvents(env.Sched().Executed)
+	audit(net)
 
 	res := &Result{ID: "fig5", Title: "dual-loop rate control dynamics (watched 8MB flow)"}
 	res.Rows = append(res.Rows, Row{Label: "workload", Sum: sum})

@@ -25,8 +25,8 @@ import (
 // existing scale bench family.
 var scale1MSchemes = []string{"ppt", "dctcp"}
 
-// scale1MSpillChunk caps resident FCT records in the streamed cells:
-// 64Ki records × 32B ≈ 2MB resident regardless of flow count; the
+// scale1MSpillChunk caps resident completions in the streamed cells:
+// 64Ki words × 8B = 512KiB resident regardless of flow count; the
 // overflow lives as 8 bytes per small flow in an unlinked temp file.
 const scale1MSpillChunk = 1 << 16
 

@@ -274,16 +274,21 @@ func (s *streamSource) Next() (transport.SimpleFlow, bool) {
 // fails the cell.
 var auditNet func(*topo.Network) error
 
+// audit runs auditNet, if set, on a finished cell's fabric.
+func audit(net *topo.Network) {
+	if auditNet != nil {
+		if err := auditNet(net); err != nil {
+			panic(err)
+		}
+	}
+}
+
 // execute runs one cell: it builds the fabric and Env, arms the cell's
 // observer, streams the workload to completion, reads the extras and
 // audits the fabric. It returns the summary, the extras and the Env.
 func execute(spec runSpec) (stats.Summary, map[string]float64, *transport.Env) {
 	sum, extra, env := simulate(spec)
-	if auditNet != nil {
-		if err := auditNet(env.Net); err != nil {
-			panic(err)
-		}
-	}
+	audit(env.Net)
 	return sum, extra, env
 }
 

@@ -47,7 +47,7 @@ func NewBufferPool(capBytes int64) *BufferPool {
 // serialize-complete instant.
 func (b *BufferPool) settle() {
 	for _, p := range b.members {
-		if p.totalQueued > 0 || p.pendHead < len(p.pend) {
+		if p.totalQueued > 0 || p.npend > 0 {
 			p.SettleTx(p.sched.Now() - 1)
 		}
 	}
@@ -162,7 +162,10 @@ type Port struct {
 	// first); lastStart/lastWire are that packet's start instant and
 	// wire length. Starting a packet arms ONE event — its delivery at
 	// txDone+Delay — and defers the transmit-side accounting (TxBytes,
-	// pool release, ...) in pend. wire holds packets propagating toward
+	// pool release, ...) in pend, oldest first. A start at t settles
+	// through t-1 and txDone strictly increases, so only the previous
+	// packet's entry (txDone == t) can meet the new one: pend never
+	// holds more than two. wire holds packets propagating toward
 	// the peer: the delay is one constant per port, so deliveries are
 	// strictly FIFO and the next delivery always takes the head;
 	// delivered counts the packets it handed to the peer. drain is the
@@ -177,8 +180,8 @@ type Port struct {
 	wire      pktRing
 	delivered int64
 	intq      pktRing
-	pend      []pendTx
-	pendHead  int
+	pend      [2]pendTx
+	npend     int
 	onDrain   func()
 	onDeliver func()
 	onTxDone  func()
@@ -472,8 +475,9 @@ func (p *Port) start(pkt *Packet, t sim.Time) {
 	p.busyUntil = txDone
 	p.lastStart, p.lastWire = t, int64(pkt.WireLen)
 	// Every earlier entry completed by t; settling strictly behind t
-	// keeps pend O(1) on ports whose wire never settles it (cross).
-	if p.pendHead < len(p.pend) {
+	// leaves at most the previous packet's, so the new one fits even on
+	// ports whose wire never settles pend (cross).
+	if p.npend > 0 {
 		p.settlePend(t - 1)
 	}
 	var data, fresh int32
@@ -483,7 +487,8 @@ func (p *Port) start(pkt *Packet, t sim.Time) {
 			fresh = pkt.PayloadLen
 		}
 	}
-	p.pend = append(p.pend, pendTx{txDone: txDone, wire: pkt.WireLen, data: data, fresh: fresh})
+	p.pend[p.npend] = pendTx{txDone: txDone, wire: pkt.WireLen, data: data, fresh: fresh}
+	p.npend++
 	if p.cfg.EnableINT && pkt.INT != nil {
 		// Armed before the delivery so it runs first even at Delay == 0.
 		p.intq.push(pkt)
@@ -519,7 +524,7 @@ func (p *Port) txDoneINT() {
 		qlen += p.lastWire
 	}
 	txBytes := p.Stats.TxBytes
-	for i := p.pendHead; i < len(p.pend) && p.pend[i].txDone <= now; i++ {
+	for i := 0; i < p.npend && p.pend[i].txDone <= now; i++ {
 		txBytes += int64(p.pend[i].wire)
 	}
 	pkt := p.intq.pop()
@@ -547,15 +552,15 @@ func (p *Port) deliver() {
 // serializations that completed within the run (DESIGN.md §7.6).
 func (p *Port) SettleTx(limit sim.Time) {
 	p.advance(limit)
-	if p.pendHead < len(p.pend) {
+	if p.npend > 0 {
 		p.settlePend(limit)
 	}
 }
 
 // settlePend applies the pend entries with txDone <= limit.
 func (p *Port) settlePend(limit sim.Time) {
-	i := p.pendHead
-	for i < len(p.pend) && p.pend[i].txDone <= limit {
+	i := 0
+	for i < p.npend && p.pend[i].txDone <= limit {
 		e := &p.pend[i]
 		n := int64(e.wire)
 		if p.pool != nil {
@@ -567,17 +572,11 @@ func (p *Port) settlePend(limit sim.Time) {
 		p.Stats.TxFreshBytes += int64(e.fresh)
 		i++
 	}
-	p.pendHead = i
-	if i == len(p.pend) {
-		p.pend = p.pend[:0]
-		p.pendHead = 0
-	} else if i > 32 && 2*i >= len(p.pend) {
-		// Compact once the settled prefix dominates: a port that stays
-		// busy for a long stretch never fully drains pend, and without
-		// this the slice would grow with every packet sent.
-		n := copy(p.pend, p.pend[i:])
-		p.pend = p.pend[:n]
-		p.pendHead = 0
+	if i > 0 {
+		// Of two entries, at most the newer one is left; it moves to
+		// the front (a stale copy when nothing is left).
+		p.npend -= i
+		p.pend[0] = p.pend[1]
 	}
 }
 
@@ -633,7 +632,7 @@ func (p *Port) Audit() error {
 	for i := range p.queues {
 		queued += p.queues[i].len()
 	}
-	serializing := len(p.pend) - p.pendHead
+	serializing := p.npend
 	s := &p.Stats
 	if s.RxPackets != s.TxPackets+s.Drops+s.RandomDrops+int64(queued+serializing) {
 		return fmt.Errorf("netsim: port %s: rx %d != tx %d + drops %d + random drops %d + queued %d + serializing %d",
@@ -660,7 +659,7 @@ func (b *BufferPool) Audit() error {
 	var held int64
 	for _, p := range b.members {
 		held += p.totalQueued
-		for _, e := range p.pend[p.pendHead:] {
+		for _, e := range p.pend[:p.npend] {
 			held += int64(e.wire)
 		}
 	}

@@ -28,8 +28,12 @@ type SlowdownSummary struct {
 	Max  float64
 }
 
-// Slowdowns computes the slowdown distribution of all completions.
+// Slowdowns computes the slowdown distribution of all completions. It
+// needs the raw log, so a spilling collector panics.
 func (c *Collector) Slowdowns(rate netsim.Rate, baseRTT sim.Time) SlowdownSummary {
+	if c.sp != nil {
+		panic("stats: Slowdowns on a spilling collector")
+	}
 	if len(c.records) == 0 {
 		return SlowdownSummary{}
 	}
@@ -67,8 +71,12 @@ var DefaultBucketBounds = []int64{1_000, 10_000, 100_000, 1_000_000, 10_000_000}
 
 // Buckets splits completions into size classes with per-class FCT
 // statistics. bounds must be ascending; a final unbounded class is
-// appended automatically.
+// appended automatically. It needs the raw log, so a spilling collector
+// panics.
 func (c *Collector) Buckets(bounds []int64) []Bucket {
+	if c.sp != nil {
+		panic("stats: Buckets on a spilling collector")
+	}
 	if !sort.SliceIsSorted(bounds, func(i, j int) bool { return bounds[i] < bounds[j] }) {
 		panic("stats: bucket bounds must ascend")
 	}

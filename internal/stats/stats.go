@@ -33,7 +33,7 @@ func (r FCTRecord) FCT() sim.Time { return r.End - r.Start }
 // resident; SetSpill bounds resident memory for million-flow runs (see
 // spill.go).
 type Collector struct {
-	records []FCTRecord
+	records []FCTRecord // every completion; empty in spill mode
 
 	// scratch is Summarize's small-FCT workspace, reused across calls so
 	// summarizing is allocation-free once the run's flow count is known.
@@ -72,21 +72,17 @@ func (c *Collector) Complete(flowID uint32, size int64, start, end sim.Time) {
 	if end < start {
 		panic("stats: flow completed before it started")
 	}
-	c.records = append(c.records, FCTRecord{flowID, size, start, end})
-	if sp := c.sp; sp != nil {
-		if len(c.records) > sp.maxResident {
-			sp.maxResident = len(c.records)
-		}
-		if len(c.records) >= sp.chunk {
-			c.spillChunk()
-		}
+	if c.sp != nil {
+		c.sp.complete(size, end-start)
+		return
 	}
+	c.records = append(c.records, FCTRecord{flowID, size, start, end})
 }
 
 // Count reports completed flows.
 func (c *Collector) Count() int {
 	if c.sp != nil {
-		return c.sp.flows + len(c.records)
+		return c.sp.flows + len(c.sp.resident)
 	}
 	return len(c.records)
 }

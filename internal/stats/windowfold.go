@@ -84,8 +84,8 @@ func (w *WindowFold) fold(shards []*Collector, safe sim.Time, all bool) {
 	// order a boundary-aligned spill would, so flushing here changes no
 	// sum, no spilled byte, and no selection input — only the moment the
 	// fold happens.
-	if sp := w.master.sp; len(w.master.records) > 0 && len(w.master.records)+len(batch) > sp.chunk {
-		w.master.spillChunk()
+	if sp := w.master.sp; len(sp.resident) > 0 && len(sp.resident)+len(batch) > sp.chunk {
+		sp.spillChunk()
 	}
 	for i := range batch {
 		r := &batch[i]
