@@ -46,13 +46,11 @@ type Options struct {
 	// OnProgress, when set, observes each completed cell as (done,
 	// total). Calls are serialized but may come from worker goroutines.
 	OnProgress func(done, total int)
-	// Shards sets the logical shard count hint for partitionable
-	// fabrics (0 = default 1). On leaf-spine fabrics running shardable
-	// protocols it enables the conservative windowed engine and caps the
-	// worker goroutines per cell at min(Shards, shards-in-topology);
-	// results are byte-identical at every setting >= 1 (pinned by the
-	// golden matrix). Star/dumbbell fabrics and non-shardable protocols
-	// ignore it. Validated by RunByID.
+	// Shards caps the worker goroutines per leaf-spine cell at
+	// min(Shards, shards-in-topology) (0 = default 1). Every leaf-spine
+	// cell runs the conservative windowed engine, and results are
+	// byte-identical at every setting (pinned by the golden matrix).
+	// Star/dumbbell fabrics ignore it. Validated by RunByID.
 	Shards int
 	// StrictShards makes a Shards > 1 request on a fabric that cannot
 	// partition (single-switch star/dumbbell topologies) fail the cell
@@ -432,8 +430,9 @@ func (c Config) withDefaults() Config {
 // RunCell simulates cfg to completion and returns its summary and
 // environment (for detailed metrics). The transport resolves in
 // baseSchemes and the topology in topologies, and the cell runs through
-// execute like every experiment cell. Its shard hint stays 0, so
-// leaf-spine fabrics run on the monolithic engine.
+// execute like every experiment cell: a leaf-spine cell on the windowed
+// engine with one worker, so it reports what the same cell reports in
+// an experiment.
 func RunCell(cfg Config) (stats.Summary, *transport.Env, error) {
 	if err := checkScale(cfg.Flows, cfg.Load); err != nil {
 		return stats.Summary{}, nil, err

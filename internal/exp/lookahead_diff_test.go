@@ -11,8 +11,8 @@ import (
 // TestShardedDifferential: where that test fixes the fabric and sweeps
 // schemes, this one sweeps the *topology* — random leaf-spine shapes,
 // so the per-pair lookahead matrix (leaf↔spine at one wire delay,
-// leaf↔leaf and the self-cycles at two) and the load-balanced worker
-// assignment differ every trial — and asserts the windowed output is
+// leaf↔leaf and the self-cycles at two) differs every trial, with a
+// scheme drawn from the same list — and asserts the windowed output is
 // byte-identical at every shard count. It also cross-checks the built matrix against an independent
 // brute-force bound: every entry must not exceed the true minimum path
 // delay over the wires the builder installs (the conservative
@@ -22,8 +22,7 @@ func TestLookaheadMatrixDifferential(t *testing.T) {
 		t.Skip("runs many randomized simulation cells")
 	}
 	rng := rand.New(rand.NewSource(1729))
-	all := baseSchemes()
-	schemes := []string{"ppt", "dctcp"}
+	schemes := shardSchemes()
 	dists := []*workload.Dist{workload.WebSearch, workload.MemcachedW1}
 
 	trials := 5
@@ -33,9 +32,9 @@ func TestLookaheadMatrixDifferential(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		leaves, spines, perLeaf := 2+rng.Intn(3), 1+rng.Intn(3), 3+rng.Intn(5)
 		fab := simFabric(leaves, spines, perLeaf)
+		name := schemes[rng.Intn(len(schemes))]
 		spec := runSpec{
 			fab:     fab,
-			sc:      all[schemes[rng.Intn(len(schemes))]],
 			dist:    dists[rng.Intn(len(dists))],
 			pattern: workload.AllToAll{N: fab.hosts},
 			load:    0.3 + 0.1*float64(rng.Intn(4)),
@@ -43,9 +42,7 @@ func TestLookaheadMatrixDifferential(t *testing.T) {
 			seed:    1 + rng.Int63n(1000),
 		}
 
-		base := spec
-		base.shards = 1
-		baseSum, _, baseEnv := execute(base)
+		baseSum, _, baseEnv := execute(withScheme(spec, name, 1))
 		part := baseEnv.Net.Part
 		if part == nil || part.Lookahead == nil {
 			t.Fatalf("trial %d: partitioned build carries no lookahead matrix", trial)
@@ -73,19 +70,17 @@ func TestLookaheadMatrixDifferential(t *testing.T) {
 		}
 
 		// Shard hints beyond the shard count, equal to it, and below it
-		// (exercising multi-shard-per-worker LPT assignments); shards=1
-		// reruns the base cell, which a repeat must reproduce.
+		// (more shards than workers to claim them); shards=1 reruns the
+		// base cell, which a repeat must reproduce.
 		for _, shards := range []int{2, n, n + 3, 1} {
-			alt := spec
-			alt.shards = shards
-			altSum, _, altEnv := execute(alt)
+			altSum, _, altEnv := execute(withScheme(spec, name, shards))
 			if baseSum != altSum {
 				t.Errorf("trial %d (leaves=%d spines=%d perLeaf=%d %s flows=%d seed=%d): shards=%d summary diverged\nbase: %+v\nalt:  %+v",
-					trial, leaves, spines, perLeaf, spec.sc.name, spec.flows, spec.seed, shards, baseSum, altSum)
+					trial, leaves, spines, perLeaf, name, spec.flows, spec.seed, shards, baseSum, altSum)
 			}
 			if baseEnv.Eff != altEnv.Eff {
 				t.Errorf("trial %d (leaves=%d spines=%d perLeaf=%d %s flows=%d seed=%d): shards=%d efficiency diverged\nbase: %+v\nalt:  %+v",
-					trial, leaves, spines, perLeaf, spec.sc.name, spec.flows, spec.seed, shards, baseEnv.Eff, altEnv.Eff)
+					trial, leaves, spines, perLeaf, name, spec.flows, spec.seed, shards, baseEnv.Eff, altEnv.Eff)
 			}
 			if altEnv.ShardStats == nil || altEnv.ShardStats.Rounds == 0 {
 				t.Errorf("trial %d: shards=%d run recorded no windowed instrumentation", trial, shards)

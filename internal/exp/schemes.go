@@ -178,11 +178,11 @@ func baseSchemes() map[string]scheme {
 		"pias": {name: "pias", tweak: func(c *topo.Config) { c.ECNLowK = c.ECNHighK },
 			make: func() transport.Protocol { return pias.Proto{} }},
 		"hpcc": {name: "hpcc", tweak: tweakINT, make: func() transport.Protocol { return hpcc.Proto{} }},
-		"homa": {name: "homa", make: func() transport.Protocol { return homa.New() }},
+		"homa": {name: "homa", make: func() transport.Protocol { return homa.Proto{} }},
 		"aeolus": {name: "aeolus", tweak: tweakDrop,
-			make: func() transport.Protocol { return aeolus.New() }},
+			make: func() transport.Protocol { return aeolus.Proto{} }},
 		"ndp": {name: "ndp", tweak: tweakTrim,
-			make: func() transport.Protocol { return ndp.New() }},
+			make: func() transport.Protocol { return ndp.Proto{} }},
 		"ppt":       pptScheme("ppt", ppt.Config{}),
 		"swift":     {name: "swift", make: func() transport.Protocol { return swift.Proto{} }},
 		"swift+ppt": {name: "swift+ppt", make: func() transport.Protocol { return swift.Proto{Cfg: swift.Config{WithPPT: true}} }},
@@ -195,7 +195,7 @@ func baseSchemes() map[string]scheme {
 		}},
 		"halfback": {name: "halfback", make: func() transport.Protocol { return halfback.Proto{} }},
 		"expresspass": {name: "expresspass",
-			make: func() transport.Protocol { return expresspass.New() }},
+			make: func() transport.Protocol { return expresspass.Proto{} }},
 	}
 }
 
@@ -214,10 +214,10 @@ type runSpec struct {
 	// obs watches the run and computes the cell's extras (zero value:
 	// a summary-only cell).
 	obs observer
-	// shards is the partition hint for this cell (from Options.Shards;
-	// applied only when the fabric partitions and the protocol is
-	// shardable, so non-windowed cells stay byte-for-byte on the legacy
-	// monolithic path).
+	// shards caps the windowed driver's worker goroutines for this cell
+	// (topo.Config.Shards, from Options.Shards). Every leaf-spine cell
+	// runs windowed, at the same outcome for every value; a star fabric
+	// ignores it.
 	shards int
 	// spillChunk, when > 0, bounds the FCT collector to this many
 	// resident records (stats spill mode). It composes with the
@@ -298,13 +298,10 @@ func simulate(spec runSpec) (stats.Summary, map[string]float64, *transport.Env) 
 	if spec.sc.tweak != nil {
 		spec.sc.tweak(&cfg)
 	}
-	// Partition only for protocols that implement the windowed engine's
-	// split start. make may itself run a cell (the hypothetical DCTCP's
-	// pass 1), so it runs before this cell's fabric exists.
+	// make may itself run a cell (the hypothetical DCTCP's pass 1), so
+	// it runs before this cell's fabric exists.
 	proto := spec.sc.make()
-	if _, ok := proto.(transport.ShardableProtocol); ok && spec.shards >= 1 {
-		cfg.Shards = spec.shards
-	}
+	cfg.Shards = spec.shards
 	net := spec.fab.build(cfg)
 	env := transport.NewEnv(net)
 	env.RTOMin = spec.fab.rtoMin

@@ -52,7 +52,7 @@ func TestStreamedExecuteMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// materialized runs a monolithic cell trace-first: the whole workload
+// materialized runs a cell trace-first: the whole workload
 // generated up front, first calls from bufaware.AssignFirstCalls under
 // the bulk model, then transport.Run over the slice.
 func materialized(spec runSpec) stats.Summary {

@@ -49,15 +49,14 @@ type Config struct {
 	// egress (failure injection; 0 in all paper experiments).
 	LossProb float64
 
-	// Shards, when >= 1, asks multi-switch builders (LeafSpine) for a
-	// partitioned fabric: one logical shard per switch (leaf shards own
-	// their hosts), each with its own scheduler and packet pool, wired
-	// for the conservative time-windowed parallel engine (DESIGN.md
-	// §7.3). The value caps the number of worker goroutines; the
-	// logical partition — and therefore every simulated outcome — is
-	// topology-determined and identical for every Shards >= 1. Zero (the
-	// zero value) builds the classic monolithic single-scheduler fabric.
-	// Star ignores this: a single switch has no useful partition.
+	// Shards caps the worker goroutines of the conservative
+	// time-windowed parallel engine (DESIGN.md §7.3) on a LeafSpine
+	// fabric, which is always partitioned: one logical shard per switch
+	// (leaf shards own their hosts), each with its own scheduler and
+	// packet pool. The logical partition — and therefore every simulated
+	// outcome — is topology-determined and identical for every value;
+	// Shards <= 1 runs one worker. Star ignores this: a single switch has
+	// no useful partition.
 	Shards int
 }
 
@@ -72,8 +71,8 @@ type Partition struct {
 	// N is the logical shard count (leaves + spines).
 	N int
 	// Workers caps the goroutines that run the shards each window:
-	// min(Config.Shards, N). Worker count never affects outcomes —
-	// shards only interact at barriers, in canonical order.
+	// min(max(Config.Shards, 1), N). Worker count never affects outcomes
+	// — shards only interact at barriers, in canonical order.
 	Workers int
 	// Lookahead is the per-shard-pair lookahead matrix (closed under
 	// min-plus composition); see the Lookahead type. Derived from the
@@ -91,22 +90,24 @@ type Partition struct {
 }
 
 // Network is a built fabric: hosts wired through switches, sharing one
-// scheduler (or, when partitioned, one scheduler per shard).
+// scheduler (Star) or, partitioned, one scheduler per shard (LeafSpine).
 type Network struct {
-	// Sched is the fabric scheduler of a monolithic build; nil when the
-	// fabric is partitioned (use Part.Scheds and the windowed driver).
+	// Sched is the fabric scheduler of a Star build; nil when the fabric
+	// is partitioned (use Part.Scheds and the windowed driver).
 	Sched    *sim.Scheduler
 	Hosts    []*netsim.Host
 	Switches []*netsim.Switch
 	Cfg      Config
 
-	// Part is non-nil for a partitioned (sharded) fabric.
+	// Part is non-nil for a partitioned (sharded) fabric: every
+	// LeafSpine build.
 	Part *Partition
 
 	// Pool is the run-scoped packet freelist shared by every host and
-	// port of this fabric. One pool per Network keeps runs deterministic
-	// and race-free under the experiment worker pool. Partitioned
-	// fabrics use Part.Pools (one per shard) instead and leave this nil.
+	// port of a Star fabric. One pool per Network keeps runs
+	// deterministic and race-free under the experiment worker pool.
+	// Partitioned fabrics use Part.Pools (one per shard) instead and
+	// leave this nil.
 	Pool *netsim.PacketPool
 
 	// BaseRTT is the zero-load round-trip time between the two most
@@ -150,8 +151,8 @@ func (n *Network) SwitchPorts() []*netsim.Port {
 // end of run, before reading Tx counters, so the counters cover exactly
 // the serializations that physically completed within the run.
 // Partitioned fabrics pass per-shard limits through the callback (each
-// port settles at its own shard's horizon); monolithic callers return
-// one fabric-wide limit.
+// port settles at its own shard's horizon); Star's single-scheduler
+// driver returns one fabric-wide limit.
 func (n *Network) SettleTx(limit func(*sim.Scheduler) sim.Time) {
 	for _, p := range n.ports() {
 		p.SettleTx(limit(p.Scheduler()))
@@ -184,19 +185,6 @@ func (n *Network) Audit() error {
 		}
 	}
 	return nil
-}
-
-// attachPool gives every host and every port (NICs included) the run's
-// packet pool, completing the Get-at-source / Free-at-sink cycle.
-func (n *Network) attachPool() {
-	n.Pool = netsim.NewPacketPool()
-	for _, h := range n.Hosts {
-		h.SetPool(n.Pool)
-		h.NIC().SetPacketPool(n.Pool)
-	}
-	for _, p := range n.SwitchPorts() {
-		p.SetPacketPool(n.Pool)
-	}
 }
 
 // switchPortCfg derives the netsim.PortConfig for a switch egress.
@@ -242,7 +230,7 @@ func Star(n int, cfg Config) *Network {
 		cfg.LinkDelay = 20 * sim.Microsecond
 	}
 	s := sim.NewScheduler()
-	net := &Network{Sched: s, Cfg: cfg, BottleneckRate: cfg.HostRate}
+	net := &Network{Sched: s, Cfg: cfg, BottleneckRate: cfg.HostRate, Pool: netsim.NewPacketPool()}
 	sw := netsim.NewSwitch("sw0", 1)
 	net.Switches = []*netsim.Switch{sw}
 	var pool *netsim.BufferPool
@@ -256,10 +244,14 @@ func Star(n int, cfg Config) *Network {
 		down := netsim.NewPort(fmt.Sprintf("sw0-p%d", i), s, cfg.switchPortCfg(cfg.HostRate), h, pool)
 		sw.AddRoute(int32(i), sw.AddPort(down))
 		net.Hosts = append(net.Hosts, h)
+		// One packet pool for every host and port closes the
+		// Get-at-source / Free-at-sink cycle.
+		h.SetPool(net.Pool)
+		nic.SetPacketPool(net.Pool)
+		down.SetPacketPool(net.Pool)
 	}
 	// host -> switch -> host: 2 wires each way plus serialization.
 	net.BaseRTT = 4*cfg.LinkDelay + 2*cfg.HostRate.TxTime(netsim.MSS+netsim.HeaderBytes) + 2*cfg.HostRate.TxTime(netsim.HeaderBytes)
-	net.attachPool()
 	return net
 }
 
@@ -284,53 +276,41 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, cfg Config) *Network {
 		net.BottleneckRate = cfg.CoreRate
 	}
 
-	// Partitioning (Config.Shards >= 1): leaf i and its hosts form shard
-	// i, spine j forms shard leaves+j. The only cross-shard wires are
-	// leaf<->spine (a host's NIC peers with its own leaf), so the
-	// smallest lookahead entry is exactly LinkDelay.
-	var part *Partition
-	var mono *sim.Scheduler
-	if cfg.Shards >= 1 {
-		n := leaves + spines
-		part = &Partition{
-			N:         n,
-			Workers:   min(cfg.Shards, n),
-			Scheds:    make([]*sim.Scheduler, n),
-			Pools:     make([]*netsim.PacketPool, n),
-			Outboxes:  make([]*netsim.Outbox, n),
-			Inboxes:   make([]*netsim.Inbox, n),
-			HostShard: make([]int, leaves*hostsPerLeaf),
-		}
-		for i := 0; i < n; i++ {
-			part.Scheds[i] = sim.NewScheduler()
-			part.Pools[i] = netsim.NewPacketPool()
-			part.Outboxes[i] = netsim.NewOutbox(i)
-			part.Inboxes[i] = netsim.NewInbox(part.Scheds[i])
-		}
-		// Per-pair lookahead: one directed wire per leaf<->spine link at
-		// LinkDelay, closed under min-plus so distant pairs (leaf->leaf
-		// via a spine) get their true 2×LinkDelay bound instead of the
-		// global minimum.
-		la := NewLookahead(n)
-		for li := 0; li < leaves; li++ {
-			for si := 0; si < spines; si++ {
-				la.AddWire(li, leaves+si, cfg.LinkDelay)
-				la.AddWire(leaves+si, li, cfg.LinkDelay)
-			}
-		}
-		la.Close()
-		part.Lookahead = la
-		net.Part = part
-	} else {
-		mono = sim.NewScheduler()
-		net.Sched = mono
+	// The partition: leaf i and its hosts form shard i, spine j forms
+	// shard leaves+j. The only cross-shard wires are leaf<->spine (a
+	// host's NIC peers with its own leaf), so the smallest lookahead
+	// entry is exactly LinkDelay.
+	n := leaves + spines
+	part := &Partition{
+		N:         n,
+		Workers:   min(max(cfg.Shards, 1), n),
+		Scheds:    make([]*sim.Scheduler, n),
+		Pools:     make([]*netsim.PacketPool, n),
+		Outboxes:  make([]*netsim.Outbox, n),
+		Inboxes:   make([]*netsim.Inbox, n),
+		HostShard: make([]int, leaves*hostsPerLeaf),
 	}
-	sched := func(shard int) *sim.Scheduler {
-		if part != nil {
-			return part.Scheds[shard]
-		}
-		return mono
+	for i := 0; i < n; i++ {
+		part.Scheds[i] = sim.NewScheduler()
+		part.Pools[i] = netsim.NewPacketPool()
+		part.Outboxes[i] = netsim.NewOutbox(i)
+		part.Inboxes[i] = netsim.NewInbox(part.Scheds[i])
 	}
+	// Per-pair lookahead: one directed wire per leaf<->spine link at
+	// LinkDelay, closed under min-plus so distant pairs (leaf->leaf via a
+	// spine) get their true 2×LinkDelay bound instead of the global
+	// minimum.
+	la := NewLookahead(n)
+	for li := 0; li < leaves; li++ {
+		for si := 0; si < spines; si++ {
+			la.AddWire(li, leaves+si, cfg.LinkDelay)
+			la.AddWire(leaves+si, li, cfg.LinkDelay)
+		}
+	}
+	la.Close()
+	part.Lookahead = la
+	net.Part = part
+
 	leafSW := make([]*netsim.Switch, leaves)
 	spineSW := make([]*netsim.Switch, spines)
 	for i := range leafSW {
@@ -350,28 +330,24 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, cfg Config) *Network {
 		// Downlinks to hosts.
 		for hi := 0; hi < hostsPerLeaf; hi++ {
 			id := int32(li*hostsPerLeaf + hi)
-			h := netsim.NewHost(id, sched(li))
-			nic := netsim.NewPort(fmt.Sprintf("h%d-nic", id), sched(li), cfg.nicCfg(cfg.HostRate), leaf, nil)
+			h := netsim.NewHost(id, part.Scheds[li])
+			nic := netsim.NewPort(fmt.Sprintf("h%d-nic", id), part.Scheds[li], cfg.nicCfg(cfg.HostRate), leaf, nil)
 			h.SetNIC(nic)
-			down := netsim.NewPort(fmt.Sprintf("leaf%d-h%d", li, hi), sched(li), cfg.switchPortCfg(cfg.HostRate), h, pool)
+			down := netsim.NewPort(fmt.Sprintf("leaf%d-h%d", li, hi), part.Scheds[li], cfg.switchPortCfg(cfg.HostRate), h, pool)
 			leaf.AddRoute(id, leaf.AddPort(down))
 			net.Hosts = append(net.Hosts, h)
-			if part != nil {
-				part.HostShard[id] = li
-				h.SetPool(part.Pools[li])
-				nic.SetPacketPool(part.Pools[li])
-				down.SetPacketPool(part.Pools[li])
-			}
+			part.HostShard[id] = li
+			h.SetPool(part.Pools[li])
+			nic.SetPacketPool(part.Pools[li])
+			down.SetPacketPool(part.Pools[li])
 		}
 		// Uplinks to every spine; remote hosts ECMP across them.
 		var uplinks []int
 		for si, spine := range spineSW {
-			up := netsim.NewPort(fmt.Sprintf("leaf%d-spine%d", li, si), sched(li), cfg.switchPortCfg(cfg.CoreRate), spine, pool)
+			up := netsim.NewPort(fmt.Sprintf("leaf%d-spine%d", li, si), part.Scheds[li], cfg.switchPortCfg(cfg.CoreRate), spine, pool)
 			uplinks = append(uplinks, leaf.AddPort(up))
-			if part != nil {
-				up.SetPacketPool(part.Pools[li])
-				up.SetCross(part.Outboxes[li], part.Inboxes[leaves+si])
-			}
+			up.SetPacketPool(part.Pools[li])
+			up.SetCross(part.Outboxes[li], part.Inboxes[leaves+si])
 		}
 		for other := 0; other < leaves; other++ {
 			if other == li {
@@ -390,15 +366,13 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, cfg Config) *Network {
 		}
 		shard := leaves + si
 		for li, leaf := range leafSW {
-			down := netsim.NewPort(fmt.Sprintf("%s-%s", spine.Name(), leaf.Name()), sched(shard), cfg.switchPortCfg(cfg.CoreRate), leaf, pool)
+			down := netsim.NewPort(fmt.Sprintf("%s-%s", spine.Name(), leaf.Name()), part.Scheds[shard], cfg.switchPortCfg(cfg.CoreRate), leaf, pool)
 			idx := spine.AddPort(down)
 			for hi := 0; hi < hostsPerLeaf; hi++ {
 				spine.AddRoute(int32(li*hostsPerLeaf+hi), idx)
 			}
-			if part != nil {
-				down.SetPacketPool(part.Pools[shard])
-				down.SetCross(part.Outboxes[shard], part.Inboxes[li])
-			}
+			down.SetPacketPool(part.Pools[shard])
+			down.SetCross(part.Outboxes[shard], part.Inboxes[li])
 		}
 	}
 	// Worst case: host→leaf→spine→leaf→host, 4 wires each way.
@@ -406,8 +380,5 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, cfg Config) *Network {
 	net.BaseRTT = 8*cfg.LinkDelay +
 		2*cfg.HostRate.TxTime(mtu) + 2*cfg.CoreRate.TxTime(mtu) +
 		2*cfg.HostRate.TxTime(netsim.HeaderBytes) + 2*cfg.CoreRate.TxTime(netsim.HeaderBytes)
-	if part == nil {
-		net.attachPool()
-	}
 	return net
 }

@@ -6,6 +6,12 @@
 // early under buildup (selective dropping), and dropped unscheduled
 // bytes are recovered by scheduled grants carrying selective
 // retransmission requests instead of timeouts.
+//
+// As in package homa, each host's grant scheduler lives in the Env of
+// the shard that owns the host (transport.HostState), and a grant
+// carries its credit in the packet: Seq is the offset the sender may
+// send below, and Meta the granted priority as an int8, or a
+// *resendGrant when the grant also asks for a retransmission.
 package aeolus
 
 import (
@@ -17,8 +23,8 @@ import (
 )
 
 // Aeolus's constants. RTTbytes, the unscheduled allowance and grant
-// window, is not one of them: Start reads it from the Env as the fabric
-// BDP.
+// window, is not one of them: each start half reads it from the Env as
+// the fabric BDP.
 const (
 	// overcommit matches Homa's setting (2 in the paper).
 	overcommit = 2
@@ -31,62 +37,53 @@ type dataInfo struct {
 	Size int64
 }
 
-// grantInfo is a scheduled credit; Resend, when non-zero-length, asks
-// the sender to also retransmit that missing range (selective
-// retransmission of lost unscheduled bytes). Instances cycle through an
-// Env pool — reuse is dirty, so every producer sets all four fields.
-type grantInfo struct {
-	transport.PoolNode
-	UpTo      int64
-	Prio      int8
-	ResendSeq int64
-	ResendLen int64
+// resendGrant is the Meta of a grant that also asks the sender to
+// retransmit the missing range [Seq, Seq+Len) (selective retransmission
+// of lost unscheduled bytes). Each is allocated: a pooled one would
+// move from the receiving shard's pool to the sending shard's.
+type resendGrant struct {
+	Prio int8
+	Seq  int64
+	Len  int64
 }
 
-// Proto is the Aeolus protocol factory; one instance per run.
-type Proto struct {
-	managers map[int32]*rxManager
-}
-
-// New builds an Aeolus protocol instance.
-func New() *Proto {
-	return &Proto{managers: make(map[int32]*rxManager)}
-}
+// Proto is the Aeolus protocol factory. It is stateless: each host's
+// receiver manager lives in the Env of the shard that owns the host.
+type Proto struct{}
 
 // Name implements transport.Protocol.
-func (*Proto) Name() string { return "aeolus" }
+func (Proto) Name() string { return "aeolus" }
 
 // RecyclesFlows implements transport.FlowRecycler: Recycle stops the
 // keepalive and retry timers — the only callbacks that could reach a
 // recycled Flow.
-func (*Proto) RecyclesFlows() {}
+func (Proto) RecyclesFlows() {}
 
-// Pool keys for the per-flow objects Start draws from the Env.
+// Keys for the per-flow objects and the per-host manager the two start
+// halves draw from the Env.
 var (
-	senderPool    = transport.NewPoolKey("aeolus.sender")
-	rxFlowPool    = transport.NewPoolKey("aeolus.rxflow")
-	grantInfoPool = transport.NewPoolKey("aeolus.grantinfo")
+	senderPool = transport.NewPoolKey("aeolus.sender")
+	rxFlowPool = transport.NewPoolKey("aeolus.rxflow")
+	managerKey = transport.NewPoolKey("aeolus.rxmanager")
 )
 
-func newGrantInfo() *grantInfo { return &grantInfo{} }
-
-// Start implements transport.Protocol.
-func (p *Proto) Start(env *transport.Env, f *transport.Flow) {
-	rttBytes := int64(env.BDP())
-	mgr := p.managers[f.Dst.ID()]
-	if mgr == nil {
-		mgr = &rxManager{env: env, rttBytes: rttBytes,
-			grants: transport.PoolFor(env, grantInfoPool, newGrantInfo)}
-		p.managers[f.Dst.ID()] = mgr
-	}
+// StartReceiver implements transport.Protocol: register the flow with
+// its host's receiver manager.
+func (Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
+	mgr := transport.HostState(env, managerKey, f.Dst.ID(), func() *rxManager {
+		return &rxManager{env: env, rttBytes: int64(env.BDP())}
+	})
 	rx := transport.PoolFor(env, rxFlowPool, newIdleRxFlow).Get()
 	rx.init(mgr, f)
 	rx.pooled = true
 	mgr.insert(rx)
 	f.Dst.Bind(f.ID, true, rx)
+}
 
+// StartSender implements transport.Protocol.
+func (Proto) StartSender(env *transport.Env, f *transport.Flow) {
 	s := transport.PoolFor(env, senderPool, newIdleSender).Get()
-	s.init(env, f, rttBytes)
+	s.init(env, f, int64(env.BDP()))
 	s.pooled = true
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
@@ -102,9 +99,6 @@ type sender struct {
 	keep     sim.Timer
 	gotRx    bool
 	pooled   bool
-
-	// grants is the Env grant-meta pool, cached off the registry.
-	grants *transport.Pool[*grantInfo]
 
 	// dinfo is the one dataInfo value every data packet points at (the
 	// receiver never dereferences it here; delivery is a sink, so a
@@ -128,7 +122,6 @@ func (s *sender) init(env *transport.Env, f *transport.Flow, rttBytes int64) {
 	s.sentNext = 0
 	s.keep = sim.Timer{}
 	s.gotRx = false
-	s.grants = transport.PoolFor(env, grantInfoPool, newGrantInfo)
 	s.dinfo = dataInfo{Size: f.Size}
 }
 
@@ -169,7 +162,7 @@ func (s *sender) armKeepalive() {
 }
 
 func (s *sender) keepFired() {
-	if s.f.Done() || s.gotRx {
+	if s.f.SenderDone() || s.gotRx {
 		return
 	}
 	pkt := s.f.Src.Data(s.f.ID, s.f.Dst.ID(), 0, int32(min64(netsim.MSS, s.f.Size)), 1)
@@ -181,20 +174,20 @@ func (s *sender) keepFired() {
 
 // Handle implements netsim.Endpoint (grants).
 func (s *sender) Handle(pkt *netsim.Packet) {
-	if s.f.Done() || pkt.Kind != netsim.Grant {
+	if s.f.SenderDone() || pkt.Kind != netsim.Grant {
 		return
 	}
 	s.gotRx = true
-	gi := pkt.Meta.(*grantInfo)
-	upTo, prio := gi.UpTo, gi.Prio
-	resendSeq, resendLen := gi.ResendSeq, gi.ResendLen
-	pkt.Meta = nil
-	s.grants.Put(gi)
-	// Selective retransmission of shed unscheduled bytes rides first,
-	// at the scheduled priority.
-	if resendLen > 0 {
-		end := min64(resendSeq+resendLen, s.f.Size)
-		for seq := resendSeq; seq < end; seq += netsim.MSS {
+	var prio int8
+	switch m := pkt.Meta.(type) {
+	case int8:
+		prio = m
+	case *resendGrant:
+		// Selective retransmission of shed unscheduled bytes rides
+		// first, at the scheduled priority.
+		prio = m.Prio
+		end := min64(m.Seq+m.Len, s.f.Size)
+		for seq := m.Seq; seq < end; seq += netsim.MSS {
 			n := int32(min64(seq+netsim.MSS, end) - seq)
 			rp := s.f.Src.Data(s.f.ID, s.f.Dst.ID(), seq, n, prio)
 			rp.Retrans = true
@@ -202,7 +195,7 @@ func (s *sender) Handle(pkt *netsim.Packet) {
 			s.f.Src.Send(rp)
 		}
 	}
-	limit := min64(upTo, s.f.Size)
+	limit := min64(pkt.Seq, s.f.Size)
 	for s.sentNext < limit {
 		end := min64(s.sentNext+netsim.MSS, limit)
 		pkt := s.f.Src.Data(s.f.ID, s.f.Dst.ID(), s.sentNext, int32(end-s.sentNext), prio)
@@ -220,9 +213,6 @@ type rxManager struct {
 	// see the identical structure in package homa. Arrivals only shrink a
 	// flow's key, so reposition bubbles leftward.
 	order []*rxFlow
-
-	// grants is the Env grant-meta pool (senders return consumed metas).
-	grants *transport.Pool[*grantInfo]
 }
 
 // rxLess orders a before b under SRPT with flow-ID tie-break.
@@ -341,19 +331,13 @@ func (rx *rxFlow) grantSome(prio int8) {
 	if seq, n := rx.nextHolePacket(); n > 0 {
 		rx.reqd.Add(seq, seq+n)
 		g := rx.f.Dst.Ctrl(netsim.Grant, rx.f.ID, rx.f.Src.ID(), 0)
-		gi := rx.mgr.grants.Get()
-		gi.UpTo, gi.Prio = rx.granted, prio
-		gi.ResendSeq, gi.ResendLen = seq, n
-		g.Meta = gi
+		g.Seq, g.Meta = rx.granted, &resendGrant{Prio: prio, Seq: seq, Len: n}
 		rx.f.Dst.Send(g)
 	}
 	for rx.granted-rx.r.Received() < rx.mgr.rttBytes && rx.granted < rx.f.Size {
 		upTo := min64(rx.granted+netsim.MSS, rx.f.Size)
 		g := rx.f.Dst.Ctrl(netsim.Grant, rx.f.ID, rx.f.Src.ID(), 0)
-		gi := rx.mgr.grants.Get()
-		gi.UpTo, gi.Prio = upTo, prio
-		gi.ResendSeq, gi.ResendLen = 0, 0
-		g.Meta = gi
+		g.Seq, g.Meta = upTo, prio
 		rx.f.Dst.Send(g)
 		rx.granted = upTo
 	}
@@ -430,10 +414,7 @@ func (rx *rxFlow) retryFired() {
 	end := min64(miss+netsim.MSS, rx.f.Size)
 	rx.reqd.Add(miss, end)
 	g := rx.f.Dst.Ctrl(netsim.Grant, rx.f.ID, rx.f.Src.ID(), 0)
-	gi := rx.mgr.grants.Get()
-	gi.UpTo, gi.Prio = rx.granted, 2
-	gi.ResendSeq, gi.ResendLen = miss, end-miss
-	g.Meta = gi
+	g.Seq, g.Meta = rx.granted, &resendGrant{Prio: 2, Seq: miss, Len: end - miss}
 	rx.f.Dst.Send(g)
 	rx.armRetry()
 }

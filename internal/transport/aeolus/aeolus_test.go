@@ -10,7 +10,7 @@ import (
 
 func TestSingleFlowCompletes(t *testing.T) {
 	env := transporttest.NewStarEnv(4, transporttest.WithDroppable(20_000))
-	sum := transporttest.MustComplete(t, env, New(), []transport.SimpleFlow{
+	sum := transporttest.MustComplete(t, env, Proto{}, []transport.SimpleFlow{
 		{ID: 1, Src: 0, Dst: 1, Size: 2_000_000},
 	})
 	if sum.OverallAvg < 1600*sim.Microsecond {
@@ -20,7 +20,7 @@ func TestSingleFlowCompletes(t *testing.T) {
 
 func TestTinyFlowFirstRTT(t *testing.T) {
 	env := transporttest.NewStarEnv(4, transporttest.WithDroppable(20_000))
-	sum := transporttest.MustComplete(t, env, New(), []transport.SimpleFlow{
+	sum := transporttest.MustComplete(t, env, Proto{}, []transport.SimpleFlow{
 		{ID: 1, Src: 0, Dst: 1, Size: 5_000},
 	})
 	if sum.OverallAvg > env.BaseRTT() {
@@ -35,7 +35,7 @@ func TestUnscheduledSelectivelyDropped(t *testing.T) {
 	env := transporttest.NewStarEnv(9, transporttest.WithDroppable(10_000))
 	env.RTOMin = 300 * sim.Microsecond
 	flows := transporttest.IncastFlows(8, 400_000)
-	transporttest.MustComplete(t, env, New(), flows)
+	transporttest.MustComplete(t, env, Proto{}, flows)
 	var dropsLow int64
 	for _, p := range env.Net.SwitchPorts() {
 		dropsLow += p.Stats.DropsLow
@@ -51,7 +51,7 @@ func TestProbeSurvivesIncast(t *testing.T) {
 	env := transporttest.NewStarEnv(17, transporttest.WithDroppable(5_000))
 	env.RTOMin = 300 * sim.Microsecond
 	flows := transporttest.IncastFlows(16, 200_000)
-	transporttest.MustComplete(t, env, New(), flows)
+	transporttest.MustComplete(t, env, Proto{}, flows)
 }
 
 func TestShedBytesRecoveredWithoutTimeout(t *testing.T) {
@@ -62,7 +62,7 @@ func TestShedBytesRecoveredWithoutTimeout(t *testing.T) {
 	env := transporttest.NewStarEnv(5, transporttest.WithDroppable(6_000))
 	env.RTOMin = 20 * sim.Millisecond // timeouts would be catastrophic
 	flows := transporttest.IncastFlows(4, 120_000)
-	sum := transporttest.MustComplete(t, env, New(), flows)
+	sum := transporttest.MustComplete(t, env, Proto{}, flows)
 	var dropsLow int64
 	for _, p := range env.Net.SwitchPorts() {
 		dropsLow += p.Stats.DropsLow
@@ -77,8 +77,7 @@ func TestShedBytesRecoveredWithoutTimeout(t *testing.T) {
 
 func TestNextHolePacket(t *testing.T) {
 	env := transporttest.NewStarEnv(4)
-	mgr := &rxManager{env: env, rttBytes: 50_000,
-		grants: transport.PoolFor(env, grantInfoPool, newGrantInfo)}
+	mgr := &rxManager{env: env, rttBytes: 50_000}
 	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[1], Dst: env.Net.Hosts[0], Size: 100_000}
 	rx := &rxFlow{mgr: mgr, f: f, r: transport.NewReassembly(f.Size), granted: 50_000}
 	// No data yet: no hole (nothing below the frontier).

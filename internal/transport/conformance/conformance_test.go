@@ -53,12 +53,12 @@ func allProtocols() []proto {
 			tweak: func(c *topo.Config) { c.EnableINT = true }},
 		{name: "hpcc+ppt", make: func() transport.Protocol { return hpcc.PPTVariant{} },
 			tweak: func(c *topo.Config) { c.EnableINT = true }},
-		{name: "homa", make: func() transport.Protocol { return homa.New() }},
-		{name: "aeolus", make: func() transport.Protocol { return aeolus.New() },
+		{name: "homa", make: func() transport.Protocol { return homa.Proto{} }},
+		{name: "aeolus", make: func() transport.Protocol { return aeolus.Proto{} },
 			tweak: func(c *topo.Config) { c.DroppableThresh = 24_000 }},
-		{name: "ndp", make: func() transport.Protocol { return ndp.New() },
+		{name: "ndp", make: func() transport.Protocol { return ndp.Proto{} },
 			tweak: func(c *topo.Config) { c.TrimToHeader = true }},
-		{name: "expresspass", make: func() transport.Protocol { return expresspass.New() }},
+		{name: "expresspass", make: func() transport.Protocol { return expresspass.Proto{} }},
 	}
 }
 
@@ -246,7 +246,9 @@ func TestBlindWindowsFollowTheFabric(t *testing.T) {
 			bdp := int64(env.BDP())
 			bdps[bdp] = true
 			f := &transport.Flow{ID: 1, Src: net.Hosts[0], Dst: net.Hosts[1], Size: 4 * bdp, FirstCall: 4 * bdp}
-			pr.make().Start(env, f)
+			p := pr.make()
+			p.StartReceiver(env, f)
+			p.StartSender(env, f)
 			nic := net.Hosts[0].NIC()
 			nic.SettleTx(sim.MaxTime)
 			if got := nic.Stats.TxDataBytes; got != sent(bdp) {

@@ -85,7 +85,7 @@ type Sender struct {
 	// value inline would allocate a fresh closure on every (re)arm.
 	rtoFn func()
 
-	// pooled marks senders owned by the Env pool (built by Proto.Start);
+	// pooled marks senders owned by the Env pool (built by StartSender);
 	// Recycle no-ops for plain NewSender structs, which callers like the
 	// MW oracle retain past completion.
 	pooled bool
@@ -417,7 +417,7 @@ func (r *Receiver) Handle(pkt *netsim.Packet) {
 	}
 }
 
-// Pool keys for the endpoint structs Proto.Start draws per flow.
+// Pool keys for the endpoint structs the two start halves draw per flow.
 var (
 	senderPool   = transport.NewPoolKey("dctcp.sender")
 	receiverPool = transport.NewPoolKey("dctcp.receiver")
@@ -488,23 +488,15 @@ func (p Proto) Name() string {
 // after Complete.
 func (Proto) RecyclesFlows() {}
 
-// Start implements transport.Protocol.
-func (p Proto) Start(env *transport.Env, f *transport.Flow) {
-	p.StartReceiver(env, f)
-	p.StartSender(env, f)
-}
-
-// StartReceiver implements transport.ShardableProtocol: build and bind
-// the receiver only. Pure setup (no clock reads, no scheduling), so the
-// windowed driver may call it on the barrier thread in the destination
-// host's shard.
+// StartReceiver implements transport.Protocol: build and bind the
+// receiver.
 func (p Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
 	r := GetReceiver(env, f)
 	f.Dst.Bind(f.ID, true, r)
 }
 
-// StartSender implements transport.ShardableProtocol: build, bind and
-// launch the sender at the flow's arrival time in the source shard.
+// StartSender implements transport.Protocol: build, bind and launch the
+// sender.
 func (p Proto) StartSender(env *transport.Env, f *transport.Flow) {
 	s := GetSender(env, f, p.Cfg)
 	f.Src.Bind(f.ID, false, s)

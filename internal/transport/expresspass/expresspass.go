@@ -6,7 +6,8 @@
 // releases exactly one data packet. Because data is credit-clocked at
 // the receiver's line rate, data packets essentially never overflow the
 // last hop — the scheme's selling point — at the cost of a wasted first
-// RTT and credit overhead.
+// RTT and credit overhead. Each host's credit pacer lives in the Env of
+// the shard that owns the host (transport.HostState).
 package expresspass
 
 import (
@@ -15,29 +16,25 @@ import (
 	"ppt/internal/transport"
 )
 
-// Proto is the ExpressPass protocol factory; one instance per run (it
-// owns the per-host credit pacers).
-type Proto struct {
-	pacers map[int32]*creditPacer
-}
-
-// New builds an ExpressPass instance.
-func New() *Proto {
-	return &Proto{pacers: make(map[int32]*creditPacer)}
-}
+// Proto is the ExpressPass protocol factory. It is stateless: each
+// host's credit pacer lives in the Env of the shard that owns the host.
+type Proto struct{}
 
 // Name implements transport.Protocol.
-func (*Proto) Name() string { return "expresspass" }
+func (Proto) Name() string { return "expresspass" }
 
-// Start implements transport.Protocol.
-func (p *Proto) Start(env *transport.Env, f *transport.Flow) {
-	pacer := p.pacers[f.Dst.ID()]
-	if pacer == nil {
-		pacer = &creditPacer{env: env, host: f.Dst}
-		p.pacers[f.Dst.ID()] = pacer
-	}
-	rx := &receiver{env: env, f: f, r: transport.NewReassembly(f.Size), pacer: pacer}
-	f.Dst.Bind(f.ID, true, rx)
+var pacerKey = transport.NewPoolKey("expresspass.creditpacer")
+
+// StartReceiver implements transport.Protocol.
+func (Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
+	pacer := transport.HostState(env, pacerKey, f.Dst.ID(), func() *creditPacer {
+		return &creditPacer{env: env, host: f.Dst}
+	})
+	f.Dst.Bind(f.ID, true, &receiver{env: env, f: f, r: transport.NewReassembly(f.Size), pacer: pacer})
+}
+
+// StartSender implements transport.Protocol.
+func (Proto) StartSender(env *transport.Env, f *transport.Flow) {
 	s := &sender{env: env, f: f}
 	f.Src.Bind(f.ID, false, s)
 	// Announce the flow with a one-byte request packet; all real data
@@ -62,7 +59,7 @@ func (s *sender) announce() {
 
 // Handle implements netsim.Endpoint.
 func (s *sender) Handle(pkt *netsim.Packet) {
-	if s.f.Done() || pkt.Kind != netsim.Grant {
+	if s.f.SenderDone() || pkt.Kind != netsim.Grant {
 		return
 	}
 	// A credit may carry a retransmission request for a lost packet.
@@ -86,7 +83,7 @@ func (s *sender) Handle(pkt *netsim.Packet) {
 // armRetry guards against a lost announcement.
 func (s *sender) armRetry() {
 	s.env.Sched().After(s.env.RTO(), func() {
-		if s.f.Done() {
+		if s.f.SenderDone() {
 			return
 		}
 		if s.sentNext == 0 {

@@ -10,7 +10,7 @@ import (
 
 func TestSingleFlowCompletes(t *testing.T) {
 	env := transporttest.NewStarEnv(4)
-	sum := transporttest.MustComplete(t, env, New(), []transport.SimpleFlow{
+	sum := transporttest.MustComplete(t, env, Proto{}, []transport.SimpleFlow{
 		{ID: 1, Src: 0, Dst: 1, Size: 1_000_000},
 	})
 	// Credit-clocked at 10G plus the wasted first RTT.
@@ -23,7 +23,7 @@ func TestFirstRTTWasted(t *testing.T) {
 	// The Table 1 signature: even a one-packet flow needs a full RTT of
 	// credit setup before data moves, so FCT >= ~1.5 RTT.
 	env := transporttest.NewStarEnv(4)
-	sum := transporttest.MustComplete(t, env, New(), []transport.SimpleFlow{
+	sum := transporttest.MustComplete(t, env, Proto{}, []transport.SimpleFlow{
 		{ID: 1, Src: 0, Dst: 1, Size: 1_000},
 	})
 	if sum.OverallAvg < env.BaseRTT() {
@@ -36,7 +36,7 @@ func TestCreditClockingPreventsOverflow(t *testing.T) {
 	// bottleneck queue never overflows.
 	env := transporttest.NewStarEnv(9, transporttest.WithBuffer(60_000))
 	flows := transporttest.IncastFlows(8, 400_000)
-	transporttest.MustComplete(t, env, New(), flows)
+	transporttest.MustComplete(t, env, Proto{}, flows)
 	var dataDrops int64
 	for _, p := range env.Net.SwitchPorts() {
 		dataDrops += p.Stats.Drops
@@ -52,7 +52,7 @@ func TestRoundRobinFairness(t *testing.T) {
 		{ID: 1, Src: 1, Dst: 0, Size: 2_000_000},
 		{ID: 2, Src: 2, Dst: 0, Size: 2_000_000},
 	}
-	transporttest.MustComplete(t, env, New(), flows)
+	transporttest.MustComplete(t, env, Proto{}, flows)
 	recs := env.Collector.Records()
 	a, b := recs[0].FCT(), recs[1].FCT()
 	if a > b*3/2 || b > a*3/2 {

@@ -25,14 +25,21 @@ type Proto struct{}
 // Name implements transport.Protocol.
 func (Proto) Name() string { return "halfback" }
 
-// Start implements transport.Protocol.
-func (Proto) Start(env *transport.Env, f *transport.Flow) {
+// StartReceiver implements transport.Protocol.
+func (Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
 	if f.Size > threshold {
-		dctcp.Proto{}.Start(env, f)
+		dctcp.Proto{}.StartReceiver(env, f)
 		return
 	}
-	r := &receiver{env: env, f: f, r: transport.NewReassembly(f.Size)}
-	f.Dst.Bind(f.ID, true, r)
+	f.Dst.Bind(f.ID, true, &receiver{env: env, f: f, r: transport.NewReassembly(f.Size)})
+}
+
+// StartSender implements transport.Protocol.
+func (Proto) StartSender(env *transport.Env, f *transport.Flow) {
+	if f.Size > threshold {
+		dctcp.Proto{}.StartSender(env, f)
+		return
+	}
 	s := &sender{env: env, f: f}
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
@@ -75,7 +82,7 @@ func (s *sender) emit(seq int64, retrans bool) {
 func (s *sender) armRetry() {
 	jitter := sim.Time(s.f.ID%16) * s.env.BaseRTT() / 4
 	s.env.Sched().After(s.env.RTO()+jitter, func() {
-		if s.f.Done() {
+		if s.f.SenderDone() {
 			return
 		}
 		for seq := int64(0); seq < s.f.Size; seq += netsim.MSS {

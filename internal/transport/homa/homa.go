@@ -7,6 +7,13 @@
 // remaining bytes — which requires knowing flow sizes a priori.
 // Loss recovery is timeout-based (as in the Aeolus simulator the paper
 // uses to evaluate Homa), via receiver RESEND requests.
+//
+// Each host's grant scheduler (rxManager) lives in the Env of the shard
+// that owns the host (transport.HostState). A grant carries its credit
+// in the packet — Seq is the offset the sender may send below, Meta the
+// granted priority as an int8, which boxes without allocating — so a
+// receiver and its sender may run in different shards of a windowed run
+// without handing pooled objects from one shard to the other.
 package homa
 
 import (
@@ -19,8 +26,8 @@ import (
 
 // overcommit is the number of flows a receiver grants concurrently (the
 // paper's setting). RTTbytes, the unscheduled allowance and per-flow
-// grant window, is not a constant: Start reads it from the Env as the
-// fabric BDP.
+// grant window, is not a constant: each start half reads it from the
+// Env as the fabric BDP.
 const overcommit = 2
 
 // dataInfo rides on every data packet so the receiver learns the flow
@@ -30,67 +37,49 @@ type dataInfo struct {
 	Scheduled bool
 }
 
-// grantInfo rides on Grant packets. Instances cycle through an Env pool:
-// the receiver manager Gets one per grant, the sender consumes it in
-// Handle and Puts it straight back (reuse is dirty, so every producer
-// sets both fields).
-type grantInfo struct {
-	transport.PoolNode
-	UpTo int64 // sender may transmit bytes below this offset
-	Prio int8
-}
-
 // resendInfo rides on Ctrl packets: retransmit [Seq, Seq+Len).
 type resendInfo struct {
 	Seq int64
 	Len int64
 }
 
-// Proto is the Homa protocol factory. One Proto instance owns the
-// per-host receiver managers, so use a single instance per run.
-type Proto struct {
-	managers map[int32]*rxManager
-}
-
-// New builds a Homa protocol instance.
-func New() *Proto {
-	return &Proto{managers: make(map[int32]*rxManager)}
-}
+// Proto is the Homa protocol factory. It is stateless: each host's
+// receiver manager lives in the Env of the shard that owns the host.
+type Proto struct{}
 
 // Name implements transport.Protocol.
-func (*Proto) Name() string { return "homa" }
+func (Proto) Name() string { return "homa" }
 
 // RecyclesFlows implements transport.FlowRecycler: Recycle stops the
 // keepalive and retry timers — the only callbacks that could reach a
 // recycled Flow.
-func (*Proto) RecyclesFlows() {}
+func (Proto) RecyclesFlows() {}
 
-// Pool keys for the per-flow objects Start draws from the Env.
+// Keys for the per-flow objects and the per-host manager the two start
+// halves draw from the Env.
 var (
-	senderPool    = transport.NewPoolKey("homa.sender")
-	rxFlowPool    = transport.NewPoolKey("homa.rxflow")
-	grantInfoPool = transport.NewPoolKey("homa.grantinfo")
+	senderPool = transport.NewPoolKey("homa.sender")
+	rxFlowPool = transport.NewPoolKey("homa.rxflow")
+	managerKey = transport.NewPoolKey("homa.rxmanager")
 )
 
-func newGrantInfo() *grantInfo { return &grantInfo{} }
-
-// Start implements transport.Protocol.
-func (p *Proto) Start(env *transport.Env, f *transport.Flow) {
-	rttBytes := int64(env.BDP())
-	mgr := p.managers[f.Dst.ID()]
-	if mgr == nil {
-		mgr = &rxManager{env: env, rttBytes: rttBytes,
-			grants: transport.PoolFor(env, grantInfoPool, newGrantInfo)}
-		p.managers[f.Dst.ID()] = mgr
-	}
+// StartReceiver implements transport.Protocol: register the flow with
+// its host's receiver manager.
+func (Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
+	mgr := transport.HostState(env, managerKey, f.Dst.ID(), func() *rxManager {
+		return &rxManager{env: env, rttBytes: int64(env.BDP())}
+	})
 	rx := transport.PoolFor(env, rxFlowPool, newIdleRxFlow).Get()
 	rx.init(mgr, f)
 	rx.pooled = true
 	mgr.insert(rx)
 	f.Dst.Bind(f.ID, true, rx)
+}
 
+// StartSender implements transport.Protocol.
+func (Proto) StartSender(env *transport.Env, f *transport.Flow) {
 	s := transport.PoolFor(env, senderPool, newIdleSender).Get()
-	s.init(env, f, rttBytes)
+	s.init(env, f, int64(env.BDP()))
 	s.pooled = true
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
@@ -116,11 +105,7 @@ type sender struct {
 	sentNext int64     // next new byte to transmit
 	keep     sim.Timer // pre-grant keepalive
 	gotRx    bool      // receiver has spoken (grant or resend arrived)
-	pooled   bool      // drawn from the Env pool (Start)
-
-	// grants is the Env grant-meta pool, cached to skip the registry
-	// lookup on every consumed grant.
-	grants *transport.Pool[*grantInfo]
+	pooled   bool      // drawn from the Env pool (StartSender)
 
 	// schedInfo/unschedInfo are the only two dataInfo values this sender
 	// ever attaches; packets point at one of them instead of allocating a
@@ -146,7 +131,6 @@ func (s *sender) init(env *transport.Env, f *transport.Flow, rttBytes int64) {
 	s.sentNext = 0
 	s.keep = sim.Timer{}
 	s.gotRx = false
-	s.grants = transport.PoolFor(env, grantInfoPool, newGrantInfo)
 	s.schedInfo = dataInfo{Size: f.Size, Scheduled: true}
 	s.unschedInfo = dataInfo{Size: f.Size}
 }
@@ -203,7 +187,7 @@ func (s *sender) armKeepalive() {
 }
 
 func (s *sender) keepFired() {
-	if s.f.Done() || s.gotRx {
+	if s.f.SenderDone() || s.gotRx {
 		return
 	}
 	s.sendChunk(0, min64(netsim.MSS, s.f.Size), 0, false, true)
@@ -212,17 +196,14 @@ func (s *sender) keepFired() {
 
 // Handle implements netsim.Endpoint (grants and resend requests).
 func (s *sender) Handle(pkt *netsim.Packet) {
-	if s.f.Done() {
+	if s.f.SenderDone() {
 		return
 	}
 	s.gotRx = true
 	switch pkt.Kind {
 	case netsim.Grant:
-		gi := pkt.Meta.(*grantInfo)
-		upTo, prio := gi.UpTo, gi.Prio
-		pkt.Meta = nil
-		s.grants.Put(gi)
-		limit := min64(upTo, s.f.Size)
+		prio := pkt.Meta.(int8)
+		limit := min64(pkt.Seq, s.f.Size)
 		for s.sentNext < limit {
 			s.sendChunk(s.sentNext, limit, prio, true, false)
 		}
@@ -248,9 +229,6 @@ type rxManager struct {
 	// reposition restores the invariant with a leftward bubble; insert
 	// and remove shift the tail. Each rxFlow caches its index in pos.
 	order []*rxFlow
-
-	// grants is the Env grant-meta pool (senders return consumed metas).
-	grants *transport.Pool[*grantInfo]
 }
 
 // rxLess orders a before b under SRPT with flow-ID tie-break — exactly
@@ -317,9 +295,7 @@ func (m *rxManager) pump() {
 		for rx.granted-rx.r.Received() < m.rttBytes && rx.granted < rx.f.Size {
 			upTo := min64(rx.granted+netsim.MSS, rx.f.Size)
 			g := rx.f.Dst.Ctrl(netsim.Grant, rx.f.ID, rx.f.Src.ID(), 0)
-			gi := m.grants.Get()
-			gi.UpTo, gi.Prio = upTo, prio
-			g.Meta = gi
+			g.Seq, g.Meta = upTo, prio
 			rx.f.Dst.Send(g)
 			rx.granted = upTo
 		}

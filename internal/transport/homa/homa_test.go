@@ -11,7 +11,7 @@ import (
 
 func TestSingleFlowCompletes(t *testing.T) {
 	env := transporttest.NewStarEnv(4)
-	sum := transporttest.MustComplete(t, env, New(), []transport.SimpleFlow{
+	sum := transporttest.MustComplete(t, env, Proto{}, []transport.SimpleFlow{
 		{ID: 1, Src: 0, Dst: 1, Size: 2_000_000},
 	})
 	if sum.OverallAvg < 1600*sim.Microsecond {
@@ -22,7 +22,7 @@ func TestSingleFlowCompletes(t *testing.T) {
 func TestTinyFlowUnscheduledOnly(t *testing.T) {
 	// A sub-RTTbytes flow completes in about one way + no grants.
 	env := transporttest.NewStarEnv(4)
-	sum := transporttest.MustComplete(t, env, New(), []transport.SimpleFlow{
+	sum := transporttest.MustComplete(t, env, Proto{}, []transport.SimpleFlow{
 		{ID: 1, Src: 0, Dst: 1, Size: 5_000},
 	})
 	if sum.OverallAvg > env.BaseRTT() {
@@ -48,7 +48,7 @@ func TestSRPTFavorsShortFlow(t *testing.T) {
 		{ID: 1, Src: 1, Dst: 0, Size: 8_000_000},
 		{ID: 2, Src: 2, Dst: 0, Size: 400_000, Arrive: 100 * sim.Microsecond},
 	}
-	transporttest.MustComplete(t, env, New(), flows)
+	transporttest.MustComplete(t, env, Proto{}, flows)
 	var short, long sim.Time
 	for _, r := range env.Collector.Records() {
 		if r.FlowID == 2 {
@@ -66,7 +66,7 @@ func TestSRPTFavorsShortFlow(t *testing.T) {
 
 func TestOvercommitGrantsTwoFlows(t *testing.T) {
 	env := transporttest.NewStarEnv(6)
-	proto := New()
+	proto := Proto{}
 	flows := transporttest.IncastFlows(4, 2_000_000)
 	transporttest.MustComplete(t, env, proto, flows)
 	// With overcommitment 2, the receiver should have granted two flows
@@ -86,7 +86,7 @@ func TestLossRecoveryViaResend(t *testing.T) {
 	env := transporttest.NewStarEnv(9, transporttest.WithBuffer(30_000))
 	env.RTOMin = 300 * sim.Microsecond
 	flows := transporttest.IncastFlows(8, 150_000)
-	transporttest.MustComplete(t, env, New(), flows)
+	transporttest.MustComplete(t, env, Proto{}, flows)
 	var drops int64
 	for _, p := range env.Net.SwitchPorts() {
 		drops += p.Stats.Drops
@@ -104,15 +104,14 @@ func TestKeepaliveRecoversLostProbe(t *testing.T) {
 	env.RTOMin = 300 * sim.Microsecond
 	flows := transporttest.IncastFlows(8, 100_000)
 	flows = append(flows, transport.SimpleFlow{ID: 99, Src: 8, Dst: 0, Size: 1_000, Arrive: 5 * sim.Microsecond})
-	transporttest.MustComplete(t, env, New(), flows)
+	transporttest.MustComplete(t, env, Proto{}, flows)
 }
 
 func TestGrantWindowBounded(t *testing.T) {
 	// The receiver must never grant more than RTTbytes beyond received.
 	env := transporttest.NewStarEnv(4)
 	const rttBytes = 20_000
-	mgr := &rxManager{env: env, rttBytes: rttBytes,
-		grants: transport.PoolFor(env, grantInfoPool, newGrantInfo)}
+	mgr := &rxManager{env: env, rttBytes: rttBytes}
 	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[1], Dst: env.Net.Hosts[0], Size: 1_000_000}
 	rx := &rxFlow{mgr: mgr, f: f, r: transport.NewReassembly(f.Size), granted: rttBytes}
 	mgr.insert(rx)

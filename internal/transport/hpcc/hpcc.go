@@ -18,7 +18,7 @@ import (
 )
 
 // HPCC's constants. The initial window is not one of them: it is the
-// fabric BDP, which Start reads from the Env.
+// fabric BDP, which StartSender reads from the Env.
 const (
 	// eta is the target utilization η.
 	eta = 0.95
@@ -36,9 +36,13 @@ type Proto struct{}
 // Name implements transport.Protocol.
 func (Proto) Name() string { return "hpcc" }
 
-// Start implements transport.Protocol.
-func (Proto) Start(env *transport.Env, f *transport.Flow) {
+// StartReceiver implements transport.Protocol.
+func (Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
 	f.Dst.Bind(f.ID, true, newReceiver(env, f))
+}
+
+// StartSender implements transport.Protocol.
+func (Proto) StartSender(env *transport.Env, f *transport.Flow) {
 	w := float64(env.BDP())
 	s := &sender{env: env, f: f, wnd: w, wc: w}
 	f.Src.Bind(f.ID, false, s)
@@ -70,7 +74,7 @@ func (s *sender) inflight() int64 {
 }
 
 func (s *sender) trySend() {
-	if s.f.Done() {
+	if s.f.SenderDone() {
 		return
 	}
 	for s.sndNxt < s.f.Size {
@@ -102,7 +106,7 @@ func (s *sender) transmit(seq int64, n int32, retrans bool) {
 }
 
 func (s *sender) armRTO() {
-	if s.inflight() <= 0 || s.f.Done() {
+	if s.inflight() <= 0 || s.f.SenderDone() {
 		s.rto.Stop()
 		return
 	}
@@ -113,7 +117,7 @@ func (s *sender) armRTO() {
 }
 
 func (s *sender) onRTO() {
-	if s.f.Done() || s.inflight() <= 0 {
+	if s.f.SenderDone() || s.inflight() <= 0 {
 		return
 	}
 	s.sndNxt = s.sndUna
@@ -129,7 +133,7 @@ func (s *sender) onRTO() {
 
 // Handle implements netsim.Endpoint.
 func (s *sender) Handle(pkt *netsim.Packet) {
-	if s.f.Done() || pkt.Kind != netsim.Ack {
+	if s.f.SenderDone() || pkt.Kind != netsim.Ack {
 		return
 	}
 	if ints, ok := pkt.Meta.([]netsim.INTHop); ok && len(ints) > 0 {

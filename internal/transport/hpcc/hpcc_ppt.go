@@ -22,9 +22,13 @@ type PPTVariant struct{}
 // Name implements transport.Protocol.
 func (PPTVariant) Name() string { return "hpcc+ppt" }
 
-// Start implements transport.Protocol.
-func (PPTVariant) Start(env *transport.Env, f *transport.Flow) {
+// StartReceiver implements transport.Protocol.
+func (PPTVariant) StartReceiver(env *transport.Env, f *transport.Flow) {
 	f.Dst.Bind(f.ID, true, newReceiver(env, f))
+}
+
+// StartSender implements transport.Protocol.
+func (PPTVariant) StartSender(env *transport.Env, f *transport.Flow) {
 	w := float64(env.BDP())
 	s := &pptSender{sender: sender{env: env, f: f, wnd: w, wc: w}}
 	s.loop = lowloop.New(env, f, s)
@@ -64,7 +68,7 @@ func (s *pptSender) OnSkipUpdate() { s.trySend() }
 
 // Handle implements netsim.Endpoint.
 func (s *pptSender) Handle(pkt *netsim.Packet) {
-	if s.f.Done() || pkt.Kind != netsim.Ack {
+	if s.f.SenderDone() || pkt.Kind != netsim.Ack {
 		return
 	}
 	if pkt.LowLoop {

@@ -6,7 +6,9 @@
 // each pull clocking out one packet at the sender.
 //
 // Run NDP on a fabric built with topo.Config.TrimToHeader = true; on a
-// drop-tail fabric it degenerates to timeout recovery.
+// drop-tail fabric it degenerates to timeout recovery. Each host's pull
+// pacer lives in the Env of the shard that owns the host
+// (transport.HostState).
 package ndp
 
 import (
@@ -25,31 +27,29 @@ type nackInfo struct {
 	Len int32
 }
 
-// Proto is the NDP protocol factory; one instance per run (it owns the
-// per-host pull pacers).
-type Proto struct {
-	pacers map[int32]*pullPacer
-}
-
-// New builds an NDP protocol instance.
-func New() *Proto {
-	return &Proto{pacers: make(map[int32]*pullPacer)}
-}
+// Proto is the NDP protocol factory. It is stateless: each host's pull
+// pacer lives in the Env of the shard that owns the host.
+type Proto struct{}
 
 // Name implements transport.Protocol.
-func (*Proto) Name() string { return "ndp" }
+func (Proto) Name() string { return "ndp" }
 
-// Start implements transport.Protocol.
-func (p *Proto) Start(env *transport.Env, f *transport.Flow) {
-	pacer := p.pacers[f.Dst.ID()]
-	if pacer == nil {
-		pacer = &pullPacer{env: env, host: f.Dst}
-		pacer.sendFn = pacer.sendOne
-		p.pacers[f.Dst.ID()] = pacer
-	}
+var pacerKey = transport.NewPoolKey("ndp.pullpacer")
+
+// StartReceiver implements transport.Protocol.
+func (Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
+	pacer := transport.HostState(env, pacerKey, f.Dst.ID(), func() *pullPacer {
+		pp := &pullPacer{env: env, host: f.Dst}
+		pp.sendFn = pp.sendOne
+		return pp
+	})
 	rx := &receiver{env: env, f: f, r: transport.NewReassembly(f.Size), pacer: pacer}
 	rx.retryFn = rx.retryFired
 	f.Dst.Bind(f.ID, true, rx)
+}
+
+// StartSender implements transport.Protocol.
+func (Proto) StartSender(env *transport.Env, f *transport.Flow) {
 	s := &sender{env: env, f: f}
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
@@ -92,7 +92,7 @@ func (s *sender) sendNext(limit int64) {
 // Handle implements netsim.Endpoint: NACKs queue retransmissions, PULLs
 // clock out one packet (retransmission first).
 func (s *sender) Handle(pkt *netsim.Packet) {
-	if s.f.Done() {
+	if s.f.SenderDone() {
 		return
 	}
 	switch pkt.Kind {

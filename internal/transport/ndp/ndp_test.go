@@ -10,7 +10,7 @@ import (
 
 func TestSingleFlowCompletes(t *testing.T) {
 	env := transporttest.NewStarEnv(4, transporttest.WithTrim())
-	sum := transporttest.MustComplete(t, env, New(), []transport.SimpleFlow{
+	sum := transporttest.MustComplete(t, env, Proto{}, []transport.SimpleFlow{
 		{ID: 1, Src: 0, Dst: 1, Size: 2_000_000},
 	})
 	if sum.OverallAvg < 1600*sim.Microsecond {
@@ -20,7 +20,7 @@ func TestSingleFlowCompletes(t *testing.T) {
 
 func TestTinyFlowFirstWindow(t *testing.T) {
 	env := transporttest.NewStarEnv(4, transporttest.WithTrim())
-	sum := transporttest.MustComplete(t, env, New(), []transport.SimpleFlow{
+	sum := transporttest.MustComplete(t, env, Proto{}, []transport.SimpleFlow{
 		{ID: 1, Src: 0, Dst: 1, Size: 5_000},
 	})
 	if sum.OverallAvg > env.BaseRTT() {
@@ -35,7 +35,7 @@ func TestTrimmingUnderIncast(t *testing.T) {
 	env := transporttest.NewStarEnv(9, transporttest.WithTrim(), transporttest.WithBuffer(40_000))
 	env.RTOMin = 20 * sim.Millisecond // recovery must not rely on RTO
 	flows := transporttest.IncastFlows(8, 300_000)
-	sum := transporttest.MustComplete(t, env, New(), flows)
+	sum := transporttest.MustComplete(t, env, Proto{}, flows)
 	var trims int64
 	for _, p := range env.Net.SwitchPorts() {
 		trims += p.Stats.Trims
@@ -57,7 +57,7 @@ func TestPullPacingSharesDownlink(t *testing.T) {
 		{ID: 1, Src: 1, Dst: 0, Size: 2_000_000},
 		{ID: 2, Src: 2, Dst: 0, Size: 2_000_000},
 	}
-	transporttest.MustComplete(t, env, New(), flows)
+	transporttest.MustComplete(t, env, Proto{}, flows)
 	recs := env.Collector.Records()
 	a, b := recs[0].FCT(), recs[1].FCT()
 	if a > 2*b || b > 2*a {
@@ -70,5 +70,5 @@ func TestCompletesOnDropTailFabric(t *testing.T) {
 	env := transporttest.NewStarEnv(5, transporttest.WithBuffer(30_000))
 	env.RTOMin = 300 * sim.Microsecond
 	flows := transporttest.IncastFlows(4, 150_000)
-	transporttest.MustComplete(t, env, New(), flows)
+	transporttest.MustComplete(t, env, Proto{}, flows)
 }

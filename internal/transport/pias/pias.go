@@ -37,10 +37,13 @@ type Proto struct{}
 // Name implements transport.Protocol.
 func (Proto) Name() string { return "pias" }
 
-// Start implements transport.Protocol.
-func (Proto) Start(env *transport.Env, f *transport.Flow) {
-	r := dctcp.NewReceiver(env, f)
-	f.Dst.Bind(f.ID, true, r)
+// StartReceiver implements transport.Protocol.
+func (Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
+	f.Dst.Bind(f.ID, true, dctcp.NewReceiver(env, f))
+}
+
+// StartSender implements transport.Protocol.
+func (Proto) StartSender(env *transport.Env, f *transport.Flow) {
 	s := dctcp.NewSender(env, f, dctcp.Config{Prio: prio})
 	f.Src.Bind(f.ID, false, s)
 	s.Launch()

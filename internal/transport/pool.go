@@ -128,3 +128,28 @@ type EndpointRecycler interface {
 type FlowRecycler interface {
 	RecyclesFlows()
 }
+
+// hostKey names one per-host object: the package's key and the host.
+type hostKey struct {
+	key  *PoolKey
+	host int32
+}
+
+// HostState returns env's object for key on host, building it with newFn
+// on first use. It holds receiver-side state shared by every inbound
+// flow of one host (a grant scheduler, a pull or credit pacer): the
+// receiver half starts in the Env of the shard that owns the host, so
+// only that shard's goroutine ever touches the object, and it lives as
+// long as the run.
+func HostState[T any](env *Env, key *PoolKey, host int32, newFn func() T) T {
+	k := hostKey{key, host}
+	if v, ok := env.hostState[k]; ok {
+		return v.(T)
+	}
+	if env.hostState == nil {
+		env.hostState = make(map[hostKey]any)
+	}
+	v := newFn()
+	env.hostState[k] = v
+	return v
+}

@@ -1,6 +1,8 @@
 package ppt
 
 import (
+	"sync"
+
 	"ppt/internal/netsim"
 	"ppt/internal/sim"
 	"ppt/internal/transport"
@@ -18,8 +20,10 @@ import (
 
 // MWRecorder is the oracle's first pass: plain DCTCP that keeps each
 // flow's sender so the peak congestion window can be read back after the
-// run.
+// run. The senders of a windowed run start in several shards at once, so
+// the map is guarded.
 type MWRecorder struct {
+	mu      sync.Mutex
 	senders map[uint32]*dctcp.Sender
 }
 
@@ -31,13 +35,18 @@ func NewMWRecorder() *MWRecorder {
 // Name implements transport.Protocol.
 func (*MWRecorder) Name() string { return "dctcp-mwrecord" }
 
-// Start implements transport.Protocol.
-func (m *MWRecorder) Start(env *transport.Env, f *transport.Flow) {
-	r := dctcp.NewReceiver(env, f)
-	f.Dst.Bind(f.ID, true, r)
+// StartReceiver implements transport.Protocol.
+func (*MWRecorder) StartReceiver(env *transport.Env, f *transport.Flow) {
+	f.Dst.Bind(f.ID, true, dctcp.NewReceiver(env, f))
+}
+
+// StartSender implements transport.Protocol.
+func (m *MWRecorder) StartSender(env *transport.Env, f *transport.Flow) {
 	s := dctcp.NewSender(env, f, dctcp.Config{})
 	f.Src.Bind(f.ID, false, s)
+	m.mu.Lock()
 	m.senders[f.ID] = s
+	m.mu.Unlock()
 	s.Launch()
 }
 
@@ -62,13 +71,18 @@ type Oracle struct {
 // Name implements transport.Protocol.
 func (Oracle) Name() string { return "hypothetical-dctcp" }
 
-// Start implements transport.Protocol.
-func (o Oracle) Start(env *transport.Env, f *transport.Flow) {
+// StartReceiver implements transport.Protocol: PPT's receiver, whose
+// low-loop half acknowledges the opportunistic packets.
+func (Oracle) StartReceiver(env *transport.Env, f *transport.Flow) {
+	f.Dst.Bind(f.ID, true, newReceiver(env, f))
+}
+
+// StartSender implements transport.Protocol.
+func (o Oracle) StartSender(env *transport.Env, f *transport.Flow) {
 	frac := o.FillFraction
 	if frac == 0 {
 		frac = 1.0
 	}
-	f.Dst.Bind(f.ID, true, newReceiver(env, f))
 	s := &oracleSender{
 		env:      env,
 		f:        f,
@@ -93,7 +107,7 @@ type oracleSender struct {
 
 // Handle implements netsim.Endpoint.
 func (s *oracleSender) Handle(pkt *netsim.Packet) {
-	if s.f.Done() || pkt.Kind != netsim.Ack {
+	if s.f.SenderDone() || pkt.Kind != netsim.Ack {
 		return
 	}
 	if pkt.LowLoop {
@@ -115,7 +129,7 @@ func (s *oracleSender) Handle(pkt *netsim.Packet) {
 // tick fires once per RTT: fill the gap to the oracle target, paced
 // evenly across the RTT.
 func (s *oracleSender) tick() {
-	if s.f.Done() {
+	if s.f.SenderDone() {
 		return
 	}
 	rtt := s.hcp.SRTT
@@ -132,7 +146,7 @@ func (s *oracleSender) tick() {
 }
 
 func (s *oracleSender) paceBurst(left int64, gapPace sim.Time) {
-	if left <= 0 || s.f.Done() {
+	if left <= 0 || s.f.SenderDone() {
 		return
 	}
 	if !s.sendOpportunistic() {

@@ -45,6 +45,35 @@ func TestMWRecorderCapturesWindows(t *testing.T) {
 	}
 }
 
+// TestMWRecorderWindowedWorkers records a windowed run whose senders
+// start in three leaf shards, on one worker and on four: the recorder
+// sees every flow, and no recorded window depends on the worker count.
+// Under -race it exercises StartSender from concurrent workers.
+func TestMWRecorderWindowedWorkers(t *testing.T) {
+	var flows []transport.SimpleFlow
+	for i := 0; i < 30; i++ {
+		flows = append(flows, transport.SimpleFlow{ID: uint32(i + 1), Src: i % 6, Dst: (i + 2) % 6,
+			Size: 200_000, Arrive: sim.Time(i) * sim.Microsecond})
+	}
+	record := func(shards int) map[uint32]float64 {
+		rec := NewMWRecorder()
+		env := transport.NewEnv(topo.LeafSpine(3, 2, 2, topo.Config{Shards: shards}))
+		if sum := transport.Run(env, rec, flows, transport.RunConfig{}); sum.Flows != len(flows) {
+			t.Fatalf("shards=%d: completed %d of %d flows", shards, sum.Flows, len(flows))
+		}
+		return rec.MW()
+	}
+	one, four := record(1), record(4)
+	if len(one) != len(flows) || len(four) != len(flows) {
+		t.Fatalf("recorded %d and %d windows, want %d", len(one), len(four), len(flows))
+	}
+	for id, mw := range one {
+		if four[id] != mw {
+			t.Fatalf("flow %d: MW %v on one worker, %v on four", id, mw, four[id])
+		}
+	}
+}
+
 func TestOracleBeatsDCTCP(t *testing.T) {
 	flows := oracleFlows()
 	// Pass 1: record MW.

@@ -92,24 +92,15 @@ func (p Proto) Name() string {
 	}
 }
 
-// Start implements transport.Protocol.
-func (p Proto) Start(env *transport.Env, f *transport.Flow) {
-	p.StartReceiver(env, f)
-	p.StartSender(env, f)
-}
-
-// StartReceiver implements transport.ShardableProtocol: build and bind
-// the receiver endpoint only. It is pure setup — no clock reads, no
-// scheduling, no sends — so the windowed driver may invoke it on the
-// barrier thread in the destination host's shard.
+// StartReceiver implements transport.Protocol: build and bind the
+// receiver endpoint.
 func (p Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
 	f.Dst.Bind(f.ID, true, getReceiver(env, f))
 }
 
-// StartSender implements transport.ShardableProtocol: run the
-// buffer-aware classifier (§4.1 — the first syscall's size against the
-// threshold), then build, bind, and launch the sender at the flow's
-// arrival time in the source host's shard.
+// StartSender implements transport.Protocol: run the buffer-aware
+// classifier (§4.1 — the first syscall's size against the threshold),
+// then build, bind, and launch the sender.
 func (p Proto) StartSender(env *transport.Env, f *transport.Flow) {
 	if !p.Cfg.DisableIdentification && f.FirstCall > identifyThreshold {
 		f.IdentifiedLarge = true
@@ -332,7 +323,8 @@ func (rc *receiver) init(env *transport.Env, f *transport.Flow) {
 	rc.Receiver.Init(env, f)
 }
 
-// Pool keys for the per-flow objects Proto.Start draws from the Env.
+// Pool keys for the per-flow objects the two start halves draw from the
+// Env.
 var (
 	senderPool   = transport.NewPoolKey("ppt.sender")
 	receiverPool = transport.NewPoolKey("ppt.receiver")

@@ -108,7 +108,9 @@ func TestIdentifiedLargeFlowTaggedLow(t *testing.T) {
 	env := newEnv()
 	f := &transport.Flow{ID: 7, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
 		Size: 5_000_000, FirstCall: 5_000_000}
-	Proto{}.Start(env, f)
+	p := Proto{}
+	p.StartReceiver(env, f)
+	p.StartSender(env, f)
 	if !f.IdentifiedLarge {
 		t.Fatal("5MB first syscall not identified as large")
 	}
@@ -122,7 +124,9 @@ func TestSmallFirstCallNotIdentified(t *testing.T) {
 	env := newEnv()
 	f := &transport.Flow{ID: 8, Src: env.Net.Hosts[2], Dst: env.Net.Hosts[3],
 		Size: 5_000_000, FirstCall: 16_000} // small send buffer: only 16KB seen
-	Proto{}.Start(env, f)
+	p := Proto{}
+	p.StartReceiver(env, f)
+	p.StartSender(env, f)
 	if f.IdentifiedLarge {
 		t.Fatal("16KB first syscall identified as large")
 	}
@@ -161,7 +165,9 @@ func TestIdentificationDisabled(t *testing.T) {
 	env := newEnv()
 	f := &transport.Flow{ID: 9, Src: env.Net.Hosts[4], Dst: env.Net.Hosts[5],
 		Size: 5_000_000, FirstCall: 5_000_000}
-	Proto{Cfg: Config{DisableIdentification: true}}.Start(env, f)
+	p := Proto{Cfg: Config{DisableIdentification: true}}
+	p.StartReceiver(env, f)
+	p.StartSender(env, f)
 	if f.IdentifiedLarge {
 		t.Fatal("identification ran despite ablation")
 	}
@@ -531,13 +537,16 @@ type protoMux struct {
 }
 
 func (m protoMux) Name() string { return "mux" }
-func (m protoMux) Start(env *transport.Env, f *transport.Flow) {
+func (m protoMux) pick(f *transport.Flow) transport.Protocol {
 	if f.ID == m.victimID {
-		dctcp.Proto{}.Start(env, f)
-		return
+		return dctcp.Proto{}
 	}
-	m.bg.Start(env, f)
+	return m.bg
 }
+func (m protoMux) StartReceiver(env *transport.Env, f *transport.Flow) {
+	m.pick(f).StartReceiver(env, f)
+}
+func (m protoMux) StartSender(env *transport.Env, f *transport.Flow) { m.pick(f).StartSender(env, f) }
 
 func TestWorkloadCompletesUnderLoad(t *testing.T) {
 	if testing.Short() {

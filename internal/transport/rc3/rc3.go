@@ -27,10 +27,13 @@ type Proto struct{}
 // Name implements transport.Protocol.
 func (Proto) Name() string { return "rc3" }
 
-// Start implements transport.Protocol.
-func (Proto) Start(env *transport.Env, f *transport.Flow) {
-	r := &receiver{env: env, f: f, r: transport.NewReassembly(f.Size)}
-	f.Dst.Bind(f.ID, true, r)
+// StartReceiver implements transport.Protocol.
+func (Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
+	f.Dst.Bind(f.ID, true, &receiver{env: env, f: f, r: transport.NewReassembly(f.Size)})
+}
+
+// StartSender implements transport.Protocol.
+func (Proto) StartSender(env *transport.Env, f *transport.Flow) {
 	s := &sender{env: env, f: f, tailNext: f.Size}
 	s.hcp = dctcp.NewSender(env, f, dctcp.Config{})
 	f.Src.Bind(f.ID, false, s)
@@ -97,7 +100,7 @@ func (s *sender) sendOpportunistic() bool {
 
 // Handle implements netsim.Endpoint.
 func (s *sender) Handle(pkt *netsim.Packet) {
-	if s.f.Done() || pkt.Kind != netsim.Ack {
+	if s.f.SenderDone() || pkt.Kind != netsim.Ack {
 		return
 	}
 	if pkt.LowLoop {

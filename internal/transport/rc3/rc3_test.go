@@ -28,7 +28,9 @@ func TestLowLoopStartsImmediately(t *testing.T) {
 	env := transporttest.NewStarEnv(4)
 	f := &transport.Flow{ID: 5, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
 		Size: 10_000_000, FirstCall: 10_000_000}
-	Proto{}.Start(env, f)
+	p := Proto{}
+	p.StartReceiver(env, f)
+	p.StartSender(env, f)
 	// Immediately after start, a full BDP of low-priority bytes must be
 	// in flight (no waiting for spare-bandwidth signals).
 	if env.Eff.SentLowPayload < int64(env.BDP())-netsim.MSS {
@@ -112,13 +114,16 @@ func TestRC3HurtsVictimMoreThanDCTCP(t *testing.T) {
 type muxProto struct{ bg transport.Protocol }
 
 func (m muxProto) Name() string { return "mux" }
-func (m muxProto) Start(env *transport.Env, f *transport.Flow) {
+func (m muxProto) pick(f *transport.Flow) transport.Protocol {
 	if f.ID == 2 {
-		dctcp.Proto{}.Start(env, f)
-		return
+		return dctcp.Proto{}
 	}
-	m.bg.Start(env, f)
+	return m.bg
 }
+func (m muxProto) StartReceiver(env *transport.Env, f *transport.Flow) {
+	m.pick(f).StartReceiver(env, f)
+}
+func (m muxProto) StartSender(env *transport.Env, f *transport.Flow) { m.pick(f).StartSender(env, f) }
 
 func TestLowClassCapLimitsRC3(t *testing.T) {
 	// Fig 24 mechanism: capping the low-priority class sheds RC3's

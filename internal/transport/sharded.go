@@ -53,13 +53,15 @@ import (
 // interact exclusively through the barrier steps above and every
 // horizon is computed from shard-local state, the worker count and
 // claim order are invisible to simulated outcomes: -shards=1, 2 and 4 are
-// byte-identical by construction. A monolithic run (RunSource) can
-// differ from a windowed one in two documented ways: the teardown
-// deferral, and same-instant cross-shard ties, which the inbox delivers
-// in (due, srcShard, FIFO) order where the single scheduler keeps
-// global insertion order (see TestShardedDifferential and
-// TestCrossShardTieOrder). DESIGN.md §7.5 records why RunSource stays a
-// driver of its own rather than the one-shard case of this one.
+// byte-identical by construction. Every topo.LeafSpine fabric runs
+// here, whatever the transport; only star fabrics run RunSource's
+// single-scheduler loop, so no cell meets both drivers. They would
+// differ in two documented ways: the teardown deferral, and
+// same-instant cross-shard ties, which the inbox delivers in (due,
+// srcShard, FIFO) order where a single scheduler keeps global insertion
+// order (see TestCrossShardTieOrder). DESIGN.md §7.5 records why
+// RunSource stays a driver of its own rather than the one-shard case of
+// this one.
 
 // ShardStats is the windowed engine's per-run instrumentation,
 // surfaced through Env.ShardStats into exp results and -benchjson
@@ -161,7 +163,7 @@ func (s *ShardStats) EventShareBounds() (lo, hi float64) {
 
 // shardedRun is the shared state of one windowed run.
 type shardedRun struct {
-	proto     ShardableProtocol
+	proto     Protocol
 	envs      []*Env
 	hostShard []int
 
@@ -462,14 +464,14 @@ func (q *shardQueue) pending() int { return len(q.flows) - q.next }
 // into the stream (srcNext.Arrive) participates in every shard's eff
 // bound, so horizons never outrun an unreleased arrival: a flow is
 // always fed to its shard at a barrier that precedes its release time.
-func runShardedSource(env *Env, proto ShardableProtocol, src FlowSource, cfg RunConfig) stats.Summary {
+func runShardedSource(env *Env, proto Protocol, src FlowSource, cfg RunConfig) stats.Summary {
 	part := env.Net.Part
 	n := part.N
 	la := part.Lookahead
 	if m := la.Min(); m <= 0 && m != sim.MaxTime {
 		panic("transport: partitioned fabric with a non-positive lookahead entry")
 	}
-	_, recycle := Protocol(proto).(FlowRecycler)
+	_, recycle := proto.(FlowRecycler)
 
 	run := &shardedRun{
 		proto:     proto,

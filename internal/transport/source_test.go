@@ -119,10 +119,8 @@ func TestRunSourceRejectsUnsorted(t *testing.T) {
 // TestRunSourceShardedMatches runs the streamed path on a partitioned
 // fabric at several worker counts: the windowed engine's contract is
 // that worker count is invisible to simulated outcomes, so every
-// shard setting must produce the byte-identical summary. (Monolithic
-// and windowed runs may differ slightly — the documented teardown
-// deferral — so the reference here is the windowed run itself, and the
-// materialized windowed run of the same workload.)
+// shard setting must produce the byte-identical summary: the
+// materialized run of the same workload at one worker.
 func TestRunSourceShardedMatches(t *testing.T) {
 	build := func(shards int) *transport.Env {
 		net := topo.LeafSpine(2, 2, 4, topo.Config{

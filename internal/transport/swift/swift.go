@@ -51,14 +51,20 @@ func (p Proto) Name() string {
 	return "swift"
 }
 
-// Start implements transport.Protocol.
-func (p Proto) Start(env *transport.Env, f *transport.Flow) {
-	if p.Cfg.WithPPT && f.FirstCall > 100_000 {
-		f.IdentifiedLarge = true
-	}
+// StartReceiver implements transport.Protocol.
+func (p Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
 	rc := &receiver{env: env, f: f}
 	rc.Init(env, f)
 	f.Dst.Bind(f.ID, true, rc)
+}
+
+// StartSender implements transport.Protocol. The WithPPT variant tags a
+// flow large by its first syscall, as PPT does; only the sender reads
+// the verdict.
+func (p Proto) StartSender(env *transport.Env, f *transport.Flow) {
+	if p.Cfg.WithPPT && f.FirstCall > 100_000 {
+		f.IdentifiedLarge = true
+	}
 	s := &sender{env: env, f: f, cfg: p.Cfg, target: targetDelay(env), cwnd: initCwnd}
 	if p.Cfg.WithPPT {
 		s.loop = lowloop.New(env, f, s)
@@ -142,7 +148,7 @@ func (s *sender) inflight() int64 {
 }
 
 func (s *sender) trySend() {
-	if s.f.Done() {
+	if s.f.SenderDone() {
 		return
 	}
 	for s.sndNxt < s.f.Size {
@@ -169,7 +175,7 @@ func (s *sender) trySend() {
 }
 
 func (s *sender) armRTO() {
-	if s.inflight() <= 0 || s.f.Done() {
+	if s.inflight() <= 0 || s.f.SenderDone() {
 		s.rto.Stop()
 		return
 	}
@@ -180,7 +186,7 @@ func (s *sender) armRTO() {
 }
 
 func (s *sender) onRTO() {
-	if s.f.Done() || s.inflight() <= 0 {
+	if s.f.SenderDone() || s.inflight() <= 0 {
 		return
 	}
 	s.cwnd = netsim.MSS
@@ -191,7 +197,7 @@ func (s *sender) onRTO() {
 
 // Handle implements netsim.Endpoint.
 func (s *sender) Handle(pkt *netsim.Packet) {
-	if s.f.Done() || pkt.Kind != netsim.Ack {
+	if s.f.SenderDone() || pkt.Kind != netsim.Ack {
 		return
 	}
 	if pkt.LowLoop {

@@ -44,7 +44,9 @@ func TestTargetDelayFollowsTheFabric(t *testing.T) {
 		env := transporttest.NewStarEnv(2, func(c *topo.Config) { c.LinkDelay = delay })
 		size := 4 * int64(env.BDP())
 		f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: size, FirstCall: size}
-		Proto{}.Start(env, f)
+		p := Proto{}
+		p.StartReceiver(env, f)
+		p.StartSender(env, f)
 		s := f.Src.Unbind(f.ID, false).(*sender)
 		if want := env.BaseRTT() * 3 / 2; s.target != want {
 			t.Errorf("base RTT %v: target delay %v, want %v", env.BaseRTT(), s.target, want)

@@ -91,6 +91,9 @@ type Env struct {
 	flowFree     []*Flow
 	recycleFlows bool
 
+	// hostState is the per-host object registry (see HostState).
+	hostState map[hostKey]any
+
 	// sched is this environment's event scheduler: the fabric scheduler
 	// for monolithic runs, the shard's own scheduler for the per-shard
 	// environments of a windowed run. shard and run are set only on the
@@ -221,10 +224,10 @@ func (e *Env) putFlow(f *Flow) {
 	e.flowFree = append(e.flowFree, f)
 }
 
-// Done reports whether the flow has completed. Sender-side code in
-// sharded-capable protocols must use SenderDone instead: in a windowed
-// run, done is written by the receiver's shard while the sender's shard
-// may still be executing.
+// Done reports whether the flow has completed. Only receiver-side code
+// may read it; sender-side code uses SenderDone: in a windowed run, done
+// is written by the receiver's shard while the sender's shard may still
+// be executing.
 func (f *Flow) Done() bool { return f.done }
 
 // SenderDone reports whether the sender-side endpoint has been (or is
@@ -232,28 +235,23 @@ func (f *Flow) Done() bool { return f.done }
 // it trails Done by up to one window for cross-shard flows.
 func (f *Flow) SenderDone() bool { return f.srcDone }
 
-// Protocol wires endpoints for one flow. Start is called at the flow's
-// arrival time.
+// Protocol wires one flow's endpoints in two halves. StartReceiver
+// builds and binds the receiver on the destination host; StartSender
+// builds, binds and launches the sender on the source host at the
+// flow's arrival time. Each half gets the Env of the shard that owns its
+// host. A cross-shard flow of a windowed run starts its receiver at the
+// next window barrier, on the driver thread while shards are quiescent
+// (always before its first packet can arrive: the barrier is within one
+// window of the arrival, the first cross-shard packet at least two
+// windows out), so StartReceiver must not read the clock, schedule
+// events or send packets. Every other flow starts its receiver, then
+// its sender, at arrival. Sender-side code reads Flow.SenderDone, never
+// Done, and per-host receiver state lives in the receiving Env
+// (HostState), never in the Protocol value, which shards share.
 type Protocol interface {
 	Name() string
-	Start(env *Env, f *Flow)
-}
-
-// ShardableProtocol is a Protocol whose flow setup can be split across
-// shards of a partitioned fabric: StartSender runs at the flow's
-// arrival time in the source host's shard; StartReceiver runs at the
-// next window barrier in the destination host's shard (always before
-// the first packet can arrive — the barrier is within one window of the
-// arrival, the first cross-shard packet at least two windows out).
-// StartReceiver is invoked on the driver thread while shards are
-// quiescent, so it must not read the clock, schedule events, or send
-// packets — it only builds and binds the receiver endpoint. Start must
-// remain equivalent to StartReceiver followed by StartSender (it is
-// still what monolithic runs and same-shard flows call).
-type ShardableProtocol interface {
-	Protocol
-	StartSender(env *Env, f *Flow)
 	StartReceiver(env *Env, f *Flow)
+	StartSender(env *Env, f *Flow)
 }
 
 // RunConfig controls a full experiment run.
@@ -381,18 +379,18 @@ func (rel *releaser) fire() {
 			f.FirstCall = wf.Size
 		}
 		f.Start = now
-		if r := rel.sharded; r != nil {
-			if r.hostShard[wf.Src] != r.hostShard[wf.Dst] {
-				f.crossShard = true
-				r.stageReceiverStart(rel.shard, f)
-				r.proto.StartSender(env, f)
-			} else {
-				rel.proto.Start(env, f)
-			}
-		} else {
+		// A cross-shard flow's receiver starts at the next barrier in its
+		// own shard; every other receiver starts just before its sender.
+		if r := rel.sharded; r == nil {
 			env.remaining++
-			rel.proto.Start(env, f)
+		} else if r.hostShard[wf.Src] != r.hostShard[wf.Dst] {
+			f.crossShard = true
+			r.stageReceiverStart(rel.shard, f)
 		}
+		if !f.crossShard {
+			rel.proto.StartReceiver(env, f)
+		}
+		rel.proto.StartSender(env, f)
 		rel.prime()
 	}
 	if rel.havePending {
@@ -438,9 +436,9 @@ func arrivalSorted(flows []SimpleFlow) bool {
 
 // Run releases flows at their arrival times under proto and runs the
 // simulation until every flow completes (or a safety bound trips). It
-// returns the FCT summary. On a partitioned fabric (topo.Config.Shards
-// >= 1) the windowed multi-core driver takes over; proto must then be a
-// ShardableProtocol. Run is the materialized convenience over
+// returns the FCT summary. A partitioned fabric (every topo.LeafSpine)
+// runs on the windowed driver, a single-scheduler one (topo.Star) on
+// RunSource's own loop. Run is the materialized convenience over
 // RunSource: it sorts (if needed), reserves the collector, and streams
 // the slice — producing the exact event sequence walking the slice
 // always has.
@@ -459,14 +457,13 @@ func Run(env *Env, proto Protocol, flows []SimpleFlow, cfg RunConfig) stats.Summ
 // from src — which must yield nondecreasing arrival times — with a
 // single-flow lookahead, so a million-flow run never materializes its
 // trace. Completion statistics still accumulate in env.Collector; pair
-// with stats.Collector.SetSpill to bound that side too.
+// with stats.Collector.SetSpill to bound that side too. A partitioned
+// fabric (topo.LeafSpine) hands the run to the windowed driver
+// (runShardedSource); a single-scheduler fabric (topo.Star) runs on the
+// loop below.
 func RunSource(env *Env, proto Protocol, src FlowSource, cfg RunConfig) stats.Summary {
 	if env.Net.Part != nil {
-		sp, ok := proto.(ShardableProtocol)
-		if !ok {
-			panic(fmt.Sprintf("transport: partitioned fabric requires a ShardableProtocol; %s is not one", proto.Name()))
-		}
-		return runShardedSource(env, sp, src, cfg)
+		return runShardedSource(env, proto, src, cfg)
 	}
 	env.remaining = 0
 	env.stopWhenDone = true

@@ -35,6 +35,35 @@ func TestRunEveryTransport(t *testing.T) {
 	}
 }
 
+// TestRunEqualsExperimentCell pins the API to the CLI: ppt.Run and
+// fig12 build the same leaf-spine cell, so both must run it on the same
+// (windowed) driver and report the same Summary.
+func TestRunEqualsExperimentCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four 600-flow cells")
+	}
+	for _, tr := range []string{"ppt", "dctcp"} {
+		tr := tr
+		t.Run(tr, func(t *testing.T) {
+			t.Parallel()
+			api, err := Run(Config{Transport: tr, Flows: 600, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunExperiment("fig12", Options{Flows: 600, Seed: 1, Schemes: []string{tr}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 1 || res.Rows[0].Label != tr {
+				t.Fatalf("fig12 rows = %+v, want one %s row", res.Rows, tr)
+			}
+			if cli := res.Rows[0].Sum; api != cli {
+				t.Fatalf("ppt.Run differs from fig12's %s row:\napi: %+v\ncli: %+v", tr, api, cli)
+			}
+		})
+	}
+}
+
 func TestRunEveryTopology(t *testing.T) {
 	for _, topo := range []string{
 		TopologyTestbed, TopologySim, TopologySimFull, TopologyFast, TopologyNonOversubscribed,
