@@ -96,9 +96,6 @@ func (c *Collector) SetSpill(chunk int) error {
 	return nil
 }
 
-// Spilling reports whether the collector is in bounded-memory mode.
-func (c *Collector) Spilling() bool { return c.sp != nil }
-
 // ResidentPeak reports the largest number of completions ever resident
 // at once — in spill mode this is capped at the chunk size; otherwise
 // it is simply the record count.

@@ -158,8 +158,8 @@ func TestSpillGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sp.Close()
-	if !sp.Spilling() {
-		t.Fatal("Spilling() false after SetSpill")
+	if sp.sp == nil {
+		t.Fatal("not in spill mode after SetSpill")
 	}
 	sp.Complete(1, 10, 0, 1)
 	mustPanic := func(name string, f func()) {

@@ -88,7 +88,7 @@ func (c *Collector) Count() int {
 }
 
 // canonLess is the canonical (End, Start, FlowID) record order shared
-// by MergeCanonical and the windowed spill fold (windowfold.go). Flow
+// by MergeCanonical and the windowed fold (windowfold.go). Flow
 // IDs are unique per run, so it is a strict total order: any sorting
 // procedure produces the same sequence, which is what makes the float
 // accumulation order — and every reported mean, bit for bit —
@@ -104,15 +104,14 @@ func canonLess(a, b *FCTRecord) bool {
 }
 
 // MergeCanonical appends every record of srcs into c and sorts the
-// combined log by (End, Start, FlowID). The windowed (sharded) run
-// driver merges its per-shard collectors through this: per-shard
-// completion order depends on the partition, so the merged log is
-// re-ordered by a total order (flow IDs are unique per run) to make
-// Summarize's float accumulation sequence — and therefore every
-// reported mean, bit for bit — independent of shard count. Monolithic
-// runs never call this and keep their historical completion order;
-// spilling masters fold incrementally through WindowFold instead, which
-// feeds the same canonical sequence under a bounded-memory cap.
+// combined log by (End, Start, FlowID). Per-shard completion order
+// depends on the partition, so the merged log is re-ordered by a total
+// order (flow IDs are unique per run) to make Summarize's float
+// accumulation sequence — and therefore every reported mean, bit for
+// bit — independent of shard count. It is the reference WindowFold is
+// tested against: the windowed run driver feeds its caller's collector
+// the same canonical sequence incrementally, at barriers, through
+// WindowFold. Monolithic runs keep their historical completion order.
 func (c *Collector) MergeCanonical(srcs ...*Collector) {
 	if c.sp != nil {
 		panic("stats: MergeCanonical on a spilling collector (use WindowFold for windowed spill runs)")

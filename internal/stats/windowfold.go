@@ -2,10 +2,9 @@ package stats
 
 import "ppt/internal/sim"
 
-// WindowFold folds per-shard completion logs into one spilling master
-// collector at windowed-run barriers, replacing the old "spill implies
-// monolithic" restriction: bounded-memory million-flow runs now compose
-// with the sharded engine.
+// WindowFold folds per-shard completion logs into the caller's master
+// collector at windowed-run barriers, in memory or spilling, so a
+// bounded-memory million-flow run composes with the sharded engine.
 //
 // The windowed driver calls Fold with the round's granted safe bound
 // (the minimum of the new per-shard floors): every record whose End
@@ -19,20 +18,17 @@ import "ppt/internal/sim"
 // safe bounds strictly time-partition the batches — records with equal
 // End always land in the same batch. The concatenation of canonically
 // sorted, time-partitioned batches is therefore exactly the globally
-// sorted sequence MergeCanonical would produce, so the master's fold
-// order — and with it every running float sum and the small-FCT
-// multiset the radix P99 selection reads — is bit-identical to the
-// in-memory windowed path at every shard count and chunk size.
+// sorted sequence MergeCanonical would produce, so the master's record
+// log, or a spilling master's fold order — and with it every running
+// float sum and the small-FCT multiset the P99 selection reads — is
+// bit-identical to MergeCanonical's at every shard count and chunk size.
 type WindowFold struct {
 	master *Collector
 	batch  []FCTRecord
 }
 
-// NewWindowFold wraps an empty spilling master collector.
+// NewWindowFold wraps an empty master collector.
 func NewWindowFold(master *Collector) *WindowFold {
-	if !master.Spilling() {
-		panic("stats: NewWindowFold needs a spilling master collector")
-	}
 	if master.Count() > 0 {
 		panic("stats: NewWindowFold on a non-empty collector")
 	}
@@ -79,12 +75,12 @@ func (w *WindowFold) fold(shards []*Collector, safe sim.Time, all bool) {
 		return
 	}
 	sortCanonical(batch)
-	// Keep the master's resident log inside its chunk across the feed: a
-	// partial early spill folds the very same prefix in the very same
-	// order a boundary-aligned spill would, so flushing here changes no
-	// sum, no spilled byte, and no selection input — only the moment the
-	// fold happens.
-	if sp := w.master.sp; len(sp.resident) > 0 && len(sp.resident)+len(batch) > sp.chunk {
+	// Keep a spilling master's resident log inside its chunk across the
+	// feed: a partial early spill folds the very same prefix in the very
+	// same order a boundary-aligned spill would, so flushing here changes
+	// no sum, no spilled byte, and no selection input — only the moment
+	// the fold happens.
+	if sp := w.master.sp; sp != nil && len(sp.resident) > 0 && len(sp.resident)+len(batch) > sp.chunk {
 		sp.spillChunk()
 	}
 	for i := range batch {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ppt/internal/sim"
@@ -46,22 +47,25 @@ func feedWindowed(t *testing.T, n, shardCount, window int, seed int64,
 	}
 }
 
-// TestWindowFoldBitIdentical is the differential the windowed spill
-// fold hangs on: folding per-shard completion logs into a spilling
-// master at window boundaries must produce the same Summary — float
-// means bit for bit — as MergeCanonical into an in-memory master,
-// whatever the chunk size, shard count, or fold cadence.
+// TestWindowFoldBitIdentical is the differential the windowed fold
+// hangs on: folding per-shard completion logs into a master at window
+// boundaries must produce the same Summary — float means bit for bit —
+// as MergeCanonical into an in-memory master, whatever the chunk size
+// (0: an in-memory master, whose record log must also match
+// MergeCanonical's in order), shard count, or fold cadence.
 func TestWindowFoldBitIdentical(t *testing.T) {
 	n := 60_000
 	if testing.Short() {
 		n = 12_000
 	}
-	for _, chunk := range []int{1, 7, 1024, 65_536} {
+	for _, chunk := range []int{0, 1, 7, 1024, 65_536} {
 		for _, shardCount := range []int{1, 2, 4} {
 			for _, window := range []int{1, 64, 4096} {
 				master := NewCollector()
-				if err := master.SetSpill(chunk); err != nil {
-					t.Fatal(err)
+				if chunk > 0 {
+					if err := master.SetSpill(chunk); err != nil {
+						t.Fatal(err)
+					}
 				}
 				fold := NewWindowFold(master)
 				shards := make([]*Collector, shardCount)
@@ -79,7 +83,12 @@ func TestWindowFoldBitIdentical(t *testing.T) {
 					t.Fatalf("chunk=%d shards=%d window=%d: folded %+v != canonical %+v",
 						chunk, shardCount, window, got, want)
 				}
-				if peak := master.ResidentPeak(); peak > chunk {
+				if chunk == 0 {
+					if got, want := master.Records(), mem.Records(); !slices.Equal(got, want) {
+						t.Fatalf("shards=%d window=%d: folded records differ from MergeCanonical's",
+							shardCount, window)
+					}
+				} else if peak := master.ResidentPeak(); peak > chunk {
 					t.Fatalf("chunk=%d shards=%d window=%d: resident peak %d exceeds chunk",
 						chunk, shardCount, window, peak)
 				}
@@ -138,13 +147,6 @@ func TestWindowFoldResidentBoundMillion(t *testing.T) {
 
 // TestWindowFoldGuards pins the constructor and feed preconditions.
 func TestWindowFoldGuards(t *testing.T) {
-	if f := func() (panicked bool) {
-		defer func() { panicked = recover() != nil }()
-		NewWindowFold(NewCollector())
-		return
-	}(); !f {
-		t.Fatal("NewWindowFold accepted a non-spilling master")
-	}
 	sp := NewCollector()
 	if err := sp.SetSpill(4); err != nil {
 		t.Fatal(err)

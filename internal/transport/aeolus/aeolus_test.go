@@ -74,31 +74,3 @@ func TestShedBytesRecoveredWithoutTimeout(t *testing.T) {
 		t.Fatalf("avg FCT %v suggests timeout-based recovery", sum.OverallAvg)
 	}
 }
-
-func TestNextHolePacket(t *testing.T) {
-	env := transporttest.NewStarEnv(4)
-	mgr := &rxManager{env: env, rttBytes: 50_000}
-	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[1], Dst: env.Net.Hosts[0], Size: 100_000}
-	rx := &rxFlow{mgr: mgr, f: f, r: transport.NewReassembly(f.Size), granted: 50_000}
-	// No data yet: no hole (nothing below the frontier).
-	if _, n := rx.nextHolePacket(); n != 0 {
-		t.Fatalf("hole on empty reassembly: %d", n)
-	}
-	// Bytes [10000, 20000) arrived, [0, 10000) shed: a definite hole,
-	// requested one MSS at a time without repeats.
-	rx.r.Add(10_000, 10_000)
-	seq, n := rx.nextHolePacket()
-	if seq != 0 || n != 1448 {
-		t.Fatalf("hole = (%d, %d), want (0, 1448)", seq, n)
-	}
-	rx.reqd.Add(seq, seq+n)
-	seq2, n2 := rx.nextHolePacket()
-	if seq2 != 1448 || n2 != 1448 {
-		t.Fatalf("second hole = (%d, %d), want (1448, 1448)", seq2, n2)
-	}
-	// Once the whole hole is requested, nothing remains.
-	rx.reqd.Add(0, 10_000)
-	if _, n := rx.nextHolePacket(); n != 0 {
-		t.Fatalf("hole after full request: %d", n)
-	}
-}

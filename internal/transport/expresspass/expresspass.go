@@ -176,17 +176,10 @@ func (rc *receiver) armRetry() {
 			return
 		}
 		miss := rc.r.FirstMissing()
-		end := rc.r.NextCovered(miss, min64(miss+netsim.MSS, rc.f.Size))
+		end := rc.r.NextCovered(miss, min(miss+netsim.MSS, rc.f.Size))
 		credit := rc.f.Dst.Ctrl(netsim.Grant, rc.f.ID, rc.f.Src.ID(), 0)
 		credit.Meta = creditInfo{ResendSeq: miss, ResendLen: int32(end - miss)}
 		rc.f.Dst.Send(credit)
 		rc.armRetry()
 	})
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

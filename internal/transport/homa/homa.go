@@ -1,19 +1,32 @@
 // Package homa implements the Homa transport [32] at the level of detail
-// the PPT paper evaluates it: a receiver-driven protocol in which
-// senders blindly transmit RTTbytes of "unscheduled" data at line rate
-// when a message starts (the pre-credit phase the paper criticizes), and
-// receivers drive the rest with per-packet grants, overcommitting the
-// downlink to a fixed number of flows (overcommit) chosen SRPT-style by
-// remaining bytes — which requires knowing flow sizes a priori.
-// Loss recovery is timeout-based (as in the Aeolus simulator the paper
-// uses to evaluate Homa), via receiver RESEND requests.
+// the PPT paper evaluates it, and Aeolus [17] on top of it, as the paper
+// evaluates Aeolus: a building block run on Homa.
+//
+// Homa is receiver-driven: senders blindly transmit RTTbytes of
+// "unscheduled" data at line rate when a message starts (the pre-credit
+// phase the paper criticizes), and receivers drive the rest with
+// per-packet grants, overcommitting the downlink to a fixed number of
+// flows (overcommit) chosen SRPT-style by remaining bytes — which
+// requires knowing flow sizes a priori. Loss recovery is timeout-based
+// (as in the Aeolus simulator the paper uses to evaluate Homa), via
+// receiver RESEND requests.
+//
+// Aeolus runs on the same sender, grant scheduler and receiver; the
+// branches on their aeolus bit are its whole mechanism. The unscheduled
+// packets behind a protected P1 probe ride a droppable class that
+// switches shed early under buildup (selective dropping). Shed bytes are
+// recovered by grants that also request one missing packet each, not by
+// timeouts; the timeout only restarts that recovery, forgetting past
+// requests and asking for one MSS at P2. A fully granted flow keeps its
+// overcommit slot, so its hole requests keep flowing.
 //
 // Each host's grant scheduler (rxManager) lives in the Env of the shard
 // that owns the host (transport.HostState). A grant carries its credit
 // in the packet — Seq is the offset the sender may send below, Meta the
-// granted priority as an int8, which boxes without allocating — so a
-// receiver and its sender may run in different shards of a windowed run
-// without handing pooled objects from one shard to the other.
+// granted priority as an int8, which boxes without allocating — and a
+// retransmission request carries its range in a *resend allocated per
+// request, so a receiver and its sender may run in different shards of a
+// windowed run without any packet pointing into a pooled object.
 package homa
 
 import (
@@ -25,35 +38,59 @@ import (
 )
 
 // overcommit is the number of flows a receiver grants concurrently (the
-// paper's setting). RTTbytes, the unscheduled allowance and per-flow
-// grant window, is not a constant: each start half reads it from the
-// Env as the fabric BDP.
+// paper's setting, which Aeolus keeps). RTTbytes, the unscheduled
+// allowance and per-flow grant window, is not a constant: each start
+// half reads it from the Env as the fabric BDP.
 const overcommit = 2
 
-// dataInfo rides on every data packet so the receiver learns the flow
-// size (Homa's prior-knowledge assumption).
-type dataInfo struct {
-	Size      int64
-	Scheduled bool
-}
+// droppablePrio is Aeolus's class for the unscheduled packets behind its
+// probe: P6, below every scheduled priority, and the only packets marked
+// droppable.
+const droppablePrio = 6
 
-// resendInfo rides on Ctrl packets: retransmit [Seq, Seq+Len).
-type resendInfo struct {
-	Seq int64
-	Len int64
+// resend is the Meta of a retransmission request: retransmit
+// [Seq, Seq+Len) at Prio. Homa sends it in a Ctrl RESEND, Aeolus in a
+// grant. Each is allocated: the receiver's shard may recycle and reuse
+// its rxFlow while the sender's shard still reads the request.
+type resend struct {
+	Prio int8
+	Seq  int64
+	Len  int64
 }
 
 // Proto is the Homa protocol factory. It is stateless: each host's
 // receiver manager lives in the Env of the shard that owns the host.
 type Proto struct{}
 
+// Aeolus is the Aeolus protocol factory: Homa's engine with Aeolus's
+// selective dropping and grant-carried recovery. Stateless like Proto.
+type Aeolus struct{}
+
 // Name implements transport.Protocol.
 func (Proto) Name() string { return "homa" }
+
+// Name implements transport.Protocol.
+func (Aeolus) Name() string { return "aeolus" }
 
 // RecyclesFlows implements transport.FlowRecycler: Recycle stops the
 // keepalive and retry timers — the only callbacks that could reach a
 // recycled Flow.
 func (Proto) RecyclesFlows() {}
+
+// RecyclesFlows implements transport.FlowRecycler (see Proto).
+func (Aeolus) RecyclesFlows() {}
+
+// StartReceiver implements transport.Protocol.
+func (Proto) StartReceiver(env *transport.Env, f *transport.Flow) { startReceiver(env, f, false) }
+
+// StartSender implements transport.Protocol.
+func (Proto) StartSender(env *transport.Env, f *transport.Flow) { startSender(env, f, false) }
+
+// StartReceiver implements transport.Protocol.
+func (Aeolus) StartReceiver(env *transport.Env, f *transport.Flow) { startReceiver(env, f, true) }
+
+// StartSender implements transport.Protocol.
+func (Aeolus) StartSender(env *transport.Env, f *transport.Flow) { startSender(env, f, true) }
 
 // Keys for the per-flow objects and the per-host manager the two start
 // halves draw from the Env.
@@ -63,31 +100,30 @@ var (
 	managerKey = transport.NewPoolKey("homa.rxmanager")
 )
 
-// StartReceiver implements transport.Protocol: register the flow with
-// its host's receiver manager.
-func (Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
+// startReceiver registers the flow with its host's receiver manager.
+func startReceiver(env *transport.Env, f *transport.Flow, aeolus bool) {
 	mgr := transport.HostState(env, managerKey, f.Dst.ID(), func() *rxManager {
 		return &rxManager{env: env, rttBytes: int64(env.BDP())}
 	})
 	rx := transport.PoolFor(env, rxFlowPool, newIdleRxFlow).Get()
-	rx.init(mgr, f)
+	rx.init(mgr, f, aeolus)
 	rx.pooled = true
 	mgr.insert(rx)
 	f.Dst.Bind(f.ID, true, rx)
 }
 
-// StartSender implements transport.Protocol.
-func (Proto) StartSender(env *transport.Env, f *transport.Flow) {
+// startSender binds the flow's sender and sends its unscheduled burst.
+func startSender(env *transport.Env, f *transport.Flow, aeolus bool) {
 	s := transport.PoolFor(env, senderPool, newIdleSender).Get()
-	s.init(env, f, int64(env.BDP()))
+	s.init(env, f, int64(env.BDP()), aeolus)
 	s.pooled = true
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
 }
 
-// unschedPrio picks the unscheduled priority from the flow size: short
-// messages ride P0, longer ones P1 (Homa's CDF-derived cutoffs, reduced
-// to the two unscheduled levels used here).
+// unschedPrio picks Homa's unscheduled priority from the flow size:
+// short messages ride P0, longer ones P1 (Homa's CDF-derived cutoffs,
+// reduced to the two unscheduled levels used here).
 func unschedPrio(size, rttBytes int64) int8 {
 	if size <= rttBytes {
 		return 0
@@ -101,18 +137,12 @@ type sender struct {
 	env      *transport.Env
 	f        *transport.Flow
 	rttBytes int64 // unscheduled allowance
+	aeolus   bool  // Aeolus's mechanism (package doc)
 
 	sentNext int64     // next new byte to transmit
 	keep     sim.Timer // pre-grant keepalive
 	gotRx    bool      // receiver has spoken (grant or resend arrived)
 	pooled   bool      // drawn from the Env pool (StartSender)
-
-	// schedInfo/unschedInfo are the only two dataInfo values this sender
-	// ever attaches; packets point at one of them instead of allocating a
-	// fresh copy per packet. Safe because delivery is a sink: endpoints
-	// may not retain Meta past Handle.
-	schedInfo   dataInfo
-	unschedInfo dataInfo
 	// keepFn is keepFired bound once: evaluating the method value inline
 	// would allocate a fresh closure on every re-arm.
 	keepFn func()
@@ -126,13 +156,11 @@ func newIdleSender() *sender {
 }
 
 // init (re)targets the sender at a flow.
-func (s *sender) init(env *transport.Env, f *transport.Flow, rttBytes int64) {
-	s.env, s.f, s.rttBytes = env, f, rttBytes
+func (s *sender) init(env *transport.Env, f *transport.Flow, rttBytes int64, aeolus bool) {
+	s.env, s.f, s.rttBytes, s.aeolus = env, f, rttBytes, aeolus
 	s.sentNext = 0
 	s.keep = sim.Timer{}
 	s.gotRx = false
-	s.schedInfo = dataInfo{Size: f.Size, Scheduled: true}
-	s.unschedInfo = dataInfo{Size: f.Size}
 }
 
 // Recycle implements transport.EndpointRecycler.
@@ -147,34 +175,35 @@ func (s *sender) Recycle(env *transport.Env) {
 }
 
 func (s *sender) launch() {
-	unsched := min64(s.rttBytes, s.f.Size)
+	unsched := min(s.rttBytes, s.f.Size)
+	prio := unschedPrio(s.f.Size, s.rttBytes)
+	if s.aeolus {
+		// The probe packet is protected so the receiver always learns
+		// the flow exists; the rest may be shed.
+		s.sendChunk(0, unsched, 1, false)
+		prio = droppablePrio
+	}
 	// Line-rate blind transmission: dump the whole unscheduled span on
 	// the NIC; it serializes at line rate (the pre-credit burst).
 	for s.sentNext < unsched {
-		s.sendChunk(s.sentNext, unsched, unschedPrio(s.f.Size, s.rttBytes), false, false)
+		s.sendChunk(s.sentNext, unsched, prio, false)
 	}
 	s.armKeepalive()
 }
 
-// sendChunk emits one MSS-bounded packet of [from, limit) and advances
-// sentNext when it extends new territory.
-func (s *sender) sendChunk(from, limit int64, prio int8, scheduled, retrans bool) {
-	end := from + netsim.MSS
-	if end > limit {
-		end = limit
-	}
+// sendChunk emits one MSS-bounded packet of [from, limit). New data
+// advances sentNext, and so does a Homa retransmission that reaches past
+// it; an Aeolus retransmission never does.
+func (s *sender) sendChunk(from, limit int64, prio int8, retrans bool) {
+	end := min(from+netsim.MSS, limit)
 	if end <= from {
 		return
 	}
 	pkt := s.f.Src.Data(s.f.ID, s.f.Dst.ID(), from, int32(end-from), prio)
 	pkt.Retrans = retrans
-	if scheduled {
-		pkt.Meta = &s.schedInfo
-	} else {
-		pkt.Meta = &s.unschedInfo
-	}
+	pkt.Droppable = prio == droppablePrio
 	s.f.Src.Send(pkt)
-	if end > s.sentNext {
+	if end > s.sentNext && !(retrans && s.aeolus) {
 		s.sentNext = end
 	}
 }
@@ -190,29 +219,40 @@ func (s *sender) keepFired() {
 	if s.f.SenderDone() || s.gotRx {
 		return
 	}
-	s.sendChunk(0, min64(netsim.MSS, s.f.Size), 0, false, true)
+	prio := int8(0)
+	if s.aeolus {
+		prio = 1 // the probe's protected class
+	}
+	s.sendChunk(0, min(netsim.MSS, s.f.Size), prio, true)
 	s.armKeepalive()
 }
 
-// Handle implements netsim.Endpoint (grants and resend requests).
+// Handle implements netsim.Endpoint (grants and retransmission
+// requests).
 func (s *sender) Handle(pkt *netsim.Packet) {
 	if s.f.SenderDone() {
 		return
 	}
 	s.gotRx = true
-	switch pkt.Kind {
-	case netsim.Grant:
-		prio := pkt.Meta.(int8)
-		limit := min64(pkt.Seq, s.f.Size)
-		for s.sentNext < limit {
-			s.sendChunk(s.sentNext, limit, prio, true, false)
+	var prio int8
+	switch m := pkt.Meta.(type) {
+	case int8:
+		prio = m
+	case *resend:
+		// The requested range rides first, at the request's priority
+		// (an Aeolus grant's is the granted one).
+		prio = m.Prio
+		end := min(m.Seq+m.Len, s.f.Size)
+		for seq := m.Seq; seq < end; seq += netsim.MSS {
+			s.sendChunk(seq, end, prio, true)
 		}
-	case netsim.Ctrl:
-		ri := pkt.Meta.(*resendInfo)
-		end := min64(ri.Seq+ri.Len, s.f.Size)
-		for seq := ri.Seq; seq < end; seq += netsim.MSS {
-			s.sendChunk(seq, end, 0, true, true)
-		}
+	}
+	if pkt.Kind != netsim.Grant {
+		return // a Homa RESEND carries no credit
+	}
+	limit := min(pkt.Seq, s.f.Size)
+	for s.sentNext < limit {
+		s.sendChunk(s.sentNext, limit, prio, false)
 	}
 }
 
@@ -274,26 +314,33 @@ func (m *rxManager) reposition(rx *rxFlow) {
 	}
 }
 
-// pump tops up grants for the first overcommit ungranted flows in SRPT
-// order after every arrival.
+// pump tops up grants for the first overcommit flows in SRPT order
+// after every arrival; an Aeolus grant first asks for one hole packet.
 func (m *rxManager) pump() {
 	rank := 0
 	for _, rx := range m.order {
 		if rank >= overcommit {
 			break
 		}
-		if rx.granted >= rx.f.Size {
+		if rx.granted >= rx.f.Size && !rx.aeolus {
 			// Fully granted but not yet fully received: it holds no
-			// downlink credit, so it does not consume an overcommit slot.
+			// downlink credit, so Homa does not spend an overcommit slot
+			// on it. Aeolus does, for the hole requests it still sends.
 			continue
 		}
 		prio := int8(2 + rank)
-		if prio > 7 {
-			prio = 7
+		if rx.aeolus {
+			// Retransmissions of shed bytes are grant-clocked: at most one
+			// hole packet is requested per pump, so recovery proceeds at
+			// roughly the arrival rate instead of in line-rate bursts.
+			if seq, n := rx.nextHolePacket(); n > 0 {
+				rx.reqd.Add(seq, seq+n)
+				rx.request(prio, seq, seq+n)
+			}
 		}
 		// Keep RTTbytes outstanding: granted beyond what has arrived.
 		for rx.granted-rx.r.Received() < m.rttBytes && rx.granted < rx.f.Size {
-			upTo := min64(rx.granted+netsim.MSS, rx.f.Size)
+			upTo := min(rx.granted+netsim.MSS, rx.f.Size)
 			g := rx.f.Dst.Ctrl(netsim.Grant, rx.f.ID, rx.f.Src.ID(), 0)
 			g.Seq, g.Meta = upTo, prio
 			rx.f.Dst.Send(g)
@@ -310,15 +357,17 @@ type rxFlow struct {
 	f       *transport.Flow
 	r       *transport.Reassembly
 	granted int64
-	pos     int // index in mgr.order
+	pos     int  // index in mgr.order
+	aeolus  bool // Aeolus's mechanism (package doc)
 	pooled  bool
-	retry   sim.Timer
+	// reqd tracks Aeolus's hole bytes whose retransmission was already
+	// requested; the retry timer clears it so persistent losses are
+	// re-requested on an RTO cadence rather than per arrival (which would
+	// turn one shed burst into a retransmission storm).
+	reqd  transport.IntervalSet
+	retry sim.Timer
 	// retryFn is retryFired bound once (see sender.keepFn).
 	retryFn func()
-	// resend is the stable RESEND meta in-flight requests point at (the
-	// schedInfo pattern: delivery is a sink, so one value per flow
-	// suffices).
-	resend resendInfo
 }
 
 // newIdleRxFlow builds an unbound receiver shell for the pool.
@@ -329,12 +378,12 @@ func newIdleRxFlow() *rxFlow {
 }
 
 // init (re)targets the receiver at a flow.
-func (rx *rxFlow) init(mgr *rxManager, f *transport.Flow) {
-	rx.mgr, rx.f = mgr, f
+func (rx *rxFlow) init(mgr *rxManager, f *transport.Flow, aeolus bool) {
+	rx.mgr, rx.f, rx.aeolus = mgr, f, aeolus
 	rx.r.Reset(f.Size)
-	rx.granted = min64(mgr.rttBytes, f.Size)
+	rx.granted = min(mgr.rttBytes, f.Size)
+	rx.reqd.Reset()
 	rx.retry = sim.Timer{}
-	rx.resend = resendInfo{}
 }
 
 // Recycle implements transport.EndpointRecycler.
@@ -347,6 +396,49 @@ func (rx *rxFlow) Recycle(env *transport.Env) {
 	rx.f = nil
 	rx.mgr = nil
 	transport.PoolFor(env, rxFlowPool, newIdleRxFlow).Put(rx)
+}
+
+// nextHolePacket returns one MSS-bounded missing range below the
+// received frontier that has not been requested yet, or n == 0. On this
+// in-order fabric, a byte below the frontier that neither arrived nor
+// was requested is a definite loss.
+func (rx *rxFlow) nextHolePacket() (int64, int64) {
+	frontier := rx.r.MaxCovered()
+	pos := int64(0)
+	for pos < frontier {
+		if next := rx.r.ContiguousFrom(pos); next > pos {
+			pos = next // received: skip
+			continue
+		}
+		if next := rx.reqd.ContiguousFrom(pos); next > pos {
+			pos = next // already requested: skip
+			continue
+		}
+		end := pos + netsim.MSS
+		if c := rx.r.NextCovered(pos, end); c < end {
+			end = c
+		}
+		if c := rx.reqd.FirstCoveredIn(pos, end); c < end {
+			end = c
+		}
+		if end > frontier {
+			end = frontier
+		}
+		return pos, end - pos
+	}
+	return 0, 0
+}
+
+// request asks the sender to retransmit [seq, end) at prio: Homa in a
+// Ctrl RESEND, Aeolus in a grant whose Seq restates the credit given.
+func (rx *rxFlow) request(prio int8, seq, end int64) {
+	kind := netsim.Ctrl
+	if rx.aeolus {
+		kind = netsim.Grant
+	}
+	p := rx.f.Dst.Ctrl(kind, rx.f.ID, rx.f.Src.ID(), 0)
+	p.Seq, p.Meta = rx.granted, &resend{Prio: prio, Seq: seq, Len: end - seq}
+	rx.f.Dst.Send(p)
 }
 
 // Handle implements netsim.Endpoint (data arrivals).
@@ -368,7 +460,9 @@ func (rx *rxFlow) Handle(pkt *netsim.Packet) {
 	mgr.pump()
 }
 
-// armRetry schedules a timeout-based RESEND for the first gap.
+// armRetry schedules the timeout request for the first gap (for Aeolus
+// the last resort, e.g. when the tail packet of a fully granted flow was
+// lost).
 func (rx *rxFlow) armRetry() {
 	rx.retry.Stop()
 	if rx.retryFn == nil {
@@ -382,20 +476,16 @@ func (rx *rxFlow) retryFired() {
 		return
 	}
 	miss := rx.r.FirstMissing()
-	end := rx.r.NextCovered(miss, rx.f.Size)
-	if end-miss > rx.mgr.rttBytes {
-		end = miss + rx.mgr.rttBytes
+	if rx.aeolus {
+		// Forget past requests — whatever is still missing after an RTO
+		// was lost again — and kick recovery with one packet.
+		rx.reqd.Reset()
+		end := min(miss+netsim.MSS, rx.f.Size)
+		rx.reqd.Add(miss, end)
+		rx.request(2, miss, end)
+	} else {
+		// Resend the whole first gap, up to RTTbytes, at P0.
+		rx.request(0, miss, min(rx.r.NextCovered(miss, rx.f.Size), miss+rx.mgr.rttBytes))
 	}
-	req := rx.f.Dst.Ctrl(netsim.Ctrl, rx.f.ID, rx.f.Src.ID(), 0)
-	rx.resend = resendInfo{Seq: miss, Len: end - miss}
-	req.Meta = &rx.resend
-	rx.f.Dst.Send(req)
 	rx.armRetry()
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -128,3 +128,93 @@ func TestGrantWindowBounded(t *testing.T) {
 			rx.granted-rx.r.Received())
 	}
 }
+
+func TestNextHolePacket(t *testing.T) {
+	env := transporttest.NewStarEnv(4)
+	mgr := &rxManager{env: env, rttBytes: 50_000}
+	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[1], Dst: env.Net.Hosts[0], Size: 100_000}
+	rx := &rxFlow{mgr: mgr, f: f, r: transport.NewReassembly(f.Size), granted: 50_000, aeolus: true}
+	// No data yet: no hole (nothing below the frontier).
+	if _, n := rx.nextHolePacket(); n != 0 {
+		t.Fatalf("hole on empty reassembly: %d", n)
+	}
+	// Bytes [10000, 20000) arrived, [0, 10000) shed: a definite hole,
+	// requested one MSS at a time without repeats.
+	rx.r.Add(10_000, 10_000)
+	seq, n := rx.nextHolePacket()
+	if seq != 0 || n != 1448 {
+		t.Fatalf("hole = (%d, %d), want (0, 1448)", seq, n)
+	}
+	rx.reqd.Add(seq, seq+n)
+	seq2, n2 := rx.nextHolePacket()
+	if seq2 != 1448 || n2 != 1448 {
+		t.Fatalf("second hole = (%d, %d), want (1448, 1448)", seq2, n2)
+	}
+	// Once the whole hole is requested, nothing remains.
+	rx.reqd.Add(0, 10_000)
+	if _, n := rx.nextHolePacket(); n != 0 {
+		t.Fatalf("hole after full request: %d", n)
+	}
+}
+
+// retransRecorder stands in for a flow's receiver and logs the
+// retransmitted ranges that reach it.
+type retransRecorder struct{ got [][2]int64 }
+
+func (r *retransRecorder) Handle(pkt *netsim.Packet) {
+	if pkt.Kind == netsim.Data && pkt.Retrans {
+		r.got = append(r.got, [2]int64{pkt.Seq, pkt.Seq + int64(pkt.PayloadLen)})
+	}
+}
+
+// TestResendRangeSurvivesReceiverReuse pins that a timeout request
+// carries its range by value. In a windowed run the receiver's shard
+// may complete a flow, recycle its rxFlow and re-init it for another
+// flow while the request is still on its way to the sender's shard; the
+// sender must still retransmit exactly the range that was asked for.
+func TestResendRangeSurvivesReceiverReuse(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		aeolus bool
+		want   int64 // the request covers [0, want)
+	}{
+		{"homa", false, 20_000}, // the whole first gap
+		{"aeolus", true, netsim.MSS},
+	} {
+		env := transporttest.NewStarEnv(4)
+		const rttBytes = 50_000
+		mgr := &rxManager{env: env, rttBytes: rttBytes}
+		f := &transport.Flow{ID: 1, Src: env.Net.Hosts[1], Dst: env.Net.Hosts[0], Size: 100_000}
+		s := newIdleSender()
+		s.init(env, f, rttBytes, tc.aeolus)
+		f.Src.Bind(f.ID, false, s)
+		rec := &retransRecorder{}
+		f.Dst.Bind(f.ID, true, rec)
+
+		pool := transport.PoolFor(env, rxFlowPool, newIdleRxFlow)
+		rx := pool.Get()
+		rx.init(mgr, f, tc.aeolus)
+		rx.pooled = true
+		rx.r.Add(20_000, 10_000) // [0, 20000) missing
+		rx.retryFired()          // the request is now queued at the receiver's NIC
+		rx.Recycle(env)
+		other := &transport.Flow{ID: 2, Src: env.Net.Hosts[2], Dst: env.Net.Hosts[0], Size: 5_000}
+		reused := pool.Get()
+		if reused != rx {
+			t.Fatalf("%s: pool handed out a fresh rxFlow", tc.name)
+		}
+		reused.init(mgr, other, tc.aeolus)
+		env.Sched().Run()
+
+		var next int64
+		for _, g := range rec.got {
+			if g[0] != next {
+				t.Fatalf("%s: retransmitted %v, want contiguous [0, %d)", tc.name, rec.got, tc.want)
+			}
+			next = g[1]
+		}
+		if next != tc.want {
+			t.Fatalf("%s: retransmitted %v, want [0, %d)", tc.name, rec.got, tc.want)
+		}
+	}
+}

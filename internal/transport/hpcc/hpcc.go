@@ -206,7 +206,7 @@ func (s *sender) reactU(cur []netsim.INTHop) float64 {
 			continue
 		}
 		bps := float64(cur[j].Rate) / 8 // bytes per second
-		qlen := float64(min64(cur[j].QLen, s.prevINT[j].QLen))
+		qlen := float64(min(cur[j].QLen, s.prevINT[j].QLen))
 		txRate := float64(cur[j].TxBytes-s.prevINT[j].TxBytes) / dt
 		uj := qlen/(bps*baseT) + txRate/bps
 		if uj > u {
@@ -267,11 +267,4 @@ func (rc *receiver) Handle(pkt *netsim.Packet) {
 	if rc.R.Complete() {
 		rc.env.Complete(rc.f)
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -38,7 +38,7 @@ func (s *IntervalSet) Add(a, b int64) int64 {
 			newB = hi
 		}
 		// Count the overlap with the inserted range for new-byte math.
-		oLo, oHi := max64(lo, a), min64(hi, b)
+		oLo, oHi := max(lo, a), min(hi, b)
 		if oLo < oHi {
 			overlap += oHi - oLo
 		}
@@ -81,7 +81,7 @@ func (s *IntervalSet) CoveredIn(a, b int64) int64 {
 	var n int64
 	i := sort.Search(len(s.iv), func(i int) bool { return s.iv[i][1] > a })
 	for ; i < len(s.iv) && s.iv[i][0] < b; i++ {
-		lo, hi := max64(s.iv[i][0], a), min64(s.iv[i][1], b)
+		lo, hi := max(s.iv[i][0], a), min(s.iv[i][1], b)
 		if lo < hi {
 			n += hi - lo
 		}
@@ -144,18 +144,4 @@ func (s *IntervalSet) NextGap(a, limit int64) int64 {
 		return limit
 	}
 	return g
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -221,18 +221,11 @@ func (rc *receiver) retryFired() {
 	}
 	miss := rc.r.FirstMissing()
 	end := rc.r.NextCovered(miss, rc.f.Size)
-	n := int32(min64(end-miss, netsim.MSS))
+	n := int32(min(end-miss, netsim.MSS))
 	nack := rc.f.Dst.Ctrl(netsim.Ctrl, rc.f.ID, rc.f.Src.ID(), 0)
 	nack.Meta = nackInfo{Seq: miss, Len: n}
 	rc.f.Dst.Send(nack)
 	pull := rc.f.Dst.Ctrl(netsim.Pull, rc.f.ID, rc.f.Src.ID(), 0)
 	rc.pacer.enqueue(pull)
 	rc.armRetry()
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -507,15 +508,11 @@ func runShardedSource(env *Env, proto Protocol, src FlowSource, cfg RunConfig) s
 	for i, se := range run.envs {
 		collectors[i] = se.Collector
 	}
-	// A spilling caller collector folds per-shard completions
-	// incrementally at barriers instead of one MergeCanonical at the
-	// end, keeping resident records bounded by the spill chunk while
-	// staying bit-identical to the in-memory windowed Summary
-	// (stats.WindowFold; DESIGN.md §7.7).
-	var fold *stats.WindowFold
-	if env.Collector.Spilling() {
-		fold = stats.NewWindowFold(env.Collector)
-	}
+	// Per-shard completions fold into the caller's collector at every
+	// barrier, in the canonical order MergeCanonical would give them, so
+	// a spilling collector keeps its resident records bounded by its
+	// chunk (stats.WindowFold; DESIGN.md §7.7).
+	fold := stats.NewWindowFold(env.Collector)
 
 	// srcNext is the driver's one-flow lookahead into the global stream.
 	var srcNext SimpleFlow
@@ -702,17 +699,9 @@ func runShardedSource(env *Env, proto Protocol, src FlowSource, cfg RunConfig) s
 				floors[d] = h
 			}
 		}
-		if fold != nil {
-			// Everything before the smallest new floor is final: future
-			// completions in shard d happen at or after floors[d].
-			safe := floors[0]
-			for _, f := range floors[1:] {
-				if f < safe {
-					safe = f
-				}
-			}
-			fold.Fold(safe, collectors)
-		}
+		// Everything before the smallest new floor is final: future
+		// completions in shard d happen at or after floors[d].
+		fold.Fold(slices.Min(floors), collectors)
 		st.Rounds++
 		st.RunNs += t1.Sub(t0).Nanoseconds()
 		st.BarrierNs += time.Since(t1).Nanoseconds()
@@ -748,11 +737,7 @@ func runShardedSource(env *Env, proto Protocol, src FlowSource, cfg RunConfig) s
 		env.Eff.UsefulLow += se.Eff.UsefulLow
 		se.run = nil
 	}
-	if fold != nil {
-		fold.FoldAll(collectors)
-	} else {
-		env.Collector.MergeCanonical(collectors...)
-	}
+	fold.FoldAll(collectors)
 	for _, h := range env.Net.Hosts {
 		env.Eff.SentPayload += h.NIC().Stats.TxDataBytes
 	}
