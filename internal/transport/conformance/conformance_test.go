@@ -260,3 +260,35 @@ func TestBlindWindowsFollowTheFabric(t *testing.T) {
 		t.Fatalf("fabrics share a BDP: %v", bdps)
 	}
 }
+
+// TestWindowSendersResendOncePerRTO: with no receiver bound, no ACK ever
+// returns, so every RTO must rewind to the cumulative ACK and resend one
+// packet, whatever law moves the window. The NIC starts the initial
+// window and then exactly one packet per expiry; a timer armed twice per
+// expiry doubles the resends.
+func TestWindowSendersResendOncePerRTO(t *testing.T) {
+	const rtos = 10
+	windowSenders := map[string]bool{"dctcp": true, "swift": true, "swift+ppt": true, "hpcc": true, "hpcc+ppt": true}
+	for _, pr := range allProtocols() {
+		if !windowSenders[pr.name] {
+			continue
+		}
+		t.Run(pr.name, func(t *testing.T) {
+			cfg := baseConfig()
+			if pr.tweak != nil {
+				pr.tweak(&cfg)
+			}
+			env := transport.NewEnv(topo.Star(2, cfg))
+			f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
+				Size: 10_000_000, FirstCall: 10_000_000}
+			pr.make().StartSender(env, f)
+			nic := f.Src.NIC()
+			initial := nic.Stats.RxPackets
+			env.Sched().RunUntil(rtos*env.RTO() + env.RTO()/2)
+			if got, want := nic.Stats.RxPackets, initial+rtos; got != want {
+				t.Fatalf("NIC started %d packets in %d RTOs, want the initial window's %d plus one per RTO: %d",
+					got, rtos, initial, want)
+			}
+		})
+	}
+}

@@ -3,10 +3,17 @@
 // Equation 1), proportional window reduction, fast retransmit, and
 // go-back-N timeout recovery.
 //
-// The sender is written to be embedded: PPT reuses it unchanged as the
-// high-priority control loop (HCP), supplying a Skip set of bytes the
-// low-priority loop already delivered, a priority tagger, and an α hook
-// for the intermittent LCP initialization of §3.1.
+// Its Sender is the repository's one window sender. It owns the
+// mechanics every window-based transport shares: the send loop over a
+// Skip set, in-flight accounting, the RTO, cumulative- and duplicate-ACK
+// bookkeeping, fast retransmit and go-back-N. A Law moves the window.
+// DCTCP's α law is the default; Swift's delay law and HPCC's telemetry
+// law embed the sender and replace it.
+//
+// PPT reuses the sender unchanged as the high-priority control loop
+// (HCP), supplying a Skip set of bytes the low-priority loop already
+// delivered, a priority tagger, and an α hook for the intermittent LCP
+// initialization of §3.1.
 package dctcp
 
 import (
@@ -34,7 +41,19 @@ const InitCwnd = 10 * netsim.MSS
 // does not allocate a closure per flow.
 func defaultPrio(int64) int8 { return 0 }
 
-// Sender is the DCTCP congestion-controlled sender for one flow.
+// Law moves a Sender's congestion window. The sender calls it after its
+// own bookkeeping and sends whatever the new window allows afterwards.
+type Law interface {
+	// Ack runs on every high-loop ACK; acked is the bytes it newly
+	// acknowledged (0 for one that did not advance the cumulative ACK).
+	Ack(pkt *netsim.Packet, acked int64)
+	// Loss runs on a fast retransmit (timeout false) and on an RTO
+	// (timeout true), before the go-back-N resend.
+	Loss(timeout bool)
+}
+
+// Sender is the window sender for one flow; its Law (DCTCP's unless an
+// embedding transport replaces it) moves the window.
 type Sender struct {
 	transport.PoolNode
 
@@ -69,11 +88,15 @@ type Sender struct {
 	// fabric base RTT.
 	SRTT sim.Time
 
+	// Law moves the window; Init sets DCTCP's, and an embedding
+	// transport replaces it after Init.
+	Law Law
 	// OnAlpha fires after each per-window α update (PPT case-2 hook).
 	OnAlpha func(alpha float64)
-	// OnAck fires for every ACK processed (delay-based variants hook
-	// RTT measurements here).
-	OnAck func(pkt *netsim.Packet)
+
+	// telemetry attaches an INT record slice to every data packet: the
+	// sender's NIC gathers in-band telemetry (HPCC's fabrics).
+	telemetry bool
 
 	windowEnd   int64 // α window boundary: next update when SndUna passes it
 	ackedInWin  int64
@@ -81,7 +104,7 @@ type Sender struct {
 
 	dupAcks int
 	rto     sim.Timer
-	// rtoFn is onRTO bound once at construction: evaluating the method
+	// rtoFn is onRTO bound once, by the first Init: evaluating the method
 	// value inline would allocate a fresh closure on every (re)arm.
 	rtoFn func()
 
@@ -91,27 +114,24 @@ type Sender struct {
 	pooled bool
 }
 
-// NewIdleSender allocates a sender shell with its once-per-struct state
-// (Skip set, bound RTO callback) but no flow; Init attaches one. Pools
-// use it as their allocator.
-func NewIdleSender() *Sender {
-	s := &Sender{Skip: &transport.IntervalSet{}}
-	s.rtoFn = s.onRTO
-	return s
-}
-
 // NewSender builds (but does not launch) a sender.
 func NewSender(env *transport.Env, f *transport.Flow, cfg Config) *Sender {
-	s := NewIdleSender()
+	s := &Sender{}
 	s.Init(env, f, cfg)
 	return s
 }
 
 // Init (re)targets a sender at a flow, resetting every piece of
-// congestion state in place. It is what makes Sender pool-reusable: a
-// recycled struct after Init is indistinguishable from a fresh
-// NewSender result (the Skip set keeps its backing array, emptied).
+// congestion state in place and selecting DCTCP's law. It is what makes
+// Sender pool-reusable and embeddable by value: the first Init allocates
+// the Skip set and binds the RTO callback, and a recycled struct after
+// Init is indistinguishable from a fresh NewSender result (the Skip set
+// keeps its backing array, emptied).
 func (s *Sender) Init(env *transport.Env, f *transport.Flow, cfg Config) {
+	if s.Skip == nil {
+		s.Skip = &transport.IntervalSet{}
+		s.rtoFn = s.onRTO
+	}
 	if cfg.Prio == nil {
 		cfg.Prio = defaultPrio
 	}
@@ -129,8 +149,9 @@ func (s *Sender) Init(env *transport.Env, f *transport.Flow, cfg Config) {
 	s.Skip.Reset()
 	s.BytesSent = 0
 	s.SRTT = env.BaseRTT()
+	s.Law = (*alphaLaw)(s)
 	s.OnAlpha = nil
-	s.OnAck = nil
+	s.telemetry = f.Src.NIC().Config().EnableINT
 	s.windowEnd = 0
 	s.ackedInWin = 0
 	s.markedInWin = 0
@@ -198,9 +219,6 @@ func (s *Sender) TrySend() {
 		if !ok {
 			break
 		}
-		if float64(s.InFlight())+float64(end-seq) > s.Cwnd && s.InFlight() > 0 {
-			break
-		}
 		s.transmit(seq, int32(end-seq), false)
 		s.SndNxt = end
 	}
@@ -211,6 +229,9 @@ func (s *Sender) transmit(seq int64, n int32, retrans bool) {
 	pkt := s.F.Src.Data(s.F.ID, s.F.Dst.ID(), seq, n, s.C.Prio(s.BytesSent))
 	pkt.ECT = !s.C.NoECN
 	pkt.Retrans = retrans
+	if s.telemetry {
+		pkt.INT = s.F.Src.Pool().GetINT()
+	}
 	s.BytesSent += int64(n)
 	s.F.Src.Send(pkt)
 }
@@ -240,16 +261,10 @@ func (s *Sender) onRTO() {
 	if s.F.SenderDone() || s.InFlight() <= 0 {
 		return
 	}
-	// Go-back-N: rewind and slow-start from one segment.
-	s.Ssthresh = s.Cwnd / 2
-	if s.Ssthresh < netsim.MSS {
-		s.Ssthresh = netsim.MSS
-	}
-	s.Cwnd = netsim.MSS
+	// Go-back-N: rewind and resend from the cumulative ACK.
+	s.Law.Loss(true)
 	s.SndNxt = s.SndUna
 	s.dupAcks = 0
-	s.windowEnd = s.SndUna // restart the α window
-	s.ackedInWin, s.markedInWin = 0, 0
 	seq, end, ok := s.nextSeg(s.SndUna)
 	if ok {
 		s.transmit(seq, int32(end-seq), true)
@@ -269,18 +284,17 @@ func (s *Sender) Handle(pkt *netsim.Packet) {
 	s.ProcessAck(pkt)
 }
 
-// ProcessAck runs the DCTCP control logic for one high-priority ACK.
+// ProcessAck runs the sender's bookkeeping and its law for one
+// high-priority ACK, then sends what the window allows.
 func (s *Sender) ProcessAck(pkt *netsim.Packet) {
 	cum := pkt.Seq
 	if pkt.EchoTS > 0 {
 		rtt := s.Env.Now() - pkt.EchoTS
 		s.SRTT = (7*s.SRTT + rtt) / 8
 	}
-	if s.OnAck != nil {
-		s.OnAck(pkt)
-	}
+	var acked int64
 	if cum > s.SndUna {
-		acked := cum - s.SndUna
+		acked = cum - s.SndUna
 		s.SndUna = cum
 		// Crossed paths with the low loop (§5.2): the receiver's
 		// cumulative ACK can run past everything HCP ever sent.
@@ -288,17 +302,57 @@ func (s *Sender) ProcessAck(pkt *netsim.Packet) {
 			s.SndNxt = s.SndUna
 		}
 		s.dupAcks = 0
-		s.growWindow(acked, pkt.ECE)
 		s.resetRTO()
 	} else if s.InFlight() > 0 {
 		s.dupAcks++
-		s.countMarks(netsim.MSS, pkt.ECE) // dup ACK still echoes marking state
 		if s.dupAcks == 3 {
 			s.fastRetransmit()
 		}
 	}
-	s.maybeUpdateAlpha()
+	s.Law.Ack(pkt, acked)
 	s.TrySend()
+}
+
+func (s *Sender) fastRetransmit() {
+	seq, end, ok := s.nextSeg(s.SndUna)
+	if !ok {
+		return
+	}
+	s.transmit(seq, int32(end-seq), true)
+	s.Law.Loss(false)
+	s.resetRTO()
+}
+
+// alphaLaw is DCTCP's law over the sender's own α state: slow start and
+// congestion avoidance, Equation 1's per-window α with its proportional
+// cut, and a halving on loss.
+type alphaLaw Sender
+
+// Ack implements Law.
+func (l *alphaLaw) Ack(pkt *netsim.Packet, acked int64) {
+	s := (*Sender)(l)
+	if acked > 0 {
+		s.growWindow(acked, pkt.ECE)
+	} else if s.InFlight() > 0 {
+		s.countMarks(netsim.MSS, pkt.ECE) // dup ACK still echoes marking state
+	}
+	s.maybeUpdateAlpha()
+}
+
+// Loss implements Law: a timeout slow-starts from one segment and
+// restarts the α window; a fast retransmit halves the window.
+func (l *alphaLaw) Loss(timeout bool) {
+	s := (*Sender)(l)
+	if timeout {
+		s.Ssthresh = max(s.Cwnd/2, netsim.MSS)
+		s.Cwnd = netsim.MSS
+		s.windowEnd = s.SndUna
+		s.ackedInWin, s.markedInWin = 0, 0
+		return
+	}
+	s.Ssthresh = max(s.Cwnd/2, 2*netsim.MSS)
+	s.Cwnd = s.Ssthresh
+	s.markSlowStartExit()
 }
 
 func (s *Sender) growWindow(acked int64, ece bool) {
@@ -341,21 +395,6 @@ func (s *Sender) maybeUpdateAlpha() {
 	}
 	s.ackedInWin, s.markedInWin = 0, 0
 	s.windowEnd = s.SndNxt
-}
-
-func (s *Sender) fastRetransmit() {
-	seq, end, ok := s.nextSeg(s.SndUna)
-	if !ok {
-		return
-	}
-	s.transmit(seq, int32(end-seq), true)
-	s.Ssthresh = s.Cwnd / 2
-	if s.Ssthresh < 2*netsim.MSS {
-		s.Ssthresh = 2 * netsim.MSS
-	}
-	s.Cwnd = s.Ssthresh
-	s.markSlowStartExit()
-	s.resetRTO()
 }
 
 func (s *Sender) markSlowStartExit() {
@@ -423,12 +462,13 @@ var (
 	receiverPool = transport.NewPoolKey("dctcp.receiver")
 )
 
+func newIdleSender() *Sender     { return &Sender{} }
 func newIdleReceiver() *Receiver { return &Receiver{R: transport.NewReassembly(0)} }
 
 // GetSender returns an initialized sender from env's pool; it returns
 // to the pool via Recycle when its flow completes.
 func GetSender(env *transport.Env, f *transport.Flow, cfg Config) *Sender {
-	s := transport.PoolFor(env, senderPool, NewIdleSender).Get()
+	s := transport.PoolFor(env, senderPool, newIdleSender).Get()
 	s.Init(env, f, cfg)
 	s.pooled = true
 	return s
@@ -454,8 +494,7 @@ func (s *Sender) Recycle(env *transport.Env) {
 	s.pooled = false
 	s.F = nil
 	s.OnAlpha = nil
-	s.OnAck = nil
-	transport.PoolFor(env, senderPool, NewIdleSender).Put(s)
+	transport.PoolFor(env, senderPool, newIdleSender).Put(s)
 }
 
 // Recycle implements transport.EndpointRecycler for the receiver (no

@@ -39,7 +39,8 @@ func TestPooledReceiverResetNoStaleState(t *testing.T) {
 }
 
 // TestPooledSenderResetNoStaleState is the sender-side analogue: window
-// state, skip ranges and callbacks from the previous flow must be gone.
+// state, skip ranges, callbacks and a replaced law from the previous
+// flow must be gone.
 func TestPooledSenderResetNoStaleState(t *testing.T) {
 	env := newEnv()
 	f1 := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 100_000}
@@ -47,7 +48,8 @@ func TestPooledSenderResetNoStaleState(t *testing.T) {
 	s1.Cwnd = 123_456
 	s1.SndNxt = 60_000
 	s1.Skip.Add(10_000, 20_000)
-	s1.OnAck = func(*netsim.Packet) {}
+	s1.OnAlpha = func(float64) {}
+	s1.Law = nopLaw{}
 	s1.Recycle(env)
 
 	f2 := &transport.Flow{ID: 2, Src: env.Net.Hosts[2], Dst: env.Net.Hosts[3], Size: 40_000}
@@ -61,13 +63,21 @@ func TestPooledSenderResetNoStaleState(t *testing.T) {
 	if s2.Skip.Total() != 0 {
 		t.Fatalf("stale skip ranges: %d bytes", s2.Skip.Total())
 	}
-	if s2.OnAck != nil || s2.OnAlpha != nil {
-		t.Fatal("stale callbacks survived Init")
+	if s2.OnAlpha != nil {
+		t.Fatal("stale α hook survived Init")
+	}
+	if s2.Law != Law((*alphaLaw)(s2)) {
+		t.Fatalf("Init left law %T, want DCTCP's", s2.Law)
 	}
 	if s2.F != f2 {
 		t.Fatal("sender still points at the old flow")
 	}
 }
+
+type nopLaw struct{}
+
+func (nopLaw) Ack(*netsim.Packet, int64) {}
+func (nopLaw) Loss(bool)                 {}
 
 // TestConstructorEndpointsNotPooled: endpoints built with the public
 // constructors are caller-owned (tests, the MW oracle, embedding

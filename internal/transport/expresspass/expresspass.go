@@ -30,7 +30,9 @@ func (Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
 	pacer := transport.HostState(env, pacerKey, f.Dst.ID(), func() *creditPacer {
 		return &creditPacer{env: env, host: f.Dst}
 	})
-	f.Dst.Bind(f.ID, true, &receiver{env: env, f: f, r: transport.NewReassembly(f.Size), pacer: pacer})
+	rx := &receiver{env: env, f: f, r: transport.NewReassembly(f.Size), pacer: pacer}
+	rx.retryFn = rx.retryFired
+	f.Dst.Bind(f.ID, true, rx)
 }
 
 // StartSender implements transport.Protocol.
@@ -143,6 +145,9 @@ type receiver struct {
 	credited  int64
 	announced bool
 	retry     sim.Timer
+	// retryFn is retryFired bound once; an inline closure would allocate
+	// on every re-arm (once per data arrival).
+	retryFn func()
 }
 
 func (rc *receiver) done() bool { return rc.f.Done() }
@@ -171,15 +176,17 @@ func (rc *receiver) Handle(pkt *netsim.Packet) {
 // credits or rare data losses on upstream hops).
 func (rc *receiver) armRetry() {
 	rc.retry.Stop()
-	rc.retry = rc.env.Sched().After(rc.env.RTO(), func() {
-		if rc.f.Done() || rc.r.Complete() {
-			return
-		}
-		miss := rc.r.FirstMissing()
-		end := rc.r.NextCovered(miss, min(miss+netsim.MSS, rc.f.Size))
-		credit := rc.f.Dst.Ctrl(netsim.Grant, rc.f.ID, rc.f.Src.ID(), 0)
-		credit.Meta = creditInfo{ResendSeq: miss, ResendLen: int32(end - miss)}
-		rc.f.Dst.Send(credit)
-		rc.armRetry()
-	})
+	rc.retry = rc.env.Sched().After(rc.env.RTO(), rc.retryFn)
+}
+
+func (rc *receiver) retryFired() {
+	if rc.f.Done() || rc.r.Complete() {
+		return
+	}
+	miss := rc.r.FirstMissing()
+	end := rc.r.NextCovered(miss, min(miss+netsim.MSS, rc.f.Size))
+	credit := rc.f.Dst.Ctrl(netsim.Grant, rc.f.ID, rc.f.Src.ID(), 0)
+	credit.Meta = creditInfo{ResendSeq: miss, ResendLen: int32(end - miss)}
+	rc.f.Dst.Send(credit)
+	rc.armRetry()
 }

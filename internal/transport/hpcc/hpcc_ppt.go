@@ -10,11 +10,11 @@ import (
 // Appendix B of the paper sketches PPT's design as a building block for
 // INT-based transports: "one may open a PPT LCP loop to send
 // low-priority opportunistic packets whenever HPCC's estimated in-flight
-// bytes are smaller than BDP". WithPPT implements exactly that: the
-// per-ACK telemetry utilization U gates the low loop (U below the target
-// η means measured spare capacity), sized to the unused share of the
-// BDP. The loop and the receiver's coalescing half are lowloop's, the
-// ones PPT itself runs.
+// bytes are smaller than BDP". WithPPT implements exactly that: HPCC's
+// law runs on every ACK as in plain HPCC, and the utilization U it
+// estimates gates the low loop (U below the target η means measured
+// spare capacity), sized to the unused share of the BDP. The loop and
+// the receiver are lowloop's, the ones PPT itself runs.
 
 // PPTVariant wraps HPCC with PPT's low-priority loop (appendix B).
 type PPTVariant struct{}
@@ -24,16 +24,14 @@ func (PPTVariant) Name() string { return "hpcc+ppt" }
 
 // StartReceiver implements transport.Protocol.
 func (PPTVariant) StartReceiver(env *transport.Env, f *transport.Flow) {
-	f.Dst.Bind(f.ID, true, newReceiver(env, f))
+	f.Dst.Bind(f.ID, true, lowloop.NewReceiver(env, f))
 }
 
 // StartSender implements transport.Protocol.
 func (PPTVariant) StartSender(env *transport.Env, f *transport.Flow) {
-	w := float64(env.BDP())
-	s := &pptSender{sender: sender{env: env, f: f, wnd: w, wc: w}}
-	s.loop = lowloop.New(env, f, s)
+	s := newPPTSender(env, f)
 	f.Src.Bind(f.ID, false, s)
-	s.trySend()
+	s.Launch()
 }
 
 // pptSender extends the HPCC sender with the low loop.
@@ -41,53 +39,52 @@ type pptSender struct {
 	sender
 	loop      *lowloop.Loop
 	loopOpens int
-	lastU     float64
+}
+
+func newPPTSender(env *transport.Env, f *transport.Flow) *pptSender {
+	s := &pptSender{}
+	s.init(env, f, s)
+	s.loop = lowloop.New(env, f, s)
+	return s
+}
+
+// Ack implements dctcp.Law: HPCC's law, then the appendix-B trigger —
+// telemetry says the path has spare capacity for opportunistic packets.
+func (s *pptSender) Ack(pkt *netsim.Packet, _ int64) {
+	if u := s.echo(pkt); u > 0 && u < eta && !s.loop.Active() {
+		s.loop.Open(int64((1-u)*float64(s.Env.BDP())), s.loopOpens > 0)
+		s.loopOpens++
+	}
+}
+
+// Handle implements netsim.Endpoint: low-loop ACKs feed the loop, the
+// rest the sender.
+func (s *pptSender) Handle(pkt *netsim.Packet) {
+	if pkt.LowLoop && pkt.Kind == netsim.Ack && !s.F.SenderDone() {
+		s.loop.OnLowAck(pkt)
+		return
+	}
+	s.Sender.Handle(pkt)
 }
 
 // Frontier implements lowloop.Host.
-func (s *pptSender) Frontier() int64 { return s.sndNxt }
+func (s *pptSender) Frontier() int64 { return s.SndNxt }
 
 // Acked implements lowloop.Host.
-func (s *pptSender) Acked() int64 { return s.sndUna }
+func (s *pptSender) Acked() int64 { return s.SndUna }
 
 // Window implements lowloop.Host.
-func (s *pptSender) Window() float64 { return s.wnd }
+func (s *pptSender) Window() float64 { return s.Cwnd }
 
 // RTT implements lowloop.Host.
-func (s *pptSender) RTT() sim.Time { return s.env.BaseRTT() }
+func (s *pptSender) RTT() sim.Time { return s.Env.BaseRTT() }
 
 // LowPrio implements lowloop.Host: HPCC has no per-flow scheduling, so
 // all opportunistic packets ride the first low priority.
 func (s *pptSender) LowPrio() int8 { return 4 }
 
 // SkipSet implements lowloop.Host.
-func (s *pptSender) SkipSet() *transport.IntervalSet { return &s.skip }
+func (s *pptSender) SkipSet() *transport.IntervalSet { return s.Skip }
 
 // OnSkipUpdate implements lowloop.Host.
-func (s *pptSender) OnSkipUpdate() { s.trySend() }
-
-// Handle implements netsim.Endpoint.
-func (s *pptSender) Handle(pkt *netsim.Packet) {
-	if s.f.SenderDone() || pkt.Kind != netsim.Ack {
-		return
-	}
-	if pkt.LowLoop {
-		s.loop.OnLowAck(pkt)
-		return
-	}
-	if ints, ok := pkt.Meta.([]netsim.INTHop); ok && len(ints) > 0 {
-		s.lastU = s.reactU(ints)
-		// reactU copied what it keeps (prevINT); recycle the array.
-		s.f.Src.Pool().PutINT(ints)
-		pkt.Meta = nil
-		// The appendix-B trigger: telemetry says the path has spare
-		// capacity for opportunistic packets.
-		if s.lastU > 0 && s.lastU < eta && !s.loop.Active() {
-			i := int64((1 - s.lastU) * float64(s.env.BDP()))
-			s.loop.Open(i, s.loopOpens > 0)
-			s.loopOpens++
-		}
-	}
-	s.processCum(pkt)
-	s.trySend()
-}
+func (s *pptSender) OnSkipUpdate() { s.TrySend() }

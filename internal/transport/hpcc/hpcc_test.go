@@ -55,15 +55,16 @@ func TestReactShrinksWindowAtHighUtilization(t *testing.T) {
 	env := transporttest.NewStarEnv(4, transporttest.WithINT())
 	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 1 << 30}
 	bdp := float64(env.BDP())
-	s := &sender{env: env, f: f, wnd: bdp, wc: bdp}
+	s := &sender{}
+	s.init(env, f, s)
 	baseT := env.BaseRTT()
 	// First sample establishes the baseline.
 	s.react([]netsim.INTHop{{QLen: 0, TxBytes: 0, TS: 0, Rate: 10 * netsim.Gbps}})
 	// Second sample: link fully utilized with a standing queue.
 	bytesPerRTT := int64(float64(10*netsim.Gbps) / 8 * baseT.Seconds())
 	s.react([]netsim.INTHop{{QLen: 100_000, TxBytes: bytesPerRTT, TS: baseT, Rate: 10 * netsim.Gbps}})
-	if s.wnd >= bdp {
-		t.Fatalf("window %v did not shrink under U>η", s.wnd)
+	if s.Cwnd >= bdp {
+		t.Fatalf("window %v did not shrink under U>η", s.Cwnd)
 	}
 }
 
@@ -71,14 +72,16 @@ func TestReactGrowsWindowWhenIdle(t *testing.T) {
 	env := transporttest.NewStarEnv(4, transporttest.WithINT())
 	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 1 << 30}
 	half := float64(env.BDP()) / 2
-	s := &sender{env: env, f: f, wnd: half, wc: half}
+	s := &sender{}
+	s.init(env, f, s)
+	s.Cwnd, s.wc = half, half
 	baseT := env.BaseRTT()
 	s.react([]netsim.INTHop{{QLen: 0, TxBytes: 0, TS: 0, Rate: 10 * netsim.Gbps}})
 	// 30% utilization, empty queue.
 	tx := int64(float64(10*netsim.Gbps) / 8 * baseT.Seconds() * 0.3)
 	s.react([]netsim.INTHop{{QLen: 0, TxBytes: tx, TS: baseT, Rate: 10 * netsim.Gbps}})
-	if s.wnd <= half {
-		t.Fatalf("window %v did not grow at U=0.3", s.wnd)
+	if s.Cwnd <= half {
+		t.Fatalf("window %v did not grow at U=0.3", s.Cwnd)
 	}
 }
 
@@ -89,17 +92,40 @@ func TestPPTVariantAcksLoneOpportunisticArrival(t *testing.T) {
 	// loop's backlog for good.
 	env := transporttest.NewStarEnv(4, transporttest.WithINT())
 	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 100_000}
-	bdp := float64(env.BDP())
-	s := &pptSender{sender: sender{env: env, f: f, wnd: bdp, wc: bdp}}
-	s.loop = lowloop.New(env, f, s)
+	s := newPPTSender(env, f)
 	f.Src.Bind(f.ID, false, s)
-	f.Dst.Bind(f.ID, true, newReceiver(env, f))
+	f.Dst.Bind(f.ID, true, lowloop.NewReceiver(env, f))
 	s.loop.Open(netsim.MSS, false)
 	if s.loop.OppSent() != netsim.MSS {
 		t.Fatalf("one-packet loop sent %d bytes", s.loop.OppSent())
 	}
 	env.Sched().Run()
-	if seq := f.Size - netsim.MSS; !s.skip.Contains(seq, f.Size) {
+	if seq := f.Size - netsim.MSS; !s.Skip.Contains(seq, f.Size) {
 		t.Fatalf("skip set missing [%d,%d): the lone arrival was never low-ACKed", seq, f.Size)
+	}
+}
+
+// TestPPTVariantWindowFollowsTelemetry: hpcc+ppt runs HPCC's law on every
+// ACK it handles, so two ACKs echoing a saturated hop shrink its window
+// below the BDP, as TestReactShrinksWindowAtHighUtilization checks for
+// plain HPCC.
+func TestPPTVariantWindowFollowsTelemetry(t *testing.T) {
+	env := transporttest.NewStarEnv(4, transporttest.WithINT())
+	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 1 << 30}
+	PPTVariant{}.StartSender(env, f)
+	s := f.Src.Unbind(f.ID, false).(*pptSender)
+	bdp := float64(env.BDP())
+	baseT := env.BaseRTT()
+	bytesPerRTT := int64(float64(10*netsim.Gbps) / 8 * baseT.Seconds())
+	for _, hop := range []netsim.INTHop{
+		{QLen: 0, TxBytes: 0, TS: 0, Rate: 10 * netsim.Gbps},
+		{QLen: 100_000, TxBytes: bytesPerRTT, TS: baseT, Rate: 10 * netsim.Gbps},
+	} {
+		ack := netsim.CtrlPacket(netsim.Ack, f.ID, f.Dst.ID(), f.Src.ID(), 0)
+		ack.Meta = []netsim.INTHop{hop}
+		s.Handle(ack)
+	}
+	if s.Cwnd >= bdp {
+		t.Fatalf("window %v did not shrink below the BDP %v under U>η", s.Cwnd, bdp)
 	}
 }

@@ -1,10 +1,10 @@
-// Package lowloop is PPT's low-priority control loop (§3.1–3.2) and its
-// receiving half, shared by every PPT-family transport: PPT itself (on
-// DCTCP), swift+ppt (Fig 14) and hpcc+ppt (appendix B). A loop sends
-// opportunistic packets backwards from the flow tail, paces its initial
-// window over one RTT, is 2:1 ACK-clocked thereafter (exponential window
-// decreasing, EWD), is silenced by ECE, and terminates itself after two
-// RTTs without a low-priority ACK.
+// Package lowloop is PPT's low-priority control loop (§3.1–3.2) and the
+// receiver that answers it, shared by every PPT-family transport: PPT
+// itself (on DCTCP), swift+ppt (Fig 14) and hpcc+ppt (appendix B). A
+// loop sends opportunistic packets backwards from the flow tail, paces
+// its initial window over one RTT, is 2:1 ACK-clocked thereafter
+// (exponential window decreasing, EWD), is silenced by ECE, and
+// terminates itself after two RTTs without a low-priority ACK.
 //
 // The host — the high-priority loop — provides its send frontier,
 // window, RTT estimate and cumulative ACK (Host), tags the opportunistic
@@ -288,12 +288,11 @@ func (l *Loop) Terminate() {
 	l.budget = 0
 }
 
-// Receiver is the receiving half of the low loop, embedded by the
-// receivers of ppt, swift and hpcc (their plain variants simply never
-// see an opportunistic packet). Deliver reassembles data from both
-// loops and answers opportunistic arrivals with one low-priority ACK
-// per two (the 2:1 EWD clock of §3.2); the host acknowledges high-loop
-// data itself.
+// Receiver is the receiving endpoint of ppt, swift and hpcc (their plain
+// variants simply never see an opportunistic packet). It reassembles
+// data from both loops, acknowledges every high-loop packet on its own
+// cumulative ACK, and answers opportunistic arrivals with one
+// low-priority ACK per two (the 2:1 EWD clock of §3.2).
 // A lone arrival is held for its pair only until the loop has been quiet
 // for two base RTTs, then acknowledged alone: a loop that sent an odd
 // number of packets would otherwise strand its last one, and the sender
@@ -317,6 +316,13 @@ type Receiver struct {
 	flushFn func()
 }
 
+// NewReceiver builds a receiver for f.
+func NewReceiver(env *transport.Env, f *transport.Flow) *Receiver {
+	rc := &Receiver{}
+	rc.Init(env, f)
+	return rc
+}
+
 // Init (re)targets the receiver at a flow, dropping any arrival a
 // previous flow left pending.
 func (rc *Receiver) Init(env *transport.Env, f *transport.Flow) {
@@ -333,10 +339,35 @@ func (rc *Receiver) Init(env *transport.Env, f *transport.Flow) {
 // StopTimers cancels the quiet flush, the receiver's only callback.
 func (rc *Receiver) StopTimers() { rc.flushTimer.Stop() }
 
-// Deliver adds a data packet to the reassembly and acknowledges it if it
+// Handle implements netsim.Endpoint. A high-loop packet gets its own ACK:
+// the cumulative ACK, its CE mark as ECE, its send time, and (HPCC) its
+// telemetry.
+func (rc *Receiver) Handle(pkt *netsim.Packet) {
+	if pkt.Kind != netsim.Data {
+		return
+	}
+	if rc.deliver(pkt) {
+		ack := rc.f.Dst.Ctrl(netsim.Ack, rc.f.ID, rc.f.Src.ID(), 0)
+		ack.Seq = rc.R.CumAck()
+		ack.ECE = pkt.CE
+		ack.EchoTS = pkt.SentAt
+		if len(pkt.INT) > 0 {
+			// Move ownership: the data packet is recycled when this Handle
+			// returns, so the ACK must take the telemetry array with it.
+			ack.Meta = pkt.INT
+			pkt.INT = nil
+		}
+		rc.f.Dst.Send(ack)
+	}
+	if rc.R.Complete() {
+		rc.env.Complete(rc.f)
+	}
+}
+
+// deliver adds a data packet to the reassembly and acknowledges it if it
 // came from the low loop. It reports whether the packet came from the
-// high loop, whose per-packet ACK is the host's to send.
-func (rc *Receiver) Deliver(pkt *netsim.Packet) (high bool) {
+// high loop, whose per-packet ACK Handle sends.
+func (rc *Receiver) deliver(pkt *netsim.Packet) (high bool) {
 	added := rc.R.Add(pkt.Seq, pkt.PayloadLen)
 	if !pkt.LowLoop {
 		Debug.NewHighBytes.Add(added)

@@ -172,7 +172,7 @@ func TestQuietFlushDrainsBacklog(t *testing.T) {
 	l, h, env := setup(t, 10_000_000)
 	rc := &Receiver{}
 	rc.Init(env, l.f)
-	l.f.Dst.Bind(l.f.ID, true, epFunc(func(p *netsim.Packet) { rc.Deliver(p) }))
+	l.f.Dst.Bind(l.f.ID, true, epFunc(func(p *netsim.Packet) { rc.deliver(p) }))
 	l.f.Src.Bind(l.f.ID, false, epFunc(l.OnLowAck))
 	l.Open(netsim.MSS, false)
 	env.Sched().Run()

@@ -102,7 +102,7 @@ func (p Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
 // classifier (§4.1 — the first syscall's size against the threshold),
 // then build, bind, and launch the sender.
 func (p Proto) StartSender(env *transport.Env, f *transport.Flow) {
-	if !p.Cfg.DisableIdentification && f.FirstCall > identifyThreshold {
+	if !p.Cfg.DisableIdentification && Large(f) {
 		f.IdentifiedLarge = true
 	}
 	s := getSender(env, f, p.Cfg)
@@ -116,12 +116,14 @@ func (p Proto) StartSender(env *transport.Env, f *transport.Flow) {
 // Flow.
 func (Proto) RecyclesFlows() {}
 
-// hcpPrio implements the mirror-symmetric tagging of §4.2 for the high
-// part (P0–P3); the LCP mirror adds 4.
-func hcpPrio(cfg Config, f *transport.Flow, bytesSent int64) int8 {
-	if cfg.DisableScheduling {
-		return 0
-	}
+// Large is the buffer-aware classifier of §4.1: a flow whose first
+// syscall exceeds the identification threshold is large.
+func Large(f *transport.Flow) bool { return f.FirstCall > identifyThreshold }
+
+// Tag is the mirror-symmetric tagging of §4.2 for the high part (P0–P3):
+// identified-large flows start at P3, the rest are demoted as bytes are
+// sent. The LCP mirror adds 4.
+func Tag(f *transport.Flow, bytesSent int64) int8 {
 	if f.IdentifiedLarge {
 		return 3
 	}
@@ -131,6 +133,14 @@ func hcpPrio(cfg Config, f *transport.Flow, bytesSent int64) int8 {
 		}
 	}
 	return 3
+}
+
+// hcpPrio is Tag under the scheduling ablation (Fig 17).
+func hcpPrio(cfg Config, f *transport.Flow, bytesSent int64) int8 {
+	if cfg.DisableScheduling {
+		return 0
+	}
+	return Tag(f, bytesSent)
 }
 
 // sender couples the unchanged DCTCP sender (HCP) with a lowloop.Loop
@@ -163,7 +173,7 @@ type sender struct {
 
 // newIdleSender builds an unbound sender shell for the pool.
 func newIdleSender() *sender {
-	s := &sender{hcp: dctcp.NewIdleSender()}
+	s := &sender{hcp: &dctcp.Sender{}}
 	s.prioFn = s.hcpPrio
 	s.alphaFn = s.onAlpha
 	s.openFn = s.openCase1
@@ -281,7 +291,6 @@ func (s *sender) Recycle(env *transport.Env) {
 	s.pooled = false
 	s.f = nil
 	s.hcp.OnAlpha = nil
-	s.hcp.OnAck = nil
 	transport.PoolFor(env, senderPool, newIdleSender).Put(s)
 }
 
@@ -298,14 +307,11 @@ func (s *sender) Handle(pkt *netsim.Packet) {
 	}
 }
 
-// receiver reassembles both loops' packets and generates the two ACK
-// streams: per-packet high-priority cumulative ACKs (echoing CE) for
-// HCP, and lowloop's coalesced low-priority ACKs for LCP.
+// receiver is lowloop's receiver, which answers both loops, made
+// poolable.
 type receiver struct {
 	transport.PoolNode
 	lowloop.Receiver
-	env *transport.Env
-	f   *transport.Flow
 
 	// pooled marks receivers drawn from the Env pool (see getReceiver).
 	pooled bool
@@ -313,14 +319,8 @@ type receiver struct {
 
 func newReceiver(env *transport.Env, f *transport.Flow) *receiver {
 	rc := &receiver{}
-	rc.init(env, f)
+	rc.Init(env, f)
 	return rc
-}
-
-// init (re)targets the receiver at a flow.
-func (rc *receiver) init(env *transport.Env, f *transport.Flow) {
-	rc.env, rc.f = env, f
-	rc.Receiver.Init(env, f)
 }
 
 // Pool keys for the per-flow objects the two start halves draw from the
@@ -344,7 +344,7 @@ func newIdleReceiver() *receiver { return &receiver{} }
 // getReceiver is the receiver-side analogue of getSender.
 func getReceiver(env *transport.Env, f *transport.Flow) *receiver {
 	rc := transport.PoolFor(env, receiverPool, newIdleReceiver).Get()
-	rc.init(env, f)
+	rc.Init(env, f)
 	rc.pooled = true
 	return rc
 }
@@ -357,23 +357,5 @@ func (rc *receiver) Recycle(env *transport.Env) {
 		return
 	}
 	rc.pooled = false
-	rc.f = nil
 	transport.PoolFor(env, receiverPool, newIdleReceiver).Put(rc)
-}
-
-// Handle implements netsim.Endpoint.
-func (rc *receiver) Handle(pkt *netsim.Packet) {
-	if pkt.Kind != netsim.Data {
-		return
-	}
-	if rc.Deliver(pkt) {
-		ack := rc.f.Dst.Ctrl(netsim.Ack, rc.f.ID, rc.f.Src.ID(), 0)
-		ack.Seq = rc.R.CumAck()
-		ack.ECE = pkt.CE
-		ack.EchoTS = pkt.SentAt
-		rc.f.Dst.Send(ack)
-	}
-	if rc.R.Complete() {
-		rc.env.Complete(rc.f)
-	}
 }

@@ -2,18 +2,21 @@
 // equivalent to Swift [21], as used by the paper's Figure 14 study: the
 // congestion window is adjusted purely on measured fabric RTT against a
 // target delay (the ns-3 variant the paper describes, which ignores host
-// congestion). WithPPT layers the paper's LCP design on top: the sender
-// hosts a lowloop.Loop — the loop PPT itself runs, with its 2:1 EWD
-// clocking, ECE silencing and two-RTT termination — and opens it
-// whenever the measured delay falls below target, with PPT's
-// mirror-symmetric flow scheduling.
+// congestion). The delay law runs over dctcp's window sender, which
+// owns the send loop, the RTO and loss recovery. WithPPT layers the
+// paper's LCP design on top: the sender hosts a lowloop.Loop — the loop
+// PPT itself runs, with its 2:1 EWD clocking, ECE silencing and two-RTT
+// termination — and opens it whenever the measured delay falls below
+// target, with PPT's classifier and mirror-symmetric flow scheduling.
 package swift
 
 import (
 	"ppt/internal/netsim"
 	"ppt/internal/sim"
 	"ppt/internal/transport"
+	"ppt/internal/transport/dctcp"
 	"ppt/internal/transport/lowloop"
+	"ppt/internal/transport/ppt"
 )
 
 // Config tunes the delay-based loop.
@@ -31,8 +34,6 @@ const (
 	beta = 0.8
 	// maxMD floors a single decrease factor.
 	maxMD = 0.5
-	// initCwnd is the initial window in bytes (10 MSS).
-	initCwnd = 10 * netsim.MSS
 )
 
 // targetDelay is the fabric RTT target: 1.5 × the base RTT.
@@ -53,185 +54,111 @@ func (p Proto) Name() string {
 
 // StartReceiver implements transport.Protocol.
 func (p Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
-	rc := &receiver{env: env, f: f}
-	rc.Init(env, f)
-	f.Dst.Bind(f.ID, true, rc)
+	f.Dst.Bind(f.ID, true, lowloop.NewReceiver(env, f))
 }
 
 // StartSender implements transport.Protocol. The WithPPT variant tags a
 // flow large by its first syscall, as PPT does; only the sender reads
 // the verdict.
 func (p Proto) StartSender(env *transport.Env, f *transport.Flow) {
-	if p.Cfg.WithPPT && f.FirstCall > 100_000 {
+	if p.Cfg.WithPPT && ppt.Large(f) {
 		f.IdentifiedLarge = true
 	}
-	s := &sender{env: env, f: f, cfg: p.Cfg, target: targetDelay(env), cwnd: initCwnd}
-	if p.Cfg.WithPPT {
-		s.loop = lowloop.New(env, f, s)
-	}
+	s := newSender(env, f, p.Cfg.WithPPT)
 	f.Src.Bind(f.ID, false, s)
-	s.trySend()
+	s.Launch()
 }
 
+// sender is Swift's delay law over the window sender.
 type sender struct {
-	env *transport.Env
-	f   *transport.Flow
-	cfg Config
+	dctcp.Sender
 	// target is the fabric RTT target (targetDelay).
 	target sim.Time
-
-	cwnd           float64
-	sndUna, sndNxt int64
-	skip           transport.IntervalSet
-	bytesSent      int64
-	lastDecrease   sim.Time
-	decreased      bool
-	dupAcks        int
-	rto            sim.Timer
+	// srtt is Swift's own RTT estimate: zero until the first sample,
+	// which it takes whole.
+	srtt         sim.Time
+	lastDecrease sim.Time
+	decreased    bool
 
 	// loop is the PPT low-priority loop (WithPPT variant, Fig 14).
 	loop      *lowloop.Loop
 	loopOpens int
-	srtt      sim.Time
+}
+
+func newSender(env *transport.Env, f *transport.Flow, withPPT bool) *sender {
+	s := &sender{target: targetDelay(env)}
+	cfg := dctcp.Config{NoECN: true}
+	if withPPT {
+		cfg.Prio = s.tag
+	}
+	s.Init(env, f, cfg)
+	s.Law = s
+	if withPPT {
+		s.loop = lowloop.New(env, f, s)
+	}
+	return s
+}
+
+// tag is PPT's high-loop priority (§4.2).
+func (s *sender) tag(bytesSent int64) int8 { return ppt.Tag(s.F, bytesSent) }
+
+// Handle implements netsim.Endpoint: low-loop ACKs feed the loop, the
+// rest the sender.
+func (s *sender) Handle(pkt *netsim.Packet) {
+	if pkt.LowLoop && s.loop != nil && pkt.Kind == netsim.Ack && !s.F.SenderDone() {
+		s.loop.OnLowAck(pkt)
+		return
+	}
+	s.Sender.Handle(pkt)
 }
 
 // Frontier implements lowloop.Host.
-func (s *sender) Frontier() int64 { return s.sndNxt }
+func (s *sender) Frontier() int64 { return s.SndNxt }
 
 // Acked implements lowloop.Host.
-func (s *sender) Acked() int64 { return s.sndUna }
+func (s *sender) Acked() int64 { return s.SndUna }
 
 // Window implements lowloop.Host.
-func (s *sender) Window() float64 { return s.cwnd }
+func (s *sender) Window() float64 { return s.Cwnd }
 
-// RTT implements lowloop.Host.
-func (s *sender) RTT() sim.Time { return s.rtt() }
+// RTT implements lowloop.Host; the loop reads 0 (no sample yet) as the
+// base RTT.
+func (s *sender) RTT() sim.Time { return s.srtt }
 
-// LowPrio implements lowloop.Host.
-func (s *sender) LowPrio() int8 { return s.prio(true) }
+// LowPrio implements lowloop.Host: the high loop's mirror (§4.2).
+func (s *sender) LowPrio() int8 { return ppt.Tag(s.F, s.BytesSent) + 4 }
 
 // SkipSet implements lowloop.Host.
-func (s *sender) SkipSet() *transport.IntervalSet { return &s.skip }
+func (s *sender) SkipSet() *transport.IntervalSet { return s.Skip }
 
 // OnSkipUpdate implements lowloop.Host.
-func (s *sender) OnSkipUpdate() { s.trySend() }
+func (s *sender) OnSkipUpdate() { s.TrySend() }
 
-func (s *sender) prio(low bool) int8 {
-	if !s.cfg.WithPPT {
-		return 0
-	}
-	var p int8
-	switch {
-	case s.f.IdentifiedLarge:
-		p = 3
-	case s.bytesSent < 100_000:
-		p = 0
-	case s.bytesSent < 1_000_000:
-		p = 1
-	case s.bytesSent < 10_000_000:
-		p = 2
-	default:
-		p = 3
-	}
-	if low {
-		p += 4
-	}
-	return p
-}
-
-func (s *sender) inflight() int64 {
-	out := s.sndNxt - s.sndUna
-	if out <= 0 {
-		return 0
-	}
-	return out - s.skip.CoveredIn(s.sndUna, s.sndNxt)
-}
-
-func (s *sender) trySend() {
-	if s.f.SenderDone() {
-		return
-	}
-	for s.sndNxt < s.f.Size {
-		if float64(s.inflight())+netsim.MSS > s.cwnd && s.inflight() > 0 {
-			break
-		}
-		seq := s.skip.ContiguousFrom(s.sndNxt)
-		end := seq + netsim.MSS
-		if end > s.f.Size {
-			end = s.f.Size
-		}
-		if cov := s.skip.FirstCoveredIn(seq, end); cov < end {
-			end = cov
-		}
-		if seq >= s.f.Size || end <= seq {
-			break
-		}
-		pkt := s.f.Src.Data(s.f.ID, s.f.Dst.ID(), seq, int32(end-seq), s.prio(false))
-		s.bytesSent += int64(end - seq)
-		s.f.Src.Send(pkt)
-		s.sndNxt = end
-	}
-	s.armRTO()
-}
-
-func (s *sender) armRTO() {
-	if s.inflight() <= 0 || s.f.SenderDone() {
-		s.rto.Stop()
-		return
-	}
-	if s.rto.Pending() {
-		return
-	}
-	s.rto = s.env.Sched().After(s.env.RTO(), s.onRTO)
-}
-
-func (s *sender) onRTO() {
-	if s.f.SenderDone() || s.inflight() <= 0 {
-		return
-	}
-	s.cwnd = netsim.MSS
-	s.sndNxt = s.sndUna
-	s.trySend()
-	s.rto = s.env.Sched().After(s.env.RTO(), s.onRTO)
-}
-
-// Handle implements netsim.Endpoint.
-func (s *sender) Handle(pkt *netsim.Packet) {
-	if s.f.SenderDone() || pkt.Kind != netsim.Ack {
-		return
-	}
-	if pkt.LowLoop {
-		if s.loop != nil {
-			s.loop.OnLowAck(pkt)
-		}
-		return
-	}
+// Ack implements dctcp.Law: fold the RTT sample into srtt and adjust the
+// window on every ACK that acknowledges new data.
+func (s *sender) Ack(pkt *netsim.Packet, acked int64) {
 	var rtt sim.Time
 	if pkt.EchoTS > 0 {
-		rtt = s.env.Now() - pkt.EchoTS
+		rtt = s.Env.Now() - pkt.EchoTS
 		if s.srtt == 0 {
 			s.srtt = rtt
 		} else {
 			s.srtt = (7*s.srtt + rtt) / 8
 		}
 	}
-	if pkt.Seq > s.sndUna {
-		acked := pkt.Seq - s.sndUna
-		s.sndUna = pkt.Seq
-		if s.sndUna > s.sndNxt {
-			s.sndNxt = s.sndUna
-		}
-		s.dupAcks = 0
-		s.rto.Stop()
+	if acked > 0 {
 		s.adjust(rtt, acked)
-	} else if s.inflight() > 0 {
-		s.dupAcks++
-		if s.dupAcks == 3 {
-			s.fastRetransmit()
-			s.dupAcks = 0
-		}
 	}
-	s.trySend()
+}
+
+// Loss implements dctcp.Law: a fast retransmit halves the window, a
+// timeout restarts it at one packet.
+func (s *sender) Loss(timeout bool) {
+	if timeout {
+		s.Cwnd = netsim.MSS
+		return
+	}
+	s.Cwnd = max(s.Cwnd/2, netsim.MSS)
 }
 
 // adjust is the Swift control law on fabric delay.
@@ -241,18 +168,18 @@ func (s *sender) adjust(rtt sim.Time, acked int64) {
 	}
 	if rtt < s.target {
 		// Additive increase, normalized per window.
-		s.cwnd += ai * netsim.MSS * float64(acked) / s.cwnd
+		s.Cwnd += ai * netsim.MSS * float64(acked) / s.Cwnd
 		if s.loop != nil && !s.loop.Active() {
 			// The paper's Fig 14 trigger: delay below target means the
 			// fabric has spare capacity for opportunistic packets.
-			i := int64(s.env.BDP()) - int64(s.cwnd)
+			i := int64(s.Env.BDP()) - int64(s.Cwnd)
 			s.loop.Open(i, s.loopOpens > 0)
 			s.loopOpens++
 		}
 		return
 	}
 	// Multiplicative decrease at most once per RTT.
-	now := s.env.Now()
+	now := s.Env.Now()
 	if s.decreased && now-s.lastDecrease < s.srtt {
 		return
 	}
@@ -262,57 +189,8 @@ func (s *sender) adjust(rtt sim.Time, acked int64) {
 	if md < 1-maxMD {
 		md = 1 - maxMD
 	}
-	s.cwnd *= md
-	if s.cwnd < netsim.MSS {
-		s.cwnd = netsim.MSS
-	}
-}
-
-func (s *sender) fastRetransmit() {
-	seq := s.skip.ContiguousFrom(s.sndUna)
-	end := seq + netsim.MSS
-	if end > s.f.Size {
-		end = s.f.Size
-	}
-	if end <= seq {
-		return
-	}
-	pkt := s.f.Src.Data(s.f.ID, s.f.Dst.ID(), seq, int32(end-seq), s.prio(false))
-	pkt.Retrans = true
-	s.f.Src.Send(pkt)
-	s.cwnd /= 2
-	if s.cwnd < netsim.MSS {
-		s.cwnd = netsim.MSS
-	}
-}
-
-func (s *sender) rtt() sim.Time {
-	if s.srtt > 0 {
-		return s.srtt
-	}
-	return s.env.BaseRTT()
-}
-
-// receiver echoes send timestamps on per-packet cumulative ACKs; with
-// WithPPT, its lowloop half also acknowledges the opportunistic packets.
-type receiver struct {
-	lowloop.Receiver
-	env *transport.Env
-	f   *transport.Flow
-}
-
-// Handle implements netsim.Endpoint.
-func (rc *receiver) Handle(pkt *netsim.Packet) {
-	if pkt.Kind != netsim.Data {
-		return
-	}
-	if rc.Deliver(pkt) {
-		ack := rc.f.Dst.Ctrl(netsim.Ack, rc.f.ID, rc.f.Src.ID(), 0)
-		ack.Seq = rc.R.CumAck()
-		ack.EchoTS = pkt.SentAt
-		rc.f.Dst.Send(ack)
-	}
-	if rc.R.Complete() {
-		rc.env.Complete(rc.f)
+	s.Cwnd *= md
+	if s.Cwnd < netsim.MSS {
+		s.Cwnd = netsim.MSS
 	}
 }

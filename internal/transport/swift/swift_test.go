@@ -57,10 +57,10 @@ func TestTargetDelayFollowsTheFabric(t *testing.T) {
 func TestAdjustIncreasesBelowTarget(t *testing.T) {
 	env := transporttest.NewStarEnv(4)
 	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 1 << 30}
-	s := &sender{env: env, f: f, target: targetDelay(env), cwnd: initCwnd}
-	before := s.cwnd
+	s := newSender(env, f, false)
+	before := s.Cwnd
 	s.adjust(s.target/2, 10_000)
-	if s.cwnd <= before {
+	if s.Cwnd <= before {
 		t.Fatal("no additive increase below target delay")
 	}
 }
@@ -68,26 +68,28 @@ func TestAdjustIncreasesBelowTarget(t *testing.T) {
 func TestAdjustDecreasesAboveTarget(t *testing.T) {
 	env := transporttest.NewStarEnv(4)
 	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 1 << 30}
-	s := &sender{env: env, f: f, target: targetDelay(env), cwnd: initCwnd, srtt: env.BaseRTT()}
-	before := s.cwnd
+	s := newSender(env, f, false)
+	s.srtt = env.BaseRTT()
+	before := s.Cwnd
 	s.adjust(s.target*3, 10_000)
-	if s.cwnd >= before {
+	if s.Cwnd >= before {
 		t.Fatal("no decrease above target delay")
 	}
 	// Bounded by maxMD.
-	if s.cwnd < before*(1-maxMD)-1 {
-		t.Fatalf("decrease %v -> %v exceeds maxMD", before, s.cwnd)
+	if s.Cwnd < before*(1-maxMD)-1 {
+		t.Fatalf("decrease %v -> %v exceeds maxMD", before, s.Cwnd)
 	}
 }
 
 func TestDecreaseThrottledPerRTT(t *testing.T) {
 	env := transporttest.NewStarEnv(4)
 	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 1 << 30}
-	s := &sender{env: env, f: f, target: targetDelay(env), cwnd: initCwnd, srtt: env.BaseRTT()}
+	s := newSender(env, f, false)
+	s.srtt = env.BaseRTT()
 	s.adjust(s.target*3, 10_000)
-	after := s.cwnd
+	after := s.Cwnd
 	s.adjust(s.target*3, 10_000) // same instant: throttled
-	if s.cwnd != after {
+	if s.Cwnd != after {
 		t.Fatal("second decrease within an RTT not throttled")
 	}
 }
