@@ -17,7 +17,6 @@ import (
 
 	"ppt"
 	"ppt/internal/stats"
-	"ppt/internal/transport/lowloop"
 )
 
 func main() {
@@ -30,7 +29,7 @@ func main() {
 		seed  = flag.Int64("seed", 1, "workload seed")
 		inc   = flag.Int("incast", 0, "N-to-1 pattern with this many senders (0 = all-to-all)")
 		out   = flag.String("out", "", "write raw per-flow CSV to this file")
-		lcpDb = flag.Bool("lcpdebug", false, "print the dual-loop diagnostic counters (PPT-family transports) after the run")
+		lcpDb = flag.Bool("lcpdebug", false, "print the dual-loop diagnostic counters (window transports) after the run")
 	)
 	flag.Parse()
 
@@ -64,14 +63,12 @@ func main() {
 	fmt.Println()
 	fmt.Print(stats.BucketTable(d.Buckets))
 	if *lcpDb {
-		// This process made a single serial run, so the package-level
-		// counters are exactly this run's.
-		c := &lowloop.Debug
+		c := d.Eff
 		fmt.Println()
-		fmt.Printf("lcp loops opened  case1 %d  case2 %d\n", c.Case1Opens.Load(), c.Case2Opens.Load())
-		fmt.Printf("lcp packets       paced %d  ack-clocked %d\n", c.PacedPkts.Load(), c.ClockedPkts.Load())
-		fmt.Printf("low-loop bytes    new %d  dup %d\n", c.NewLowBytes.Load(), c.DupLowBytes.Load())
-		fmt.Printf("high-loop bytes   new %d  dup %d\n", c.NewHighBytes.Load(), c.DupHighBytes.Load())
+		fmt.Printf("lcp loops opened  case1 %d  case2 %d\n", c.Case1Opens, c.Case2Opens)
+		fmt.Printf("lcp packets       paced %d  ack-clocked %d\n", c.PacedPkts, c.ClockedPkts)
+		fmt.Printf("low-loop bytes    new %d  dup %d\n", c.UsefulLow, c.DupLowBytes)
+		fmt.Printf("high-loop bytes   new %d  dup %d\n", c.NewHighBytes, c.DupHighBytes)
 	}
 
 	if *out != "" {

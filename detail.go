@@ -23,6 +23,8 @@ type Detail struct {
 	// LowLoopShare is the fraction of delivered bytes carried by the
 	// low-priority loop (PPT/RC3-family transports; 0 otherwise).
 	LowLoopShare float64
+	// Eff is the run's byte accounting, with the low loop's counters.
+	Eff stats.Efficiency
 
 	collector *stats.Collector
 }
@@ -50,6 +52,7 @@ func RunDetailed(cfg Config) (*Detail, error) {
 		Slowdowns:          env.Collector.Slowdowns(env.Net.BottleneckRate, env.Net.BaseRTT),
 		Jain:               stats.JainIndex(env.Collector.Records()),
 		TransferEfficiency: env.Eff.Overall(),
+		Eff:                env.Eff,
 		collector:          env.Collector,
 	}
 	if env.Eff.UsefulDelivered > 0 {

@@ -231,9 +231,6 @@ func codeEpoch() string {
 	return rev
 }
 
-// Epoch reports the code epoch baked into every key.
-func (c *Cache) Epoch() string { return c.epoch }
-
 // SetEpoch overrides the code epoch (tests; deliberate cross-build
 // sharing). Must be called before any NewKey.
 func (c *Cache) SetEpoch(e string) { c.epoch = e }

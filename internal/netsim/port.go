@@ -244,9 +244,6 @@ func (p *Port) SetPacketPool(pp *PacketPool) { p.pktPool = pp }
 // Pool returns the shared buffer the port draws from, or nil.
 func (p *Port) Pool() *BufferPool { return p.pool }
 
-// Peer returns the device at the far end of the wire.
-func (p *Port) Peer() Device { return p.peer }
-
 // Queued reports the bytes currently buffered at this port.
 func (p *Port) Queued() int64 { return p.totalQueued }
 

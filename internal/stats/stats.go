@@ -415,12 +415,40 @@ func (b *BufferSampler) MeanOccupancy() (high, low float64) {
 }
 
 // Efficiency summarizes transfer efficiency (Fig 29): the ratio of
-// distinct payload bytes delivered to payload bytes put on the wire.
+// distinct payload bytes delivered to payload bytes put on the wire. It
+// also carries the low loop's diagnostic counters.
 type Efficiency struct {
 	SentPayload     int64 // payload bytes transmitted by host NICs
 	SentLowPayload  int64 // of which low-loop (LCP) bytes
 	UsefulDelivered int64 // distinct application bytes completed
 	UsefulLow       int64 // distinct bytes delivered by the low loop
+
+	// Loop opens, refused or not: unguarded (PPT's case 1) and guarded
+	// mid-flow re-opens (case 2).
+	Case1Opens, Case2Opens int64
+	// Opportunistic packets paced out of an initial window and clocked
+	// out by low ACKs.
+	PacedPkts, ClockedPkts int64
+	// Bytes the window transports' receiver took again: from the low
+	// loop (its new bytes are UsefulLow), and new and again from the high
+	// loop.
+	DupLowBytes                int64
+	NewHighBytes, DupHighBytes int64
+}
+
+// Add accumulates o into e (the windowed driver's per-shard merge).
+func (e *Efficiency) Add(o Efficiency) {
+	e.SentPayload += o.SentPayload
+	e.SentLowPayload += o.SentLowPayload
+	e.UsefulDelivered += o.UsefulDelivered
+	e.UsefulLow += o.UsefulLow
+	e.Case1Opens += o.Case1Opens
+	e.Case2Opens += o.Case2Opens
+	e.PacedPkts += o.PacedPkts
+	e.ClockedPkts += o.ClockedPkts
+	e.DupLowBytes += o.DupLowBytes
+	e.NewHighBytes += o.NewHighBytes
+	e.DupHighBytes += o.DupHighBytes
 }
 
 // Overall returns delivered/sent, in [0,1] when no accounting bugs.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -226,5 +227,24 @@ func TestEfficiency(t *testing.T) {
 	var zero Efficiency
 	if zero.Overall() != 0 || zero.LowLoop() != 0 {
 		t.Fatal("zero division not guarded")
+	}
+}
+
+// TestEfficiencyAddSumsEveryField: the windowed driver merges per-shard
+// accounting with Add, so a field Add skips reads 0 on every leaf-spine
+// run.
+func TestEfficiencyAddSumsEveryField(t *testing.T) {
+	var e Efficiency
+	v := reflect.ValueOf(&e).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	sum := e
+	sum.Add(e)
+	sv := reflect.ValueOf(sum)
+	for i := 0; i < sv.NumField(); i++ {
+		if got := sv.Field(i).Int(); got != 2*int64(i+1) {
+			t.Errorf("%s: %d after adding %d to itself", v.Type().Field(i).Name, got, i+1)
+		}
 	}
 }

@@ -1,21 +1,48 @@
 package transport
 
-// AckMeta is the acknowledgment payload shared by the DCTCP-family
-// transports (DCTCP, PPT, RC3, PIAS, Swift). It rides in Packet.Meta on
-// Ack packets; the cumulative acknowledgment itself rides in Packet.Seq.
+import "ppt/internal/netsim"
+
+// AckMeta is the payload of a low-loop ACK: the opportunistic ranges it
+// acknowledges. The receivers of the tail-sending transports (ppt and
+// its ablations, swift+ppt, hpcc+ppt, RC3 and the §2.3 oracle) attach
+// one to every low-loop ACK. It rides in Packet.Meta; the cumulative
+// acknowledgment itself rides in Packet.Seq.
 //
-// The embedded PoolNode lets producers draw AckMetas from an Env pool
-// (see PoolFor); a consumer that reads the fields and returns the meta
-// closes the loop, while consumers that never Put simply leave the meta
-// to the garbage collector — dirty reuse means a pooled producer must
-// set every field on each Get.
+// Producers draw metas from the run pool (GetAckMeta) and, because
+// reuse is dirty, set every field. FoldLowAck consumes them and returns
+// them to the pool.
 type AckMeta struct {
 	PoolNode
 
 	// LowSeqs are the byte offsets of the opportunistic (low-loop) data
 	// packets this low-priority ACK covers; LowN of them are valid.
-	// lowloop's receiver coalesces two opportunistic arrivals per ACK.
+	// lowloop's receiver coalesces two opportunistic arrivals per ACK;
+	// RC3's acknowledges each alone.
 	LowSeqs [2]int64
 	LowLens [2]int32
 	LowN    int
+}
+
+var ackMetaPool = NewPoolKey("transport.ackmeta")
+
+func newAckMeta() *AckMeta { return &AckMeta{} }
+
+// GetAckMeta draws a meta from env's pool.
+func GetAckMeta(env *Env) *AckMeta { return PoolFor(env, ackMetaPool, newAckMeta).Get() }
+
+// FoldLowAck adds the ranges a low-loop ACK acknowledges to skip, returns
+// the ACK's meta to env's pool and reports the bytes the ranges cover.
+// ok is false for an ACK that carries no meta.
+func FoldLowAck(env *Env, pkt *netsim.Packet, skip *IntervalSet) (bytes int64, ok bool) {
+	meta, ok := pkt.Meta.(*AckMeta)
+	if !ok {
+		return 0, false
+	}
+	for i := 0; i < meta.LowN; i++ {
+		skip.Add(meta.LowSeqs[i], meta.LowSeqs[i]+int64(meta.LowLens[i]))
+		bytes += int64(meta.LowLens[i])
+	}
+	pkt.Meta = nil
+	PoolFor(env, ackMetaPool, newAckMeta).Put(meta)
+	return bytes, true
 }

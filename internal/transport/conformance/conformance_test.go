@@ -7,6 +7,9 @@ package conformance
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"ppt/internal/netsim"
@@ -291,4 +294,124 @@ func TestWindowSendersResendOncePerRTO(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNoTimerOutlivesItsFlow: once a flow completes, Env.Complete has
+// recycled both of its endpoints, and no timer either of them armed may
+// still be pending — the RTO, a hosted loop's pace and dead timers, the
+// receiver's quiet flush. A late fire reaches a flow that is gone or, for
+// a pooled struct, one a later flow owns. The flow is sized so that the
+// low loop of ppt, swift+ppt and hpcc+ppt still holds a timer when the
+// last byte lands.
+func TestNoTimerOutlivesItsFlow(t *testing.T) {
+	const size = 70_000
+	window := map[string]bool{"dctcp": true, "tcp10": true, "pias": true, "ppt": true,
+		"swift": true, "swift+ppt": true, "hpcc": true, "hpcc+ppt": true}
+	loops := map[string]bool{"ppt": true, "swift+ppt": true, "hpcc+ppt": true}
+	for _, pr := range allProtocols() {
+		if !window[pr.name] {
+			continue
+		}
+		t.Run(pr.name, func(t *testing.T) {
+			cfg := baseConfig()
+			if pr.tweak != nil {
+				pr.tweak(&cfg)
+			}
+			env := transport.NewEnv(topo.Star(2, cfg))
+			rec := &recorder{Protocol: pr.make()}
+			sum := transport.Run(env, rec, []transport.SimpleFlow{{ID: 1, Src: 0, Dst: 1, Size: size, FirstCall: size}},
+				transport.RunConfig{})
+			if sum.Flows != 1 {
+				t.Fatal("the flow did not complete")
+			}
+			if loops[pr.name] && !slices.ContainsFunc(rec.last, func(s string) bool { return strings.HasPrefix(s, "lowloop.Loop.") }) {
+				t.Fatalf("no loop timer armed as the last packet arrived (armed: %v), so the flow does not test the loop", rec.last)
+			}
+			if armed := armedTimers(rec.snd, rec.rcv); len(armed) > 0 {
+				t.Errorf("armed after completion: %v", armed)
+			}
+		})
+	}
+}
+
+// recorder runs a protocol and keeps its one flow's endpoints. It taps
+// the receiver to note the timers armed just before each data packet is
+// handled; the last note is the one taken as the flow completed.
+type recorder struct {
+	transport.Protocol
+	snd, rcv netsim.Endpoint
+	last     []string
+}
+
+func (r *recorder) StartReceiver(env *transport.Env, f *transport.Flow) {
+	r.Protocol.StartReceiver(env, f)
+	r.rcv = f.Dst.Unbind(f.ID, true)
+	f.Dst.Bind(f.ID, true, tap{r})
+}
+
+func (r *recorder) StartSender(env *transport.Env, f *transport.Flow) {
+	r.Protocol.StartSender(env, f)
+	r.snd = f.Src.Unbind(f.ID, false)
+	f.Src.Bind(f.ID, false, r.snd)
+}
+
+// tap is the recorder's stand-in for the receiver.
+type tap struct{ r *recorder }
+
+func (t tap) Handle(pkt *netsim.Packet) {
+	if pkt.Kind == netsim.Data {
+		t.r.last = armedTimers(t.r.snd, t.r.rcv)
+	}
+	t.r.rcv.Handle(pkt)
+}
+
+func (t tap) Recycle(env *transport.Env) {
+	if rc, ok := t.r.rcv.(transport.EndpointRecycler); ok {
+		rc.Recycle(env)
+	}
+}
+
+// armedTimers names, as "Type.field", every pending sim.Timer in the
+// endpoints: in their structs, the structs embedded in them, and the
+// protocol-package structs they point to (a hosted loop, an embedded
+// window sender). Timers are unexported fields, so the walk reads them
+// through their addresses.
+func armedTimers(eps ...netsim.Endpoint) []string {
+	var armed []string
+	type node struct {
+		addr uintptr
+		typ  reflect.Type
+	}
+	seen := map[node]bool{}
+	timer := reflect.TypeOf(sim.Timer{})
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			el := v.Type().Elem()
+			if !v.IsNil() && el.Kind() == reflect.Struct && strings.HasPrefix(el.PkgPath(), "ppt/internal/transport/") {
+				walk(v.Elem())
+			}
+		case reflect.Struct:
+			// A hosted loop is both a field of its host and the target of
+			// the host's loop pointer.
+			n := node{v.Addr().Pointer(), v.Type()}
+			if seen[n] {
+				return
+			}
+			seen[n] = true
+			for i := 0; i < v.NumField(); i++ {
+				f := v.Field(i)
+				if f.Type() != timer {
+					walk(f)
+				} else if (*sim.Timer)(f.Addr().UnsafePointer()).Pending() {
+					armed = append(armed, v.Type().String()+"."+v.Type().Field(i).Name)
+				}
+			}
+		}
+	}
+	for _, ep := range eps {
+		walk(reflect.ValueOf(ep))
+	}
+	return armed
 }

@@ -8,11 +8,14 @@
 // Skip set, in-flight accounting, the RTO, cumulative- and duplicate-ACK
 // bookkeeping, fast retransmit and go-back-N. A Law moves the window.
 // DCTCP's α law is the default; Swift's delay law and HPCC's telemetry
-// law embed the sender and replace it.
+// law embed the sender and replace it. Every window transport binds
+// lowloop's receiver.
 //
-// PPT reuses the sender unchanged as the high-priority control loop
-// (HCP), supplying a Skip set of bytes the low-priority loop already
-// delivered, a priority tagger, and an α hook for the intermittent LCP
+// The sender is also the one host of PPT's low-priority loop
+// (lowloop.Host): ppt, swift+ppt and hpcc+ppt hang a lowloop.Loop on it,
+// whose low ACKs it dispatches and whose timers it stops with its own.
+// PPT runs the sender unchanged as its high-priority control loop (HCP),
+// supplying a priority tagger and an α hook for the intermittent LCP
 // initialization of §3.1.
 package dctcp
 
@@ -20,6 +23,7 @@ import (
 	"ppt/internal/netsim"
 	"ppt/internal/sim"
 	"ppt/internal/transport"
+	"ppt/internal/transport/lowloop"
 )
 
 // Config tunes a sender.
@@ -93,6 +97,9 @@ type Sender struct {
 	Law Law
 	// OnAlpha fires after each per-window α update (PPT case-2 hook).
 	OnAlpha func(alpha float64)
+	// Low is the low-priority loop the sender hosts, or nil; an embedding
+	// transport sets it after Init.
+	Low *lowloop.Loop
 
 	// telemetry attaches an INT record slice to every data packet: the
 	// sender's NIC gathers in-band telemetry (HPCC's fabrics).
@@ -151,6 +158,7 @@ func (s *Sender) Init(env *transport.Env, f *transport.Flow, cfg Config) {
 	s.SRTT = env.BaseRTT()
 	s.Law = (*alphaLaw)(s)
 	s.OnAlpha = nil
+	s.Low = nil
 	s.telemetry = f.Src.NIC().Config().EnableINT
 	s.windowEnd = 0
 	s.ackedInWin = 0
@@ -160,8 +168,13 @@ func (s *Sender) Init(env *transport.Env, f *transport.Flow, cfg Config) {
 }
 
 // StopTimers cancels every pending timer whose callback references the
-// sender — the precondition for recycling it (or its flow).
-func (s *Sender) StopTimers() { s.stopRTO() }
+// sender or its loop — the precondition for recycling it (or its flow).
+func (s *Sender) StopTimers() {
+	s.stopRTO()
+	if s.Low != nil {
+		s.Low.StopTimers()
+	}
+}
 
 // Launch begins transmission.
 func (s *Sender) Launch() {
@@ -273,15 +286,17 @@ func (s *Sender) onRTO() {
 	s.rto = s.Env.Sched().After(s.Env.RTO(), s.rtoFn)
 }
 
-// Handle implements netsim.Endpoint for the sender side (ACK arrivals).
+// Handle implements netsim.Endpoint for the sender side: high-loop ACKs
+// run the sender, low-loop ACKs the loop it hosts.
 func (s *Sender) Handle(pkt *netsim.Packet) {
-	if s.F.SenderDone() {
+	if s.F.SenderDone() || pkt.Kind != netsim.Ack {
 		return
 	}
-	if pkt.Kind != netsim.Ack || pkt.LowLoop {
-		return // low-loop ACKs are the embedding transport's business
+	if !pkt.LowLoop {
+		s.ProcessAck(pkt)
+	} else if s.Low != nil {
+		s.Low.OnLowAck(pkt)
 	}
-	s.ProcessAck(pkt)
 }
 
 // ProcessAck runs the sender's bookkeeping and its law for one
@@ -312,6 +327,28 @@ func (s *Sender) ProcessAck(pkt *netsim.Packet) {
 	s.Law.Ack(pkt, acked)
 	s.TrySend()
 }
+
+// Frontier implements lowloop.Host.
+func (s *Sender) Frontier() int64 { return s.SndNxt }
+
+// Acked implements lowloop.Host.
+func (s *Sender) Acked() int64 { return s.SndUna }
+
+// Window implements lowloop.Host.
+func (s *Sender) Window() float64 { return s.Cwnd }
+
+// RTT implements lowloop.Host.
+func (s *Sender) RTT() sim.Time { return s.SRTT }
+
+// LowPrio implements lowloop.Host: the high-loop tag's mirror (§4.2).
+func (s *Sender) LowPrio() int8 { return s.C.Prio(s.BytesSent) + 4 }
+
+// SkipSet implements lowloop.Host.
+func (s *Sender) SkipSet() *transport.IntervalSet { return s.Skip }
+
+// OnSkipUpdate implements lowloop.Host: skipped bytes leave the in-flight
+// count, so the window may admit a send right now.
+func (s *Sender) OnSkipUpdate() { s.TrySend() }
 
 func (s *Sender) fastRetransmit() {
 	seq, end, ok := s.nextSeg(s.SndUna)
@@ -413,57 +450,9 @@ func (s *Sender) noteWmax() {
 	}
 }
 
-// Receiver is the plain DCTCP receiver: one ACK per data packet echoing
-// the CE bit, completion when all bytes arrive.
-type Receiver struct {
-	transport.PoolNode
+var senderPool = transport.NewPoolKey("dctcp.sender")
 
-	Env *transport.Env
-	F   *transport.Flow
-	R   *transport.Reassembly
-
-	pooled bool
-}
-
-// NewReceiver builds a receiver.
-func NewReceiver(env *transport.Env, f *transport.Flow) *Receiver {
-	r := &Receiver{R: transport.NewReassembly(0)}
-	r.Init(env, f)
-	return r
-}
-
-// Init (re)targets a receiver at a flow, reusing the reassembly set's
-// backing array.
-func (r *Receiver) Init(env *transport.Env, f *transport.Flow) {
-	r.Env = env
-	r.F = f
-	r.R.Reset(f.Size)
-}
-
-// Handle implements netsim.Endpoint for the receiver side.
-func (r *Receiver) Handle(pkt *netsim.Packet) {
-	if pkt.Kind != netsim.Data {
-		return
-	}
-	r.R.Add(pkt.Seq, pkt.PayloadLen)
-	ack := r.F.Dst.Ctrl(netsim.Ack, r.F.ID, r.F.Src.ID(), 0)
-	ack.Seq = r.R.CumAck()
-	ack.ECE = pkt.CE
-	ack.EchoTS = pkt.SentAt
-	r.F.Dst.Send(ack)
-	if r.R.Complete() {
-		r.Env.Complete(r.F)
-	}
-}
-
-// Pool keys for the endpoint structs the two start halves draw per flow.
-var (
-	senderPool   = transport.NewPoolKey("dctcp.sender")
-	receiverPool = transport.NewPoolKey("dctcp.receiver")
-)
-
-func newIdleSender() *Sender     { return &Sender{} }
-func newIdleReceiver() *Receiver { return &Receiver{R: transport.NewReassembly(0)} }
+func newIdleSender() *Sender { return &Sender{} }
 
 // GetSender returns an initialized sender from env's pool; it returns
 // to the pool via Recycle when its flow completes.
@@ -474,18 +463,10 @@ func GetSender(env *transport.Env, f *transport.Flow, cfg Config) *Sender {
 	return s
 }
 
-// GetReceiver is the receiver-side analogue of GetSender.
-func GetReceiver(env *transport.Env, f *transport.Flow) *Receiver {
-	r := transport.PoolFor(env, receiverPool, newIdleReceiver).Get()
-	r.Init(env, f)
-	r.pooled = true
-	return r
-}
-
-// Recycle implements transport.EndpointRecycler: stop the RTO and
-// return pool-owned senders to the freelist. Senders built with
-// NewSender (tests, the MW oracle, embedding transports) are left
-// alone — their creators may still hold them.
+// Recycle implements transport.EndpointRecycler: stop the RTO and the
+// hosted loop's timers, and return pool-owned senders to the freelist.
+// Senders built with NewSender (tests, the MW oracle, embedding
+// transports) are left alone — their creators may still hold them.
 func (s *Sender) Recycle(env *transport.Env) {
 	s.StopTimers()
 	if !s.pooled {
@@ -495,17 +476,6 @@ func (s *Sender) Recycle(env *transport.Env) {
 	s.F = nil
 	s.OnAlpha = nil
 	transport.PoolFor(env, senderPool, newIdleSender).Put(s)
-}
-
-// Recycle implements transport.EndpointRecycler for the receiver (no
-// timers to stop).
-func (r *Receiver) Recycle(env *transport.Env) {
-	if !r.pooled {
-		return
-	}
-	r.pooled = false
-	r.F = nil
-	transport.PoolFor(env, receiverPool, newIdleReceiver).Put(r)
 }
 
 // Proto is the plain-DCTCP protocol factory.
@@ -527,11 +497,9 @@ func (p Proto) Name() string {
 // after Complete.
 func (Proto) RecyclesFlows() {}
 
-// StartReceiver implements transport.Protocol: build and bind the
-// receiver.
+// StartReceiver implements transport.Protocol: bind a pooled receiver.
 func (p Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
-	r := GetReceiver(env, f)
-	f.Dst.Bind(f.ID, true, r)
+	f.Dst.Bind(f.ID, true, lowloop.GetReceiver(env, f))
 }
 
 // StartSender implements transport.Protocol: build, bind and launch the

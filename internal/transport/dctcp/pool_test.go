@@ -5,42 +5,12 @@ import (
 
 	"ppt/internal/netsim"
 	"ppt/internal/transport"
+	"ppt/internal/transport/lowloop"
 )
 
-// TestPooledReceiverResetNoStaleState: a receiver recycled after a
-// partial transfer and re-issued for a new flow must carry none of the
-// old reassembly state (the pool hands structs back dirty; Init must
-// scrub everything).
-func TestPooledReceiverResetNoStaleState(t *testing.T) {
-	env := newEnv()
-	f1 := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 100_000}
-	r1 := GetReceiver(env, f1)
-	r1.R.Add(0, 50_000)
-	r1.R.Add(80_000, 20_000)
-	if r1.R.Received() != 70_000 {
-		t.Fatalf("setup: received %d", r1.R.Received())
-	}
-	r1.Recycle(env)
-
-	f2 := &transport.Flow{ID: 2, Src: env.Net.Hosts[2], Dst: env.Net.Hosts[3], Size: 40_000}
-	r2 := GetReceiver(env, f2)
-	if r2 != r1 {
-		t.Fatal("pool did not recycle the receiver")
-	}
-	if r2.R.Received() != 0 || r2.R.CumAck() != 0 {
-		t.Fatalf("stale reassembly: received=%d cumack=%d", r2.R.Received(), r2.R.CumAck())
-	}
-	if r2.R.Size != 40_000 || r2.R.Complete() {
-		t.Fatalf("reassembly not retargeted: size=%d complete=%v", r2.R.Size, r2.R.Complete())
-	}
-	if r2.F != f2 {
-		t.Fatal("receiver still points at the old flow")
-	}
-}
-
-// TestPooledSenderResetNoStaleState is the sender-side analogue: window
-// state, skip ranges, callbacks and a replaced law from the previous
-// flow must be gone.
+// TestPooledSenderResetNoStaleState: window state, skip ranges,
+// callbacks, a replaced law and a hosted loop from the previous flow
+// must be gone.
 func TestPooledSenderResetNoStaleState(t *testing.T) {
 	env := newEnv()
 	f1 := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 100_000}
@@ -50,6 +20,7 @@ func TestPooledSenderResetNoStaleState(t *testing.T) {
 	s1.Skip.Add(10_000, 20_000)
 	s1.OnAlpha = func(float64) {}
 	s1.Law = nopLaw{}
+	s1.Low = &lowloop.Loop{}
 	s1.Recycle(env)
 
 	f2 := &transport.Flow{ID: 2, Src: env.Net.Hosts[2], Dst: env.Net.Hosts[3], Size: 40_000}
@@ -69,6 +40,9 @@ func TestPooledSenderResetNoStaleState(t *testing.T) {
 	if s2.Law != Law((*alphaLaw)(s2)) {
 		t.Fatalf("Init left law %T, want DCTCP's", s2.Law)
 	}
+	if s2.Low != nil {
+		t.Fatal("stale hosted loop survived Init")
+	}
 	if s2.F != f2 {
 		t.Fatal("sender still points at the old flow")
 	}
@@ -79,26 +53,21 @@ type nopLaw struct{}
 func (nopLaw) Ack(*netsim.Packet, int64) {}
 func (nopLaw) Loss(bool)                 {}
 
-// TestConstructorEndpointsNotPooled: endpoints built with the public
-// constructors are caller-owned (tests, the MW oracle, embedding
+// TestConstructorEndpointsNotPooled: senders built with the public
+// constructor are caller-owned (tests, the MW oracle, embedding
 // transports may retain them past completion); Recycle must leave them
 // alone rather than feeding them to the pool.
 func TestConstructorEndpointsNotPooled(t *testing.T) {
 	env := newEnv()
 	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 100_000}
 	s := NewSender(env, f, Config{})
-	r := NewReceiver(env, f)
 	s.Recycle(env)
-	r.Recycle(env)
 	if got := GetSender(env, f, Config{}); got == s {
 		t.Fatal("constructor-built sender leaked into the pool")
 	}
-	if got := GetReceiver(env, f); got == r {
-		t.Fatal("constructor-built receiver leaked into the pool")
-	}
 	// Recycle on a caller-owned struct must still be non-destructive: the
 	// flow pointer survives for the retaining caller.
-	if s.F == nil && r.F == nil {
-		t.Fatal("Recycle scrubbed caller-owned endpoints")
+	if s.F == nil {
+		t.Fatal("Recycle scrubbed a caller-owned sender")
 	}
 }

@@ -41,7 +41,7 @@ func (Proto) Name() string { return "hpcc" }
 
 // StartReceiver implements transport.Protocol.
 func (Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
-	f.Dst.Bind(f.ID, true, lowloop.NewReceiver(env, f))
+	f.Dst.Bind(f.ID, true, lowloop.GetReceiver(env, f))
 }
 
 // StartSender implements transport.Protocol.

@@ -95,9 +95,9 @@ func TestPPTVariantAcksLoneOpportunisticArrival(t *testing.T) {
 	s := newPPTSender(env, f)
 	f.Src.Bind(f.ID, false, s)
 	f.Dst.Bind(f.ID, true, lowloop.NewReceiver(env, f))
-	s.loop.Open(netsim.MSS, false)
-	if s.loop.OppSent() != netsim.MSS {
-		t.Fatalf("one-packet loop sent %d bytes", s.loop.OppSent())
+	s.Low.Open(netsim.MSS, false)
+	if s.Low.OppSent() != netsim.MSS {
+		t.Fatalf("one-packet loop sent %d bytes", s.Low.OppSent())
 	}
 	env.Sched().Run()
 	if seq := f.Size - netsim.MSS; !s.Skip.Contains(seq, f.Size) {

@@ -1,16 +1,17 @@
 // Package lowloop is PPT's low-priority control loop (§3.1–3.2) and the
-// receiver that answers it, shared by every PPT-family transport: PPT
-// itself (on DCTCP), swift+ppt (Fig 14) and hpcc+ppt (appendix B). A
-// loop sends opportunistic packets backwards from the flow tail, paces
-// its initial window over one RTT, is 2:1 ACK-clocked thereafter
-// (exponential window decreasing, EWD), is silenced by ECE, and
-// terminates itself after two RTTs without a low-priority ACK.
+// receiver that answers it. Every PPT-family transport runs the loop:
+// PPT itself (on DCTCP), swift+ppt (Fig 14) and hpcc+ppt (appendix B).
+// Every window transport binds the receiver. A loop sends opportunistic
+// packets backwards from the flow tail, paces its initial window over
+// one RTT, is 2:1 ACK-clocked thereafter (exponential window
+// decreasing, EWD), is silenced by ECE, and terminates itself after two
+// RTTs without a low-priority ACK.
 //
-// The host — the high-priority loop — provides its send frontier,
-// window, RTT estimate and cumulative ACK (Host), tags the opportunistic
-// packets, and decides when to open a loop: PPT on its case-1/case-2
-// triggers, Swift when measured delay falls below target, HPCC when
-// telemetry shows utilization below η.
+// The host — the high-priority loop, dctcp's window sender — provides
+// its send frontier, window, RTT estimate and cumulative ACK (Host),
+// tags the opportunistic packets, and decides when to open a loop: PPT
+// on its case-1/case-2 triggers, Swift when measured delay falls below
+// target, HPCC when telemetry shows utilization below η.
 //
 // A loop is refused while its backlog — the opportunistic bytes earlier
 // loops sent that are neither low-ACKed nor below the host's cumulative
@@ -22,14 +23,13 @@
 package lowloop
 
 import (
-	"sync/atomic"
-
 	"ppt/internal/netsim"
 	"ppt/internal/sim"
 	"ppt/internal/transport"
 )
 
-// Host is the high-priority loop as seen by the low loop.
+// Host is the high-priority loop as seen by the low loop: dctcp's window
+// sender, whose embedders may override RTT.
 type Host interface {
 	// Frontier is the high loop's next-new-byte offset (snd_nxt).
 	Frontier() int64
@@ -141,9 +141,9 @@ func (l *Loop) bufferedTail() int64 {
 // the backlog is at least I/2.
 func (l *Loop) Open(i int64, guarded bool) {
 	if guarded {
-		Debug.Case2Opens.Add(1)
+		l.env.Eff.Case2Opens++
 	} else {
-		Debug.Case1Opens.Add(1)
+		l.env.Eff.Case1Opens++
 	}
 	if i < netsim.MSS || l.active || l.f.SenderDone() {
 		return
@@ -206,7 +206,7 @@ func (l *Loop) paceOne() {
 		l.pacing = false
 		return
 	}
-	Debug.PacedPkts.Add(1)
+	l.env.Eff.PacedPkts++
 	l.budget -= netsim.MSS
 	l.paceTimer = l.env.Sched().After(l.paceGap, l.paceFn)
 }
@@ -248,19 +248,10 @@ func (l *Loop) send() bool {
 }
 
 // OnLowAck processes a low-priority ACK: folds the delivered ranges into
-// the shared scoreboard, returns the consumed AckMeta to the pool, and —
-// unless the ACK carries ECE — clocks out one new opportunistic packet
-// (the EWD 2:1 halving, §3.2).
+// the shared scoreboard and — unless the ACK carries ECE — clocks out
+// one new opportunistic packet (the EWD 2:1 halving, §3.2).
 func (l *Loop) OnLowAck(pkt *netsim.Packet) {
-	if meta, ok := pkt.Meta.(*transport.AckMeta); ok {
-		skip := l.host.SkipSet()
-		for i := 0; i < meta.LowN; i++ {
-			skip.Add(meta.LowSeqs[i], meta.LowSeqs[i]+int64(meta.LowLens[i]))
-		}
-		// The loop is the meta's sole consumer: everything it carried is
-		// now on the scoreboard.
-		pkt.Meta = nil
-		putAckMeta(l.env, meta)
+	if _, ok := transport.FoldLowAck(l.env, pkt, l.host.SkipSet()); ok {
 		l.host.OnSkipUpdate()
 	}
 	if !l.active {
@@ -271,7 +262,7 @@ func (l *Loop) OnLowAck(pkt *netsim.Packet) {
 		return
 	}
 	if l.send() {
-		Debug.ClockedPkts.Add(1)
+		l.env.Eff.ClockedPkts++
 	}
 }
 
@@ -288,9 +279,11 @@ func (l *Loop) Terminate() {
 	l.budget = 0
 }
 
-// Receiver is the receiving endpoint of ppt, swift and hpcc (their plain
-// variants simply never see an opportunistic packet). It reassembles
-// data from both loops, acknowledges every high-loop packet on its own
+// Receiver is the receiving endpoint of every window transport: dctcp,
+// tcp10 and pias, ppt and its ablations, swift, swift+ppt, hpcc,
+// hpcc+ppt, the MW recorder and the §2.3 oracle (the ones without a low
+// loop simply never see an opportunistic packet). It reassembles data
+// from both loops, acknowledges every high-loop packet on its own
 // cumulative ACK, and answers opportunistic arrivals with one
 // low-priority ACK per two (the 2:1 EWD clock of §3.2).
 // A lone arrival is held for its pair only until the loop has been quiet
@@ -298,6 +291,7 @@ func (l *Loop) Terminate() {
 // number of packets would otherwise strand its last one, and the sender
 // would never learn to skip it.
 type Receiver struct {
+	transport.PoolNode
 	R *transport.Reassembly
 
 	env *transport.Env
@@ -314,12 +308,29 @@ type Receiver struct {
 	// flushFn is flush bound once, on the first held arrival: arming with
 	// a fresh method value would allocate per quiet period.
 	flushFn func()
+
+	// pooled marks receivers drawn from the Env pool (see GetReceiver).
+	pooled bool
 }
 
-// NewReceiver builds a receiver for f.
+// NewReceiver builds a caller-owned receiver for f: Recycle stops its
+// timer but leaves the struct to its creator.
 func NewReceiver(env *transport.Env, f *transport.Flow) *Receiver {
 	rc := &Receiver{}
 	rc.Init(env, f)
+	return rc
+}
+
+var receiverPool = transport.NewPoolKey("lowloop.receiver")
+
+func newIdleReceiver() *Receiver { return &Receiver{} }
+
+// GetReceiver returns an initialized receiver from env's pool; it
+// returns to the pool via Recycle when its flow completes.
+func GetReceiver(env *transport.Env, f *transport.Flow) *Receiver {
+	rc := transport.PoolFor(env, receiverPool, newIdleReceiver).Get()
+	rc.Init(env, f)
+	rc.pooled = true
 	return rc
 }
 
@@ -336,8 +347,18 @@ func (rc *Receiver) Init(env *transport.Env, f *transport.Flow) {
 	rc.flushTimer = sim.Timer{}
 }
 
-// StopTimers cancels the quiet flush, the receiver's only callback.
-func (rc *Receiver) StopTimers() { rc.flushTimer.Stop() }
+// Recycle implements transport.EndpointRecycler: stop the quiet flush,
+// the receiver's only callback, then return pool-owned receivers to the
+// freelist.
+func (rc *Receiver) Recycle(env *transport.Env) {
+	rc.flushTimer.Stop()
+	if !rc.pooled {
+		return
+	}
+	rc.pooled = false
+	rc.f = nil
+	transport.PoolFor(env, receiverPool, newIdleReceiver).Put(rc)
+}
 
 // Handle implements netsim.Endpoint. A high-loop packet gets its own ACK:
 // the cumulative ACK, its CE mark as ECE, its send time, and (HPCC) its
@@ -364,19 +385,20 @@ func (rc *Receiver) Handle(pkt *netsim.Packet) {
 	}
 }
 
-// deliver adds a data packet to the reassembly and acknowledges it if it
-// came from the low loop. It reports whether the packet came from the
-// high loop, whose per-packet ACK Handle sends.
+// deliver adds a data packet to the reassembly, counts its new and
+// duplicate bytes, and acknowledges it if it came from the low loop. It
+// reports whether the packet came from the high loop, whose per-packet
+// ACK Handle sends.
 func (rc *Receiver) deliver(pkt *netsim.Packet) (high bool) {
 	added := rc.R.Add(pkt.Seq, pkt.PayloadLen)
+	eff := &rc.env.Eff
 	if !pkt.LowLoop {
-		Debug.NewHighBytes.Add(added)
-		Debug.DupHighBytes.Add(int64(pkt.PayloadLen) - added)
+		eff.NewHighBytes += added
+		eff.DupHighBytes += int64(pkt.PayloadLen) - added
 		return true
 	}
-	Debug.NewLowBytes.Add(added)
-	Debug.DupLowBytes.Add(int64(pkt.PayloadLen) - added)
-	rc.env.Eff.UsefulLow += added
+	eff.UsefulLow += added
+	eff.DupLowBytes += int64(pkt.PayloadLen) - added
 	if !rc.hasPending {
 		rc.pendingSeq, rc.pendingLen, rc.pendingCE = pkt.Seq, pkt.PayloadLen, pkt.CE
 		rc.pendingTS, rc.pendingPrio = pkt.SentAt, pkt.Prio
@@ -391,7 +413,7 @@ func (rc *Receiver) deliver(pkt *netsim.Packet) (high bool) {
 	rc.flushTimer.Stop()
 	rc.flushTimer = sim.Timer{}
 	rc.hasPending = false
-	meta := getAckMeta(rc.env)
+	meta := transport.GetAckMeta(rc.env)
 	meta.LowSeqs = [2]int64{rc.pendingSeq, pkt.Seq}
 	meta.LowLens = [2]int32{rc.pendingLen, pkt.PayloadLen}
 	meta.LowN = 2
@@ -407,7 +429,7 @@ func (rc *Receiver) flush() {
 	}
 	rc.hasPending = false
 	rc.flushTimer = sim.Timer{}
-	meta := getAckMeta(rc.env)
+	meta := transport.GetAckMeta(rc.env)
 	meta.LowSeqs = [2]int64{rc.pendingSeq, 0}
 	meta.LowLens = [2]int32{rc.pendingLen, 0}
 	meta.LowN = 1
@@ -423,37 +445,3 @@ func (rc *Receiver) sendLowAck(meta *transport.AckMeta, prio int8, ece bool, ech
 	ack.Meta = meta
 	rc.f.Dst.Send(ack)
 }
-
-var ackMetaPool = transport.NewPoolKey("lowloop.ackmeta")
-
-func newAckMeta() *transport.AckMeta { return &transport.AckMeta{} }
-
-// getAckMeta draws a low-ACK meta from the run pool. Reuse is dirty:
-// every producer sets all fields. Loop.OnLowAck returns consumed metas;
-// a consumer that never does (the MW oracle) leaves them to the garbage
-// collector.
-func getAckMeta(env *transport.Env) *transport.AckMeta {
-	return transport.PoolFor(env, ackMetaPool, newAckMeta).Get()
-}
-
-func putAckMeta(env *transport.Env, m *transport.AckMeta) {
-	transport.PoolFor(env, ackMetaPool, newAckMeta).Put(m)
-}
-
-// DebugCounters aggregates the dual-loop diagnostics runs produce: why
-// loops opened (unguarded opens — PPT's case 1 — vs guarded mid-flow
-// re-opens, case 2; both count attempts, refused or not), how
-// opportunistic packets were emitted (paced vs ACK-clocked), and the
-// fresh/duplicate byte split per loop at the receiver. The counters are
-// atomic, so simulations running on different goroutines may share
-// them without tearing.
-type DebugCounters struct {
-	PacedPkts, ClockedPkts     atomic.Int64
-	Case1Opens, Case2Opens     atomic.Int64
-	DupLowBytes, NewLowBytes   atomic.Int64
-	DupHighBytes, NewHighBytes atomic.Int64
-}
-
-// Debug accumulates every run's counters process-wide (cmd/ppttrace
-// reads it after a single serial run).
-var Debug DebugCounters

@@ -1,6 +1,7 @@
 package lowloop
 
 import (
+	"slices"
 	"testing"
 
 	"ppt/internal/netsim"
@@ -314,7 +315,7 @@ func TestECELowAckAllocatesNothing(t *testing.T) {
 	ack := netsim.CtrlPacket(netsim.Ack, 1, 1, 0, 5)
 	ack.LowLoop, ack.ECE = true, true
 	allocs := testing.AllocsPerRun(100, func() {
-		meta := getAckMeta(env)
+		meta := transport.GetAckMeta(env)
 		meta.LowSeqs = [2]int64{9_000_000, 9_001_448}
 		meta.LowLens = [2]int32{netsim.MSS, netsim.MSS}
 		meta.LowN = 2
@@ -323,5 +324,96 @@ func TestECELowAckAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ECE low ACK allocates %v times", allocs)
+	}
+}
+
+// TestPooledReceiverResetNoStaleState: a receiver recycled after a
+// partial transfer and re-issued for a new flow must carry none of the
+// old reassembly state (the pool hands structs back dirty; Init must
+// scrub everything).
+func TestPooledReceiverResetNoStaleState(t *testing.T) {
+	env := transporttest.NewStarEnv(4)
+	f1 := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 100_000}
+	r1 := GetReceiver(env, f1)
+	r1.R.Add(0, 50_000)
+	r1.R.Add(80_000, 20_000)
+	if r1.R.Received() != 70_000 {
+		t.Fatalf("setup: received %d", r1.R.Received())
+	}
+	r1.Recycle(env)
+
+	f2 := &transport.Flow{ID: 2, Src: env.Net.Hosts[2], Dst: env.Net.Hosts[3], Size: 40_000}
+	r2 := GetReceiver(env, f2)
+	if r2 != r1 {
+		t.Fatal("pool did not recycle the receiver")
+	}
+	if r2.R.Received() != 0 || r2.R.CumAck() != 0 {
+		t.Fatalf("stale reassembly: received=%d cumack=%d", r2.R.Received(), r2.R.CumAck())
+	}
+	if r2.R.Size != 40_000 || r2.R.Complete() {
+		t.Fatalf("reassembly not retargeted: size=%d complete=%v", r2.R.Size, r2.R.Complete())
+	}
+	if r2.f != f2 {
+		t.Fatal("receiver still points at the old flow")
+	}
+}
+
+// TestRecycledReceiverDropsHeldArrival: a receiver recycled while it
+// holds an unpaired opportunistic arrival stops the arrival's quiet
+// flush and comes back holding nothing, so its next flow's low ACKs
+// cover only that flow's own ranges.
+func TestRecycledReceiverDropsHeldArrival(t *testing.T) {
+	env := transporttest.NewStarEnv(4)
+	lowData := func(f *transport.Flow, seq int64) *netsim.Packet {
+		p := netsim.DataPacket(f.ID, f.Src.ID(), f.Dst.ID(), seq, netsim.MSS, 4)
+		p.LowLoop = true
+		return p
+	}
+	f1 := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 100_000}
+	r1 := GetReceiver(env, f1)
+	r1.deliver(lowData(f1, 90_000))
+	if !r1.hasPending || env.Sched().Pending() != 1 {
+		t.Fatal("setup: lone opportunistic arrival not held with its flush armed")
+	}
+	r1.Recycle(env)
+	if n := env.Sched().Pending(); n != 0 {
+		t.Fatalf("%d events still armed after Recycle, want the quiet flush stopped", n)
+	}
+
+	f2 := &transport.Flow{ID: 2, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 100_000}
+	r2 := GetReceiver(env, f2)
+	if r2 != r1 {
+		t.Fatal("pool did not recycle the receiver")
+	}
+	if r2.hasPending {
+		t.Fatal("recycled receiver still holds the old flow's arrival")
+	}
+	var acked []int64
+	f2.Src.Bind(f2.ID, false, epFunc(func(p *netsim.Packet) {
+		if meta, ok := p.Meta.(*transport.AckMeta); ok {
+			acked = append(acked, meta.LowSeqs[:meta.LowN]...)
+		}
+	}))
+	r2.deliver(lowData(f2, 10_000))
+	r2.deliver(lowData(f2, 20_000))
+	env.Sched().Run()
+	if !slices.Equal(acked, []int64{10_000, 20_000}) {
+		t.Fatalf("the new flow's low ACKs cover %v, want its own pair [10000 20000]", acked)
+	}
+}
+
+// TestConstructorReceiverNotPooled: a receiver built with NewReceiver is
+// caller-owned; Recycle stops its timer but must not feed it to the pool
+// or scrub the flow pointer its creator may still read.
+func TestConstructorReceiverNotPooled(t *testing.T) {
+	env := transporttest.NewStarEnv(4)
+	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 100_000}
+	r := NewReceiver(env, f)
+	r.Recycle(env)
+	if got := GetReceiver(env, f); got == r {
+		t.Fatal("constructor-built receiver leaked into the pool")
+	}
+	if r.f == nil {
+		t.Fatal("Recycle scrubbed a caller-owned receiver")
 	}
 }

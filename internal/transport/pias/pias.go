@@ -12,6 +12,7 @@ package pias
 import (
 	"ppt/internal/transport"
 	"ppt/internal/transport/dctcp"
+	"ppt/internal/transport/lowloop"
 )
 
 // thresholds are the bytes-sent boundaries that demote a flow through
@@ -39,7 +40,7 @@ func (Proto) Name() string { return "pias" }
 
 // StartReceiver implements transport.Protocol.
 func (Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
-	f.Dst.Bind(f.ID, true, dctcp.NewReceiver(env, f))
+	f.Dst.Bind(f.ID, true, lowloop.GetReceiver(env, f))
 }
 
 // StartSender implements transport.Protocol.

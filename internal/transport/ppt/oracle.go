@@ -7,6 +7,7 @@ import (
 	"ppt/internal/sim"
 	"ppt/internal/transport"
 	"ppt/internal/transport/dctcp"
+	"ppt/internal/transport/lowloop"
 )
 
 // The "hypothetical DCTCP" of §2.3: an oracle that knows each flow's
@@ -37,7 +38,7 @@ func (*MWRecorder) Name() string { return "dctcp-mwrecord" }
 
 // StartReceiver implements transport.Protocol.
 func (*MWRecorder) StartReceiver(env *transport.Env, f *transport.Flow) {
-	f.Dst.Bind(f.ID, true, dctcp.NewReceiver(env, f))
+	f.Dst.Bind(f.ID, true, lowloop.GetReceiver(env, f))
 }
 
 // StartSender implements transport.Protocol.
@@ -74,7 +75,7 @@ func (Oracle) Name() string { return "hypothetical-dctcp" }
 // StartReceiver implements transport.Protocol: PPT's receiver, whose
 // low-loop half acknowledges the opportunistic packets.
 func (Oracle) StartReceiver(env *transport.Env, f *transport.Flow) {
-	f.Dst.Bind(f.ID, true, newReceiver(env, f))
+	f.Dst.Bind(f.ID, true, lowloop.GetReceiver(env, f))
 }
 
 // StartSender implements transport.Protocol.
@@ -111,14 +112,8 @@ func (s *oracleSender) Handle(pkt *netsim.Packet) {
 		return
 	}
 	if pkt.LowLoop {
-		if meta, ok := pkt.Meta.(*transport.AckMeta); ok {
-			for i := 0; i < meta.LowN; i++ {
-				s.hcp.Skip.Add(meta.LowSeqs[i], meta.LowSeqs[i]+int64(meta.LowLens[i]))
-				s.inflight -= int64(meta.LowLens[i])
-			}
-			if s.inflight < 0 {
-				s.inflight = 0
-			}
+		if n, ok := transport.FoldLowAck(s.env, pkt, s.hcp.Skip); ok {
+			s.inflight = max(s.inflight-n, 0)
 			s.hcp.TrySend()
 		}
 		return

@@ -10,7 +10,7 @@
 //     flows) and, after slow start, whenever the flow's DCTCP α reaches
 //     its minimum over recent RTTs, with I = (½ − α_min)·W_max.
 //   - Exponential window decreasing (§3.2), in package lowloop, whose
-//     Loop the sender hosts and whose Receiver the receiver embeds: the
+//     Loop the sender hosts and whose Receiver answers both loops: the
 //     initial window is paced over one RTT; afterwards the receiver
 //     returns one low-priority ACK per two opportunistic arrivals and the
 //     sender sends one packet per non-ECE low-priority ACK, halving the
@@ -27,7 +27,6 @@
 package ppt
 
 import (
-	"ppt/internal/netsim"
 	"ppt/internal/sim"
 	"ppt/internal/transport"
 	"ppt/internal/transport/dctcp"
@@ -92,10 +91,9 @@ func (p Proto) Name() string {
 	}
 }
 
-// StartReceiver implements transport.Protocol: build and bind the
-// receiver endpoint.
+// StartReceiver implements transport.Protocol: bind a pooled receiver.
 func (p Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
-	f.Dst.Bind(f.ID, true, getReceiver(env, f))
+	f.Dst.Bind(f.ID, true, lowloop.GetReceiver(env, f))
 }
 
 // StartSender implements transport.Protocol: run the buffer-aware
@@ -143,17 +141,14 @@ func hcpPrio(cfg Config, f *transport.Flow, bytesSent int64) int8 {
 	return Tag(f, bytesSent)
 }
 
-// sender couples the unchanged DCTCP sender (HCP) with a lowloop.Loop
-// (LCP), whose Host it is, and owns the loop's §3.1 triggers. The struct
-// (with its embedded DCTCP sender and loop) is reusable: init retargets
-// every field at a new flow, and the hot callbacks are bound once at
-// construction so steady-state flows allocate nothing.
+// sender is the unchanged DCTCP sender (HCP) hosting a lowloop.Loop
+// (LCP), plus the loop's §3.1 triggers. The struct (with its embedded
+// DCTCP sender and loop) is reusable: init retargets every field at a
+// new flow, and the hot callbacks are bound once at construction so
+// steady-state flows allocate nothing.
 type sender struct {
-	transport.PoolNode
-	env *transport.Env
-	f   *transport.Flow
+	dctcp.Sender
 	cfg Config
-	hcp *dctcp.Sender
 	lcp lowloop.Loop
 
 	// pooled marks senders drawn from the Env pool (see getSender).
@@ -173,33 +168,34 @@ type sender struct {
 
 // newIdleSender builds an unbound sender shell for the pool.
 func newIdleSender() *sender {
-	s := &sender{hcp: &dctcp.Sender{}}
+	s := &sender{}
 	s.prioFn = s.hcpPrio
 	s.alphaFn = s.onAlpha
 	s.openFn = s.openCase1
 	return s
 }
 
-func (s *sender) hcpPrio(sent int64) int8 { return hcpPrio(s.cfg, s.f, sent) }
+func (s *sender) hcpPrio(sent int64) int8 { return hcpPrio(s.cfg, s.F, sent) }
 
 // init (re)targets the sender at a flow; a recycled struct after init is
 // indistinguishable from a fresh newSender result.
 func (s *sender) init(env *transport.Env, f *transport.Flow, cfg Config) {
-	s.env, s.f, s.cfg = env, f, cfg
-	s.hcp.Init(env, f, dctcp.Config{Prio: s.prioFn})
-	s.lcp.Init(env, f, s, cfg.DisableECN, cfg.DisableEWD)
+	s.cfg = cfg
+	s.Init(env, f, dctcp.Config{Prio: s.prioFn})
+	s.Low = &s.lcp
+	s.lcp.Init(env, f, &s.Sender, cfg.DisableECN, cfg.DisableEWD)
 	s.alphas = s.alphas[:0]
 	s.openTimer = sim.Timer{}
-	s.hcp.OnAlpha = s.alphaFn
+	s.OnAlpha = s.alphaFn
 	if cfg.OnFlowState != nil {
 		// Tracing path: the wrapper closure allocates per flow, which is
 		// fine — dynamics traces run a handful of flows.
-		s.hcp.OnAlpha = func(alpha float64) {
+		s.OnAlpha = func(alpha float64) {
 			s.onAlpha(alpha)
 			cfg.OnFlowState(f.ID, env.Now(), FlowState{
-				Cwnd: s.hcp.Cwnd, Alpha: s.hcp.Alpha, Wmax: s.hcp.Wmax,
+				Cwnd: s.Cwnd, Alpha: s.Alpha, Wmax: s.Wmax,
 				LCPActive: s.lcp.Active(), OppSent: s.lcp.OppSent(),
-				SndUna: s.hcp.SndUna, TailNext: s.lcp.TailNext(),
+				SndUna: s.SndUna, TailNext: s.lcp.TailNext(),
 			})
 		}
 	}
@@ -212,11 +208,11 @@ func newSender(env *transport.Env, f *transport.Flow, cfg Config) *sender {
 }
 
 func (s *sender) launch() {
-	s.hcp.Launch()
+	s.Launch()
 	// The case-1 loop opens at flow start, delayed to the second RTT for
 	// identified-large flows (§3.1).
-	if s.f.IdentifiedLarge {
-		s.openTimer = s.env.Sched().After(s.env.BaseRTT(), s.openFn)
+	if s.F.IdentifiedLarge {
+		s.openTimer = s.Env.Sched().After(s.Env.BaseRTT(), s.openFn)
 		return
 	}
 	s.openCase1()
@@ -224,10 +220,10 @@ func (s *sender) launch() {
 
 // openCase1 opens the case-1 loop: I = BDP − IW (§3.1).
 func (s *sender) openCase1() {
-	if s.f.SenderDone() {
+	if s.F.SenderDone() {
 		return
 	}
-	s.lcp.Open(int64(s.env.BDP())-dctcp.InitCwnd, false)
+	s.lcp.Open(int64(s.Env.BDP())-dctcp.InitCwnd, false)
 }
 
 // onAlpha is the case-2 trigger: fires on every per-window α update. A
@@ -240,7 +236,7 @@ func (s *sender) onAlpha(alpha float64) {
 	if len(s.alphas) > alphaHistory {
 		s.alphas = s.alphas[len(s.alphas)-alphaHistory:]
 	}
-	if s.lcp.Active() || !s.hcp.ExitedSS || s.f.SenderDone() || len(prior) == 0 {
+	if s.lcp.Active() || !s.ExitedSS || s.F.SenderDone() || len(prior) == 0 {
 		return
 	}
 	// Strictly below every recent observation: congestion is genuinely
@@ -251,84 +247,27 @@ func (s *sender) onAlpha(alpha float64) {
 		}
 	}
 	// I = (1/2 − α_min) · W_max  (Equation 2).
-	s.lcp.Open(int64((0.5-alpha)*s.hcp.Wmax), true)
+	s.lcp.Open(int64((0.5-alpha)*s.Wmax), true)
 }
 
-// Frontier implements lowloop.Host.
-func (s *sender) Frontier() int64 { return s.hcp.SndNxt }
-
-// Acked implements lowloop.Host.
-func (s *sender) Acked() int64 { return s.hcp.SndUna }
-
-// Window implements lowloop.Host.
-func (s *sender) Window() float64 { return s.hcp.Cwnd }
-
-// RTT implements lowloop.Host.
-func (s *sender) RTT() sim.Time { return s.hcp.SRTT }
-
-// LowPrio implements lowloop.Host: the HCP priority's mirror (§4.2).
-func (s *sender) LowPrio() int8 { return hcpPrio(s.cfg, s.f, s.hcp.BytesSent) + 4 }
-
-// SkipSet implements lowloop.Host.
-func (s *sender) SkipSet() *transport.IntervalSet { return s.hcp.Skip }
-
-// OnSkipUpdate implements lowloop.Host: skipping delivered bytes shrinks
-// HCP's in-flight estimate, so the high loop may transmit right now.
-func (s *sender) OnSkipUpdate() { s.hcp.TrySend() }
-
 // Recycle implements transport.EndpointRecycler: every timer that could
-// call back into this sender (HCP RTO, the delayed case-1 open, the
-// loop's pacing and dead timers) is stopped, then pool-owned structs
+// call back into this sender (HCP RTO, the loop's pacing and dead
+// timers, the delayed case-1 open) is stopped, then pool-owned structs
 // return to the freelist. Senders built with newSender (tests, traces)
 // are left alone — their creators may still hold them.
 func (s *sender) Recycle(env *transport.Env) {
-	s.hcp.StopTimers()
-	s.lcp.StopTimers()
+	s.StopTimers()
 	s.openTimer.Stop()
 	if !s.pooled {
 		return
 	}
 	s.pooled = false
-	s.f = nil
-	s.hcp.OnAlpha = nil
+	s.F = nil
+	s.OnAlpha = nil
 	transport.PoolFor(env, senderPool, newIdleSender).Put(s)
 }
 
-// Handle implements netsim.Endpoint: high-priority ACKs feed DCTCP,
-// low-priority ACKs feed the LCP loop.
-func (s *sender) Handle(pkt *netsim.Packet) {
-	if s.f.SenderDone() || pkt.Kind != netsim.Ack {
-		return
-	}
-	if pkt.LowLoop {
-		s.lcp.OnLowAck(pkt)
-	} else {
-		s.hcp.ProcessAck(pkt)
-	}
-}
-
-// receiver is lowloop's receiver, which answers both loops, made
-// poolable.
-type receiver struct {
-	transport.PoolNode
-	lowloop.Receiver
-
-	// pooled marks receivers drawn from the Env pool (see getReceiver).
-	pooled bool
-}
-
-func newReceiver(env *transport.Env, f *transport.Flow) *receiver {
-	rc := &receiver{}
-	rc.Init(env, f)
-	return rc
-}
-
-// Pool keys for the per-flow objects the two start halves draw from the
-// Env.
-var (
-	senderPool   = transport.NewPoolKey("ppt.sender")
-	receiverPool = transport.NewPoolKey("ppt.receiver")
-)
+var senderPool = transport.NewPoolKey("ppt.sender")
 
 // getSender returns an initialized sender from env's pool; it returns
 // to the pool via Recycle when its flow completes.
@@ -337,25 +276,4 @@ func getSender(env *transport.Env, f *transport.Flow, cfg Config) *sender {
 	s.init(env, f, cfg)
 	s.pooled = true
 	return s
-}
-
-func newIdleReceiver() *receiver { return &receiver{} }
-
-// getReceiver is the receiver-side analogue of getSender.
-func getReceiver(env *transport.Env, f *transport.Flow) *receiver {
-	rc := transport.PoolFor(env, receiverPool, newIdleReceiver).Get()
-	rc.Init(env, f)
-	rc.pooled = true
-	return rc
-}
-
-// Recycle implements transport.EndpointRecycler: cancel the quiet-flush
-// timer, then return pool-owned receivers to the freelist.
-func (rc *receiver) Recycle(env *transport.Env) {
-	rc.StopTimers()
-	if !rc.pooled {
-		return
-	}
-	rc.pooled = false
-	transport.PoolFor(env, receiverPool, newIdleReceiver).Put(rc)
 }

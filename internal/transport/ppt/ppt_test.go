@@ -9,6 +9,7 @@ import (
 	"ppt/internal/topo"
 	"ppt/internal/transport"
 	"ppt/internal/transport/dctcp"
+	"ppt/internal/transport/lowloop"
 	"ppt/internal/workload"
 )
 
@@ -214,8 +215,8 @@ func TestCase2ReopensOnAlphaMinimum(t *testing.T) {
 	f.Src.Bind(f.ID, false, s)
 	s.lcp.Terminate()
 	// Pretend the flow left slow start with a healthy Wmax.
-	s.hcp.ExitedSS = true
-	s.hcp.Wmax = float64(50 * netsim.MSS)
+	s.ExitedSS = true
+	s.Wmax = float64(50 * netsim.MSS)
 	// α descending to a fresh minimum triggers a loop.
 	s.onAlpha(0.30)
 	if s.lcp.Active() {
@@ -241,7 +242,7 @@ func TestCase2RequiresSlowStartExit(t *testing.T) {
 	s := newSender(env, f, Config{})
 	f.Src.Bind(f.ID, false, s)
 	s.lcp.Terminate()
-	s.hcp.ExitedSS = false
+	s.ExitedSS = false
 	s.onAlpha(0.0)
 	if s.lcp.Active() {
 		t.Fatal("case-2 loop opened during slow start")
@@ -256,16 +257,16 @@ func TestEquation2NeverExceedsHalfWmax(t *testing.T) {
 		f := &transport.Flow{ID: 6, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
 			Size: 1 << 30, FirstCall: 1000}
 		s := newSender(env, f, Config{})
-		s.hcp.ExitedSS = true
-		s.hcp.Wmax = float64(100 * netsim.MSS)
+		s.ExitedSS = true
+		s.Wmax = float64(100 * netsim.MSS)
 		s.onAlpha(0.99) // prime the history
 		s.onAlpha(alphaMin)
 		if !s.lcp.Active() {
 			continue // α too high: loop legitimately not opened
 		}
 		env.Sched().RunUntil(env.BaseRTT())
-		if i := s.lcp.OppSent(); float64(i) > s.hcp.Wmax/2+netsim.MSS {
-			t.Fatalf("α=%v: I=%d exceeds Wmax/2=%v", alphaMin, i, s.hcp.Wmax/2)
+		if i := s.lcp.OppSent(); float64(i) > s.Wmax/2+netsim.MSS {
+			t.Fatalf("α=%v: I=%d exceeds Wmax/2=%v", alphaMin, i, s.Wmax/2)
 		}
 	}
 }
@@ -327,10 +328,10 @@ func TestLowAckUpdatesSkipSet(t *testing.T) {
 		LowN:    2,
 	}
 	s.Handle(ackp)
-	if !s.hcp.Skip.Contains(9_000_000, 9_000_000+netsim.MSS) {
+	if !s.Skip.Contains(9_000_000, 9_000_000+netsim.MSS) {
 		t.Fatal("skip set missing acked opportunistic range")
 	}
-	if !s.hcp.Skip.Contains(9_500_000, 9_500_000+netsim.MSS) {
+	if !s.Skip.Contains(9_500_000, 9_500_000+netsim.MSS) {
 		t.Fatal("skip set missing second acked range")
 	}
 }
@@ -347,7 +348,7 @@ func TestReceiverCoalescesTwoOpportunisticArrivals(t *testing.T) {
 			highAcks++
 		}
 	}))
-	rc := newReceiver(env, f)
+	rc := lowloop.NewReceiver(env, f)
 	f.Dst.Bind(f.ID, true, rc)
 	mk := func(seq int64, low bool) *netsim.Packet {
 		p := netsim.DataPacket(f.ID, f.Src.ID(), f.Dst.ID(), seq, netsim.MSS, 0)
@@ -387,7 +388,7 @@ func TestReceiverFlushesStrandedArrival(t *testing.T) {
 			lowMetas = append(lowMetas, meta)
 		}
 	}))
-	rc := newReceiver(env, f)
+	rc := lowloop.NewReceiver(env, f)
 	f.Dst.Bind(f.ID, true, rc)
 	p := netsim.DataPacket(f.ID, f.Src.ID(), f.Dst.ID(), 900_000, netsim.MSS, 4)
 	p.LowLoop = true
@@ -429,8 +430,8 @@ func TestTerminateKeepsBacklog(t *testing.T) {
 	}
 	s.lcp.Terminate()
 	// Equation 2 at α_min = 0.10 gives I = 0.4·Wmax = the backlog.
-	s.hcp.ExitedSS = true
-	s.hcp.Wmax = float64(backlog) / 0.4
+	s.ExitedSS = true
+	s.Wmax = float64(backlog) / 0.4
 	s.onAlpha(0.30)
 	s.onAlpha(0.10)
 	if s.lcp.Active() {
@@ -457,7 +458,7 @@ func TestOddOpportunisticCountDrainsInflight(t *testing.T) {
 		Size: 100_000, FirstCall: 1000}
 	s := newSender(env, f, Config{})
 	f.Src.Bind(f.ID, false, s)
-	rc := newReceiver(env, f)
+	rc := lowloop.NewReceiver(env, f)
 	f.Dst.Bind(f.ID, true, rc)
 	// One-packet loop: the EWD pair never forms.
 	s.lcp.Open(netsim.MSS, false)
@@ -468,7 +469,7 @@ func TestOddOpportunisticCountDrainsInflight(t *testing.T) {
 	// The flush ACK must have delivered the packet into the sender's
 	// skip set.
 	seq := f.Size - netsim.MSS
-	if !s.hcp.Skip.Contains(seq, f.Size) {
+	if !s.Skip.Contains(seq, f.Size) {
 		t.Fatalf("skip set missing flushed range [%d,%d): stranded packet never acked", seq, f.Size)
 	}
 }

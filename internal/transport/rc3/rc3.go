@@ -104,15 +104,9 @@ func (s *sender) Handle(pkt *netsim.Packet) {
 		return
 	}
 	if pkt.LowLoop {
-		if meta, ok := pkt.Meta.(*transport.AckMeta); ok {
-			for i := 0; i < meta.LowN; i++ {
-				s.hcp.Skip.Add(meta.LowSeqs[i], meta.LowSeqs[i]+int64(meta.LowLens[i]))
-				s.inflight -= int64(meta.LowLens[i])
-			}
+		if n, ok := transport.FoldLowAck(s.env, pkt, s.hcp.Skip); ok {
+			s.inflight = max(s.inflight-n, 0)
 			s.hcp.TrySend()
-		}
-		if s.inflight < 0 {
-			s.inflight = 0
 		}
 		// One-for-one clocking, no ECE suppression: RC3 keeps the pipe
 		// full regardless of congestion.
@@ -142,11 +136,11 @@ func (rc *receiver) Handle(pkt *netsim.Packet) {
 		rc.env.Eff.UsefulLow += added
 		ack.LowLoop = true
 		ack.Prio = pkt.Prio
-		ack.Meta = &transport.AckMeta{
-			LowSeqs: [2]int64{pkt.Seq},
-			LowLens: [2]int32{pkt.PayloadLen},
-			LowN:    1,
-		}
+		meta := transport.GetAckMeta(rc.env)
+		meta.LowSeqs = [2]int64{pkt.Seq, 0}
+		meta.LowLens = [2]int32{pkt.PayloadLen, 0}
+		meta.LowN = 1
+		ack.Meta = meta
 	}
 	rc.f.Dst.Send(ack)
 	if rc.r.Complete() {

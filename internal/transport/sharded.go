@@ -731,10 +731,7 @@ func runShardedSource(env *Env, proto Protocol, src FlowSource, cfg RunConfig) s
 
 	// Merge per-shard results into the caller's env in canonical order.
 	for _, se := range run.envs {
-		env.Eff.SentPayload += se.Eff.SentPayload
-		env.Eff.SentLowPayload += se.Eff.SentLowPayload
-		env.Eff.UsefulDelivered += se.Eff.UsefulDelivered
-		env.Eff.UsefulLow += se.Eff.UsefulLow
+		env.Eff.Add(se.Eff)
 		se.run = nil
 	}
 	fold.FoldAll(collectors)

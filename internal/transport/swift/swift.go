@@ -4,10 +4,11 @@
 // target delay (the ns-3 variant the paper describes, which ignores host
 // congestion). The delay law runs over dctcp's window sender, which
 // owns the send loop, the RTO and loss recovery. WithPPT layers the
-// paper's LCP design on top: the sender hosts a lowloop.Loop — the loop
-// PPT itself runs, with its 2:1 EWD clocking, ECE silencing and two-RTT
-// termination — and opens it whenever the measured delay falls below
-// target, with PPT's classifier and mirror-symmetric flow scheduling.
+// paper's LCP design on top: the window sender hosts a lowloop.Loop —
+// the loop PPT itself runs, with its 2:1 EWD clocking, ECE silencing
+// and two-RTT termination — paced on Swift's own RTT estimate, and Swift
+// opens it whenever the measured delay falls below target, with PPT's
+// classifier and mirror-symmetric flow scheduling.
 package swift
 
 import (
@@ -54,7 +55,7 @@ func (p Proto) Name() string {
 
 // StartReceiver implements transport.Protocol.
 func (p Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
-	f.Dst.Bind(f.ID, true, lowloop.NewReceiver(env, f))
+	f.Dst.Bind(f.ID, true, lowloop.GetReceiver(env, f))
 }
 
 // StartSender implements transport.Protocol. The WithPPT variant tags a
@@ -79,9 +80,7 @@ type sender struct {
 	srtt         sim.Time
 	lastDecrease sim.Time
 	decreased    bool
-
-	// loop is the PPT low-priority loop (WithPPT variant, Fig 14).
-	loop      *lowloop.Loop
+	// loopOpens counts the WithPPT variant's loop openings (Fig 14).
 	loopOpens int
 }
 
@@ -94,7 +93,7 @@ func newSender(env *transport.Env, f *transport.Flow, withPPT bool) *sender {
 	s.Init(env, f, cfg)
 	s.Law = s
 	if withPPT {
-		s.loop = lowloop.New(env, f, s)
+		s.Low = lowloop.New(env, f, s)
 	}
 	return s
 }
@@ -102,37 +101,9 @@ func newSender(env *transport.Env, f *transport.Flow, withPPT bool) *sender {
 // tag is PPT's high-loop priority (§4.2).
 func (s *sender) tag(bytesSent int64) int8 { return ppt.Tag(s.F, bytesSent) }
 
-// Handle implements netsim.Endpoint: low-loop ACKs feed the loop, the
-// rest the sender.
-func (s *sender) Handle(pkt *netsim.Packet) {
-	if pkt.LowLoop && s.loop != nil && pkt.Kind == netsim.Ack && !s.F.SenderDone() {
-		s.loop.OnLowAck(pkt)
-		return
-	}
-	s.Sender.Handle(pkt)
-}
-
-// Frontier implements lowloop.Host.
-func (s *sender) Frontier() int64 { return s.SndNxt }
-
-// Acked implements lowloop.Host.
-func (s *sender) Acked() int64 { return s.SndUna }
-
-// Window implements lowloop.Host.
-func (s *sender) Window() float64 { return s.Cwnd }
-
-// RTT implements lowloop.Host; the loop reads 0 (no sample yet) as the
-// base RTT.
+// RTT implements lowloop.Host with Swift's own estimate; the loop reads
+// 0 (no sample yet) as the base RTT.
 func (s *sender) RTT() sim.Time { return s.srtt }
-
-// LowPrio implements lowloop.Host: the high loop's mirror (§4.2).
-func (s *sender) LowPrio() int8 { return ppt.Tag(s.F, s.BytesSent) + 4 }
-
-// SkipSet implements lowloop.Host.
-func (s *sender) SkipSet() *transport.IntervalSet { return s.Skip }
-
-// OnSkipUpdate implements lowloop.Host.
-func (s *sender) OnSkipUpdate() { s.TrySend() }
 
 // Ack implements dctcp.Law: fold the RTT sample into srtt and adjust the
 // window on every ACK that acknowledges new data.
@@ -169,11 +140,11 @@ func (s *sender) adjust(rtt sim.Time, acked int64) {
 	if rtt < s.target {
 		// Additive increase, normalized per window.
 		s.Cwnd += ai * netsim.MSS * float64(acked) / s.Cwnd
-		if s.loop != nil && !s.loop.Active() {
+		if s.Low != nil && !s.Low.Active() {
 			// The paper's Fig 14 trigger: delay below target means the
 			// fabric has spare capacity for opportunistic packets.
 			i := int64(s.Env.BDP()) - int64(s.Cwnd)
-			s.loop.Open(i, s.loopOpens > 0)
+			s.Low.Open(i, s.loopOpens > 0)
 			s.loopOpens++
 		}
 		return
