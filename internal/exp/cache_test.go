@@ -268,3 +268,21 @@ func TestRunByIDRejectsBadScale(t *testing.T) {
 		}
 	}
 }
+
+// TestRunByIDRejectsUnknownScheme: a scheme filter with a name no
+// experiment knows fails RunByID with one line that names it and lists
+// the valid names, instead of an empty table or a silently dropped
+// cell; a filter of valid names runs.
+func TestRunByIDRejectsUnknownScheme(t *testing.T) {
+	for _, schemes := range [][]string{{"bogus"}, {"ppt", "bogus"}} {
+		_, err := RunByID("fig12", Options{Flows: 4, Schemes: schemes})
+		if err == nil || !strings.Contains(err.Error(), `"bogus"`) ||
+			!strings.Contains(err.Error(), "hypothetical") || strings.Contains(err.Error(), "\n") {
+			t.Errorf("RunByID(fig12, Schemes=%v) error = %v, want one line naming \"bogus\" and the valid names", schemes, err)
+		}
+	}
+	res, err := RunByID("fig12", Options{Flows: 4, Schemes: []string{"ppt", "hypothetical"}})
+	if err != nil || len(res.Rows) == 0 {
+		t.Fatalf("RunByID(fig12, Schemes=[ppt hypothetical]) = %v rows, error %v; want ppt's rows", res, err)
+	}
+}

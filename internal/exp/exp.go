@@ -9,6 +9,7 @@ package exp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -348,6 +349,9 @@ func RunByID(id string, o Options) (*Result, error) {
 	if err := checkScale(o.Flows, o.Load); err != nil {
 		return nil, err
 	}
+	if err := checkSchemes(o.Schemes); err != nil {
+		return nil, err
+	}
 	if o.Shards < 0 {
 		return nil, fmt.Errorf("exp: invalid shard count %d (want >= 1, or 0 for the default)", o.Shards)
 	}
@@ -370,6 +374,23 @@ func RunByID(id string, o Options) (*Result, error) {
 		res.Cache = &d
 	}
 	return res, nil
+}
+
+// checkSchemes rejects a scheme filter name that no experiment runs,
+// which would otherwise drop its cell silently. The names are the scheme
+// table's and the §2.3 oracle's "hypothetical".
+func checkSchemes(names []string) error {
+	valid := []string{"hypothetical"}
+	for k := range baseSchemes() {
+		valid = append(valid, k)
+	}
+	sort.Strings(valid)
+	for _, n := range names {
+		if !slices.Contains(valid, n) {
+			return fmt.Errorf("exp: unknown scheme %q (valid: %s)", n, strings.Join(valid, ", "))
+		}
+	}
+	return nil
 }
 
 // checkScale rejects a workload scale no run can honour: a negative flow

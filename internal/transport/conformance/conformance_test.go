@@ -296,19 +296,28 @@ func TestWindowSendersResendOncePerRTO(t *testing.T) {
 	}
 }
 
+// oracleProtocols are the two passes of the §2.3 oracle, which take a
+// recorded window per flow and so join only the single-flow checks.
+func oracleProtocols() []proto {
+	return []proto{
+		{name: "mw-recorder", make: func() transport.Protocol { return pptproto.NewMWRecorder() }},
+		{name: "oracle", make: func() transport.Protocol { return pptproto.Oracle{MW: map[uint32]float64{1: 200_000}} }},
+	}
+}
+
 // TestNoTimerOutlivesItsFlow: once a flow completes, Env.Complete has
 // recycled both of its endpoints, and no timer either of them armed may
 // still be pending — the RTO, a hosted loop's pace and dead timers, the
-// receiver's quiet flush. A late fire reaches a flow that is gone or, for
-// a pooled struct, one a later flow owns. The flow is sized so that the
-// low loop of ppt, swift+ppt and hpcc+ppt still holds a timer when the
-// last byte lands.
+// oracle's tick, the receiver's quiet flush. A late fire reaches a flow
+// that is gone or, for a pooled struct, one a later flow owns. The flow
+// is sized so that the low loop of ppt, swift+ppt and hpcc+ppt still
+// holds a timer when the last byte lands.
 func TestNoTimerOutlivesItsFlow(t *testing.T) {
 	const size = 70_000
-	window := map[string]bool{"dctcp": true, "tcp10": true, "pias": true, "ppt": true,
-		"swift": true, "swift+ppt": true, "hpcc": true, "hpcc+ppt": true}
+	window := map[string]bool{"dctcp": true, "tcp10": true, "pias": true, "ppt": true, "rc3": true,
+		"swift": true, "swift+ppt": true, "hpcc": true, "hpcc+ppt": true, "mw-recorder": true, "oracle": true}
 	loops := map[string]bool{"ppt": true, "swift+ppt": true, "hpcc+ppt": true}
-	for _, pr := range allProtocols() {
+	for _, pr := range append(allProtocols(), oracleProtocols()...) {
 		if !window[pr.name] {
 			continue
 		}
@@ -331,6 +340,37 @@ func TestNoTimerOutlivesItsFlow(t *testing.T) {
 				t.Errorf("armed after completion: %v", armed)
 			}
 		})
+	}
+}
+
+// TestNoEventOutlivesItsFlow counts what the struct walk of
+// TestNoTimerOutlivesItsFlow cannot see: a callback no field holds. Once
+// a lone flow completes, the scheduler runs a further half RTO, so the
+// wire drains and no RTO armed before completion is yet due; then no
+// event may be queued. A timer that fires inside that half RTO escapes
+// the count, which is why the walk stays.
+func TestNoEventOutlivesItsFlow(t *testing.T) {
+	for _, size := range []int64{70_000, 400_000} {
+		for _, pr := range append(allProtocols(), oracleProtocols()...) {
+			t.Run(fmt.Sprintf("%s/%d", pr.name, size), func(t *testing.T) {
+				cfg := baseConfig()
+				if pr.tweak != nil {
+					pr.tweak(&cfg)
+				}
+				env := transport.NewEnv(topo.Star(2, cfg))
+				env.SendBuf = pr.sendBuf
+				sum := transport.Run(env, pr.make(), []transport.SimpleFlow{{ID: 1, Src: 0, Dst: 1, Size: size, FirstCall: size}},
+					transport.RunConfig{})
+				if sum.Flows != 1 {
+					t.Fatal("the flow did not complete")
+				}
+				sched := env.Sched()
+				sched.RunUntil(sched.Now() + env.RTO()/2)
+				if n := sched.Pending(); n != 0 {
+					t.Errorf("%d events still queued half an RTO after the flow completed", n)
+				}
+			})
+		}
 	}
 }
 

@@ -11,9 +11,10 @@
 // law embed the sender and replace it. Every window transport binds
 // lowloop's receiver.
 //
-// The sender is also the one host of PPT's low-priority loop
-// (lowloop.Host): ppt, swift+ppt and hpcc+ppt hang a lowloop.Loop on it,
-// whose low ACKs it dispatches and whose timers it stops with its own.
+// The sender is also the one host of the low-priority loop
+// (lowloop.Host): ppt, swift+ppt, hpcc+ppt, RC3 and the §2.3 oracle hang
+// a lowloop.Loop on it, whose low ACKs it dispatches and whose timers it
+// stops with its own.
 // PPT runs the sender unchanged as its high-priority control loop (HCP),
 // supplying a priority tagger and an α hook for the intermittent LCP
 // initialization of §3.1.

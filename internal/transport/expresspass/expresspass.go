@@ -38,6 +38,7 @@ func (Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
 // StartSender implements transport.Protocol.
 func (Proto) StartSender(env *transport.Env, f *transport.Flow) {
 	s := &sender{env: env, f: f}
+	s.retryFn = s.retryFired
 	f.Src.Bind(f.ID, false, s)
 	// Announce the flow with a one-byte request packet; all real data
 	// waits for credits (the wasted first RTT: the pacer only learns of
@@ -51,6 +52,9 @@ type sender struct {
 	env      *transport.Env
 	f        *transport.Flow
 	sentNext int64
+	// retry guards the announcement; retryFn is retryFired bound once.
+	retry   sim.Timer
+	retryFn func()
 }
 
 // announce carries the flow's first byte as a credit request.
@@ -84,16 +88,22 @@ func (s *sender) Handle(pkt *netsim.Packet) {
 
 // armRetry guards against a lost announcement.
 func (s *sender) armRetry() {
-	s.env.Sched().After(s.env.RTO(), func() {
-		if s.f.SenderDone() {
-			return
-		}
-		if s.sentNext == 0 {
-			s.announce()
-		}
-		s.armRetry()
-	})
+	s.retry = s.env.Sched().After(s.env.RTO(), s.retryFn)
 }
+
+func (s *sender) retryFired() {
+	if s.f.SenderDone() {
+		return
+	}
+	if s.sentNext == 0 {
+		s.announce()
+	}
+	s.armRetry()
+}
+
+// Recycle implements transport.EndpointRecycler: the retry stops with
+// the flow.
+func (s *sender) Recycle(*transport.Env) { s.retry.Stop() }
 
 type creditInfo struct {
 	ResendSeq int64

@@ -41,6 +41,7 @@ func (Proto) StartSender(env *transport.Env, f *transport.Flow) {
 		return
 	}
 	s := &sender{env: env, f: f}
+	s.retryFn = s.retryFired
 	f.Src.Bind(f.ID, false, s)
 	s.launch()
 }
@@ -49,6 +50,9 @@ func (Proto) StartSender(env *transport.Env, f *transport.Flow) {
 type sender struct {
 	env *transport.Env
 	f   *transport.Flow
+	// retry is the loss backstop; retryFn is retryFired bound once.
+	retry   sim.Timer
+	retryFn func()
 }
 
 func (s *sender) launch() {
@@ -81,16 +85,22 @@ func (s *sender) emit(seq int64, retrans bool) {
 // bursts collided do not collide identically on every retry.
 func (s *sender) armRetry() {
 	jitter := sim.Time(s.f.ID%16) * s.env.BaseRTT() / 4
-	s.env.Sched().After(s.env.RTO()+jitter, func() {
-		if s.f.SenderDone() {
-			return
-		}
-		for seq := int64(0); seq < s.f.Size; seq += netsim.MSS {
-			s.emit(seq, true)
-		}
-		s.armRetry()
-	})
+	s.retry = s.env.Sched().After(s.env.RTO()+jitter, s.retryFn)
 }
+
+func (s *sender) retryFired() {
+	if s.f.SenderDone() {
+		return
+	}
+	for seq := int64(0); seq < s.f.Size; seq += netsim.MSS {
+		s.emit(seq, true)
+	}
+	s.armRetry()
+}
+
+// Recycle implements transport.EndpointRecycler: the retry stops with
+// the flow.
+func (s *sender) Recycle(*transport.Env) { s.retry.Stop() }
 
 // Handle implements netsim.Endpoint (Halfback needs no ACK clocking for
 // short flows; ACKs only exist so the retry backstop can observe

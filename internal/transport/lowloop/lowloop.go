@@ -1,17 +1,19 @@
-// Package lowloop is PPT's low-priority control loop (§3.1–3.2) and the
-// receiver that answers it. Every PPT-family transport runs the loop:
-// PPT itself (on DCTCP), swift+ppt (Fig 14) and hpcc+ppt (appendix B).
-// Every window transport binds the receiver. A loop sends opportunistic
-// packets backwards from the flow tail, paces its initial window over
-// one RTT, is 2:1 ACK-clocked thereafter (exponential window
-// decreasing, EWD), is silenced by ECE, and terminates itself after two
-// RTTs without a low-priority ACK.
+// Package lowloop is the one tail engine: PPT's low-priority control
+// loop (§3.1–3.2) and the receiver that answers it. PPT, swift+ppt
+// (Fig 14) and hpcc+ppt (appendix B) run the loop; RC3 and the §2.3
+// oracle run it under their own Policy. Every window transport binds
+// the receiver. A PPT loop sends opportunistic packets backwards from
+// the flow tail, paces its initial window over one RTT, is 2:1
+// ACK-clocked thereafter (exponential window decreasing, EWD), is
+// silenced by ECE, and terminates itself after two RTTs without a
+// low-priority ACK.
 //
 // The host — the high-priority loop, dctcp's window sender — provides
 // its send frontier, window, RTT estimate and cumulative ACK (Host),
 // tags the opportunistic packets, and decides when to open a loop: PPT
 // on its case-1/case-2 triggers, Swift when measured delay falls below
-// target, HPCC when telemetry shows utilization below η.
+// target, HPCC when telemetry shows utilization below η, RC3 at flow
+// start, the oracle every RTT.
 //
 // A loop is refused while its backlog — the opportunistic bytes earlier
 // loops sent that are neither low-ACKed nor below the host's cumulative
@@ -49,6 +51,26 @@ type Host interface {
 	OnSkipUpdate()
 }
 
+// Policy holds the terms in which the tail loops differ; the zero value
+// is PPT's loop. The tag (Host.LowPrio) and when to open are the host's.
+type Policy struct {
+	// NoECN sends non-ECT, and ECE no longer silences the loop (Fig 15).
+	NoECN bool
+	// NoEWD sends the whole remaining tail at line rate (Fig 16).
+	NoEWD bool
+	// Burst sends the initial window back to back at open.
+	Burst bool
+	// Blind clocks out one packet per low ACK whatever its ECE; no dead
+	// timer closes the loop.
+	Blind bool
+	// Unclocked leaves low ACKs only to fold: the opener sizes and ends
+	// each fill, so there is no clock, dead timer or backlog gate.
+	Unclocked bool
+	// AtFrontier lets sends reach the host's frontier, not stop one host
+	// window above it.
+	AtFrontier bool
+}
+
 // Loop is one flow's low-priority control loop. The zero value is an
 // unbound shell; Init attaches it to a flow, so hosts that recycle
 // their senders recycle the loop with them.
@@ -56,11 +78,7 @@ type Loop struct {
 	env  *transport.Env
 	f    *transport.Flow
 	host Host
-
-	// noECN and noEWD are the deep-dive ablations: opportunistic packets
-	// are sent non-ECT and ECE no longer silences the loop (Fig 15), and
-	// a loop sends the whole remaining tail at line rate (Fig 16).
-	noECN, noEWD bool
+	pol  Policy
 
 	active bool
 	// tailNext is the low end of the tail the loop has covered; the next
@@ -70,7 +88,6 @@ type Loop struct {
 	// spent, the loop is purely ACK-clocked.
 	budget  int64
 	paceGap sim.Time
-	pacing  bool
 	// oppSent is the cumulative opportunistic payload sent.
 	oppSent int64
 	// sent holds every range the loop has sent. The host's skip set holds
@@ -84,24 +101,23 @@ type Loop struct {
 	paceFn, termFn func()
 }
 
-// New builds an inactive loop over f's tail with neither ablation.
+// New builds an inactive loop over f's tail under PPT's policy.
 func New(env *transport.Env, f *transport.Flow, host Host) *Loop {
 	l := &Loop{}
-	l.Init(env, f, host, false, false)
+	l.Init(env, f, host, Policy{})
 	return l
 }
 
-// Init (re)targets the loop at a flow and resets every piece of loop
-// state; noECN and noEWD select the ablations. The host's cumulative
-// ACK must already be reset: it bounds the loop's reach when the
-// modeled send buffer (Env.SendBuf) is finite.
-func (l *Loop) Init(env *transport.Env, f *transport.Flow, host Host, noECN, noEWD bool) {
+// Init (re)targets the loop at a flow under a policy and resets every
+// piece of loop state. The host's cumulative ACK must already be reset:
+// it bounds the loop's reach when the modeled send buffer (Env.SendBuf)
+// is finite.
+func (l *Loop) Init(env *transport.Env, f *transport.Flow, host Host, pol Policy) {
 	if l.paceFn == nil {
 		l.paceFn, l.termFn = l.paceOne, l.Terminate
 	}
-	l.env, l.f, l.host = env, f, host
-	l.noECN, l.noEWD = noECN, noEWD
-	l.active, l.pacing = false, false
+	l.env, l.f, l.host, l.pol = env, f, host, pol
+	l.active = false
 	l.budget, l.paceGap, l.oppSent = 0, 0, 0
 	l.sent.Reset()
 	l.deadTimer, l.paceTimer = sim.Timer{}, sim.Timer{}
@@ -135,10 +151,11 @@ func (l *Loop) bufferedTail() int64 {
 }
 
 // Open starts a loop with initial window i, paced over one RTT — or,
-// under the EWD ablation, the whole remaining tail at line rate. A
-// guarded loop (a mid-flow re-open) caps its window to the gap beyond
-// two host windows. Open is refused while a loop is active, and while
-// the backlog is at least I/2.
+// under the EWD ablation, the whole remaining tail at line rate, or
+// under Burst back to back. A guarded loop (a mid-flow re-open) caps its
+// window to the gap beyond two host windows. Open is refused while a
+// loop is active, and, unless the loop is Unclocked, while the backlog
+// is at least I/2.
 func (l *Loop) Open(i int64, guarded bool) {
 	if guarded {
 		l.env.Eff.Case2Opens++
@@ -174,23 +191,22 @@ func (l *Loop) Open(i int64, guarded bool) {
 		return
 	}
 	acked := l.host.Acked()
-	if l.sent.CoveredIn(acked, l.f.Size)-l.host.SkipSet().CoveredIn(acked, l.f.Size) >= i/2 {
+	if !l.pol.Unclocked && l.sent.CoveredIn(acked, l.f.Size)-l.host.SkipSet().CoveredIn(acked, l.f.Size) >= i/2 {
 		return
 	}
 	l.active = true
 	l.budget = i
-	if l.noEWD {
+	if l.pol.NoEWD {
 		l.budget = l.tailNext - l.host.Frontier()
 		l.paceGap = l.f.Src.Rate().TxTime(netsim.MSS + netsim.HeaderBytes)
 	} else {
 		pkts := (i + netsim.MSS - 1) / netsim.MSS
 		l.paceGap = l.rtt() / sim.Time(pkts)
 	}
-	l.resetDeadTimer()
-	if !l.pacing {
-		l.pacing = true
-		l.paceOne()
+	if !l.pol.Blind && !l.pol.Unclocked {
+		l.resetDeadTimer()
 	}
+	l.paceOne()
 }
 
 func (l *Loop) rtt() sim.Time {
@@ -200,26 +216,32 @@ func (l *Loop) rtt() sim.Time {
 	return l.env.BaseRTT()
 }
 
-// paceOne transmits the next packet of the initial window.
+// paceOne transmits the next packet of the initial window — under
+// Burst, the whole window at once.
 func (l *Loop) paceOne() {
-	if !l.active || l.f.SenderDone() || l.budget <= 0 || !l.send() {
-		l.pacing = false
-		return
+	for l.active && !l.f.SenderDone() && l.budget > 0 && l.send() {
+		l.env.Eff.PacedPkts++
+		l.budget -= netsim.MSS
+		if !l.pol.Burst {
+			l.paceTimer = l.env.Sched().After(l.paceGap, l.paceFn)
+			return
+		}
 	}
-	l.env.Eff.PacedPkts++
-	l.budget -= netsim.MSS
-	l.paceTimer = l.env.Sched().After(l.paceGap, l.paceFn)
 }
 
 // send emits one opportunistic packet from the tail, skipping ranges
 // already delivered; false when the loops have crossed and nothing
 // remains.
 func (l *Loop) send() bool {
-	// Stay one host window ahead of the high loop's frontier: the host
-	// covers that region itself within the next round, so opportunistic
-	// copies there lose the race and are pure duplication ("the window
-	// summation of LCP and HCP will not exceed the MW", §3).
-	frontier := l.host.Frontier() + int64(l.host.Window())
+	// Unless AtFrontier, stay one host window ahead of the high loop's
+	// frontier: the host covers that region itself within the next
+	// round, so opportunistic copies there lose the race and are pure
+	// duplication ("the window summation of LCP and HCP will not exceed
+	// the MW", §3).
+	frontier := l.host.Frontier()
+	if !l.pol.AtFrontier {
+		frontier += int64(l.host.Window())
+	}
 	skip := l.host.SkipSet()
 	for l.tailNext > frontier && skip.Contains(l.tailNext-1, l.tailNext) {
 		l.tailNext = skip.ContiguousBack(l.tailNext)
@@ -237,7 +259,7 @@ func (l *Loop) send() bool {
 	}
 	n := int32(l.tailNext - seq)
 	pkt := l.f.Src.Data(l.f.ID, l.f.Dst.ID(), seq, n, l.host.LowPrio())
-	pkt.ECT = !l.noECN
+	pkt.ECT = !l.pol.NoECN
 	pkt.LowLoop = true
 	l.f.Src.Send(pkt)
 	l.env.Eff.SentLowPayload += int64(n)
@@ -249,17 +271,20 @@ func (l *Loop) send() bool {
 
 // OnLowAck processes a low-priority ACK: folds the delivered ranges into
 // the shared scoreboard and — unless the ACK carries ECE — clocks out
-// one new opportunistic packet (the EWD 2:1 halving, §3.2).
+// one new opportunistic packet (the EWD 2:1 halving, §3.2). A Blind loop
+// clocks one out whatever the ECE; an Unclocked one only folds.
 func (l *Loop) OnLowAck(pkt *netsim.Packet) {
-	if _, ok := transport.FoldLowAck(l.env, pkt, l.host.SkipSet()); ok {
+	if transport.FoldLowAck(l.env, pkt, l.host.SkipSet()) {
 		l.host.OnSkipUpdate()
 	}
-	if !l.active {
+	if !l.active || l.pol.Unclocked {
 		return
 	}
-	l.resetDeadTimer()
-	if pkt.ECE && !l.noECN {
-		return
+	if !l.pol.Blind {
+		l.resetDeadTimer()
+		if pkt.ECE && !l.pol.NoECN {
+			return
+		}
 	}
 	if l.send() {
 		l.env.Eff.ClockedPkts++
@@ -271,21 +296,24 @@ func (l *Loop) resetDeadTimer() {
 	l.deadTimer = l.env.Sched().After(2*l.rtt(), l.termFn)
 }
 
-// Terminate closes the loop after two RTTs of ACK silence; a later
-// trigger may open a fresh one (§3.2 remarks).
+// Terminate closes the loop — after two RTTs of ACK silence, or when
+// the opener ends a fill — and stops its timers, so a later Open starts
+// the one pace chain; a later trigger may open a fresh loop (§3.2
+// remarks).
 func (l *Loop) Terminate() {
+	l.StopTimers()
 	l.active = false
-	l.pacing = false
 	l.budget = 0
 }
 
 // Receiver is the receiving endpoint of every window transport: dctcp,
 // tcp10 and pias, ppt and its ablations, swift, swift+ppt, hpcc,
-// hpcc+ppt, the MW recorder and the §2.3 oracle (the ones without a low
-// loop simply never see an opportunistic packet). It reassembles data
-// from both loops, acknowledges every high-loop packet on its own
+// hpcc+ppt, RC3, the MW recorder and the §2.3 oracle (the ones without a
+// low loop simply never see an opportunistic packet). It reassembles
+// data from both loops, acknowledges every high-loop packet on its own
 // cumulative ACK, and answers opportunistic arrivals with one
-// low-priority ACK per two (the 2:1 EWD clock of §3.2).
+// low-priority ACK per two (the 2:1 EWD clock of §3.2), or per arrival
+// under AckEach.
 // A lone arrival is held for its pair only until the loop has been quiet
 // for two base RTTs, then acknowledged alone: a loop that sent an odd
 // number of packets would otherwise strand its last one, and the sender
@@ -293,6 +321,9 @@ func (l *Loop) Terminate() {
 type Receiver struct {
 	transport.PoolNode
 	R *transport.Reassembly
+	// AckEach acknowledges each opportunistic arrival alone (RC3's 1:1
+	// clock); Init clears it.
+	AckEach bool
 
 	env *transport.Env
 	f   *transport.Flow
@@ -343,6 +374,7 @@ func (rc *Receiver) Init(env *transport.Env, f *transport.Flow) {
 		rc.R.Reset(f.Size)
 	}
 	rc.env, rc.f = env, f
+	rc.AckEach = false
 	rc.hasPending = false
 	rc.flushTimer = sim.Timer{}
 }
@@ -399,10 +431,14 @@ func (rc *Receiver) deliver(pkt *netsim.Packet) (high bool) {
 	}
 	eff.UsefulLow += added
 	eff.DupLowBytes += int64(pkt.PayloadLen) - added
-	if !rc.hasPending {
+	if !rc.hasPending || rc.AckEach {
 		rc.pendingSeq, rc.pendingLen, rc.pendingCE = pkt.Seq, pkt.PayloadLen, pkt.CE
 		rc.pendingTS, rc.pendingPrio = pkt.SentAt, pkt.Prio
 		rc.hasPending = true
+		if rc.AckEach {
+			rc.flush()
+			return false
+		}
 		if rc.flushFn == nil {
 			rc.flushFn = rc.flush
 		}
@@ -421,8 +457,8 @@ func (rc *Receiver) deliver(pkt *netsim.Packet) (high bool) {
 	return false
 }
 
-// flush acknowledges the pending arrival on its own once the loop has
-// gone quiet (no pair showed up).
+// flush acknowledges the pending arrival on its own: at once on the 1:1
+// clock, otherwise once the loop has gone quiet (no pair showed up).
 func (rc *Receiver) flush() {
 	if !rc.hasPending || rc.f.Done() {
 		return

@@ -193,7 +193,7 @@ func TestBacklogClearsBelowCumAck(t *testing.T) {
 	// from the buffered tail, above the stale bytes.
 	l, h, env := setup(t, 10_000_000)
 	env.SendBuf = 128 << 10
-	l.Init(env, l.f, h, false, false)
+	l.Init(env, l.f, h, Policy{})
 	l.Open(4*netsim.MSS, false)
 	env.Sched().RunUntil(10 * env.BaseRTT()) // never low-ACKed: terminated
 	l.Open(4*netsim.MSS, false)
@@ -229,7 +229,7 @@ func TestSendBufBoundsReach(t *testing.T) {
 	// fresh loop restarts from the new buffered tail.
 	l, h, env := setup(t, 10_000_000)
 	env.SendBuf = 128 << 10
-	l.Init(env, l.f, h, false, false)
+	l.Init(env, l.f, h, Policy{})
 	l.Open(4*netsim.MSS, false)
 	if l.OppSent() == 0 || l.TailNext() != env.SendBuf-netsim.MSS {
 		t.Fatalf("first packet ends at %d, want the %d-byte buffered tail", l.TailNext()+netsim.MSS, env.SendBuf)
@@ -258,7 +258,7 @@ func TestNoECNAblation(t *testing.T) {
 	// Fig 15's variant: opportunistic packets go out non-ECT, and an ECE
 	// low ACK still clocks out a packet.
 	l, h, env := setup(t, 10_000_000)
-	l.Init(env, l.f, h, true, false)
+	l.Init(env, l.f, h, Policy{NoECN: true})
 	got := recordDst(l)
 	l.Open(4*netsim.MSS, false)
 	env.Sched().RunUntil(env.BaseRTT())
@@ -283,7 +283,7 @@ func TestNoEWDAblation(t *testing.T) {
 	// Fig 16's variant: a loop sends the whole remaining tail at line
 	// rate instead of pacing its initial window over one RTT.
 	l, h, env := setup(t, 10_000_000)
-	l.Init(env, l.f, h, false, true)
+	l.Init(env, l.f, h, Policy{NoEWD: true})
 	l.Open(4*netsim.MSS, false)
 	env.Sched().RunUntil(env.BaseRTT())
 	rtt := env.BaseRTT()
@@ -303,6 +303,93 @@ func TestStopTimersLeavesNoCallback(t *testing.T) {
 	// closed the loop.
 	if l.OppSent() != sent || !l.Active() {
 		t.Fatalf("after StopTimers: sent %d → %d, active=%v", sent, l.OppSent(), l.Active())
+	}
+}
+
+// TestTerminateStopsPaceChain: a loop terminated while its pacing is
+// pending and opened again at once runs one pace chain, not two.
+func TestTerminateStopsPaceChain(t *testing.T) {
+	l, _, env := setup(t, 10_000_000)
+	l.Open(10*netsim.MSS, false)
+	l.Terminate()
+	l.Open(10*netsim.MSS, false)
+	before := l.OppSent()
+	env.Sched().RunUntil(env.BaseRTT() / 2)
+	// One chain paces 10 packets over the RTT: five more by half of it.
+	if got := (l.OppSent() - before) / netsim.MSS; got != 5 {
+		t.Fatalf("sent %d packets in half an RTT after the re-open, want one chain's 5", got)
+	}
+}
+
+// TestBurstSendsWindowAtOnce: under Burst the initial window leaves at
+// open, back to back, and no pace timer is left behind.
+func TestBurstSendsWindowAtOnce(t *testing.T) {
+	l, h, env := setup(t, 10_000_000)
+	l.Init(env, l.f, h, Policy{Burst: true})
+	l.Open(10*netsim.MSS, false)
+	if l.OppSent() != 10*netsim.MSS || l.paceTimer.Pending() {
+		t.Fatalf("burst sent %d bytes at open (pace timer pending: %v), want the 10-packet window and no timer",
+			l.OppSent(), l.paceTimer.Pending())
+	}
+}
+
+// TestBlindClocksThroughECEAndNeverDies: under Blind an ECE low ACK
+// still clocks out a packet and ACK silence never closes the loop.
+func TestBlindClocksThroughECEAndNeverDies(t *testing.T) {
+	l, h, env := setup(t, 10_000_000)
+	l.Init(env, l.f, h, Policy{Blind: true})
+	l.Open(4*netsim.MSS, false)
+	env.Sched().Run()
+	if !l.Active() {
+		t.Fatal("blind loop closed after ACK silence")
+	}
+	sent := l.OppSent()
+	ece := netsim.CtrlPacket(netsim.Ack, 1, 1, 0, 5)
+	ece.LowLoop, ece.ECE = true, true
+	l.OnLowAck(ece)
+	if l.OppSent() != sent+netsim.MSS || l.deadTimer.Pending() {
+		t.Fatalf("ECE low ACK sent %d bytes (dead timer pending: %v), want one MSS and no timer",
+			l.OppSent()-sent, l.deadTimer.Pending())
+	}
+}
+
+// TestUnclockedOnlyFolds: an Unclocked loop opens over a backlog, sends
+// nothing on a low ACK and arms no dead timer.
+func TestUnclockedOnlyFolds(t *testing.T) {
+	l, h, env := setup(t, 10_000_000)
+	l.Init(env, l.f, h, Policy{Unclocked: true})
+	l.Open(4*netsim.MSS, false)
+	env.Sched().Run()
+	l.Terminate()
+	l.Open(4*netsim.MSS, false) // the first window is all backlog
+	if !l.Active() || l.deadTimer.Pending() {
+		t.Fatalf("re-open over a backlog: active=%v, dead timer pending=%v; want open and no timer",
+			l.Active(), l.deadTimer.Pending())
+	}
+	sent := l.OppSent()
+	ack := netsim.CtrlPacket(netsim.Ack, 1, 1, 0, 5)
+	ack.LowLoop = true
+	ack.Meta = &transport.AckMeta{LowSeqs: [2]int64{10_000_000 - netsim.MSS}, LowLens: [2]int32{netsim.MSS}, LowN: 1}
+	l.OnLowAck(ack)
+	if l.OppSent() != sent || h.skipUps != 1 {
+		t.Fatalf("low ACK sent %d bytes and notified the host %d times, want 0 and 1", l.OppSent()-sent, h.skipUps)
+	}
+}
+
+// TestAtFrontierReachesHostFrontier: with AtFrontier the tail walks down
+// to the host's frontier; without it, it stops one host window above.
+func TestAtFrontierReachesHostFrontier(t *testing.T) {
+	for _, pol := range []Policy{{Burst: true}, {Burst: true, AtFrontier: true}} {
+		l, h, env := setup(t, 100_000)
+		l.Init(env, l.f, h, pol)
+		l.Open(100_000, false)
+		want := h.frontier
+		if !pol.AtFrontier {
+			want += int64(h.window)
+		}
+		if l.TailNext() != want {
+			t.Errorf("%+v: tail stopped at %d, want %d", pol, l.TailNext(), want)
+		}
 	}
 }
 
@@ -399,6 +486,37 @@ func TestRecycledReceiverDropsHeldArrival(t *testing.T) {
 	env.Sched().Run()
 	if !slices.Equal(acked, []int64{10_000, 20_000}) {
 		t.Fatalf("the new flow's low ACKs cover %v, want its own pair [10000 20000]", acked)
+	}
+}
+
+// TestAckEachAnswersEveryArrival: on the 1:1 clock every opportunistic
+// arrival gets its own low ACK at once, and nothing is held for a pair.
+func TestAckEachAnswersEveryArrival(t *testing.T) {
+	env := transporttest.NewStarEnv(4)
+	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 100_000}
+	rc := GetReceiver(env, f)
+	rc.AckEach = true
+	var acked []int64
+	f.Src.Bind(f.ID, false, epFunc(func(p *netsim.Packet) {
+		if meta, ok := p.Meta.(*transport.AckMeta); ok {
+			acked = append(acked, meta.LowSeqs[:meta.LowN]...)
+		}
+	}))
+	for _, seq := range []int64{90_000, 80_000, 70_000} {
+		p := netsim.DataPacket(f.ID, f.Src.ID(), f.Dst.ID(), seq, netsim.MSS, 4)
+		p.LowLoop = true
+		rc.deliver(p)
+		if rc.hasPending {
+			t.Fatalf("arrival at %d held for a pair on the 1:1 clock", seq)
+		}
+	}
+	env.Sched().Run()
+	if !slices.Equal(acked, []int64{90_000, 80_000, 70_000}) {
+		t.Fatalf("low ACKs cover %v, want one per arrival", acked)
+	}
+	rc.Recycle(env)
+	if GetReceiver(env, f).AckEach {
+		t.Fatal("a recycled receiver kept the 1:1 clock")
 	}
 }
 

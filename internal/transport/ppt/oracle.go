@@ -13,7 +13,10 @@ import (
 // The "hypothetical DCTCP" of §2.3: an oracle that knows each flow's
 // maximum window (MW) from a prior identical run and, every RTT, sends
 // exactly enough low-priority opportunistic packets from the tail to
-// fill the gap between the live congestion window and FillFraction×MW.
+// fill the gap between the live congestion window, the bytes still in
+// flight, and FillFraction×MW. The packets go out through lowloop's
+// engine. A fill counts as in flight at the next tick only, less what
+// low ACKs have covered; after that it is presumed delivered or lost.
 //
 // Figure 2 compares it against DCTCP/Homa/NDP at FillFraction=1;
 // Figure 3 sweeps FillFraction from 0.5 to 1.5; Figure 20 reports its
@@ -78,93 +81,62 @@ func (Oracle) StartReceiver(env *transport.Env, f *transport.Flow) {
 	f.Dst.Bind(f.ID, true, lowloop.GetReceiver(env, f))
 }
 
+// oraclePolicy is the gap filler: each tick sizes the fill, and sends
+// reach the high loop's frontier.
+var oraclePolicy = lowloop.Policy{Unclocked: true, AtFrontier: true}
+
 // StartSender implements transport.Protocol.
 func (o Oracle) StartSender(env *transport.Env, f *transport.Flow) {
 	frac := o.FillFraction
 	if frac == 0 {
 		frac = 1.0
 	}
-	s := &oracleSender{
-		env:      env,
-		f:        f,
-		target:   frac * o.MW[f.ID],
-		tailNext: f.Size,
-	}
-	s.hcp = dctcp.NewSender(env, f, dctcp.Config{})
+	s := &oracleSender{target: frac * o.MW[f.ID], tickTail: f.Size}
+	s.Init(env, f, dctcp.Config{})
+	s.Low = &s.lcp
+	s.lcp.Init(env, f, &s.Sender, oraclePolicy)
+	s.tickFn = s.onTick
 	f.Src.Bind(f.ID, false, s)
-	s.hcp.Launch()
-	s.tick()
+	s.Launch()
+	s.onTick()
 }
 
-// oracleSender runs DCTCP plus a per-RTT gap filler.
+// oracleSender is DCTCP's window sender hosting a low loop that a
+// per-RTT tick opens as a gap filler.
 type oracleSender struct {
-	env      *transport.Env
-	f        *transport.Flow
-	hcp      *dctcp.Sender
-	target   float64
-	tailNext int64
-	inflight int64
+	dctcp.Sender
+	lcp    lowloop.Loop
+	target float64
+	// tickTail is the loop's tail at the previous tick.
+	tickTail int64
+	tick     sim.Timer
+	tickFn   func()
 }
 
-// Handle implements netsim.Endpoint.
-func (s *oracleSender) Handle(pkt *netsim.Packet) {
-	if s.f.SenderDone() || pkt.Kind != netsim.Ack {
-		return
-	}
-	if pkt.LowLoop {
-		if n, ok := transport.FoldLowAck(s.env, pkt, s.hcp.Skip); ok {
-			s.inflight = max(s.inflight-n, 0)
-			s.hcp.TrySend()
-		}
-		return
-	}
-	s.hcp.ProcessAck(pkt)
-}
-
-// tick fires once per RTT: fill the gap to the oracle target, paced
-// evenly across the RTT.
-func (s *oracleSender) tick() {
-	if s.f.SenderDone() {
-		return
-	}
-	rtt := s.hcp.SRTT
+// onTick fires once per RTT: it ends the previous fill, whose last pace
+// event can fall on this instant, and opens one that fills the gap to
+// the oracle target, paced evenly across the RTT.
+func (s *oracleSender) onTick() {
+	rtt := s.SRTT
 	if rtt <= 0 {
-		rtt = s.env.BaseRTT()
+		rtt = s.Env.BaseRTT()
 	}
-	gap := int64(s.target-s.hcp.Cwnd) - s.inflight
-	if gap > 0 && s.tailNext > s.hcp.SndNxt {
-		pkts := (gap + netsim.MSS - 1) / netsim.MSS
-		gapPace := rtt / sim.Time(pkts)
-		s.paceBurst(pkts, gapPace)
+	// In flight: what the fill sent since the previous tick and no low
+	// ACK covered. Older bytes are presumed delivered or lost.
+	tail := s.lcp.TailNext()
+	inflight := s.tickTail - tail - s.Skip.CoveredIn(tail, s.tickTail)
+	s.tickTail = tail
+	s.lcp.Terminate()
+	if gap := int64(s.target-s.Cwnd) - inflight; gap > 0 {
+		// Whole packets: Open refuses a window under one MSS.
+		s.lcp.Open((gap+netsim.MSS-1)/netsim.MSS*netsim.MSS, false)
 	}
-	s.env.Sched().After(rtt, s.tick)
+	s.tick = s.Env.Sched().After(rtt, s.tickFn)
 }
 
-func (s *oracleSender) paceBurst(left int64, gapPace sim.Time) {
-	if left <= 0 || s.f.SenderDone() {
-		return
-	}
-	if !s.sendOpportunistic() {
-		return
-	}
-	s.env.Sched().After(gapPace, func() { s.paceBurst(left-1, gapPace) })
-}
-
-func (s *oracleSender) sendOpportunistic() bool {
-	seq := s.tailNext - netsim.MSS
-	if seq < s.hcp.SndNxt {
-		seq = s.hcp.SndNxt
-	}
-	if seq >= s.tailNext {
-		return false
-	}
-	n := int32(s.tailNext - seq)
-	pkt := s.f.Src.Data(s.f.ID, s.f.Dst.ID(), seq, n, 4)
-	pkt.ECT = true
-	pkt.LowLoop = true
-	s.f.Src.Send(pkt)
-	s.env.Eff.SentLowPayload += int64(n)
-	s.inflight += int64(n)
-	s.tailNext = seq
-	return true
+// Recycle implements transport.EndpointRecycler: the tick stops with
+// the RTO and the loop's timers.
+func (s *oracleSender) Recycle(env *transport.Env) {
+	s.tick.Stop()
+	s.Sender.Recycle(env)
 }

@@ -129,3 +129,30 @@ func TestOracleDefaultFillFraction(t *testing.T) {
 		t.Fatalf("default fraction differs: %v vs %v", a.OverallAvg, b.OverallAvg)
 	}
 }
+
+// TestOracleRefillsWithoutLowAcks: with no receiver bound no low ACK
+// ever returns, so every fill is lost. The oracle presumes a fill
+// delivered or lost by the tick after the next, so it must fill again
+// within two ticks; a fill counted in flight until a low ACK covers it
+// would silence the oracle after its first RTT.
+func TestOracleRefillsWithoutLowAcks(t *testing.T) {
+	env := oracleEnv()
+	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
+		Size: 50_000_000, FirstCall: 50_000_000}
+	Oracle{MW: map[uint32]float64{1: 400_000}}.StartSender(env, f)
+	var perRTT []int64
+	for k, prev := 1, int64(0); k <= 8; k++ {
+		env.Sched().RunUntil(sim.Time(k) * env.BaseRTT())
+		perRTT = append(perRTT, env.Eff.SentLowPayload-prev)
+		prev = env.Eff.SentLowPayload
+	}
+	t.Logf("low bytes sent per base RTT: %v", perRTT)
+	if perRTT[0] == 0 {
+		t.Fatalf("low bytes sent per base RTT %v: no first fill", perRTT)
+	}
+	for k := 1; k+1 < len(perRTT); k++ {
+		if perRTT[k] == 0 && perRTT[k+1] == 0 {
+			t.Fatalf("low bytes sent per base RTT %v: no fill in RTTs %d and %d", perRTT, k+1, k+2)
+		}
+	}
+}

@@ -183,7 +183,7 @@ func (s *sender) init(env *transport.Env, f *transport.Flow, cfg Config) {
 	s.cfg = cfg
 	s.Init(env, f, dctcp.Config{Prio: s.prioFn})
 	s.Low = &s.lcp
-	s.lcp.Init(env, f, &s.Sender, cfg.DisableECN, cfg.DisableEWD)
+	s.lcp.Init(env, f, &s.Sender, lowloop.Policy{NoECN: cfg.DisableECN, NoEWD: cfg.DisableEWD})
 	s.alphas = s.alphas[:0]
 	s.openTimer = sim.Timer{}
 	s.OnAlpha = s.alphaFn

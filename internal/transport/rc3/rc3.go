@@ -6,6 +6,9 @@
 // levels, with no ECN reaction and no attempt to protect the primary
 // loop. The loop runs until it crosses the primary loop's frontier.
 //
+// The low loop is lowloop's under RC3's policy, with the receiver on a
+// 1:1 clock; only the open at flow start and the levels are RC3's own.
+//
 // This aggressive behaviour — contrasted with PPT's intermittent,
 // exponentially decreasing, ECN-guarded loop — is what Figures 8–13 and
 // 24 measure.
@@ -15,11 +18,17 @@ import (
 	"ppt/internal/netsim"
 	"ppt/internal/transport"
 	"ppt/internal/transport/dctcp"
+	"ppt/internal/transport/lowloop"
 )
 
 // levelBase is the packet count of the first low-priority level; each
 // subsequent level is 10× larger, per RC3.
 const levelBase = 40
+
+// policy is RC3's low loop in lowloop's terms: the initial BDP goes out
+// back to back, every low ACK clocks out a packet ("fills up the entire
+// BDP for every RTT") and nothing but crossing the primary loop ends it.
+var policy = lowloop.Policy{Burst: true, Blind: true, AtFrontier: true}
 
 // Proto is the RC3 protocol factory.
 type Proto struct{}
@@ -27,123 +36,52 @@ type Proto struct{}
 // Name implements transport.Protocol.
 func (Proto) Name() string { return "rc3" }
 
-// StartReceiver implements transport.Protocol.
+// StartReceiver implements transport.Protocol: a pooled receiver on
+// RC3's 1:1 clock.
 func (Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
-	f.Dst.Bind(f.ID, true, &receiver{env: env, f: f, r: transport.NewReassembly(f.Size)})
+	rc := lowloop.GetReceiver(env, f)
+	rc.AckEach = true
+	f.Dst.Bind(f.ID, true, rc)
 }
 
-// StartSender implements transport.Protocol.
+// StartSender implements transport.Protocol: launch the primary loop and
+// open the one low loop, a BDP from the tail.
 func (Proto) StartSender(env *transport.Env, f *transport.Flow) {
-	s := &sender{env: env, f: f, tailNext: f.Size}
-	s.hcp = dctcp.NewSender(env, f, dctcp.Config{})
+	s := newSender(env, f)
 	f.Src.Bind(f.ID, false, s)
-	s.hcp.Launch()
-	s.launchLCP()
+	s.Launch()
+	s.lcp.Open(int64(env.BDP()), false)
 }
 
+// sender is DCTCP's window sender hosting a low loop under RC3's policy;
+// it overrides only the loop's tag.
 type sender struct {
-	env *transport.Env
-	f   *transport.Flow
-	hcp *dctcp.Sender
-
-	tailNext int64 // next tail byte frontier (descending)
-	oppSent  int64 // payload bytes sent by the low loop
-	inflight int64 // low-loop bytes in flight
+	dctcp.Sender
+	lcp lowloop.Loop
 }
 
-// launchLCP blasts the first BDP of tail bytes at line rate; afterwards
-// the loop is ACK-clocked at one-for-one, holding ~BDP in flight per RTT
-// ("fills up the entire BDP for every RTT").
-func (s *sender) launchLCP() {
-	bdp := int64(s.env.BDP())
-	for s.inflight < bdp {
-		if !s.sendOpportunistic() {
-			return
-		}
-	}
+func newSender(env *transport.Env, f *transport.Flow) *sender {
+	s := &sender{}
+	s.Init(env, f, dctcp.Config{})
+	s.Low = &s.lcp
+	s.lcp.Init(env, f, s, policy)
+	return s
 }
 
-// lowPrio maps cumulative low-loop packets sent to the RC3 exponential
-// priority levels: first levelBase packets at P4, 10× that at P5, 10×
-// again at P6, remainder at P7.
-func (s *sender) lowPrio() int8 {
-	pktsSent := s.oppSent / netsim.MSS
-	level := int64(levelBase)
+// LowPrio implements lowloop.Host: RC3's exponential levels over the
+// low-loop packets sent so far.
+func (s *sender) LowPrio() int8 { return level(s.lcp.OppSent() / netsim.MSS) }
+
+// level maps cumulative low-loop packets sent to the RC3 priority
+// levels: the first levelBase packets at P4, 10× that at P5, 10× again
+// at P6, the remainder at P7.
+func level(pktsSent int64) int8 {
+	n := int64(levelBase)
 	for p := int8(4); p < 7; p++ {
-		if pktsSent < level {
+		if pktsSent < n {
 			return p
 		}
-		level *= 10
+		n *= 10
 	}
 	return 7
-}
-
-func (s *sender) sendOpportunistic() bool {
-	seq := s.tailNext - netsim.MSS
-	if seq < s.hcp.SndNxt {
-		seq = s.hcp.SndNxt
-	}
-	if seq >= s.tailNext {
-		return false // crossed with the primary loop: RC3 stops here
-	}
-	n := int32(s.tailNext - seq)
-	pkt := s.f.Src.Data(s.f.ID, s.f.Dst.ID(), seq, n, s.lowPrio())
-	pkt.ECT = true // marked, but RC3 ignores the echo
-	pkt.LowLoop = true
-	s.f.Src.Send(pkt)
-	s.env.Eff.SentLowPayload += int64(n)
-	s.oppSent += int64(n)
-	s.inflight += int64(n)
-	s.tailNext = seq
-	return true
-}
-
-// Handle implements netsim.Endpoint.
-func (s *sender) Handle(pkt *netsim.Packet) {
-	if s.f.SenderDone() || pkt.Kind != netsim.Ack {
-		return
-	}
-	if pkt.LowLoop {
-		if n, ok := transport.FoldLowAck(s.env, pkt, s.hcp.Skip); ok {
-			s.inflight = max(s.inflight-n, 0)
-			s.hcp.TrySend()
-		}
-		// One-for-one clocking, no ECE suppression: RC3 keeps the pipe
-		// full regardless of congestion.
-		s.sendOpportunistic()
-		return
-	}
-	s.hcp.ProcessAck(pkt)
-}
-
-type receiver struct {
-	env *transport.Env
-	f   *transport.Flow
-	r   *transport.Reassembly
-}
-
-// Handle implements netsim.Endpoint.
-func (rc *receiver) Handle(pkt *netsim.Packet) {
-	if pkt.Kind != netsim.Data {
-		return
-	}
-	added := rc.r.Add(pkt.Seq, pkt.PayloadLen)
-	ack := rc.f.Dst.Ctrl(netsim.Ack, rc.f.ID, rc.f.Src.ID(), 0)
-	ack.Seq = rc.r.CumAck()
-	ack.ECE = pkt.CE
-	ack.EchoTS = pkt.SentAt
-	if pkt.LowLoop {
-		rc.env.Eff.UsefulLow += added
-		ack.LowLoop = true
-		ack.Prio = pkt.Prio
-		meta := transport.GetAckMeta(rc.env)
-		meta.LowSeqs = [2]int64{pkt.Seq, 0}
-		meta.LowLens = [2]int32{pkt.PayloadLen, 0}
-		meta.LowN = 1
-		ack.Meta = meta
-	}
-	rc.f.Dst.Send(ack)
-	if rc.r.Complete() {
-		rc.env.Complete(rc.f)
-	}
 }

@@ -40,10 +40,6 @@ func TestLowLoopStartsImmediately(t *testing.T) {
 }
 
 func TestExponentialPriorityLevels(t *testing.T) {
-	env := transporttest.NewStarEnv(4)
-	f := &transport.Flow{ID: 5, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 1 << 30}
-	s := &sender{env: env, f: f, tailNext: f.Size}
-	s.hcp = dctcp.NewSender(env, f, dctcp.Config{})
 	cases := []struct {
 		pktsSent int64
 		want     int8
@@ -51,12 +47,35 @@ func TestExponentialPriorityLevels(t *testing.T) {
 		{0, 4}, {39, 4}, {40, 5}, {399, 5}, {400, 6}, {3999, 6}, {4000, 7}, {1 << 20, 7},
 	}
 	for _, c := range cases {
-		s.oppSent = c.pktsSent * netsim.MSS
-		if got := s.lowPrio(); got != c.want {
-			t.Errorf("lowPrio after %d pkts = %d, want %d", c.pktsSent, got, c.want)
+		if got := level(c.pktsSent); got != c.want {
+			t.Errorf("level after %d pkts = %d, want %d", c.pktsSent, got, c.want)
 		}
 	}
 }
+
+// TestLevelsTagTheLoop: the loop tags its packets with the host's
+// levels, so a flow's first levelBase opportunistic packets go out at P4
+// and the next at P5.
+func TestLevelsTagTheLoop(t *testing.T) {
+	env := transporttest.NewStarEnv(4)
+	f := &transport.Flow{ID: 5, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 1 << 30}
+	var prios []int8
+	f.Dst.Bind(f.ID, true, epFunc(func(p *netsim.Packet) {
+		if p.LowLoop {
+			prios = append(prios, p.Prio)
+		}
+	}))
+	s := newSender(env, f)
+	s.lcp.Open((levelBase+1)*netsim.MSS, false)
+	env.Sched().Run()
+	if len(prios) != levelBase+1 || prios[0] != 4 || prios[levelBase-1] != 4 || prios[levelBase] != 5 {
+		t.Fatalf("opportunistic priorities %v, want %d at P4 then P5", prios, levelBase)
+	}
+}
+
+type epFunc func(*netsim.Packet)
+
+func (f epFunc) Handle(p *netsim.Packet) { f(p) }
 
 func TestNoECESuppression(t *testing.T) {
 	// RC3's defining flaw per the paper: it keeps clocking opportunistic
@@ -64,17 +83,16 @@ func TestNoECESuppression(t *testing.T) {
 	env := transporttest.NewStarEnv(4)
 	f := &transport.Flow{ID: 5, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
 		Size: 100_000_000, FirstCall: 100}
-	s := &sender{env: env, f: f, tailNext: f.Size}
-	s.hcp = dctcp.NewSender(env, f, dctcp.Config{})
+	s := newSender(env, f)
 	f.Src.Bind(f.ID, false, s)
-	s.launchLCP()
-	before := s.oppSent
+	s.lcp.Open(int64(env.BDP()), false)
+	before := s.lcp.OppSent()
 	ack := netsim.CtrlPacket(netsim.Ack, f.ID, f.Dst.ID(), f.Src.ID(), 4)
 	ack.LowLoop = true
 	ack.ECE = true
 	ack.Meta = &transport.AckMeta{LowSeqs: [2]int64{f.Size - netsim.MSS}, LowLens: [2]int32{netsim.MSS}, LowN: 1}
 	s.Handle(ack)
-	if s.oppSent <= before {
+	if s.lcp.OppSent() <= before {
 		t.Fatal("RC3 suppressed on ECE; it must not")
 	}
 }
