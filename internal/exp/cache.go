@@ -3,51 +3,90 @@ package exp
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
+	"strconv"
+	"strings"
+
+	"ppt/internal/workload"
 )
 
 // This file builds the canonical cell descriptor the result cache
 // hashes into content addresses (DESIGN.md §7.8). Every cached cell is
 // an execute() cell, so specDesc is the only descriptor. The ground
 // rule: a descriptor names every input that can change a cell's
-// Summary or extras, and nothing else. Engine knobs — shard count,
-// worker count, spill chunk — are deliberately ABSENT: the golden
-// matrix and the differentials prove them outcome-invisible, so a
-// result computed at -shards=4 must hit when replayed at -shards=1.
-// That exclusion is itself pinned by TestCacheKeyExcludesEngineKnobs.
-//
-// Scheme-name invariant: a scheme's name uniquely determines its
-// protocol constructor and parameters, so name + post-tweak switch
-// config is a complete scheme identity. Every transport parameter is a
-// constant of its package or derived from the fabric, except the few a
-// name or label carries: dctcp's NoECN (tcp10), swift's WithPPT
-// (swift+ppt), PPT's four ablations (distinct ppt.Proto names), the
-// hypothetical DCTCP's fill fraction, and the parameter fig24/fig27
-// sweep. TestSchemeNamesPinParameters checks the scheme table and the
-// ablation names. A new scheme whose name doesn't pin its parameters
-// must encode them in the name (as fig24/fig27 do) or extend specDesc.
+// Summary or extras, and nothing else.
 
-// specDesc is the canonical descriptor of one execute() cell: the
-// fabric's builder shape (two builders can share name and config but
-// wire different topologies), its post-tweak switch config with the
-// shard hint zeroed, the RTO floor the transport layer derives from it,
-// the scheme, the workload and the observer's extras tag. Floats render
-// by their IEEE-754 bits, which is exact and distinguishes everything
-// == conflates (-0 vs +0, NaN payloads). %+v over the flat config
-// struct is stable because field order is source order and every field
-// is a scalar; adding a Config field changes every descriptor, which
-// safely invalidates (keys just stop matching old entries).
+// unkeyed are the inputs specDesc leaves out, by type and field: the
+// engine knobs, which the golden matrix and the differentials prove
+// outcome-invisible (a result computed at -shards=4 must hit when
+// replayed at -shards=1), and the observer's reader, which is code and
+// which the observer's tag keys.
+var unkeyed = []string{"exp.runSpec.shards", "exp.runSpec.spillChunk", "topo.Config.Shards", "exp.observer.arm"}
+
+var distType = reflect.TypeOf((*workload.Dist)(nil))
+
+// specDesc is the canonical descriptor of one execute() cell: one walk
+// over its runSpec that writes every field by name, in source order,
+// but the unkeyed ones. That is the fabric (dimensions, switch config,
+// RTO floor), the protocol value with its concrete type (a protocol's
+// switch needs are a function of its type, so the value pins them), the
+// workload, the send buffer and the observer's tag, which names its
+// extras. Floats are written by their IEEE-754 bits, which is exact and
+// distinguishes everything == conflates (-0 vs +0, NaN payloads). The
+// distribution is written by name. Any other set func, map, pointer,
+// slice or channel panics, which fails the cell: nothing in the
+// descriptor could pin what it holds. A new field
+// anywhere in a cell's inputs changes every descriptor, which safely
+// invalidates (keys just stop matching old entries).
 func specDesc(spec runSpec) string {
-	cfg := spec.fab.cfg
-	if spec.sc.tweak != nil {
-		spec.sc.tweak(&cfg)
+	var b strings.Builder
+	writeDesc(&b, reflect.ValueOf(spec))
+	return b.String()
+}
+
+func writeDesc(b *strings.Builder, v reflect.Value) {
+	t := v.Type()
+	if t == distType {
+		b.WriteString(strconv.Quote(v.Elem().FieldByName("Name").String()))
+		return
 	}
-	cfg.Shards = 0
-	desc := fmt.Sprintf("fabric=%s shape=%s hosts=%d rtoMin=%d cfg={%+v}\nscheme=%s\ndist=%s\npattern=%T%+v\nload=%#x\nflows=%d\nseed=%d\nsendbuf=%d\n",
-		spec.fab.name, spec.fab.shape, spec.fab.hosts, int64(spec.fab.rtoMin), cfg,
-		spec.sc.name, spec.dist.Name, spec.pattern, spec.pattern,
-		math.Float64bits(spec.load), spec.flows, spec.seed, spec.sendBuf)
-	if spec.obs.tag != "" {
-		desc += "extras=" + spec.obs.tag + "\n"
+	switch v.Kind() {
+	case reflect.Bool:
+		b.WriteString(strconv.FormatBool(v.Bool()))
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		b.WriteString(strconv.FormatInt(v.Int(), 10))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		b.WriteString(strconv.FormatUint(v.Uint(), 10))
+	case reflect.Float32, reflect.Float64:
+		fmt.Fprintf(b, "%#x", math.Float64bits(v.Float()))
+	case reflect.String:
+		b.WriteString(strconv.Quote(v.String()))
+	case reflect.Struct:
+		b.WriteByte('{')
+		for i := range t.NumField() {
+			if slices.Contains(unkeyed, t.String()+"."+t.Field(i).Name) {
+				continue
+			}
+			b.WriteString(t.Field(i).Name + "=")
+			writeDesc(b, v.Field(i))
+			b.WriteByte(' ')
+		}
+		b.WriteByte('}')
+	case reflect.Interface:
+		if v.IsNil() {
+			b.WriteString("nil")
+			return
+		}
+		b.WriteString(v.Elem().Type().PkgPath() + "." + v.Elem().Type().Name())
+		writeDesc(b, v.Elem())
+	case reflect.Func, reflect.Map, reflect.Pointer, reflect.Slice, reflect.Chan:
+		if v.IsNil() {
+			b.WriteString("nil")
+			return
+		}
+		fallthrough
+	default:
+		panic(fmt.Sprintf("exp: no cache key can pin a cell input of type %s", t))
 	}
-	return desc
 }

@@ -1,11 +1,18 @@
 package exp
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ppt/internal/cache"
+	"ppt/internal/sim"
+	"ppt/internal/transport"
+	"ppt/internal/transport/dctcp"
 	"ppt/internal/transport/ppt"
 	"ppt/internal/workload"
 )
@@ -19,94 +26,118 @@ func testExpCache(t *testing.T) *cache.Cache {
 	return c
 }
 
-// TestSchemeNamesPinParameters pins the scheme-name invariant of
-// cache.go: the descriptor carries a scheme only by name, so each name
-// must stand for one protocol with one set of parameters.
-func TestSchemeNamesPinParameters(t *testing.T) {
-	for key, sc := range baseSchemes() {
-		if sc.name != key {
-			t.Errorf("scheme %q is named %q", key, sc.name)
-		}
-		if got := sc.make().Name(); got != key {
-			t.Errorf("scheme %q builds a protocol named %q", key, got)
-		}
-	}
-	// Figs 15–18 name each ablation cell after its protocol.
-	seen := map[string]bool{"ppt": true}
-	for _, cfg := range []ppt.Config{
-		{DisableECN: true}, {DisableEWD: true}, {DisableScheduling: true}, {DisableIdentification: true},
-	} {
-		name := ppt.Proto{Cfg: cfg}.Name()
-		if seen[name] {
-			t.Errorf("ablation %+v reuses the scheme name %q", cfg, name)
-		}
-		seen[name] = true
+// keyTestSpec is the cell the descriptor tests vary.
+func keyTestSpec() runSpec {
+	return runSpec{
+		fab: simFabric(3, 2, 8), proto: ppt.Proto{},
+		dist: workload.WebSearch, pattern: workload.AllToAll{N: 24},
+		load: 0.5, flows: 100, seed: 3, obs: switchDrops,
 	}
 }
 
-// TestCacheKeyExcludesEngineKnobs pins the key construction contract:
-// the engine knobs the golden matrix proves outcome-invisible (shards,
-// spill chunk) MUST NOT reach the cell descriptor, while every
-// outcome-relevant input MUST.
+// TestCacheKeyExcludesEngineKnobs pins the key construction contract by
+// reflection: changing any field of a cell's runSpec, its fabric or its
+// topo.Config moves the cell descriptor, except the enumerated inputs a
+// descriptor leaves out — the engine knobs the golden matrix proves
+// outcome-invisible, and the observer's reader, which its tag keys.
+// A protocol holding a func is refused.
 func TestCacheKeyExcludesEngineKnobs(t *testing.T) {
-	base := runSpec{
-		fab: simFabric(3, 2, 8), sc: baseSchemes()["ppt"],
-		dist: workload.WebSearch, pattern: workload.AllToAll{N: 24},
-		load: 0.5, flows: 100, seed: 3,
+	outside := []string{"runSpec.shards", "runSpec.spillChunk", "Config.Shards", "observer.arm"}
+	spec := keyTestSpec()
+	base := specDesc(spec)
+	// other gives a second value for each field type whose kind alone
+	// does not.
+	other := map[reflect.Type]any{
+		reflect.TypeOf(&spec.proto).Elem():   dctcp.Proto{},
+		reflect.TypeOf(&spec.pattern).Elem(): workload.Incast{N: 24},
+		reflect.TypeOf(spec.dist):            workload.DataMining,
+		reflect.TypeOf(spec.obs.arm):         occupancy.arm,
 	}
-	baseDesc := specDesc(base)
-
-	// Outcome-invisible: descriptor unchanged.
-	invisible := map[string]func(*runSpec){
-		"shards":     func(s *runSpec) { s.shards = 4 },
-		"spillChunk": func(s *runSpec) { s.spillChunk = 1 << 14 },
-	}
-	for name, mutate := range invisible {
-		spec := base
-		mutate(&spec)
-		if got := specDesc(spec); got != baseDesc {
-			t.Errorf("engine knob %q leaked into the cell descriptor:\n%s", name, got)
+	var visit func(v reflect.Value)
+	visit = func(v reflect.Value) {
+		for i := range v.NumField() {
+			field := v.Type().Field(i)
+			name := v.Type().Name() + "." + field.Name
+			// A settable view of the (unexported) field.
+			f := reflect.NewAt(field.Type, unsafe.Pointer(v.Field(i).UnsafeAddr())).Elem()
+			if f.Kind() == reflect.Struct {
+				visit(f)
+				continue
+			}
+			old := reflect.New(f.Type()).Elem()
+			old.Set(f)
+			switch f.Kind() {
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			case reflect.Int, reflect.Int64:
+				f.SetInt(f.Int() + 1)
+			case reflect.Float64:
+				f.SetFloat(f.Float() + 0.25)
+			case reflect.String:
+				f.SetString(f.String() + "x")
+			default:
+				alt, ok := other[f.Type()]
+				if !ok {
+					t.Fatalf("%s: no second value for type %s", name, f.Type())
+				}
+				f.Set(reflect.ValueOf(alt))
+			}
+			moved := specDesc(spec) != base
+			f.Set(old)
+			if want := !slices.Contains(outside, name); moved != want {
+				t.Errorf("%s: changing it moved the descriptor = %v, want %v", name, moved, want)
+			}
 		}
 	}
-
-	// Outcome-relevant: descriptor must change.
-	relevant := map[string]func(*runSpec){
-		"seed":     func(s *runSpec) { s.seed = 4 },
-		"flows":    func(s *runSpec) { s.flows = 101 },
-		"load":     func(s *runSpec) { s.load = 0.6 },
-		"scheme":   func(s *runSpec) { s.sc = baseSchemes()["dctcp"] },
-		"dist":     func(s *runSpec) { s.dist = workload.DataMining },
-		"pattern":  func(s *runSpec) { s.pattern = workload.Incast{N: 3, Target: 0} },
-		"sendBuf":  func(s *runSpec) { s.sendBuf = 128 << 10 },
-		"fabric":   func(s *runSpec) { s.fab = fastFabric(3, 2, 8) },
-		"shape":    func(s *runSpec) { s.fab = simFabric(4, 2, 6) }, // same hosts, different wiring
-		"observer": func(s *runSpec) { s.obs = switchDrops },
+	visit(reflect.ValueOf(&spec).Elem())
+	if specDesc(spec) != base {
+		t.Fatal("the walk did not restore the spec")
 	}
-	for name, mutate := range relevant {
-		spec := base
-		mutate(&spec)
-		if got := specDesc(spec); got == baseDesc {
-			t.Errorf("outcome-relevant input %q does not reach the cell descriptor", name)
+
+	spec.proto = ppt.Proto{Cfg: ppt.Config{OnFlowState: func(uint32, sim.Time, ppt.FlowState) {}}}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a protocol holding a set OnFlowState was keyed instead of refused")
+			}
+		}()
+		specDesc(spec)
+	}()
+}
+
+// TestSchemeNamesPinParameters pins what a scheme's name and value stand
+// for: the table is keyed by each protocol's Name(), PPT's four
+// ablations are named apart from PPT and each other (figs 15–18 label
+// their rows by name), and every scheme, the oracle's fill fractions
+// and the ablations get distinct descriptors.
+func TestSchemeNamesPinParameters(t *testing.T) {
+	protos := []transport.Protocol{ppt.Oracle{FillFraction: 0.5}, ppt.Oracle{FillFraction: 1.0}}
+	for key, p := range baseSchemes() {
+		if got := p.Name(); got != key {
+			t.Errorf("scheme %q is a protocol named %q", key, got)
 		}
+		protos = append(protos, p)
 	}
-
-	// A scheme whose tweak changes the switch config must differ from
-	// the same name without it (fig24-style parameterized schemes).
-	tweaked := base
-	tweaked.sc = scheme{name: "ppt", tweak: tweakINT, make: base.sc.make}
-	if specDesc(tweaked) == baseDesc {
-		t.Error("scheme tweak (post-tweak switch config) does not reach the descriptor")
+	names := map[string]bool{"ppt": true}
+	for _, cfg := range []ppt.Config{
+		{DisableECN: true}, {DisableEWD: true}, {DisableScheduling: true}, {DisableIdentification: true},
+	} {
+		p := ppt.Proto{Cfg: cfg}
+		if names[p.Name()] {
+			t.Errorf("ablation %+v reuses the scheme name %q", cfg, p.Name())
+		}
+		names[p.Name()] = true
+		protos = append(protos, p)
 	}
-
-	// The oracle's fill fraction, and which observer stores the extras
-	// (fig28 and fig29 run the same cells), must each reach it too.
-	if specDesc(hypothetical(Options{}, base, 0.5)) == specDesc(hypothetical(Options{}, base, 1.0)) {
-		t.Error("the hypothetical scheme's fill fraction does not reach the descriptor")
-	}
-	occ, eff := base, base
-	occ.obs, eff.obs = occupancy, efficiency
-	if specDesc(occ) == specDesc(eff) {
-		t.Error("the observer tag does not reach the descriptor")
+	spec := keyTestSpec()
+	seen := map[string]string{}
+	for _, p := range protos {
+		spec.proto = p
+		desc := specDesc(spec)
+		if prev, dup := seen[desc]; dup {
+			t.Errorf("%#v and %s share a descriptor", p, prev)
+		}
+		seen[desc] = fmt.Sprintf("%#v", p)
 	}
 }
 

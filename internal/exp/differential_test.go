@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"ppt/internal/transport/ppt"
 	"ppt/internal/workload"
 )
 
@@ -52,7 +53,7 @@ func TestShardedDifferential(t *testing.T) {
 			seed:    1 + rng.Int63n(1000),
 		}
 
-		baseSum, _, baseEnv := execute(withScheme(spec, name, 1))
+		baseSum, _, baseEnv, _ := execute(withScheme(spec, name, 1))
 		totalEvents += baseEnv.Net.Executed()
 		if baseEnv.Net.Part == nil {
 			t.Fatalf("trial %d: shards=1 did not build a partitioned fabric", trial)
@@ -60,7 +61,7 @@ func TestShardedDifferential(t *testing.T) {
 
 		// shards=1 reruns the base cell: a repeat must reproduce it.
 		for _, shards := range []int{2, 4, 8, 1} {
-			altSum, _, altEnv := execute(withScheme(spec, name, shards))
+			altSum, _, altEnv, _ := execute(withScheme(spec, name, shards))
 			totalEvents += altEnv.Net.Executed()
 			if baseSum != altSum {
 				t.Errorf("trial %d (%s flows=%d load=%g seed=%d): shards=%d summary diverged from shards=1\nbase: %+v\nalt:  %+v",
@@ -96,9 +97,9 @@ func shardSchemes() []string {
 // the same hint.
 func withScheme(spec runSpec, name string, shards int) runSpec {
 	spec.shards = shards
+	spec.proto = baseSchemes()[name]
 	if name == "hypothetical" {
-		return hypothetical(Options{}, spec, 1.0)
+		spec.proto = ppt.Oracle{FillFraction: 1.0}
 	}
-	spec.sc = baseSchemes()[name]
 	return spec
 }

@@ -35,7 +35,7 @@ type Options struct {
 	// Schemes, when non-empty, restricts comparison experiments to the
 	// named schemes.
 	Schemes []string
-	// Repeats, when > 1, averages each scheme's metrics over this many
+	// Repeats, when > 1, averages each row's metrics over this many
 	// independent seeds (seed, seed+1, ...). Percentiles are averaged
 	// across repeats (a mean-of-p99s, not a pooled p99).
 	Repeats int
@@ -134,6 +134,14 @@ func (o Options) addEvents(n uint64) {
 	if o.events != nil {
 		atomic.AddUint64(o.events, n)
 	}
+}
+
+// loadOr returns the Load override, or def.
+func (o Options) loadOr(def float64) float64 {
+	if o.Load != 0 {
+		return o.Load
+	}
+	return def
 }
 
 func (o Options) wants(scheme string) bool {
@@ -467,7 +475,7 @@ func RunCell(cfg Config) (stats.Summary, *transport.Env, error) {
 	if !ok {
 		return stats.Summary{}, nil, fmt.Errorf("ppt: unknown topology %q", cfg.Topology)
 	}
-	sc, ok := baseSchemes()[cfg.Transport]
+	proto, ok := baseSchemes()[cfg.Transport]
 	if !ok {
 		return stats.Summary{}, nil, fmt.Errorf("ppt: unknown transport %q (see Transports())", cfg.Transport)
 	}
@@ -475,8 +483,8 @@ func RunCell(cfg Config) (stats.Summary, *transport.Env, error) {
 	if cfg.Incast > 0 {
 		pattern = workload.Incast{N: fab.hosts, Target: 0, Senders: cfg.Incast}
 	}
-	sum, _, env := execute(runSpec{
-		fab: fab, sc: sc, dist: dist, pattern: pattern,
+	sum, _, env, _ := execute(runSpec{
+		fab: fab, proto: proto, dist: dist, pattern: pattern,
 		load: cfg.Load, flows: cfg.Flows, seed: cfg.Seed, sendBuf: cfg.SendBuf,
 	})
 	return sum, env, nil

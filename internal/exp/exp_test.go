@@ -3,6 +3,8 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"ppt/internal/stats"
 )
 
 // TestEveryExperimentRunsAtSmokeScale is the registry's integration
@@ -40,6 +42,49 @@ func TestEveryExperimentRunsAtSmokeScale(t *testing.T) {
 			out := res.Render()
 			if !strings.Contains(out, e.ID) {
 				t.Fatalf("render missing id:\n%s", out)
+			}
+		})
+	}
+}
+
+// TestEveryRowHonorsRepeats: under Repeats 2 every row of a table is
+// the mean of the same row at seeds 1 and 2 run alone — its Summary by
+// meanSummary, each extra by the mean — whatever way the experiment
+// builds the row: a scheme comparison, an oracle fill fraction, an
+// ablation, a fabric edit, a send buffer or an ECN threshold.
+func TestEveryRowHonorsRepeats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs nine experiments three times")
+	}
+	same := func(a, b float64) bool { return a == b || a != a && b != b }
+	for _, id := range []string{"fig1", "fig2", "fig3", "fig15", "fig20", "fig24", "fig27", "fig28", "fig29"} {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			run := func(seed int64, repeats int) []Row {
+				res, err := RunByID(id, Options{Flows: 12, Seed: seed, Repeats: repeats})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Rows
+			}
+			mean, seed1, seed2 := run(1, 2), run(1, 1), run(2, 1)
+			if len(mean) != len(seed1) || len(mean) != len(seed2) {
+				t.Fatalf("row counts %d, %d, %d", len(mean), len(seed1), len(seed2))
+			}
+			for i, row := range mean {
+				a, b := seed1[i], seed2[i]
+				if want := meanSummary([]stats.Summary{a.Sum, b.Sum}); row.Sum != want {
+					t.Errorf("%s: Summary %+v, want the mean of seeds 1 and 2, %+v", row.Label, row.Sum, want)
+				}
+				if len(row.Extra) != len(a.Extra) {
+					t.Errorf("%s: extras %v, want the keys of %v", row.Label, row.Extra, a.Extra)
+				}
+				for k, v := range a.Extra {
+					if want := (v + b.Extra[k]) / 2; !same(row.Extra[k], want) {
+						t.Errorf("%s: %s = %g, want the mean of seeds 1 and 2, %g", row.Label, k, row.Extra[k], want)
+					}
+				}
 			}
 		})
 	}
@@ -105,12 +150,10 @@ func TestOptionsDefaults(t *testing.T) {
 }
 
 func TestCompareRespectsFilter(t *testing.T) {
-	fab := testbedFabric()
 	rows := compare(Options{Flows: 10, Seed: 1, Schemes: []string{"dctcp"}},
-		fab, nil, nil, 0, nil)
-	_ = rows // compare with nil dist/pattern and no names returns empty
+		runSpec{fab: testbedFabric()}, []string{"ppt", "homa"})
 	if len(rows) != 0 {
-		t.Fatal("expected no rows")
+		t.Fatalf("the filter let through %+v", rows)
 	}
 }
 

@@ -14,8 +14,7 @@ import (
 // TestTestbedFabric checks Table 3: 15 hosts on one switch, a base RTT
 // near the paper's 80µs, a ~100KB BDP at 10G, and K_H/K_L = 100/80KB.
 func TestTestbedFabric(t *testing.T) {
-	fab := topologies()["testbed"]
-	net := fab.build(fab.cfg)
+	net := topologies()["testbed"].build()
 	if len(net.Hosts) != 15 || len(net.Switches) != 1 {
 		t.Fatalf("hosts=%d switches=%d", len(net.Hosts), len(net.Switches))
 	}
@@ -35,8 +34,7 @@ func TestTestbedFabric(t *testing.T) {
 // leaves and 4 spines, each leaf with 16 downlinks and 4 uplinks, each
 // spine with 9 downlinks.
 func TestSimFullFabricShape(t *testing.T) {
-	fab := topologies()["sim-full"]
-	net := fab.build(fab.cfg)
+	net := topologies()["sim-full"].build()
 	if len(net.Hosts) != 144 || len(net.Switches) != 13 {
 		t.Fatalf("hosts=%d switches=%d", len(net.Hosts), len(net.Switches))
 	}
@@ -62,8 +60,7 @@ func TestFabricBottleneckRates(t *testing.T) {
 		"non-oversubscribed": 10 * netsim.Gbps,
 		"dumbbell":           40 * netsim.Gbps,
 	} {
-		fab := fabs[name]
-		net := fab.build(fab.cfg)
+		net := fabs[name].build()
 		if net.BottleneckRate != want {
 			t.Errorf("%s: bottleneck = %v, want %v", name, net.BottleneckRate, want)
 		}
@@ -77,8 +74,7 @@ func TestFabricBottleneckRates(t *testing.T) {
 // TestDumbbellFabric checks the Fig 1/20/28/29 microbenchmark: two
 // senders and one receiver on a single 40G switch.
 func TestDumbbellFabric(t *testing.T) {
-	fab := dumbbellFabric(2, 120_000)
-	net := fab.build(fab.cfg)
+	net := dumbbellFabric(2, 120_000).build()
 	if len(net.Hosts) != 3 || len(net.Switches) != 1 {
 		t.Fatalf("hosts=%d switches=%d", len(net.Hosts), len(net.Switches))
 	}

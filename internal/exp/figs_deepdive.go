@@ -7,8 +7,8 @@ import (
 
 	"ppt/internal/sim"
 	"ppt/internal/stats"
-	"ppt/internal/topo"
 	"ppt/internal/transport"
+	"ppt/internal/transport/dctcp"
 	"ppt/internal/transport/ppt"
 	"ppt/internal/transport/rc3"
 	"ppt/internal/workload"
@@ -26,21 +26,14 @@ func ablation(id, title, note string, defFlows int, variant ppt.Config) {
 		DefFlows: defFlows,
 		Run: func(o Options) *Result {
 			fab := simFabric(3, 2, 8)
-			load := 0.5
-			if o.Load != 0 {
-				load = o.Load
-			}
-			pattern := workload.AllToAll{N: fab.hosts}
+			spec := runSpec{fab: fab, dist: workload.WebSearch, pattern: workload.AllToAll{N: fab.hosts},
+				load: o.loadOr(0.5), flows: o.Flows, seed: o.Seed, obs: lcpHealth}
 			p := newPool(o)
-			var outs []*cellOut
 			for _, cfg := range []ppt.Config{{}, variant} {
-				sc := pptScheme((ppt.Proto{Cfg: cfg}).Name(), cfg)
-				outs = append(outs, p.submitSpec(sc.name, runSpec{fab: fab, sc: sc,
-					dist: workload.WebSearch, pattern: pattern, load: load,
-					flows: o.Flows, seed: o.Seed, obs: lcpHealth}))
+				spec.proto = ppt.Proto{Cfg: cfg}
+				p.row(spec.proto.Name(), spec)
 			}
-			p.run()
-			return &Result{ID: id, Title: title, Rows: cellRows(outs), Notes: []string{note,
+			return &Result{ID: id, Title: title, Rows: p.run(), Notes: []string{note,
 				"drop-tail shared buffers, as on every leaf-spine figure; low-eff, low-drops, low-marks and low-sentMB are the low loop's efficiency, switch drops and marks, and payload sent"}}
 		},
 	})
@@ -87,10 +80,6 @@ func init() {
 		DefFlows: 300,
 		Run: func(o Options) *Result {
 			fab := testbedFabric()
-			load := 0.5
-			if o.Load != 0 {
-				load = o.Load
-			}
 			// Deliberately serial: this experiment measures wall-clock per
 			// simulated event, which sharing cores with sibling cells would
 			// distort. For the same reason it bypasses the result cache —
@@ -101,8 +90,7 @@ func init() {
 			// scheme runs fig19Runs times in alternating order (dctcp, ppt,
 			// ppt, dctcp, ...), drift on the host hits both alike, and the
 			// median is the figure, with min and max as its spread.
-			all := baseSchemes()
-			schemes := []scheme{all["dctcp"], all["ppt"]}
+			schemes := []transport.Protocol{dctcp.Proto{}, ppt.Proto{}}
 			rows := make([]Row, len(schemes))
 			perEvent := make([][]float64, len(schemes))
 			for r := 0; r < fig19Runs; r++ {
@@ -112,14 +100,13 @@ func init() {
 						k = len(schemes) - 1 - i
 					}
 					start := time.Now()
-					sum, _, env := execute(runSpec{fab: fab, sc: schemes[k], dist: workload.WebSearch,
-						pattern: workload.AllToAll{N: fab.hosts}, load: load, flows: o.Flows, seed: o.Seed})
+					sum, _, _, events := execute(runSpec{fab: fab, proto: schemes[k], dist: workload.WebSearch,
+						pattern: workload.AllToAll{N: fab.hosts}, load: o.loadOr(0.5), flows: o.Flows, seed: o.Seed})
 					elapsed := time.Since(start)
-					events := env.Sched().Executed
 					o.addEvents(events)
 					perEvent[k] = append(perEvent[k], float64(elapsed.Nanoseconds())/float64(events))
 					if r == 0 {
-						rows[k] = Row{Label: schemes[k].name, Sum: sum, Extra: map[string]float64{"events": float64(events)}}
+						rows[k] = Row{Label: schemes[k].Name(), Sum: sum, Extra: map[string]float64{"events": float64(events)}}
 					}
 				}
 			}
@@ -140,16 +127,12 @@ func init() {
 		Title:    "Link utilization: PPT vs DCTCP vs hypothetical DCTCP (ideal 0.5)",
 		DefFlows: 400,
 		Run: func(o Options) *Result {
-			all := baseSchemes()
 			p := newPool(o)
-			outs := []*cellOut{
-				p.submitSpec("dctcp", utilSpec(o, all["dctcp"])),
-				p.submitSpec("ppt", utilSpec(o, all["ppt"])),
-				p.submitSpec("hypothetical", hypothetical(o, utilSpec(o, scheme{}), 1.0)),
-			}
-			p.run()
+			p.row("dctcp", utilSpec(o, dctcp.Proto{}))
+			p.row("ppt", utilSpec(o, ppt.Proto{}))
+			p.row("hypothetical", utilSpec(o, ppt.Oracle{FillFraction: 1.0}))
 			return &Result{ID: "fig20", Title: "bottleneck utilization under web search at 0.5 load",
-				Rows:  cellRows(outs),
+				Rows:  p.run(),
 				Notes: []string{"paper: PPT ~ hypothetical, both hold ~50%; DCTCP dips to ~25% (up to 1.8x lower)"}}
 		},
 	})
@@ -160,28 +143,17 @@ func init() {
 		DefFlows: 400,
 		Run: func(o Options) *Result {
 			fab := simFabric(3, 2, 8)
-			load := 0.5
-			if o.Load != 0 {
-				load = o.Load
-			}
-			pattern := workload.AllToAll{N: fab.hosts}
+			spec := runSpec{fab: fab, proto: rc3.Proto{}, dist: workload.WebSearch,
+				pattern: workload.AllToAll{N: fab.hosts}, load: o.loadOr(0.5), flows: o.Flows, seed: o.Seed}
 			p := newPool(o)
-			var outs []*cellOut
 			for _, frac := range []float64{0.2, 0.4, 0.6, 0.8} {
-				frac := frac
-				sc := scheme{
-					name:  fmt.Sprintf("rc3-low%d%%", int(frac*100)),
-					tweak: func(c *topo.Config) { c.LowClassCap = int64(frac * float64(c.PerPortBuffer)) },
-					make:  func() transport.Protocol { return rc3.Proto{} },
-				}
-				outs = append(outs, p.submitSpec(sc.name, runSpec{fab: fab, sc: sc,
-					dist: workload.WebSearch, pattern: pattern, load: load,
-					flows: o.Flows, seed: o.Seed}))
+				capped := spec
+				capped.fab.cfg.LowClassCap = int64(frac * float64(fab.cfg.PerPortBuffer))
+				p.row(fmt.Sprintf("rc3-low%d%%", int(frac*100)), capped)
 			}
-			pptRows := compareCells(p, o, fab, workload.WebSearch, pattern, load, []string{"ppt"})
-			p.run()
+			p.compare(spec, []string{"ppt"}, "")
 			return &Result{ID: "fig24", Title: "RC3 low-priority buffer caps",
-				Rows:  append(cellRows(outs), pptRows()...),
+				Rows:  p.run(),
 				Notes: []string{"paper: PPT beats RC3 at every cap, by up to 71% overall and 73%/75% small avg/tail"}}
 		},
 	})
@@ -203,25 +175,19 @@ func init() {
 		DefFlows: 400,
 		Run: func(o Options) *Result {
 			fab := simFabric(3, 2, 8)
-			load := 0.5
-			if o.Load != 0 {
-				load = o.Load
-			}
-			pattern := workload.AllToAll{N: fab.hosts}
+			spec := runSpec{fab: fab, proto: ppt.Proto{}, dist: workload.WebSearch,
+				pattern: workload.AllToAll{N: fab.hosts}, load: o.loadOr(0.5), flows: o.Flows, seed: o.Seed}
 			p := newPool(o)
-			var outs []*cellOut
 			for _, buf := range []int64{128 << 10, 2 << 20, 4 << 20, 0 /* 2GB: unbounded */} {
 				label := "sndbuf-2GB"
 				if buf != 0 {
 					label = fmt.Sprintf("sndbuf-%dKB", buf>>10)
 				}
-				outs = append(outs, p.submitSpec(label, runSpec{fab: fab, sc: pptScheme(label, ppt.Config{}),
-					dist: workload.WebSearch, pattern: pattern, load: load,
-					flows: o.Flows, seed: o.Seed, sendBuf: buf}))
+				spec.sendBuf = buf
+				p.row(label, spec)
 			}
-			p.run()
 			return &Result{ID: "fig27", Title: "send-buffer sensitivity",
-				Rows:  cellRows(outs),
+				Rows:  p.run(),
 				Notes: []string{"paper: 128KB still beats proactive schemes on small flows; >=2MB recovers overall/large FCT too"}}
 		},
 	})
@@ -252,28 +218,16 @@ func init() {
 // 40G, 120KB buffer, the same ECN threshold for both classes at 60% and
 // 80% of the buffer.
 func bufferStudy(o Options, obs observer) []Row {
-	load := 0.8
-	if o.Load != 0 {
-		load = o.Load
-	}
-	all := baseSchemes()
+	spec := runSpec{dist: workload.WebSearch, pattern: workload.Incast{N: 3, Target: 0},
+		load: o.loadOr(0.8), flows: o.Flows, seed: o.Seed, obs: obs}
 	p := newPool(o)
-	var outs []*cellOut
 	for _, frac := range []float64{0.6, 0.8} {
 		k := int64(frac * 120_000)
-		fab := dumbbellFabric(2, k)
-		fab.cfg.ECNLowK = k // same threshold for both classes (per the paper)
-		for _, name := range []string{"dctcp", "rc3", "ppt"} {
-			if !o.wants(name) {
-				continue
-			}
-			outs = append(outs, p.submitSpec(fmt.Sprintf("%s@K=%d%%", name, int(frac*100)), runSpec{
-				fab: fab, sc: all[name], dist: workload.WebSearch, pattern: workload.Incast{N: 3, Target: 0},
-				load: load, flows: o.Flows, seed: o.Seed, obs: obs}))
-		}
+		spec.fab = dumbbellFabric(2, k)
+		spec.fab.cfg.ECNLowK = k // same threshold for both classes (per the paper)
+		p.compare(spec, []string{"dctcp", "rc3", "ppt"}, fmt.Sprintf("@K=%d%%", int(frac*100)))
 	}
-	p.run()
-	return cellRows(outs)
+	return p.run()
 }
 
 // occupancy samples the bottleneck's per-class queue every 20µs and

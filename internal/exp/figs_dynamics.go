@@ -22,27 +22,15 @@ func init() {
 		DefFlows: 300,
 		Run: func(o Options) *Result {
 			fab := simFabric(3, 2, 8)
-			schemes := []string{"dctcp", "homa", "ppt"}
+			spec := runSpec{fab: fab, dist: workload.WebSearch, pattern: workload.AllToAll{N: fab.hosts},
+				flows: o.Flows, seed: o.Seed}
 			p := newPool(o)
-			type point struct {
-				load   float64
-				reduce func() []Row
-			}
-			var points []point
 			for _, load := range []float64{0.3, 0.5, 0.8} {
-				points = append(points, point{load,
-					compareCells(p, o, fab, workload.WebSearch, workload.AllToAll{N: fab.hosts}, load, schemes)})
-			}
-			p.run()
-			var rows []Row
-			for _, pt := range points {
-				for _, r := range pt.reduce() {
-					r.Label = fmt.Sprintf("%s@%.1f", r.Label, pt.load)
-					rows = append(rows, r)
-				}
+				spec.load = load
+				p.compare(spec, []string{"dctcp", "homa", "ppt"}, fmt.Sprintf("@%.1f", load))
 			}
 			return &Result{ID: "loadsweep", Title: "FCT vs offered load",
-				Rows:  rows,
+				Rows:  p.run(),
 				Notes: []string{"PPT's margin over DCTCP grows with load until the fabric saturates and the LCP finds no spare bandwidth"}}
 		},
 	})
@@ -54,8 +42,7 @@ func init() {
 // illustration.
 func runDynamics(o Options) *Result {
 	fab := testbedFabric()
-	cfg := fab.cfg
-	net := fab.build(cfg)
+	net := fab.build()
 	env := transport.NewEnv(net)
 	env.RTOMin = fab.rtoMin
 
@@ -75,7 +62,7 @@ func runDynamics(o Options) *Result {
 	// flow is an 8MB transfer from host 1 to host 0 starting at t=0.
 	wf := workload.Generate(workload.GenConfig{
 		Dist: workload.WebSearch, Pattern: workload.AllToAll{N: fab.hosts},
-		Load: 0.5, HostRate: cfg.HostRate, NumFlows: o.Flows, Seed: o.Seed, StartID: 100,
+		Load: 0.5, HostRate: fab.cfg.HostRate, NumFlows: o.Flows, Seed: o.Seed, StartID: 100,
 	})
 	flows := []transport.SimpleFlow{{ID: watched, Src: 1, Dst: 0, Size: 8_000_000, FirstCall: 8_000_000}}
 	for _, f := range wf {

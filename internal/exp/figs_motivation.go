@@ -7,38 +7,15 @@ import (
 	"ppt/internal/sim"
 	"ppt/internal/stats"
 	"ppt/internal/transport"
+	"ppt/internal/transport/dctcp"
 	"ppt/internal/transport/ppt"
 	"ppt/internal/workload"
 )
 
-// hypothetical returns spec running the two-pass hypothetical DCTCP of
-// §2.3, which fills each flow to frac × the maximum window (MW) plain
-// DCTCP reached for it. The scheme's protocol is made by running pass 1
-// — DCTCP recording each flow's MW — through execute on the same spec
-// without its observer. Both passes count toward the run's events. The
-// scheme's name carries frac: that keeps the cache's scheme-name
-// invariant.
-func hypothetical(o Options, spec runSpec, frac float64) runSpec {
-	pass1 := spec
-	pass1.obs = observer{}
-	spec.sc = scheme{
-		name: fmt.Sprintf("hypothetical-%gxMW", frac),
-		make: func() transport.Protocol {
-			rec := ppt.NewMWRecorder()
-			p1 := pass1
-			p1.sc = scheme{name: rec.Name(), make: func() transport.Protocol { return rec }}
-			_, _, env := execute(p1)
-			o.addEvents(env.Net.Executed())
-			return ppt.Oracle{MW: rec.MW(), FillFraction: frac}
-		},
-	}
-	return spec
-}
-
 // utilSpec is the Fig 1/20 cell: web search from both senders of the
 // dumbbell to host 0 at load 0.5, the bottleneck downlink sampled.
-func utilSpec(o Options, sc scheme) runSpec {
-	return runSpec{fab: dumbbellFabric(2, 120_000), sc: sc, dist: workload.WebSearch,
+func utilSpec(o Options, proto transport.Protocol) runSpec {
+	return runSpec{fab: dumbbellFabric(2, 120_000), proto: proto, dist: workload.WebSearch,
 		pattern: workload.Incast{N: 3, Target: 0}, load: 0.5, flows: o.Flows, seed: o.Seed,
 		obs: utilization}
 }
@@ -76,10 +53,9 @@ func init() {
 		DefFlows: 400,
 		Run: func(o Options) *Result {
 			p := newPool(o)
-			out := p.submitSpec("dctcp", utilSpec(o, baseSchemes()["dctcp"]))
-			p.run()
+			p.row("dctcp", utilSpec(o, dctcp.Proto{}))
 			return &Result{ID: "fig1", Title: "DCTCP link utilization (dumbbell 2->1, 40G)",
-				Rows:  cellRows([]*cellOut{out}),
+				Rows:  p.run(),
 				Notes: []string{"paper: DCTCP fluctuates between ~25% and ~50%; util-min well below 0.5 reproduces the drop"}}
 		},
 	})
@@ -90,17 +66,16 @@ func init() {
 		DefFlows: 400,
 		Run: func(o Options) *Result {
 			fab := simFabric(3, 2, 8)
-			pattern := workload.AllToAll{N: fab.hosts}
+			spec := runSpec{fab: fab, dist: workload.WebSearch, pattern: workload.AllToAll{N: fab.hosts},
+				load: 0.5, flows: o.Flows, seed: o.Seed}
 			p := newPool(o)
-			baseRows := compareCells(p, o, fab, workload.WebSearch, pattern, 0.5, []string{"ndp", "homa", "dctcp"})
-			var oracle []*cellOut
+			p.compare(spec, []string{"ndp", "homa", "dctcp"}, "")
 			if o.wants("hypothetical") {
-				oracle = append(oracle, p.submitSpec("hypothetical", hypothetical(o, runSpec{fab: fab,
-					dist: workload.WebSearch, pattern: pattern, load: 0.5, flows: o.Flows, seed: o.Seed}, 1.0)))
+				spec.proto = ppt.Oracle{FillFraction: 1.0}
+				p.row("hypothetical", spec)
 			}
-			p.run()
 			return &Result{ID: "fig2", Title: "overall avg FCT, hypothetical DCTCP vs baselines",
-				Rows:  append(baseRows(), cellRows(oracle)...),
+				Rows:  p.run(),
 				Notes: []string{"paper: hypothetical DCTCP beats Homa by ~33% and NDP by ~40% on overall avg FCT"}}
 		},
 	})
@@ -114,13 +89,12 @@ func init() {
 			spec := runSpec{fab: fab, dist: workload.DataMining, pattern: workload.AllToAll{N: fab.hosts},
 				load: 0.6, flows: o.Flows, seed: o.Seed, obs: switchDrops}
 			p := newPool(o)
-			var outs []*cellOut
 			for _, frac := range []float64{0.5, 0.75, 1.0, 1.25, 1.5} {
-				outs = append(outs, p.submitSpec(fmt.Sprintf("fill-%.2fxMW", frac), hypothetical(o, spec, frac)))
+				spec.proto = ppt.Oracle{FillFraction: frac}
+				p.row(fmt.Sprintf("fill-%.2fxMW", frac), spec)
 			}
-			p.run()
 			return &Result{ID: "fig3", Title: "FCT vs fill fraction of MW",
-				Rows:  cellRows(outs),
+				Rows:  p.run(),
 				Notes: []string{"paper: under-filling (0.5xMW) wastes capacity; over-filling (1.5xMW) bursts and loses packets; 1.0xMW is the sweet spot"}}
 		},
 	})
@@ -130,10 +104,6 @@ func init() {
 		Title:    "Qualitative comparison of transports (Table 1)",
 		DefFlows: 1,
 		Run: func(o Options) *Result {
-			mk := func(name, pattern, sched, commodity, tcpip, apps string) Row {
-				return Row{Label: name, Extra: nil, Sum: stats.Summary{}}
-			}
-			_ = mk
 			rows := []Row{}
 			for _, line := range []string{
 				"dctcp      spare-bw=passive     sched=no   commodity=yes tcpip=yes app-ok=yes",
@@ -182,7 +152,7 @@ func init() {
 		DefFlows: 1,
 		Run: func(o Options) *Result {
 			fab := testbedFabric()
-			net := fab.build(fab.cfg)
+			net := fab.build()
 			return &Result{ID: "table3", Title: "testbed profile", Rows: []Row{
 				{Label: "switch-buffer-MB", Extra: map[string]float64{"value": float64(fab.cfg.SharedBuffer) / (1 << 20)}},
 				{Label: "ports", Extra: map[string]float64{"value": float64(len(net.Switches[0].Ports()))}},

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"ppt/internal/stats"
 	"ppt/internal/transport"
 	"ppt/internal/workload"
 )
@@ -65,10 +64,6 @@ func init() {
 // each cell with its own bounded collector and unlinked temp file.
 func runScaleSpill(o Options, id, title string, dist *workload.Dist, spill int) *Result {
 	fab := simFabric(3, 2, 8)
-	load := 0.5
-	if o.Load != 0 {
-		load = o.Load
-	}
 	// The spill accounting rides in the observer so it can replay from
 	// the cache (there is no collector on a hit). Its tag carries the
 	// chunk size: resident_peak/spilled are a function of it, even
@@ -79,58 +74,19 @@ func runScaleSpill(o Options, id, title string, dist *workload.Dist, spill int) 
 			"spilled_records": float64(env.Collector.SpilledRecords()),
 		}
 	})
-	all := baseSchemes()
+	spec := runSpec{fab: fab, dist: dist, pattern: workload.AllToAll{N: fab.hosts},
+		load: o.loadOr(0.5), flows: o.Flows, seed: o.Seed, spillChunk: spill, obs: obs}
 	p := newPool(o)
-	type schemeCells struct {
-		name string
-		outs []*cellOut
-	}
-	var cells []schemeCells
-	for _, name := range scale1MSchemes {
-		if !o.wants(name) {
-			continue
-		}
-		outs := make([]*cellOut, o.Repeats)
-		for rep := 0; rep < o.Repeats; rep++ {
-			outs[rep] = p.submitSpec(
-				fmt.Sprintf("%s flows=%d seed=%d", name, o.Flows, o.Seed+int64(rep)),
-				runSpec{
-					fab: fab, sc: all[name], dist: dist,
-					pattern: workload.AllToAll{N: fab.hosts},
-					load:    load, flows: o.Flows, seed: o.Seed + int64(rep),
-					spillChunk: spill, obs: obs,
-				})
-		}
-		cells = append(cells, schemeCells{name, outs})
-	}
-	p.run()
-	rows := make([]Row, 0, len(cells))
-	for _, c := range cells {
-		var sums []stats.Summary
-		// resident_peak is the max across repeats (the bound being
-		// claimed); spilled_records the mean.
-		peak, spilled := 0.0, 0.0
-		for _, out := range c.outs {
-			if out.failed() {
-				continue
+	p.compare(spec, scale1MSchemes, "")
+	rows := p.run()
+	// resident_peak is the bound being claimed, so it is the max across
+	// repeats, not their mean (which never exceeds it).
+	for i, r := range p.rows {
+		for _, c := range r.outs {
+			if !c.failed() {
+				rows[i].Extra["resident_peak"] = max(rows[i].Extra["resident_peak"], c.extra["resident_peak"])
 			}
-			sums = append(sums, out.sum)
-			if p := out.extra["resident_peak"]; p > peak {
-				peak = p
-			}
-			spilled += out.extra["spilled_records"]
 		}
-		if len(sums) == 0 {
-			rows = append(rows, Row{Label: c.name})
-			continue
-		}
-		row := Row{Label: c.name, Sum: meanSummary(sums), Extra: map[string]float64{
-			"resident_peak": peak,
-		}}
-		if spill > 0 {
-			row.Extra["spilled_records"] = spilled / float64(len(sums))
-		}
-		rows = append(rows, row)
 	}
 	return &Result{ID: id, Title: title,
 		Rows: rows,

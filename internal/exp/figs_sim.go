@@ -11,11 +11,8 @@ import (
 var simSchemes = []string{"ndp", "aeolus", "homa", "rc3", "dctcp", "ppt"}
 
 func simComparison(o Options, fab fabric, dist *workload.Dist, defLoad float64, schemes []string) []Row {
-	load := defLoad
-	if o.Load != 0 {
-		load = o.Load
-	}
-	return compare(o, fab, dist, workload.AllToAll{N: fab.hosts}, load, schemes)
+	return compare(o, runSpec{fab: fab, dist: dist, pattern: workload.AllToAll{N: fab.hosts},
+		load: o.loadOr(defLoad), flows: o.Flows, seed: o.Seed}, schemes)
 }
 
 func init() {
@@ -78,32 +75,14 @@ func init() {
 		DefFlows: 200,
 		Run: func(o Options) *Result {
 			fab := simFabric(3, 2, 8)
-			load := 0.6
-			if o.Load != 0 {
-				load = o.Load
-			}
-			schemes := []string{"ndp", "aeolus", "homa", "dctcp", "ppt"}
+			spec := runSpec{fab: fab, dist: workload.WebSearch, load: o.loadOr(0.6), flows: o.Flows, seed: o.Seed}
 			p := newPool(o)
-			type point struct {
-				n      int
-				reduce func() []Row
-			}
-			var points []point
 			for _, n := range []int{4, 8, 16, fab.hosts - 1} {
-				pattern := workload.Incast{N: fab.hosts, Target: 0, Senders: n}
-				points = append(points, point{n,
-					compareCells(p, o, fab, workload.WebSearch, pattern, load, schemes)})
-			}
-			p.run()
-			var rows []Row
-			for _, pt := range points {
-				for _, r := range pt.reduce() {
-					r.Label = fmt.Sprintf("%s-N%d", r.Label, pt.n)
-					rows = append(rows, r)
-				}
+				spec.pattern = workload.Incast{N: fab.hosts, Target: 0, Senders: n}
+				p.compare(spec, []string{"ndp", "aeolus", "homa", "dctcp", "ppt"}, fmt.Sprintf("-N%d", n))
 			}
 			return &Result{ID: "fig23", Title: "incast ratio sweep",
-				Rows: rows,
+				Rows: p.run(),
 				Notes: []string{
 					"paper: under heavy incast PPT ~ DCTCP ~ NDP, all better than Homa/Aeolus",
 					"sender counts scale with the reduced default fabric; grow -flows and the fabric for the paper's 32..256",

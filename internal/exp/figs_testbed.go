@@ -10,35 +10,28 @@ import (
 // compare (§6.1).
 var testbedSchemes = []string{"homa", "rc3", "dctcp", "ppt"}
 
-// loadSweep runs the 15-to-15 pattern across loads for one workload.
-// All (load × scheme × repeat) cells go into one pool.
+// loadSweep runs the 15-to-15 pattern across loads for one workload,
+// or at the Load override alone. All (load × scheme × repeat) cells go
+// into one pool.
 func loadSweep(o Options, dist *workload.Dist, loads []float64) []Row {
 	fab := testbedFabric()
+	spec := runSpec{fab: fab, dist: dist, pattern: workload.AllToAll{N: fab.hosts}, flows: o.Flows, seed: o.Seed}
 	p := newPool(o)
-	type point struct {
-		load   float64
-		reduce func() []Row
-	}
-	var points []point
 	for _, load := range loads {
-		if o.Load != 0 {
-			load = o.Load
-		}
-		points = append(points, point{load,
-			compareCells(p, o, fab, dist, workload.AllToAll{N: fab.hosts}, load, testbedSchemes)})
+		spec.load = o.loadOr(load)
+		p.compare(spec, testbedSchemes, fmt.Sprintf("@%.1f", spec.load))
 		if o.Load != 0 {
 			break
 		}
 	}
-	p.run()
-	var rows []Row
-	for _, pt := range points {
-		for _, r := range pt.reduce() {
-			r.Label = fmt.Sprintf("%s@%.1f", r.Label, pt.load)
-			rows = append(rows, r)
-		}
-	}
-	return rows
+	return p.run()
+}
+
+// incast runs the testbed's 14-to-1 pattern for one workload.
+func incast(o Options, dist *workload.Dist) []Row {
+	fab := testbedFabric()
+	return compare(o, runSpec{fab: fab, dist: dist, pattern: workload.Incast{N: fab.hosts, Target: 0},
+		load: o.loadOr(0.5), flows: o.Flows, seed: o.Seed}, testbedSchemes)
 }
 
 func init() {
@@ -67,14 +60,8 @@ func init() {
 		Title:    "[Testbed] 14-to-1 incast, Web Search, load 0.5",
 		DefFlows: 300,
 		Run: func(o Options) *Result {
-			fab := testbedFabric()
-			load := 0.5
-			if o.Load != 0 {
-				load = o.Load
-			}
-			rows := compare(o, fab, workload.WebSearch, workload.Incast{N: fab.hosts, Target: 0}, load, testbedSchemes)
 			return &Result{ID: "fig10", Title: "testbed 14-to-1 web search",
-				Rows:  rows,
+				Rows:  incast(o, workload.WebSearch),
 				Notes: []string{"paper: PPT cuts overall avg FCT by 74.8%/92.7%/95.5% vs Homa-Linux/RC3/DCTCP"}}
 		},
 	})
@@ -83,14 +70,8 @@ func init() {
 		Title:    "[Testbed] 14-to-1 incast, Data Mining, load 0.5",
 		DefFlows: 200,
 		Run: func(o Options) *Result {
-			fab := testbedFabric()
-			load := 0.5
-			if o.Load != 0 {
-				load = o.Load
-			}
-			rows := compare(o, fab, workload.DataMining, workload.Incast{N: fab.hosts, Target: 0}, load, testbedSchemes)
 			return &Result{ID: "fig11", Title: "testbed 14-to-1 data mining",
-				Rows:  rows,
+				Rows:  incast(o, workload.DataMining),
 				Notes: []string{"paper: PPT cuts overall avg FCT by 32%/23.4%/94% vs Homa-Linux/RC3/DCTCP"}}
 		},
 	})

@@ -54,15 +54,15 @@ func FuzzShardInvariance(f *testing.F) {
 			seed:    seed,
 		}
 		shards := 2 + int(k)%3
-		base, _, baseEnv := execute(withScheme(spec, name, 1))
-		alt, _, altEnv := execute(withScheme(spec, name, shards))
+		base, _, baseEnv, _ := execute(withScheme(spec, name, 1))
+		alt, _, altEnv, _ := execute(withScheme(spec, name, shards))
 		if base != alt {
-			t.Fatalf("%s on %s, %d flows at load %g, seed %d: shards=%d summary diverged from shards=1\nbase: %+v\nalt:  %+v",
-				name, fab.shape, spec.flows, spec.load, seed, shards, base, alt)
+			t.Fatalf("%s on %d-%d-%d, %d flows at load %g, seed %d: shards=%d summary diverged from shards=1\nbase: %+v\nalt:  %+v",
+				name, fab.leaves, fab.spines, fab.perLeaf, spec.flows, spec.load, seed, shards, base, alt)
 		}
 		if baseEnv.Eff != altEnv.Eff {
-			t.Fatalf("%s on %s, %d flows at load %g, seed %d: shards=%d efficiency diverged from shards=1\nbase: %+v\nalt:  %+v",
-				name, fab.shape, spec.flows, spec.load, seed, shards, baseEnv.Eff, altEnv.Eff)
+			t.Fatalf("%s on %d-%d-%d, %d flows at load %g, seed %d: shards=%d efficiency diverged from shards=1\nbase: %+v\nalt:  %+v",
+				name, fab.leaves, fab.spines, fab.perLeaf, spec.flows, spec.load, seed, shards, baseEnv.Eff, altEnv.Eff)
 		}
 	})
 }

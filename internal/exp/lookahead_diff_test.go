@@ -42,7 +42,7 @@ func TestLookaheadMatrixDifferential(t *testing.T) {
 			seed:    1 + rng.Int63n(1000),
 		}
 
-		baseSum, _, baseEnv := execute(withScheme(spec, name, 1))
+		baseSum, _, baseEnv, _ := execute(withScheme(spec, name, 1))
 		part := baseEnv.Net.Part
 		if part == nil || part.Lookahead == nil {
 			t.Fatalf("trial %d: partitioned build carries no lookahead matrix", trial)
@@ -73,7 +73,7 @@ func TestLookaheadMatrixDifferential(t *testing.T) {
 		// (more shards than workers to claim them); shards=1 reruns the
 		// base cell, which a repeat must reproduce.
 		for _, shards := range []int{2, n, n + 3, 1} {
-			altSum, _, altEnv := execute(withScheme(spec, name, shards))
+			altSum, _, altEnv, _ := execute(withScheme(spec, name, shards))
 			if baseSum != altSum {
 				t.Errorf("trial %d (leaves=%d spines=%d perLeaf=%d %s flows=%d seed=%d): shards=%d summary diverged\nbase: %+v\nalt:  %+v",
 					trial, leaves, spines, perLeaf, name, spec.flows, spec.seed, shards, baseSum, altSum)

@@ -68,23 +68,49 @@ type cellOut struct {
 
 func (c *cellOut) failed() bool { return c.job.err != nil }
 
-// cellRows assembles one table row per cell, labelled as submitted. A
-// failed cell keeps its row, empty, so the table's shape is stable.
-func cellRows(outs []*cellOut) []Row {
-	rows := make([]Row, len(outs))
-	for i, c := range outs {
-		rows[i] = Row{Label: c.job.label, Sum: c.sum, Extra: c.extra}
+// rowCells are the cells of one table row, one per repeat.
+type rowCells struct {
+	label string
+	outs  []*cellOut
+}
+
+// mean reduces the row to the mean of its repeats that did not fail:
+// the Summary by meanSummary, each extra by its mean. A row whose every
+// repeat failed (each reported through the error sink) stays, empty, so
+// the table's shape is stable.
+func (r rowCells) mean() Row {
+	row := Row{Label: r.label}
+	var sums []stats.Summary
+	for _, c := range r.outs {
+		if c.failed() {
+			continue
+		}
+		sums = append(sums, c.sum)
+		for k, v := range c.extra {
+			if row.Extra == nil {
+				row.Extra = make(map[string]float64, len(c.extra))
+			}
+			row.Extra[k] += v
+		}
 	}
-	return rows
+	if len(sums) == 0 {
+		return row
+	}
+	row.Sum = meanSummary(sums)
+	for k := range row.Extra {
+		row.Extra[k] /= float64(len(sums))
+	}
+	return row
 }
 
 // pool fans submitted cells across worker goroutines. Submission order
 // is preserved: each job writes only its own slot, and failures are
 // reported in submission order after the run, so output never depends on
-// goroutine scheduling.
+// goroutine scheduling. Rows reduce after the run, in submission order.
 type pool struct {
 	opts Options
 	jobs []*poolJob
+	rows []rowCells
 }
 
 func newPool(o Options) *pool { return &pool{opts: o} }
@@ -96,6 +122,32 @@ func (p *pool) submit(label string, fn func() error) *poolJob {
 	j := &poolJob{label: label, fn: fn}
 	p.jobs = append(p.jobs, j)
 	return j
+}
+
+// row submits one table row: spec at Options.Repeats seeds, spec.seed,
+// spec.seed+1, …, each a cell. run returns the row as the mean of its
+// repeats.
+func (p *pool) row(label string, spec runSpec) {
+	r := rowCells{label: label, outs: make([]*cellOut, max(p.opts.Repeats, 1))}
+	for rep := range r.outs {
+		cell := spec
+		cell.seed += int64(rep)
+		r.outs[rep] = p.submitSpec(fmt.Sprintf("%s load=%g seed=%d", label, cell.load, cell.seed), cell)
+	}
+	p.rows = append(p.rows, r)
+}
+
+// compare submits one row per named scheme the filter wants: spec run
+// under the scheme's protocol, labelled with the scheme's name and
+// suffix. A sweep calls it once per point, each point with its suffix.
+func (p *pool) compare(spec runSpec, names []string, suffix string) {
+	all := baseSchemes()
+	for _, name := range names {
+		if proto, ok := all[name]; ok && p.opts.wants(name) {
+			spec.proto = proto
+			p.row(name+suffix, spec)
+		}
+	}
 }
 
 // submitSpec registers one execute() cell and returns its output slot,
@@ -111,8 +163,8 @@ func (p *pool) submitSpec(label string, spec runSpec) *cellOut {
 	out := &cellOut{}
 	spec.shards = o.Shards
 	compute := func() cache.Value {
-		sum, extra, env := execute(spec)
-		o.addEvents(env.Net.Executed())
+		sum, extra, env, events := execute(spec)
+		o.addEvents(events)
 		o.sharding.add(env.ShardStats)
 		return cache.Value{Sum: sum, Extra: extra}
 	}
@@ -130,7 +182,7 @@ func (p *pool) submitSpec(label string, spec runSpec) *cellOut {
 		out.sum, out.extra = v.Sum, v.Extra
 		return nil
 	})
-	if o.StrictShards && o.Shards > 1 && !spec.fab.partitionable {
+	if o.StrictShards && o.Shards > 1 && !spec.fab.partitionable() {
 		// Fail the cell up front with an error naming the topology:
 		// a single-switch fabric would otherwise silently ignore the
 		// shard request and run monolithic.
@@ -157,11 +209,12 @@ func (p *pool) workers() int {
 	return w
 }
 
-// run executes every submitted job and blocks until all are done.
-func (p *pool) run() {
+// run executes every submitted job, blocks until all are done, and
+// returns the submitted rows.
+func (p *pool) run() []Row {
 	total := len(p.jobs)
 	if total == 0 {
-		return
+		return nil
 	}
 	var mu sync.Mutex
 	var done int
@@ -204,6 +257,11 @@ func (p *pool) run() {
 			p.opts.errs.add(fmt.Sprintf("%s: %v", j.label, j.err))
 		}
 	}
+	rows := make([]Row, len(p.rows))
+	for i, r := range p.rows {
+		rows[i] = r.mean()
+	}
+	return rows
 }
 
 func (j *poolJob) runOne() {

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"math/rand"
 
 	"ppt/internal/bufaware"
@@ -24,25 +23,56 @@ import (
 	"ppt/internal/workload"
 )
 
-// fabric describes how an experiment builds its network.
+// fabric is a network an experiment runs on: its dimensions, its
+// switch config and its RTO floor. With leaves > 0 it is a leaf-spine
+// of leaves ToRs with perLeaf hosts each under spines spines
+// (topo.LeafSpine); with leaves 0 it is a star of hosts hosts on one
+// switch (topo.Star: the testbed and the dumbbell).
 type fabric struct {
-	name   string
-	build  func(cfg topo.Config) *topo.Network
-	cfg    topo.Config
-	rtoMin sim.Time
-	hosts  int
-	// shape names the wiring the build closure produces (builder kind +
-	// dimensions). Part of the cell cache key: two fabrics can share
-	// name and config yet wire different topologies (e.g. a wider
-	// leaf-spine), and a closure can't be hashed.
-	shape string
-	// partitionable marks builders that honor Config.Shards with a real
-	// multi-switch partition (topo.LeafSpine). The single-switch
-	// builder (topo.Star: the testbed and the dumbbell) has nothing to
-	// shard and silently runs monolithic; Options.StrictShards turns
-	// that into a cell error.
-	partitionable bool
+	name                    string
+	leaves, spines, perLeaf int
+	hosts                   int
+	cfg                     topo.Config
+	rtoMin                  sim.Time
 }
+
+// build wires the fabric under its switch config.
+func (f fabric) build() *topo.Network {
+	if f.leaves == 0 {
+		return topo.Star(f.hosts, f.cfg)
+	}
+	return topo.LeafSpine(f.leaves, f.spines, f.perLeaf, f.cfg)
+}
+
+// buildFor wires the fabric for a run of p at the given shard hint,
+// giving the switches what p needs of them: NDP trims payloads to the
+// header, HPCC and hpcc+ppt read INT, Aeolus drops its unscheduled
+// packets selectively, and PIAS, which demotes through all eight
+// priorities, marks every queue at the high class's threshold. The
+// needs are a function of p's type, so a cell's protocol value pins
+// them.
+func (f fabric) buildFor(p transport.Protocol, shards int) *topo.Network {
+	f.cfg.Shards = shards
+	switch p.(type) {
+	case ndp.Proto:
+		f.cfg.TrimToHeader = true
+	case hpcc.Proto, hpcc.PPTVariant:
+		f.cfg.EnableINT = true
+	case aeolus.Proto:
+		f.cfg.DroppableThresh = 24_000
+		if f.cfg.PerPortBuffer > 0 {
+			f.cfg.DroppableThresh = f.cfg.PerPortBuffer / 8
+		}
+	case pias.Proto:
+		f.cfg.ECNLowK = f.cfg.ECNHighK
+	}
+	return f.build()
+}
+
+// partitionable reports whether the fabric honors Config.Shards with a
+// real multi-switch partition. A star has nothing to shard and silently
+// runs monolithic; Options.StrictShards turns that into a cell error.
+func (f fabric) partitionable() bool { return f.leaves > 0 }
 
 // simFabric is the §6.2 profile: 144 hosts, 9 leaves, 4 spines, 40/100G
 // oversubscribed, 120KB/port, K_H=96KB, K_L=86KB, plain drop-tail shared
@@ -52,9 +82,8 @@ type fabric struct {
 // the full topology is a -flows-scaled pptsim run away.
 func simFabric(leaves, spines, perLeaf int) fabric {
 	return fabric{
-		name:  "leafspine-40/100G",
-		shape: fmt.Sprintf("leafspine/%d-%d-%d", leaves, spines, perLeaf),
-		build: func(cfg topo.Config) *topo.Network { return topo.LeafSpine(leaves, spines, perLeaf, cfg) },
+		name:   "leafspine-40/100G",
+		leaves: leaves, spines: spines, perLeaf: perLeaf, hosts: leaves * perLeaf,
 		cfg: topo.Config{
 			HostRate:      40 * netsim.Gbps,
 			CoreRate:      100 * netsim.Gbps,
@@ -62,9 +91,7 @@ func simFabric(leaves, spines, perLeaf int) fabric {
 			ECNHighK:      96_000,
 			ECNLowK:       86_000,
 		},
-		rtoMin:        1 * sim.Millisecond,
-		hosts:         leaves * perLeaf,
-		partitionable: true,
+		rtoMin: 1 * sim.Millisecond,
 	}
 }
 
@@ -96,8 +123,7 @@ func nonOverFabric(leaves, spines, perLeaf int) fabric {
 func testbedFabric() fabric {
 	return fabric{
 		name:  "testbed-star-10G",
-		shape: "star/15",
-		build: func(cfg topo.Config) *topo.Network { return topo.Star(15, cfg) },
+		hosts: 15,
 		cfg: topo.Config{
 			HostRate:            10 * netsim.Gbps,
 			LinkDelay:           20 * sim.Microsecond,
@@ -107,7 +133,6 @@ func testbedFabric() fabric {
 			DynamicLowThreshold: true,
 		},
 		rtoMin: 10 * sim.Millisecond,
-		hosts:  15,
 	}
 }
 
@@ -116,8 +141,7 @@ func testbedFabric() fabric {
 func dumbbellFabric(senders int, ecnK int64) fabric {
 	return fabric{
 		name:  "dumbbell-40G",
-		shape: fmt.Sprintf("star/%d", senders+1),
-		build: func(cfg topo.Config) *topo.Network { return topo.Star(senders+1, cfg) },
+		hosts: senders + 1,
 		cfg: topo.Config{
 			HostRate:     40 * netsim.Gbps,
 			LinkDelay:    1 * sim.Microsecond,
@@ -126,7 +150,6 @@ func dumbbellFabric(senders int, ecnK int64) fabric {
 			ECNLowK:      ecnK * 5 / 6,
 		},
 		rtoMin: 1 * sim.Millisecond,
-		hosts:  senders + 1,
 	}
 }
 
@@ -141,68 +164,32 @@ func topologies() map[string]fabric {
 	}
 }
 
-// scheme is one comparable transport.
-type scheme struct {
-	name string
-	// tweak adapts the fabric for the scheme's switch requirements
-	// (trimming, INT, selective drop).
-	tweak func(*topo.Config)
-	// make builds a fresh protocol instance for one run.
-	make func() transport.Protocol
-}
-
-func tweakTrim(c *topo.Config) { c.TrimToHeader = true }
-func tweakINT(c *topo.Config)  { c.EnableINT = true }
-func tweakDrop(c *topo.Config) {
-	if c.PerPortBuffer > 0 {
-		c.DroppableThresh = c.PerPortBuffer / 8
-	} else {
-		c.DroppableThresh = 24_000
-	}
-}
-
-// pptScheme builds a PPT scheme with the given config tweaks.
-func pptScheme(name string, cfg ppt.Config) scheme {
-	return scheme{
-		name: name,
-		make: func() transport.Protocol { return ppt.Proto{Cfg: cfg} },
-	}
-}
-
-func baseSchemes() map[string]scheme {
-	return map[string]scheme{
-		"dctcp": {name: "dctcp", make: func() transport.Protocol { return dctcp.Proto{} }},
-		"rc3":   {name: "rc3", make: func() transport.Protocol { return rc3.Proto{} }},
-		// PIAS uses all eight priorities for demotion, so every queue
-		// marks like the high class (one per-port DCTCP threshold).
-		"pias": {name: "pias", tweak: func(c *topo.Config) { c.ECNLowK = c.ECNHighK },
-			make: func() transport.Protocol { return pias.Proto{} }},
-		"hpcc": {name: "hpcc", tweak: tweakINT, make: func() transport.Protocol { return hpcc.Proto{} }},
-		"homa": {name: "homa", make: func() transport.Protocol { return homa.Proto{} }},
-		"aeolus": {name: "aeolus", tweak: tweakDrop,
-			make: func() transport.Protocol { return aeolus.Proto{} }},
-		"ndp": {name: "ndp", tweak: tweakTrim,
-			make: func() transport.Protocol { return ndp.Proto{} }},
-		"ppt":       pptScheme("ppt", ppt.Config{}),
-		"swift":     {name: "swift", make: func() transport.Protocol { return swift.Proto{} }},
-		"swift+ppt": {name: "swift+ppt", make: func() transport.Protocol { return swift.Proto{Cfg: swift.Config{WithPPT: true}} }},
-		"hpcc+ppt": {name: "hpcc+ppt", tweak: tweakINT,
-			make: func() transport.Protocol { return hpcc.PPTVariant{} }},
+// baseSchemes is the scheme table: each comparable transport's
+// protocol value, keyed by its name. A protocol value is stateless and
+// its fields are its parameters, so the value is the scheme: a cell
+// runs its flows on it, and the cell's cache key encodes it whole.
+func baseSchemes() map[string]transport.Protocol {
+	table := map[string]transport.Protocol{}
+	for _, p := range []transport.Protocol{
+		dctcp.Proto{}, rc3.Proto{}, pias.Proto{}, hpcc.Proto{}, homa.Proto{},
+		aeolus.Proto{}, ndp.Proto{}, ppt.Proto{}, swift.Proto{},
+		swift.Proto{Cfg: swift.Config{WithPPT: true}}, hpcc.PPTVariant{},
 		// tcp10 is the TCP-10 row of Table 1: loss-driven TCP with an
 		// initial window of 10 (no ECN reaction).
-		"tcp10": {name: "tcp10", make: func() transport.Protocol {
-			return dctcp.Proto{Cfg: dctcp.Config{NoECN: true}}
-		}},
-		"halfback": {name: "halfback", make: func() transport.Protocol { return halfback.Proto{} }},
-		"expresspass": {name: "expresspass",
-			make: func() transport.Protocol { return expresspass.Proto{} }},
+		dctcp.Proto{Cfg: dctcp.Config{NoECN: true}},
+		halfback.Proto{}, expresspass.Proto{},
+	} {
+		table[p.Name()] = p
 	}
+	return table
 }
 
-// runSpec is one scheme execution.
+// runSpec is one cell: a scheme run on a fabric under a workload.
 type runSpec struct {
-	fab     fabric
-	sc      scheme
+	fab fabric
+	// proto is the scheme: the transport's protocol value. A cell's
+	// §2.3 oracle (ppt.Oracle) carries no MW; execute records it.
+	proto   transport.Protocol
 	dist    *workload.Dist
 	pattern workload.Pattern
 	load    float64
@@ -285,25 +272,21 @@ func audit(net *topo.Network) {
 
 // execute runs one cell: it builds the fabric and Env, arms the cell's
 // observer, streams the workload to completion, reads the extras and
-// audits the fabric. It returns the summary, the extras and the Env.
-func execute(spec runSpec) (stats.Summary, map[string]float64, *transport.Env) {
-	sum, extra, env := simulate(spec)
-	audit(env.Net)
-	return sum, extra, env
-}
-
-// simulate is execute without the audit.
-func simulate(spec runSpec) (stats.Summary, map[string]float64, *transport.Env) {
-	cfg := spec.fab.cfg
-	if spec.sc.tweak != nil {
-		spec.sc.tweak(&cfg)
+// audits the fabric. It returns the summary, the extras, the Env and
+// the scheduler events the cell executed. An oracle cell first runs
+// pass 1 — the MW recorder on the same cell, without its observer — to
+// learn each flow's maximum window, and its events count both passes.
+func execute(spec runSpec) (sum stats.Summary, extra map[string]float64, env *transport.Env, events uint64) {
+	proto := spec.proto
+	if oracle, ok := proto.(ppt.Oracle); ok {
+		rec := ppt.NewMWRecorder()
+		pass1 := spec
+		pass1.proto, pass1.obs = rec, observer{}
+		_, _, _, events = execute(pass1)
+		oracle.MW = rec.MW()
+		proto = oracle
 	}
-	// make may itself run a cell (the hypothetical DCTCP's pass 1), so
-	// it runs before this cell's fabric exists.
-	proto := spec.sc.make()
-	cfg.Shards = spec.shards
-	net := spec.fab.build(cfg)
-	env := transport.NewEnv(net)
+	env = transport.NewEnv(spec.fab.buildFor(proto, spec.shards))
 	env.RTOMin = spec.fab.rtoMin
 	env.SendBuf = spec.sendBuf
 
@@ -325,85 +308,27 @@ func simulate(spec runSpec) (stats.Summary, map[string]float64, *transport.Env) 
 			Dist:     spec.dist,
 			Pattern:  spec.pattern,
 			Load:     spec.load,
-			HostRate: cfg.HostRate,
+			HostRate: spec.fab.cfg.HostRate,
 			NumFlows: spec.flows,
 			Seed:     spec.seed,
 		}),
 		rng:     rand.New(rand.NewSource(spec.seed + 7)),
 		sendBuf: spec.sendBuf,
 	}
-	sum := transport.RunSource(env, proto, src, transport.RunConfig{})
-	var extra map[string]float64
+	sum = transport.RunSource(env, proto, src, transport.RunConfig{})
 	if read != nil {
 		extra = read()
 	}
-	return sum, extra, env
+	audit(env.Net)
+	return sum, extra, env, events + env.Net.Executed()
 }
 
-// compare runs the given schemes over one workload and assembles rows,
-// averaging over Options.Repeats seeds. Cells run on the worker pool
-// (Options.Parallel wide).
-func compare(o Options, fab fabric, dist *workload.Dist, pattern workload.Pattern, load float64, names []string) []Row {
+// compare runs the named schemes over spec, one row each (see
+// pool.compare).
+func compare(o Options, spec runSpec, names []string) []Row {
 	p := newPool(o)
-	rows := compareCells(p, o, fab, dist, pattern, load, names)
-	p.run()
-	return rows()
-}
-
-// compareCells submits one cell per (scheme × repeat) to p and returns
-// the reducer that assembles the rows once p.run() has completed.
-// Splitting submission from reduction lets multi-load/multi-N sweeps
-// flatten every cell into one pool instead of running one pool per
-// sweep point.
-func compareCells(p *pool, o Options, fab fabric, dist *workload.Dist, pattern workload.Pattern, load float64, names []string) func() []Row {
-	all := baseSchemes()
-	repeats := o.Repeats
-	if repeats < 1 {
-		repeats = 1
-	}
-	type schemeCells struct {
-		name string
-		outs []*cellOut
-	}
-	var cells []schemeCells
-	for _, name := range names {
-		if !o.wants(name) {
-			continue
-		}
-		sc, ok := all[name]
-		if !ok {
-			continue
-		}
-		outs := make([]*cellOut, repeats)
-		for rep := 0; rep < repeats; rep++ {
-			outs[rep] = p.submitSpec(
-				fmt.Sprintf("%s load=%g seed=%d", name, load, o.Seed+int64(rep)),
-				runSpec{
-					fab: fab, sc: sc, dist: dist, pattern: pattern,
-					load: load, flows: o.Flows, seed: o.Seed + int64(rep),
-				})
-		}
-		cells = append(cells, schemeCells{name, outs})
-	}
-	return func() []Row {
-		rows := make([]Row, 0, len(cells))
-		for _, c := range cells {
-			sums := make([]stats.Summary, 0, len(c.outs))
-			for _, out := range c.outs {
-				if !out.failed() {
-					sums = append(sums, out.sum)
-				}
-			}
-			if len(sums) == 0 {
-				// Every repeat failed (and was reported via the error
-				// sink): keep the row so the table shape is stable.
-				rows = append(rows, Row{Label: c.name})
-				continue
-			}
-			rows = append(rows, Row{Label: c.name, Sum: meanSummary(sums)})
-		}
-		return rows
-	}
+	p.compare(spec, names, "")
+	return p.run()
 }
 
 // meanSummary averages summaries across repeats (metric-wise).

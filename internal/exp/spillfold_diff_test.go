@@ -26,7 +26,7 @@ func TestWindowedSpillDifferential(t *testing.T) {
 		fab := simFabric(3, 2, 8)
 		spec := runSpec{
 			fab:     fab,
-			sc:      all[scheme],
+			proto:   all[scheme],
 			dist:    workload.MemcachedW1,
 			pattern: workload.AllToAll{N: fab.hosts},
 			load:    0.5,
@@ -35,13 +35,13 @@ func TestWindowedSpillDifferential(t *testing.T) {
 		}
 		ref := spec
 		ref.shards = 1
-		refSum, _, _ := execute(ref)
+		refSum, _, _, _ := execute(ref)
 		for _, chunk := range []int{1, 7, 1024, 1 << 16} {
 			for _, shards := range []int{1, 2, 4} {
 				alt := spec
 				alt.shards = shards
 				alt.spillChunk = chunk
-				altSum, _, altEnv := execute(alt)
+				altSum, _, altEnv, _ := execute(alt)
 				if altSum != refSum {
 					t.Errorf("%s chunk=%d shards=%d: spilled summary diverged\nref: %+v\ngot: %+v",
 						scheme, chunk, shards, refSum, altSum)

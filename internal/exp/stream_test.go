@@ -6,6 +6,7 @@ import (
 	"ppt/internal/bufaware"
 	"ppt/internal/stats"
 	"ppt/internal/transport"
+	"ppt/internal/transport/ppt"
 	"ppt/internal/workload"
 )
 
@@ -25,7 +26,7 @@ func TestStreamedExecuteMatchesMaterialized(t *testing.T) {
 	// each first call is the whole message; the 1MB send buffer still
 	// bounds PPT's LCP reach, on both sides of the comparison.
 	base := runSpec{
-		fab: fab, sc: baseSchemes()["ppt"], dist: workload.MemcachedW1,
+		fab: fab, proto: ppt.Proto{}, dist: workload.MemcachedW1,
 		pattern: workload.AllToAll{N: fab.hosts}, load: 0.5,
 		flows: 1500, seed: 3, sendBuf: 1 << 20,
 	}
@@ -34,13 +35,13 @@ func TestStreamedExecuteMatchesMaterialized(t *testing.T) {
 		t.Fatalf("reference cell did not complete: %+v", want)
 	}
 
-	if got, _, _ := execute(base); got != want {
+	if got, _, _, _ := execute(base); got != want {
 		t.Fatalf("streamed summary %+v != materialized %+v", got, want)
 	}
 
 	sp := base
 	sp.spillChunk = 64
-	got, _, env := execute(sp)
+	got, _, env, _ := execute(sp)
 	if got != want {
 		t.Fatalf("streamed+spilled summary %+v != materialized %+v", got, want)
 	}
@@ -56,16 +57,12 @@ func TestStreamedExecuteMatchesMaterialized(t *testing.T) {
 // generated up front, first calls from bufaware.AssignFirstCalls under
 // the bulk model, then transport.Run over the slice.
 func materialized(spec runSpec) stats.Summary {
-	cfg := spec.fab.cfg
-	if spec.sc.tweak != nil {
-		spec.sc.tweak(&cfg)
-	}
-	env := transport.NewEnv(spec.fab.build(cfg))
+	env := transport.NewEnv(spec.fab.buildFor(spec.proto, 0))
 	env.RTOMin = spec.fab.rtoMin
 	env.SendBuf = spec.sendBuf
 	wf := workload.Generate(workload.GenConfig{
 		Dist: spec.dist, Pattern: spec.pattern, Load: spec.load,
-		HostRate: cfg.HostRate, NumFlows: spec.flows, Seed: spec.seed,
+		HostRate: spec.fab.cfg.HostRate, NumFlows: spec.flows, Seed: spec.seed,
 	})
 	sizes := make([]int64, len(wf))
 	for i, f := range wf {
@@ -79,7 +76,7 @@ func materialized(spec runSpec) stats.Summary {
 			Arrive: f.Arrive, FirstCall: firstCalls[i],
 		}
 	}
-	return transport.Run(env, spec.sc.make(), flows, transport.RunConfig{})
+	return transport.Run(env, spec.proto, flows, transport.RunConfig{})
 }
 
 // TestScale1MSpills smoke-runs the scale family's experiment just past

@@ -423,8 +423,8 @@ type Efficiency struct {
 	UsefulDelivered int64 // distinct application bytes completed
 	UsefulLow       int64 // distinct bytes delivered by the low loop
 
-	// Loop opens, refused or not: unguarded (PPT's case 1) and guarded
-	// mid-flow re-opens (case 2).
+	// Loops opened (refused opens do not count): unguarded (PPT's case
+	// 1) and guarded mid-flow re-opens (case 2).
 	Case1Opens, Case2Opens int64
 	// Opportunistic packets paced out of an initial window and clocked
 	// out by low ACKs.

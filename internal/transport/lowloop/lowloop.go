@@ -155,13 +155,8 @@ func (l *Loop) bufferedTail() int64 {
 // under Burst back to back. A guarded loop (a mid-flow re-open) caps its
 // window to the gap beyond two host windows. Open is refused while a
 // loop is active, and, unless the loop is Unclocked, while the backlog
-// is at least I/2.
+// is at least I/2. Only a loop that opens counts in Env.Eff's opens.
 func (l *Loop) Open(i int64, guarded bool) {
-	if guarded {
-		l.env.Eff.Case2Opens++
-	} else {
-		l.env.Eff.Case1Opens++
-	}
 	if i < netsim.MSS || l.active || l.f.SenderDone() {
 		return
 	}
@@ -195,6 +190,11 @@ func (l *Loop) Open(i int64, guarded bool) {
 		return
 	}
 	l.active = true
+	if guarded {
+		l.env.Eff.Case2Opens++
+	} else {
+		l.env.Eff.Case1Opens++
+	}
 	l.budget = i
 	if l.pol.NoEWD {
 		l.budget = l.tailNext - l.host.Frontier()

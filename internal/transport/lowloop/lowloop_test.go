@@ -42,6 +42,9 @@ func TestOpenSendsPacedWindow(t *testing.T) {
 	if !l.Active() {
 		t.Fatal("loop not active after open")
 	}
+	if env.Eff.Case1Opens != 1 || env.Eff.Case2Opens != 0 {
+		t.Fatalf("opens counted case 1 %d, case 2 %d; want 1, 0", env.Eff.Case1Opens, env.Eff.Case2Opens)
+	}
 	env.Sched().RunUntil(2 * env.BaseRTT())
 	if l.OppSent() < 9*netsim.MSS {
 		t.Fatalf("paced out only %d bytes", l.OppSent())
@@ -49,19 +52,26 @@ func TestOpenSendsPacedWindow(t *testing.T) {
 }
 
 func TestOpenRejectsTinyWindow(t *testing.T) {
-	l, _, _ := setup(t, 10_000_000)
+	l, _, env := setup(t, 10_000_000)
 	l.Open(netsim.MSS-1, false)
+	l.Open(netsim.MSS-1, true)
 	if l.Active() {
 		t.Fatal("opened with sub-MSS window")
+	}
+	if env.Eff.Case1Opens != 0 || env.Eff.Case2Opens != 0 {
+		t.Fatalf("refused opens counted: case 1 %d, case 2 %d", env.Eff.Case1Opens, env.Eff.Case2Opens)
 	}
 }
 
 func TestOpenRejectsWhenCrossed(t *testing.T) {
-	l, h, _ := setup(t, 100_000)
+	l, h, env := setup(t, 100_000)
 	h.frontier = 100_000 // high loop already covers everything
 	l.Open(10*netsim.MSS, false)
 	if l.Active() {
 		t.Fatal("opened past the crossing point")
+	}
+	if env.Eff.Case1Opens != 0 {
+		t.Fatalf("a refused open counted: case 1 %d", env.Eff.Case1Opens)
 	}
 }
 
@@ -147,6 +157,9 @@ func TestReopenGatedOnBacklog(t *testing.T) {
 	l.Open(4*netsim.MSS, false)
 	if l.Active() {
 		t.Fatal("reopened while the previous injection is unacknowledged")
+	}
+	if env.Eff.Case1Opens != 1 {
+		t.Fatalf("case 1 opens = %d after one open and one refused, want 1", env.Eff.Case1Opens)
 	}
 	// ACK the backlog; now it may reopen.
 	for i := 0; i < 2; i++ {
