@@ -18,6 +18,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -232,13 +233,18 @@ var format outputFormat
 
 // run executes one experiment and prints it. It returns false when
 // every cell failed (e.g. a strict -shards request on a topology that
-// cannot partition), after echoing the per-cell errors to stderr.
+// cannot partition), after echoing the per-cell errors to stderr, and
+// when -schemes leaves the experiment no row. Any other error is a bad
+// flag, which exits at once.
 func run(id string, opts exp.Options) bool {
 	start := time.Now()
 	res, err := exp.RunByID(id, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		if !errors.Is(err, exp.ErrNoRows) {
+			os.Exit(1)
+		}
+		return false
 	}
 	for _, row := range res.Rows {
 		if row.Sum.Truncated {

@@ -7,6 +7,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -32,8 +33,12 @@ type Options struct {
 	Load float64
 	// Seed randomizes workloads (default 1).
 	Seed int64
-	// Schemes, when non-empty, restricts comparison experiments to the
-	// named schemes.
+	// Schemes, when non-empty, restricts every simulated row to the
+	// named schemes: a row runs when its protocol's scheme table name is
+	// listed, where every PPT variant (ablations included) counts as
+	// "ppt" and the §2.3 oracle as "hypothetical". Static tables keep
+	// their rows. RunByID rejects an unknown name, and a filter that
+	// leaves an experiment no row (ErrNoRows).
 	Schemes []string
 	// Repeats, when > 1, averages each row's metrics over this many
 	// independent seeds (seed, seed+1, ...). Percentiles are averaged
@@ -348,6 +353,10 @@ func splitNat(s string) (string, int) {
 	return s[:i], n
 }
 
+// ErrNoRows is the error RunByID wraps when a Schemes filter leaves an
+// experiment no row.
+var ErrNoRows = errors.New("the scheme filter leaves no row")
+
 // RunByID runs one experiment by id.
 func RunByID(id string, o Options) (*Result, error) {
 	e, err := Get(id)
@@ -372,6 +381,9 @@ func RunByID(id string, o Options) (*Result, error) {
 		cacheBefore = o.Cache.Stats()
 	}
 	res := e.Run(o)
+	if len(o.Schemes) > 0 && len(res.Rows) == 0 {
+		return nil, fmt.Errorf("exp: %s: %w (schemes: %s)", id, ErrNoRows, strings.Join(o.Schemes, ","))
+	}
 	for _, msg := range o.errs.drain() {
 		res.Notes = append(res.Notes, "cell failed: "+msg)
 	}

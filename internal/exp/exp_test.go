@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -87,6 +89,62 @@ func TestEveryRowHonorsRepeats(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEveryRowHonorsSchemes: a Schemes filter keeps exactly the rows
+// whose protocol it names, however the experiment builds them (every
+// PPT variant counts as ppt, the oracle as hypothetical), and a filter
+// that leaves an experiment no row is an error. Static tables keep
+// their rows.
+func TestEveryRowHonorsSchemes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs eleven small experiments")
+	}
+	for _, tc := range []struct {
+		id, scheme string
+		want       []string // nil: RunByID fails with ErrNoRows
+	}{
+		{"fig1", "ppt", nil},
+		{"fig2", "hypothetical", []string{"hypothetical"}},
+		{"fig3", "dctcp", nil},
+		{"fig5", "dctcp", nil},
+		{"fig12", "hypothetical", nil},
+		{"fig15", "ppt", []string{"ppt", "ppt-noecn"}},
+		{"fig19", "ppt", []string{"ppt"}},
+		{"fig20", "homa", nil},
+		{"fig20", "ppt", []string{"ppt"}},
+		{"fig24", "rc3", []string{"rc3-low20%", "rc3-low40%", "rc3-low60%", "rc3-low80%"}},
+		{"fig24", "ppt", []string{"ppt"}},
+		{"fig27", "dctcp", nil},
+	} {
+		t.Run(tc.id+"/"+tc.scheme, func(t *testing.T) {
+			t.Parallel()
+			res, err := RunByID(tc.id, Options{Flows: 12, Schemes: []string{tc.scheme}})
+			if tc.want == nil {
+				if !errors.Is(err, ErrNoRows) {
+					t.Fatalf("got %v, want ErrNoRows", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, r := range res.Rows {
+				got = append(got, r.Label)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("rows %v, want %v", got, tc.want)
+			}
+		})
+	}
+	all, err := RunByID("table1", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept, err := RunByID("table1", Options{Schemes: []string{"ppt"}}); err != nil || len(kept.Rows) != len(all.Rows) {
+		t.Fatalf("table1 under a filter: %v, want its %d rows", err, len(all.Rows))
 	}
 }
 

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -90,7 +91,8 @@ func init() {
 			// scheme runs fig19Runs times in alternating order (dctcp, ppt,
 			// ppt, dctcp, ...), drift on the host hits both alike, and the
 			// median is the figure, with min and max as its spread.
-			schemes := []transport.Protocol{dctcp.Proto{}, ppt.Proto{}}
+			schemes := slices.DeleteFunc([]transport.Protocol{dctcp.Proto{}, ppt.Proto{}},
+				func(s transport.Protocol) bool { return !o.wants(s.Name()) })
 			rows := make([]Row, len(schemes))
 			perEvent := make([][]float64, len(schemes))
 			for r := 0; r < fig19Runs; r++ {

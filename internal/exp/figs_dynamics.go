@@ -41,6 +41,10 @@ func init() {
 // flow's own α updates — the measured counterpart of the paper's Fig 5
 // illustration.
 func runDynamics(o Options) *Result {
+	res := &Result{ID: "fig5", Title: "dual-loop rate control dynamics (watched 8MB flow)"}
+	if !o.wants("ppt") {
+		return res
+	}
 	fab := testbedFabric()
 	net := fab.build()
 	env := transport.NewEnv(net)
@@ -73,7 +77,6 @@ func runDynamics(o Options) *Result {
 	o.addEvents(env.Sched().Executed)
 	audit(net)
 
-	res := &Result{ID: "fig5", Title: "dual-loop rate control dynamics (watched 8MB flow)"}
 	res.Rows = append(res.Rows, Row{Label: "workload", Sum: sum})
 	// Summarize the trace: a row per ~10% of samples plus aggregates.
 	var lcpOn int

@@ -70,10 +70,8 @@ func init() {
 				load: 0.5, flows: o.Flows, seed: o.Seed}
 			p := newPool(o)
 			p.compare(spec, []string{"ndp", "homa", "dctcp"}, "")
-			if o.wants("hypothetical") {
-				spec.proto = ppt.Oracle{FillFraction: 1.0}
-				p.row("hypothetical", spec)
-			}
+			spec.proto = ppt.Oracle{FillFraction: 1.0}
+			p.row("hypothetical", spec)
 			return &Result{ID: "fig2", Title: "overall avg FCT, hypothetical DCTCP vs baselines",
 				Rows:  p.run(),
 				Notes: []string{"paper: hypothetical DCTCP beats Homa by ~33% and NDP by ~40% on overall avg FCT"}}

@@ -126,8 +126,12 @@ func (p *pool) submit(label string, fn func() error) *poolJob {
 
 // row submits one table row: spec at Options.Repeats seeds, spec.seed,
 // spec.seed+1, …, each a cell. run returns the row as the mean of its
-// repeats.
+// repeats. A row whose scheme (schemeOf) the Schemes filter leaves out
+// is not submitted.
 func (p *pool) row(label string, spec runSpec) {
+	if !p.opts.wants(schemeOf(spec.proto)) {
+		return
+	}
 	r := rowCells{label: label, outs: make([]*cellOut, max(p.opts.Repeats, 1))}
 	for rep := range r.outs {
 		cell := spec
@@ -137,13 +141,13 @@ func (p *pool) row(label string, spec runSpec) {
 	p.rows = append(p.rows, r)
 }
 
-// compare submits one row per named scheme the filter wants: spec run
-// under the scheme's protocol, labelled with the scheme's name and
-// suffix. A sweep calls it once per point, each point with its suffix.
+// compare submits one row per named scheme: spec run under the scheme's
+// protocol, labelled with the scheme's name and suffix. A sweep calls it
+// once per point, each point with its suffix.
 func (p *pool) compare(spec runSpec, names []string, suffix string) {
 	all := baseSchemes()
 	for _, name := range names {
-		if proto, ok := all[name]; ok && p.opts.wants(name) {
+		if proto, ok := all[name]; ok {
 			spec.proto = proto
 			p.row(name+suffix, spec)
 		}

@@ -184,6 +184,19 @@ func baseSchemes() map[string]transport.Protocol {
 	return table
 }
 
+// schemeOf is the name the Schemes filter matches a row's protocol
+// against: its table name, except that every ppt.Proto (each ablation
+// too) counts as "ppt" and every ppt.Oracle as "hypothetical".
+func schemeOf(proto transport.Protocol) string {
+	switch proto.(type) {
+	case ppt.Proto:
+		return "ppt"
+	case ppt.Oracle:
+		return "hypothetical"
+	}
+	return proto.Name()
+}
+
 // runSpec is one cell: a scheme run on a fabric under a workload.
 type runSpec struct {
 	fab fabric

@@ -69,7 +69,7 @@ type INTHop struct {
 }
 
 // Packet is the single wire unit of the simulator. One struct covers all
-// transports; transport-specific extras ride in Meta.
+// transports, and every field travels by value (DESIGN.md §7.2).
 type Packet struct {
 	FlowID uint32
 	Src    int32 // source host id
@@ -98,16 +98,34 @@ type Packet struct {
 	// Retrans marks retransmissions (excluded from goodput accounting).
 	Retrans bool
 
-	Hops   int8     // incremented per switch traversal
-	SentAt sim.Time // stamped by the sending host on first enqueue
-	EchoTS sim.Time // on ACKs: the acknowledged data's SentAt (RTT probe)
-
-	INT  []INTHop // telemetry, nil unless the sender enabled it
-	Meta any      // transport-specific payload
-
+	Hops int8 // incremented per switch traversal
+	// NRanges counts the valid entries of RangeSeq and RangeLen.
+	NRanges int8
+	// GrantPrio is the priority a Homa or Aeolus grant or RESEND tells
+	// the sender to transmit at.
+	GrantPrio int8
 	// inPool guards against double-free: set while the packet sits in a
 	// PacketPool freelist.
 	inPool bool
+
+	SentAt sim.Time // stamped by the sending host on first enqueue
+	EchoTS sim.Time // on ACKs: the acknowledged data's SentAt (RTT probe)
+
+	// INT is the telemetry a data packet gathers (nil unless the sender
+	// enabled it), and on an HPCC ACK the telemetry it echoes.
+	INT []INTHop
+
+	// RangeSeq and RangeLen are the byte ranges [seq, seq+len) a control
+	// packet names: the opportunistic packets a low-loop ACK covers, or
+	// the bytes a RESEND, hole request, NACK or resend credit asks for.
+	RangeSeq [2]int64
+	RangeLen [2]int32
+}
+
+// AddRange appends [seq, seq+n) to the ranges the packet names.
+func (p *Packet) AddRange(seq int64, n int32) {
+	p.RangeSeq[p.NRanges], p.RangeLen[p.NRanges] = seq, n
+	p.NRanges++
 }
 
 func (p *Packet) String() string {

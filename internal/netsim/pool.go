@@ -54,8 +54,8 @@ func (pp *PacketPool) Get() *Packet {
 }
 
 // Free returns pkt to the pool. The packet must not be referenced again:
-// its fields are zeroed (releasing Meta and INT for reuse or collection)
-// and the struct will be handed out by a future Get. Freeing the same
+// its fields are zeroed (its INT array kept for GetINT to reuse) and
+// the struct will be handed out by a future Get. Freeing the same
 // packet twice panics — it means two owners think they hold it, which
 // would silently corrupt a later, unrelated packet. Freeing nil is a
 // no-op.
@@ -75,9 +75,9 @@ func (pp *PacketPool) Free(pkt *Packet) {
 }
 
 // GetINT returns an empty telemetry slice with some capacity, recycling
-// a previously returned backing array when possible. Attaching it to a
-// packet (pkt.INT) marks the packet as INT-capable: ports with INT
-// enabled append a hop record per traversal.
+// the backing array of a freed packet's INT when possible. Attaching it
+// to a data packet (pkt.INT) marks the packet as INT-capable: ports with
+// INT enabled append a hop record per traversal.
 func (pp *PacketPool) GetINT() []INTHop {
 	if pp == nil {
 		return make([]INTHop, 0, 8)
@@ -89,15 +89,6 @@ func (pp *PacketPool) GetINT() []INTHop {
 		return s
 	}
 	return make([]INTHop, 0, 8)
-}
-
-// PutINT recycles a telemetry slice whose records have been consumed.
-// The caller must not use s afterwards.
-func (pp *PacketPool) PutINT(s []INTHop) {
-	if pp == nil || cap(s) == 0 {
-		return
-	}
-	pp.intFree = append(pp.intFree, s[:0])
 }
 
 // Data builds a pooled payload-carrying packet with the wire length

@@ -1,22 +1,36 @@
 package netsim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestPacketPoolRecycles(t *testing.T) {
 	pp := NewPacketPool()
 	pkt := pp.Data(7, 1, 2, 4096, MSS, 3)
-	pkt.Meta = "payload"
+	pkt.AddRange(0, MSS)
+	pkt.GrantPrio = 2
 	pp.Free(pkt)
 	got := pp.Get()
 	if got != pkt {
 		t.Fatal("freed packet not recycled")
 	}
 	if got.FlowID != 0 || got.Seq != 0 || got.PayloadLen != 0 || got.WireLen != 0 ||
-		got.Kind != Data || got.Prio != 0 || got.Meta != nil || got.INT != nil {
+		got.Kind != Data || got.Prio != 0 || got.NRanges != 0 || got.RangeSeq != [2]int64{} ||
+		got.RangeLen != [2]int32{} || got.GrantPrio != 0 || got.INT != nil {
 		t.Fatalf("recycled packet not zeroed: %+v", got)
 	}
 	if pp.Allocs != 1 || pp.Frees != 1 || pp.Reuses != 1 {
 		t.Fatalf("counters = %d/%d/%d, want 1/1/1", pp.Allocs, pp.Frees, pp.Reuses)
+	}
+}
+
+// TestPacketStaysSmall pins the packet's size: every queue, wire and
+// freelist holds packets, so the control fields it carries by value
+// (ranges, a granted priority) must fit in 112 bytes.
+func TestPacketStaysSmall(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n > 112 {
+		t.Fatalf("Packet is %d bytes, want at most 112", n)
 	}
 }
 
@@ -42,7 +56,6 @@ func TestPacketPoolNilSafe(t *testing.T) {
 	if s := pp.GetINT(); cap(s) == 0 {
 		t.Fatal("nil pool GetINT returned zero-cap slice")
 	}
-	pp.PutINT(nil)
 }
 
 func TestPacketPoolRecyclesINT(t *testing.T) {

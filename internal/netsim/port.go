@@ -106,8 +106,8 @@ type PortConfig struct {
 	// holds at least this many bytes.
 	DroppableThresh int64
 
-	// EnableINT makes the port append an INTHop record to packets that
-	// carry a non-nil INT slice (HPCC).
+	// EnableINT makes the port append an INTHop record to data packets
+	// that carry a non-nil INT slice (HPCC).
 	EnableINT bool
 
 	// DynamicLowThreshold enables dynamic-threshold admission for the
@@ -486,7 +486,8 @@ func (p *Port) start(pkt *Packet, t sim.Time) {
 	}
 	p.pend[p.npend] = pendTx{txDone: txDone, wire: pkt.WireLen, data: data, fresh: fresh}
 	p.npend++
-	if p.cfg.EnableINT && pkt.INT != nil {
+	if p.cfg.EnableINT && pkt.Kind == Data && pkt.INT != nil {
+		// Only data gathers telemetry: an HPCC ACK's INT is its echo.
 		// Armed before the delivery so it runs first even at Delay == 0.
 		p.intq.push(pkt)
 		p.sched.At(txDone, p.onTxDone)

@@ -374,6 +374,47 @@ func TestNoEventOutlivesItsFlow(t *testing.T) {
 	}
 }
 
+// TestEveryTransportRecyclesItsFlows: a completed flow's struct returns
+// to the run's freelist, so the next arrival starts on it, under every
+// transport. That is safe because Recycle stops every timer that could
+// reach the old flow (TestNoTimerOutlivesItsFlow) and no endpoint reads
+// a flow after its completion.
+func TestEveryTransportRecyclesItsFlows(t *testing.T) {
+	const size = 70_000
+	for _, pr := range append(allProtocols(), oracleProtocols()...) {
+		t.Run(pr.name, func(t *testing.T) {
+			cfg := baseConfig()
+			if pr.tweak != nil {
+				pr.tweak(&cfg)
+			}
+			env := transport.NewEnv(topo.Star(2, cfg))
+			env.SendBuf = pr.sendBuf
+			rec := &flowRecorder{Protocol: pr.make()}
+			sum := transport.Run(env, rec, []transport.SimpleFlow{
+				{ID: 1, Src: 0, Dst: 1, Size: size, FirstCall: size},
+				{ID: 2, Src: 0, Dst: 1, Size: size, FirstCall: size, Arrive: 10 * sim.Millisecond},
+			}, transport.RunConfig{})
+			if sum.Flows != 2 {
+				t.Fatalf("completed %d/2 flows", sum.Flows)
+			}
+			if rec.flows[0] != rec.flows[1] {
+				t.Error("the second flow started on a fresh Flow: the first one's was not recycled")
+			}
+		})
+	}
+}
+
+// flowRecorder runs a protocol and keeps the Flow each sender starts on.
+type flowRecorder struct {
+	transport.Protocol
+	flows []*transport.Flow
+}
+
+func (r *flowRecorder) StartSender(env *transport.Env, f *transport.Flow) {
+	r.flows = append(r.flows, f)
+	r.Protocol.StartSender(env, f)
+}
+
 // recorder runs a protocol and keeps its one flow's endpoints. It taps
 // the receiver to note the timers armed just before each data packet is
 // handled; the last note is the one taken as the flow completed.

@@ -493,11 +493,6 @@ func (p Proto) Name() string {
 	return "dctcp"
 }
 
-// RecyclesFlows implements transport.FlowRecycler: both endpoints stop
-// their timers on Recycle, so no pending callback can reach the Flow
-// after Complete.
-func (Proto) RecyclesFlows() {}
-
 // StartReceiver implements transport.Protocol: bind a pooled receiver.
 func (p Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
 	f.Dst.Bind(f.ID, true, lowloop.GetReceiver(env, f))

@@ -28,7 +28,9 @@ var pacerKey = transport.NewPoolKey("expresspass.creditpacer")
 // StartReceiver implements transport.Protocol.
 func (Proto) StartReceiver(env *transport.Env, f *transport.Flow) {
 	pacer := transport.HostState(env, pacerKey, f.Dst.ID(), func() *creditPacer {
-		return &creditPacer{env: env, host: f.Dst}
+		cp := &creditPacer{env: env, host: f.Dst}
+		cp.tickFn = cp.tick
+		return cp
 	})
 	rx := &receiver{env: env, f: f, r: transport.NewReassembly(f.Size), pacer: pacer}
 	rx.retryFn = rx.retryFired
@@ -69,8 +71,8 @@ func (s *sender) Handle(pkt *netsim.Packet) {
 		return
 	}
 	// A credit may carry a retransmission request for a lost packet.
-	if ci, ok := pkt.Meta.(creditInfo); ok && ci.ResendLen > 0 {
-		rp := s.f.Src.Data(s.f.ID, s.f.Dst.ID(), ci.ResendSeq, ci.ResendLen, 1)
+	if pkt.NRanges > 0 {
+		rp := s.f.Src.Data(s.f.ID, s.f.Dst.ID(), pkt.RangeSeq[0], pkt.RangeLen[0], 1)
 		rp.Retrans = true
 		s.f.Src.Send(rp)
 		return
@@ -105,45 +107,46 @@ func (s *sender) retryFired() {
 // the flow.
 func (s *sender) Recycle(*transport.Env) { s.retry.Stop() }
 
-type creditInfo struct {
-	ResendSeq int64
-	ResendLen int32
-}
-
 // creditPacer emits credits at the full downlink packet rate (the real
 // system shapes credits to ~95% to leave room for other traffic),
 // round-robin across this host's active inbound flows.
 type creditPacer struct {
 	env    *transport.Env
 	host   *netsim.Host
-	queue  []*receiver
+	queue  transport.FIFO[*receiver]
 	pacing bool
+	// tickFn is tick bound once; re-arming with a method value would
+	// allocate a closure per credit.
+	tickFn func()
 }
 
 func (cp *creditPacer) register(rx *receiver) {
-	cp.queue = append(cp.queue, rx)
+	cp.queue.Push(rx)
 	if !cp.pacing {
 		cp.pacing = true
 		cp.tick()
 	}
 }
 
+// tick credits the head of the rotation and moves it to the tail. A
+// receiver leaves the rotation by its own state — reassembly complete,
+// or credited up to its size — never by reading its Flow, which Complete
+// may have handed to a later transfer.
 func (cp *creditPacer) tick() {
-	// Drop finished flows from the rotation.
-	for len(cp.queue) > 0 && (cp.queue[0].done() || cp.queue[0].credited >= cp.queue[0].f.Size) {
-		cp.queue = cp.queue[1:]
-	}
-	if len(cp.queue) == 0 {
-		cp.pacing = false
+	for cp.queue.Len() > 0 {
+		rx := cp.queue.Pop()
+		if rx.r.Complete() || rx.credited >= rx.r.Size {
+			continue
+		}
+		cp.queue.Push(rx)
+		rx.credited += netsim.MSS
+		credit := rx.f.Dst.Ctrl(netsim.Grant, rx.f.ID, rx.f.Src.ID(), 0)
+		rx.f.Dst.Send(credit)
+		slot := cp.host.Rate().TxTime(netsim.MSS + netsim.HeaderBytes)
+		cp.env.Sched().After(slot, cp.tickFn)
 		return
 	}
-	rx := cp.queue[0]
-	cp.queue = append(cp.queue[1:], rx)
-	rx.credited += netsim.MSS
-	credit := rx.f.Dst.Ctrl(netsim.Grant, rx.f.ID, rx.f.Src.ID(), 0)
-	rx.f.Dst.Send(credit)
-	slot := cp.host.Rate().TxTime(netsim.MSS + netsim.HeaderBytes)
-	cp.env.Sched().After(slot, cp.tick)
+	cp.pacing = false
 }
 
 // receiver reassembles and requests retransmissions for definite holes.
@@ -159,8 +162,6 @@ type receiver struct {
 	// on every re-arm (once per data arrival).
 	retryFn func()
 }
-
-func (rc *receiver) done() bool { return rc.f.Done() }
 
 // Handle implements netsim.Endpoint.
 func (rc *receiver) Handle(pkt *netsim.Packet) {
@@ -196,7 +197,7 @@ func (rc *receiver) retryFired() {
 	miss := rc.r.FirstMissing()
 	end := rc.r.NextCovered(miss, min(miss+netsim.MSS, rc.f.Size))
 	credit := rc.f.Dst.Ctrl(netsim.Grant, rc.f.ID, rc.f.Src.ID(), 0)
-	credit.Meta = creditInfo{ResendSeq: miss, ResendLen: int32(end - miss)}
+	credit.AddRange(miss, int32(end-miss))
 	rc.f.Dst.Send(credit)
 	rc.armRetry()
 }

@@ -22,11 +22,11 @@
 //
 // Each host's grant scheduler (rxManager) lives in the Env of the shard
 // that owns the host (transport.HostState). A grant carries its credit
-// in the packet — Seq is the offset the sender may send below, Meta the
-// granted priority as an int8, which boxes without allocating — and a
-// retransmission request carries its range in a *resend allocated per
-// request, so a receiver and its sender may run in different shards of a
-// windowed run without any packet pointing into a pooled object.
+// in the packet — Seq is the offset the sender may send below, GrantPrio
+// the granted priority — and a retransmission request carries its range
+// in the packet's first range slot, so a receiver and its sender may run
+// in different shards of a windowed run without any packet pointing into
+// a pooled object.
 package homa
 
 import (
@@ -48,16 +48,6 @@ const overcommit = 2
 // droppable.
 const droppablePrio = 6
 
-// resend is the Meta of a retransmission request: retransmit
-// [Seq, Seq+Len) at Prio. Homa sends it in a Ctrl RESEND, Aeolus in a
-// grant. Each is allocated: the receiver's shard may recycle and reuse
-// its rxFlow while the sender's shard still reads the request.
-type resend struct {
-	Prio int8
-	Seq  int64
-	Len  int64
-}
-
 // Proto is the Homa protocol factory. It is stateless: each host's
 // receiver manager lives in the Env of the shard that owns the host.
 type Proto struct{}
@@ -71,14 +61,6 @@ func (Proto) Name() string { return "homa" }
 
 // Name implements transport.Protocol.
 func (Aeolus) Name() string { return "aeolus" }
-
-// RecyclesFlows implements transport.FlowRecycler: Recycle stops the
-// keepalive and retry timers — the only callbacks that could reach a
-// recycled Flow.
-func (Proto) RecyclesFlows() {}
-
-// RecyclesFlows implements transport.FlowRecycler (see Proto).
-func (Aeolus) RecyclesFlows() {}
 
 // StartReceiver implements transport.Protocol.
 func (Proto) StartReceiver(env *transport.Env, f *transport.Flow) { startReceiver(env, f, false) }
@@ -234,16 +216,13 @@ func (s *sender) Handle(pkt *netsim.Packet) {
 		return
 	}
 	s.gotRx = true
-	var prio int8
-	switch m := pkt.Meta.(type) {
-	case int8:
-		prio = m
-	case *resend:
+	prio := pkt.GrantPrio
+	if pkt.NRanges > 0 {
 		// The requested range rides first, at the request's priority
 		// (an Aeolus grant's is the granted one).
-		prio = m.Prio
-		end := min(m.Seq+m.Len, s.f.Size)
-		for seq := m.Seq; seq < end; seq += netsim.MSS {
+		seq := pkt.RangeSeq[0]
+		end := min(seq+int64(pkt.RangeLen[0]), s.f.Size)
+		for ; seq < end; seq += netsim.MSS {
 			s.sendChunk(seq, end, prio, true)
 		}
 	}
@@ -342,7 +321,7 @@ func (m *rxManager) pump() {
 		for rx.granted-rx.r.Received() < m.rttBytes && rx.granted < rx.f.Size {
 			upTo := min(rx.granted+netsim.MSS, rx.f.Size)
 			g := rx.f.Dst.Ctrl(netsim.Grant, rx.f.ID, rx.f.Src.ID(), 0)
-			g.Seq, g.Meta = upTo, prio
+			g.Seq, g.GrantPrio = upTo, prio
 			rx.f.Dst.Send(g)
 			rx.granted = upTo
 		}
@@ -437,7 +416,8 @@ func (rx *rxFlow) request(prio int8, seq, end int64) {
 		kind = netsim.Grant
 	}
 	p := rx.f.Dst.Ctrl(kind, rx.f.ID, rx.f.Src.ID(), 0)
-	p.Seq, p.Meta = rx.granted, &resend{Prio: prio, Seq: seq, Len: end - seq}
+	p.Seq, p.GrantPrio = rx.granted, prio
+	p.AddRange(seq, int32(end-seq))
 	rx.f.Dst.Send(p)
 }
 

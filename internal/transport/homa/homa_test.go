@@ -218,3 +218,34 @@ func TestResendRangeSurvivesReceiverReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestAllocatesNothing: a Homa RESEND and an Aeolus hole request
+// carry their range and priority in the packet, so a request allocates
+// nothing. The receiver is unbound: the retransmissions land at a host
+// that drops them.
+func TestRequestAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		aeolus bool
+	}{{"homa", false}, {"aeolus", true}} {
+		env := transporttest.NewStarEnv(4)
+		const rttBytes = 50_000
+		mgr := &rxManager{env: env, rttBytes: rttBytes}
+		f := &transport.Flow{ID: 1, Src: env.Net.Hosts[1], Dst: env.Net.Hosts[0], Size: 100_000}
+		s := newIdleSender()
+		s.init(env, f, rttBytes, tc.aeolus)
+		f.Src.Bind(f.ID, false, s)
+		rx := newIdleRxFlow()
+		rx.init(mgr, f, tc.aeolus)
+		allocs := testing.AllocsPerRun(100, func() {
+			rx.request(2, 0, netsim.MSS)
+			env.Sched().RunUntil(env.Now() + env.BaseRTT())
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a request allocates %v times", tc.name, allocs)
+		}
+		if sent := f.Src.NIC().Stats.TxDataBytes; sent < 100*netsim.MSS {
+			t.Errorf("%s: the sender sent %d bytes for 101 requests of one MSS each", tc.name, sent)
+		}
+	}
+}

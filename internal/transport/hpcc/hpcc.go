@@ -84,18 +84,13 @@ func (s *sender) Loss(timeout bool) {
 }
 
 // echo runs the law on the telemetry pkt echoes, if any, and returns U
-// (0 without telemetry or before a baseline exists).
+// (0 without telemetry or before a baseline exists). react copies what
+// it keeps (prevINT), so the array returns to the pool with the ACK.
 func (s *sender) echo(pkt *netsim.Packet) float64 {
-	ints, ok := pkt.Meta.([]netsim.INTHop)
-	if !ok || len(ints) == 0 {
+	if len(pkt.INT) == 0 {
 		return 0
 	}
-	u := s.react(ints)
-	// react copied what it keeps (prevINT); the telemetry array the
-	// receiver handed us can go back to the pool.
-	s.F.Src.Pool().PutINT(ints)
-	pkt.Meta = nil
-	return u
+	return s.react(pkt.INT)
 }
 
 // react runs the HPCC window computation against echoed telemetry and

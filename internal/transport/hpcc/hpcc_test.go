@@ -122,10 +122,32 @@ func TestPPTVariantWindowFollowsTelemetry(t *testing.T) {
 		{QLen: 100_000, TxBytes: bytesPerRTT, TS: baseT, Rate: 10 * netsim.Gbps},
 	} {
 		ack := netsim.CtrlPacket(netsim.Ack, f.ID, f.Dst.ID(), f.Src.ID(), 0)
-		ack.Meta = []netsim.INTHop{hop}
+		ack.INT = []netsim.INTHop{hop}
 		s.Handle(ack)
 	}
 	if s.Cwnd >= bdp {
 		t.Fatalf("window %v did not shrink below the BDP %v under U>η", s.Cwnd, bdp)
+	}
+}
+
+// TestEchoAllocatesNothing: the receiver hands each data packet's
+// telemetry to its ACK's own INT field, and the sender returns the array
+// to the pool once its law has read it, so a steady HPCC flow allocates
+// nothing per ACK.
+func TestEchoAllocatesNothing(t *testing.T) {
+	env := transporttest.NewStarEnv(4, transporttest.WithINT())
+	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1], Size: 1 << 40}
+	Proto{}.StartReceiver(env, f)
+	Proto{}.StartSender(env, f)
+	s := f.Src.Unbind(f.ID, false).(*sender)
+	f.Src.Bind(f.ID, false, s)
+	env.Sched().RunUntil(10 * env.BaseRTT())
+	acked := s.SndUna
+	allocs := testing.AllocsPerRun(100, func() { env.Sched().RunUntil(env.Now() + env.BaseRTT()) })
+	if allocs != 0 {
+		t.Fatalf("an RTT of echoed ACKs allocates %v times", allocs)
+	}
+	if s.SndUna <= acked || s.prevINT == nil {
+		t.Fatal("the flow made no progress on echoed telemetry")
 	}
 }

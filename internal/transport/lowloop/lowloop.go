@@ -269,12 +269,16 @@ func (l *Loop) send() bool {
 	return true
 }
 
-// OnLowAck processes a low-priority ACK: folds the delivered ranges into
+// OnLowAck processes a low-priority ACK: folds the ranges it names into
 // the shared scoreboard and — unless the ACK carries ECE — clocks out
 // one new opportunistic packet (the EWD 2:1 halving, §3.2). A Blind loop
 // clocks one out whatever the ECE; an Unclocked one only folds.
 func (l *Loop) OnLowAck(pkt *netsim.Packet) {
-	if transport.FoldLowAck(l.env, pkt, l.host.SkipSet()) {
+	if pkt.NRanges > 0 {
+		skip := l.host.SkipSet()
+		for i := range pkt.NRanges {
+			skip.Add(pkt.RangeSeq[i], pkt.RangeSeq[i]+int64(pkt.RangeLen[i]))
+		}
 		l.host.OnSkipUpdate()
 	}
 	if !l.active || l.pol.Unclocked {
@@ -407,8 +411,7 @@ func (rc *Receiver) Handle(pkt *netsim.Packet) {
 		if len(pkt.INT) > 0 {
 			// Move ownership: the data packet is recycled when this Handle
 			// returns, so the ACK must take the telemetry array with it.
-			ack.Meta = pkt.INT
-			pkt.INT = nil
+			ack.INT, pkt.INT = pkt.INT, nil
 		}
 		rc.f.Dst.Send(ack)
 	}
@@ -449,11 +452,10 @@ func (rc *Receiver) deliver(pkt *netsim.Packet) (high bool) {
 	rc.flushTimer.Stop()
 	rc.flushTimer = sim.Timer{}
 	rc.hasPending = false
-	meta := transport.GetAckMeta(rc.env)
-	meta.LowSeqs = [2]int64{rc.pendingSeq, pkt.Seq}
-	meta.LowLens = [2]int32{rc.pendingLen, pkt.PayloadLen}
-	meta.LowN = 2
-	rc.sendLowAck(meta, pkt.Prio, pkt.CE || rc.pendingCE, pkt.SentAt)
+	ack := rc.lowAck(pkt.Prio, pkt.CE || rc.pendingCE, pkt.SentAt)
+	ack.AddRange(rc.pendingSeq, rc.pendingLen)
+	ack.AddRange(pkt.Seq, pkt.PayloadLen)
+	rc.f.Dst.Send(ack)
 	return false
 }
 
@@ -465,19 +467,18 @@ func (rc *Receiver) flush() {
 	}
 	rc.hasPending = false
 	rc.flushTimer = sim.Timer{}
-	meta := transport.GetAckMeta(rc.env)
-	meta.LowSeqs = [2]int64{rc.pendingSeq, 0}
-	meta.LowLens = [2]int32{rc.pendingLen, 0}
-	meta.LowN = 1
-	rc.sendLowAck(meta, rc.pendingPrio, rc.pendingCE, rc.pendingTS)
+	ack := rc.lowAck(rc.pendingPrio, rc.pendingCE, rc.pendingTS)
+	ack.AddRange(rc.pendingSeq, rc.pendingLen)
+	rc.f.Dst.Send(ack)
 }
 
-func (rc *Receiver) sendLowAck(meta *transport.AckMeta, prio int8, ece bool, echo sim.Time) {
+// lowAck builds a low-loop ACK; the caller adds the ranges it covers
+// and sends it.
+func (rc *Receiver) lowAck(prio int8, ece bool, echo sim.Time) *netsim.Packet {
 	ack := rc.f.Dst.Ctrl(netsim.Ack, rc.f.ID, rc.f.Src.ID(), prio)
 	ack.LowLoop = true
 	ack.Seq = rc.R.CumAck()
 	ack.ECE = ece
 	ack.EchoTS = echo
-	ack.Meta = meta
-	rc.f.Dst.Send(ack)
+	return ack
 }

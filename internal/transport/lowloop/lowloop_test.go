@@ -125,11 +125,8 @@ func TestAckUpdatesSkipAndNotifiesHost(t *testing.T) {
 	l, h, _ := setup(t, 10_000_000)
 	ack := netsim.CtrlPacket(netsim.Ack, 1, 1, 0, 5)
 	ack.LowLoop = true
-	ack.Meta = &transport.AckMeta{
-		LowSeqs: [2]int64{9_000_000, 9_500_000},
-		LowLens: [2]int32{netsim.MSS, netsim.MSS},
-		LowN:    2,
-	}
+	ack.AddRange(9_000_000, netsim.MSS)
+	ack.AddRange(9_500_000, netsim.MSS)
 	l.OnLowAck(ack)
 	if !h.skip.Contains(9_000_000, 9_000_000+netsim.MSS) {
 		t.Fatal("skip set not updated")
@@ -165,11 +162,8 @@ func TestReopenGatedOnBacklog(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		ack := netsim.CtrlPacket(netsim.Ack, 1, 1, 0, 5)
 		ack.LowLoop = true
-		ack.Meta = &transport.AckMeta{
-			LowSeqs: [2]int64{10_000_000 - int64(2*i+1)*netsim.MSS, 10_000_000 - int64(2*i+2)*netsim.MSS},
-			LowLens: [2]int32{netsim.MSS, netsim.MSS},
-			LowN:    2,
-		}
+		ack.AddRange(10_000_000-int64(2*i+1)*netsim.MSS, netsim.MSS)
+		ack.AddRange(10_000_000-int64(2*i+2)*netsim.MSS, netsim.MSS)
 		l.OnLowAck(ack)
 	}
 	l.Open(4*netsim.MSS, false)
@@ -382,7 +376,7 @@ func TestUnclockedOnlyFolds(t *testing.T) {
 	sent := l.OppSent()
 	ack := netsim.CtrlPacket(netsim.Ack, 1, 1, 0, 5)
 	ack.LowLoop = true
-	ack.Meta = &transport.AckMeta{LowSeqs: [2]int64{10_000_000 - netsim.MSS}, LowLens: [2]int32{netsim.MSS}, LowN: 1}
+	ack.AddRange(10_000_000-netsim.MSS, netsim.MSS)
 	l.OnLowAck(ack)
 	if l.OppSent() != sent || h.skipUps != 1 {
 		t.Fatalf("low ACK sent %d bytes and notified the host %d times, want 0 and 1", l.OppSent()-sent, h.skipUps)
@@ -408,18 +402,15 @@ func TestAtFrontierReachesHostFrontier(t *testing.T) {
 
 func TestECELowAckAllocatesNothing(t *testing.T) {
 	// The per-ACK path re-arms the dead timer with a pre-bound callback
-	// and hands the consumed meta back to the pool the receiver draws
-	// from, so a steady stream of ECE low ACKs allocates nothing.
-	l, _, env := setup(t, 10_000_000)
+	// and reads the ranges from the packet, so a steady stream of ECE
+	// low ACKs allocates nothing.
+	l, _, _ := setup(t, 10_000_000)
 	l.Open(4*netsim.MSS, false)
 	ack := netsim.CtrlPacket(netsim.Ack, 1, 1, 0, 5)
 	ack.LowLoop, ack.ECE = true, true
+	ack.AddRange(9_000_000, netsim.MSS)
+	ack.AddRange(9_001_448, netsim.MSS)
 	allocs := testing.AllocsPerRun(100, func() {
-		meta := transport.GetAckMeta(env)
-		meta.LowSeqs = [2]int64{9_000_000, 9_001_448}
-		meta.LowLens = [2]int32{netsim.MSS, netsim.MSS}
-		meta.LowN = 2
-		ack.Meta = meta
 		l.OnLowAck(ack)
 	})
 	if allocs != 0 {
@@ -490,9 +481,7 @@ func TestRecycledReceiverDropsHeldArrival(t *testing.T) {
 	}
 	var acked []int64
 	f2.Src.Bind(f2.ID, false, epFunc(func(p *netsim.Packet) {
-		if meta, ok := p.Meta.(*transport.AckMeta); ok {
-			acked = append(acked, meta.LowSeqs[:meta.LowN]...)
-		}
+		acked = append(acked, p.RangeSeq[:p.NRanges]...)
 	}))
 	r2.deliver(lowData(f2, 10_000))
 	r2.deliver(lowData(f2, 20_000))
@@ -511,9 +500,7 @@ func TestAckEachAnswersEveryArrival(t *testing.T) {
 	rc.AckEach = true
 	var acked []int64
 	f.Src.Bind(f.ID, false, epFunc(func(p *netsim.Packet) {
-		if meta, ok := p.Meta.(*transport.AckMeta); ok {
-			acked = append(acked, meta.LowSeqs[:meta.LowN]...)
-		}
+		acked = append(acked, p.RangeSeq[:p.NRanges]...)
 	}))
 	for _, seq := range []int64{90_000, 80_000, 70_000} {
 		p := netsim.DataPacket(f.ID, f.Src.ID(), f.Dst.ID(), seq, netsim.MSS, 4)

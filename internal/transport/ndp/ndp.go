@@ -21,7 +21,7 @@ import (
 // NACKs and PULLs ride P0.
 const dataPrio = 1
 
-// nackInfo identifies a trimmed packet to retransmit.
+// nackInfo is a queued retransmission: the range a NACK named.
 type nackInfo struct {
 	Seq int64
 	Len int32
@@ -62,7 +62,7 @@ type sender struct {
 	f   *transport.Flow
 
 	sentNext int64
-	rtxQueue []nackInfo
+	rtxQueue transport.FIFO[nackInfo]
 }
 
 // launch sends the blind first window: one BDP at line rate.
@@ -97,12 +97,10 @@ func (s *sender) Handle(pkt *netsim.Packet) {
 	}
 	switch pkt.Kind {
 	case netsim.Ctrl: // NACK for a trimmed packet
-		ni := pkt.Meta.(nackInfo)
-		s.rtxQueue = append(s.rtxQueue, ni)
+		s.rtxQueue.Push(nackInfo{Seq: pkt.RangeSeq[0], Len: pkt.RangeLen[0]})
 	case netsim.Pull:
-		if len(s.rtxQueue) > 0 {
-			ni := s.rtxQueue[0]
-			s.rtxQueue = s.rtxQueue[1:]
+		if s.rtxQueue.Len() > 0 {
+			ni := s.rtxQueue.Pop()
 			rp := s.f.Src.Data(s.f.ID, s.f.Dst.ID(), ni.Seq, ni.Len, dataPrio)
 			rp.Retrans = true
 			s.f.Src.Send(rp)
@@ -114,15 +112,10 @@ func (s *sender) Handle(pkt *netsim.Packet) {
 
 // pullPacer serializes PULL transmission per receiving host at its
 // downlink packet rate, across all of the host's inbound NDP flows.
-// The queue is a head-indexed ring over one backing array: popping by
-// reslicing (queue = queue[1:]) would strand the front capacity, so
-// every append past the high-water mark reallocated — the pacer was one
-// of the hottest allocation sites in the benchmark profile.
 type pullPacer struct {
 	env    *transport.Env
 	host   *netsim.Host
-	queue  []*netsim.Packet
-	head   int
+	queue  transport.FIFO[*netsim.Packet]
 	pacing bool
 	// sendFn is sendOne bound once; re-arming with a method value would
 	// allocate a closure per pull.
@@ -130,7 +123,7 @@ type pullPacer struct {
 }
 
 func (pp *pullPacer) enqueue(pull *netsim.Packet) {
-	pp.queue = append(pp.queue, pull)
+	pp.queue.Push(pull)
 	if !pp.pacing {
 		pp.pacing = true
 		pp.sendOne()
@@ -138,29 +131,11 @@ func (pp *pullPacer) enqueue(pull *netsim.Packet) {
 }
 
 func (pp *pullPacer) sendOne() {
-	if pp.head == len(pp.queue) {
-		// Drained: rewind to the front of the backing array so future
-		// appends reuse it.
-		pp.queue = pp.queue[:0]
-		pp.head = 0
+	if pp.queue.Len() == 0 {
 		pp.pacing = false
 		return
 	}
-	pull := pp.queue[pp.head]
-	pp.queue[pp.head] = nil
-	pp.head++
-	// Compact a mostly-consumed queue so a pacer that never fully drains
-	// cannot grow its backing array without bound.
-	if pp.head >= 64 && pp.head*2 >= len(pp.queue) {
-		n := copy(pp.queue, pp.queue[pp.head:])
-		clearTail := pp.queue[n:]
-		for i := range clearTail {
-			clearTail[i] = nil
-		}
-		pp.queue = pp.queue[:n]
-		pp.head = 0
-	}
-	pp.host.Send(pull)
+	pp.host.Send(pp.queue.Pop())
 	gap := pp.host.Rate().TxTime(netsim.MSS + netsim.HeaderBytes)
 	pp.env.Sched().After(gap, pp.sendFn)
 }
@@ -185,7 +160,7 @@ func (rc *receiver) Handle(pkt *netsim.Packet) {
 	if pkt.Trimmed {
 		// Header survived: tell the sender immediately, then pull.
 		nack := rc.f.Dst.Ctrl(netsim.Ctrl, rc.f.ID, rc.f.Src.ID(), 0)
-		nack.Meta = nackInfo{Seq: pkt.Seq, Len: pkt.PayloadLen}
+		nack.AddRange(pkt.Seq, pkt.PayloadLen)
 		rc.f.Dst.Send(nack)
 	} else {
 		rc.r.Add(pkt.Seq, pkt.PayloadLen)
@@ -223,7 +198,7 @@ func (rc *receiver) retryFired() {
 	end := rc.r.NextCovered(miss, rc.f.Size)
 	n := int32(min(end-miss, netsim.MSS))
 	nack := rc.f.Dst.Ctrl(netsim.Ctrl, rc.f.ID, rc.f.Src.ID(), 0)
-	nack.Meta = nackInfo{Seq: miss, Len: n}
+	nack.AddRange(miss, n)
 	rc.f.Dst.Send(nack)
 	pull := rc.f.Dst.Ctrl(netsim.Pull, rc.f.ID, rc.f.Src.ID(), 0)
 	rc.pacer.enqueue(pull)

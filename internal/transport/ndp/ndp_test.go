@@ -3,6 +3,7 @@ package ndp
 import (
 	"testing"
 
+	"ppt/internal/netsim"
 	"ppt/internal/sim"
 	"ppt/internal/transport"
 	"ppt/internal/transport/transporttest"
@@ -71,4 +72,30 @@ func TestCompletesOnDropTailFabric(t *testing.T) {
 	env.RTOMin = 300 * sim.Microsecond
 	flows := transporttest.IncastFlows(4, 150_000)
 	transporttest.MustComplete(t, env, Proto{}, flows)
+}
+
+// TestNackAllocatesNothing: a NACK names the trimmed packet's range in
+// the packet, and the sender queues it in one backing array, so a NACK
+// and the pull that clocks out its retransmission allocate nothing. The
+// receiver is unbound: the retransmissions land at a host that drops
+// them.
+func TestNackAllocatesNothing(t *testing.T) {
+	env := transporttest.NewStarEnv(4, transporttest.WithTrim())
+	f := &transport.Flow{ID: 1, Src: env.Net.Hosts[1], Dst: env.Net.Hosts[0], Size: 1 << 40}
+	Proto{}.StartReceiver(env, f)
+	rc := f.Dst.Unbind(f.ID, true).(*receiver)
+	s := &sender{env: env, f: f}
+	f.Src.Bind(f.ID, false, s)
+	trimmed := netsim.DataPacket(f.ID, f.Src.ID(), f.Dst.ID(), 0, netsim.MSS, dataPrio)
+	trimmed.Trimmed = true
+	allocs := testing.AllocsPerRun(100, func() {
+		rc.Handle(trimmed)
+		env.Sched().RunUntil(env.Now() + env.BaseRTT())
+	})
+	if allocs != 0 {
+		t.Fatalf("a NACK allocates %v times", allocs)
+	}
+	if s.rtxQueue.Len() != 0 {
+		t.Fatalf("%d NACKed packets never retransmitted", s.rtxQueue.Len())
+	}
 }

@@ -118,17 +118,6 @@ type EndpointRecycler interface {
 	Recycle(env *Env)
 }
 
-// FlowRecycler marks protocols whose endpoints guarantee that, by the
-// time Env.Complete has recycled them, no pending timer or retained
-// reference can reach the *Flow. Only then may Run recycle Flow structs
-// through the run freelist; protocols without the marker get a freshly
-// allocated Flow per transfer (unchanged semantics), because a stale
-// timer observing a recycled flow's Done() == false would resurrect a
-// dead transfer as a zombie of the new one.
-type FlowRecycler interface {
-	RecyclesFlows()
-}
-
 // hostKey names one per-host object: the package's key and the host.
 type hostKey struct {
 	key  *PoolKey

@@ -108,12 +108,6 @@ func (p Proto) StartSender(env *transport.Env, f *transport.Flow) {
 	s.launch()
 }
 
-// RecyclesFlows implements transport.FlowRecycler: Recycle stops every
-// timer either endpoint armed (HCP RTO, LCP pacing/open/dead timers,
-// receiver quiet-flush), so no pending callback can reach a recycled
-// Flow.
-func (Proto) RecyclesFlows() {}
-
 // Large is the buffer-aware classifier of §4.1: a flow whose first
 // syscall exceeds the identification threshold is large.
 func Large(f *transport.Flow) bool { return f.FirstCall > identifyThreshold }

@@ -5,7 +5,6 @@ import (
 
 	"ppt/internal/netsim"
 	"ppt/internal/sim"
-	"ppt/internal/stats"
 	"ppt/internal/topo"
 	"ppt/internal/transport"
 	"ppt/internal/transport/dctcp"
@@ -322,11 +321,8 @@ func TestLowAckUpdatesSkipSet(t *testing.T) {
 	s.launch()
 	ackp := netsim.CtrlPacket(netsim.Ack, f.ID, f.Dst.ID(), f.Src.ID(), 4)
 	ackp.LowLoop = true
-	ackp.Meta = &transport.AckMeta{
-		LowSeqs: [2]int64{9_000_000, 9_500_000},
-		LowLens: [2]int32{netsim.MSS, netsim.MSS},
-		LowN:    2,
-	}
+	ackp.AddRange(9_000_000, netsim.MSS)
+	ackp.AddRange(9_500_000, netsim.MSS)
 	s.Handle(ackp)
 	if !s.Skip.Contains(9_000_000, 9_000_000+netsim.MSS) {
 		t.Fatal("skip set missing acked opportunistic range")
@@ -381,11 +377,10 @@ func TestReceiverFlushesStrandedArrival(t *testing.T) {
 	env := newEnv()
 	f := &transport.Flow{ID: 11, Src: env.Net.Hosts[0], Dst: env.Net.Hosts[1],
 		Size: 1_000_000, FirstCall: 1000, Start: 0}
-	var lowMetas []*transport.AckMeta
+	var lowAcks []netsim.Packet
 	f.Src.Bind(f.ID, false, epFunc(func(p *netsim.Packet) {
 		if p.LowLoop {
-			meta, _ := p.Meta.(*transport.AckMeta)
-			lowMetas = append(lowMetas, meta)
+			lowAcks = append(lowAcks, *p)
 		}
 	}))
 	rc := lowloop.NewReceiver(env, f)
@@ -394,21 +389,21 @@ func TestReceiverFlushesStrandedArrival(t *testing.T) {
 	p.LowLoop = true
 	rc.Handle(p)
 	env.Sched().Run() // drains the 2×BaseRTT flush timer
-	if len(lowMetas) != 1 {
-		t.Fatalf("lowAcks = %d, want exactly one quiet-flush ACK", len(lowMetas))
+	if len(lowAcks) != 1 {
+		t.Fatalf("lowAcks = %d, want exactly one quiet-flush ACK", len(lowAcks))
 	}
-	meta := lowMetas[0]
-	if meta == nil || meta.LowN != 1 {
-		t.Fatalf("flush ACK meta = %+v, want LowN == 1", meta)
+	ack := lowAcks[0]
+	if ack.NRanges != 1 {
+		t.Fatalf("flush ACK names %d ranges, want 1", ack.NRanges)
 	}
-	if meta.LowSeqs[0] != 900_000 || meta.LowLens[0] != netsim.MSS {
+	if ack.RangeSeq[0] != 900_000 || ack.RangeLen[0] != netsim.MSS {
 		t.Fatalf("flush ACK covers (%d,%d), want (900000,%d)",
-			meta.LowSeqs[0], meta.LowLens[0], netsim.MSS)
+			ack.RangeSeq[0], ack.RangeLen[0], netsim.MSS)
 	}
 	// The flush is one-shot: no second ACK for the same arrival.
 	env.Sched().Run()
-	if len(lowMetas) != 1 {
-		t.Fatalf("lowAcks = %d after drain, flush re-fired", len(lowMetas))
+	if len(lowAcks) != 1 {
+		t.Fatalf("lowAcks = %d after drain, flush re-fired", len(lowAcks))
 	}
 }
 
@@ -439,8 +434,7 @@ func TestTerminateKeepsBacklog(t *testing.T) {
 	}
 	ack := netsim.CtrlPacket(netsim.Ack, f.ID, f.Dst.ID(), f.Src.ID(), 4)
 	ack.LowLoop = true
-	ack.Meta = &transport.AckMeta{LowSeqs: [2]int64{f.Size - backlog},
-		LowLens: [2]int32{int32(backlog)}, LowN: 1}
+	ack.AddRange(f.Size-backlog, int32(backlog))
 	s.Handle(ack)
 	s.onAlpha(0.05)
 	if !s.lcp.Active() {
@@ -503,12 +497,6 @@ func TestHCPProtectedUnderContention(t *testing.T) {
 	// the LCP must not hurt foreign high-priority traffic.
 	run := func(bg transport.Protocol) sim.Time {
 		env := newEnv()
-		var victim []stats.FCTRecord
-		env.OnComplete = func(f *transport.Flow) {
-			if f.ID == 2 {
-				victim = env.Collector.Records()
-			}
-		}
 		transport.Run(env, protoMux{bg: bg, victimID: 2}, []transport.SimpleFlow{
 			{ID: 1, Src: 0, Dst: 2, Size: 8_000_000},
 			{ID: 2, Src: 1, Dst: 2, Size: 200_000, Arrive: 200 * sim.Microsecond},
@@ -519,7 +507,6 @@ func TestHCPProtectedUnderContention(t *testing.T) {
 			}
 		}
 		t.Fatal("victim never completed")
-		_ = victim
 		return 0
 	}
 	base := run(dctcp.Proto{})

@@ -90,7 +90,7 @@ func TestNoECESuppression(t *testing.T) {
 	ack := netsim.CtrlPacket(netsim.Ack, f.ID, f.Dst.ID(), f.Src.ID(), 4)
 	ack.LowLoop = true
 	ack.ECE = true
-	ack.Meta = &transport.AckMeta{LowSeqs: [2]int64{f.Size - netsim.MSS}, LowLens: [2]int32{netsim.MSS}, LowN: 1}
+	ack.AddRange(f.Size-netsim.MSS, netsim.MSS)
 	s.Handle(ack)
 	if s.lcp.OppSent() <= before {
 		t.Fatal("RC3 suppressed on ECE; it must not")

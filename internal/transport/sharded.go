@@ -218,7 +218,7 @@ func (r *shardedRun) applyReceiverStarts() {
 
 // applyTeardowns tears down every sender staged this round: it sets
 // srcDone, unbinds the endpoint from the source NIC, recycles it (which
-// stops its timers) and returns a recyclable flow to the source shard's
+// stops its timers) and returns a pooled flow to the source shard's
 // freelist. Runs on the driver thread at a barrier, iterating
 // completing shards in index order (entries within a slice are in
 // completion order), so the order in which each source shard's pools
@@ -235,7 +235,7 @@ func (r *shardedRun) applyTeardowns() {
 			if rec, ok := f.Src.Unbind(f.ID, false).(EndpointRecycler); ok {
 				rec.Recycle(se)
 			}
-			if f.pooled && se.recycleFlows {
+			if f.pooled {
 				se.putFlow(f)
 			}
 			staged[j] = nil
@@ -472,8 +472,6 @@ func runShardedSource(env *Env, proto Protocol, src FlowSource, cfg RunConfig) s
 	if m := la.Min(); m <= 0 && m != sim.MaxTime {
 		panic("transport: partitioned fabric with a non-positive lookahead entry")
 	}
-	_, recycle := proto.(FlowRecycler)
-
 	run := &shardedRun{
 		proto:     proto,
 		hostShard: part.HostShard,
@@ -483,15 +481,13 @@ func runShardedSource(env *Env, proto Protocol, src FlowSource, cfg RunConfig) s
 	run.envs = make([]*Env, n)
 	for i := range run.envs {
 		run.envs[i] = &Env{
-			Net:          env.Net,
-			Collector:    stats.NewCollector(),
-			RTOMin:       env.RTOMin,
-			SendBuf:      env.SendBuf,
-			OnComplete:   env.OnComplete,
-			recycleFlows: recycle,
-			sched:        part.Scheds[i],
-			shard:        i,
-			run:          run,
+			Net:       env.Net,
+			Collector: stats.NewCollector(),
+			RTOMin:    env.RTOMin,
+			SendBuf:   env.SendBuf,
+			sched:     part.Scheds[i],
+			shard:     i,
+			run:       run,
 		}
 	}
 
@@ -570,13 +566,7 @@ func runShardedSource(env *Env, proto Protocol, src FlowSource, cfg RunConfig) s
 		deadline = cfg.Deadline
 	}
 
-	workers := part.Workers
-	if env.OnComplete != nil {
-		// A completion observer is arbitrary user code invoked inside
-		// shard event loops; run single-threaded rather than racing it.
-		workers = 1
-	}
-	st := &ShardStats{Shards: n, Workers: workers, ShardEvents: make([]uint64, n)}
+	st := &ShardStats{Shards: n, Workers: part.Workers, ShardEvents: make([]uint64, n)}
 	floors := make([]sim.Time, n)   // every event < floors[d] is executed
 	owed := make([]sim.Time, n)     // earliest departure a cross port owes
 	effs := make([]sim.Time, n)     // earliest possible next emission per shard
@@ -584,8 +574,8 @@ func runShardedSource(env *Env, proto Protocol, src FlowSource, cfg RunConfig) s
 	runTo := make([]sim.Time, n)    // per-shard deadline, shardIdle to skip
 	settleTo := make([]sim.Time, n) // furthest horizon each shard ever ran to
 	var workerPool *crew
-	if workers > 1 {
-		workerPool = newCrew(workers, runTo, func(i int, rt sim.Time) { runWindow(part, i, rt) })
+	if part.Workers > 1 {
+		workerPool = newCrew(part.Workers, runTo, func(i int, rt sim.Time) { runWindow(part, i, rt) })
 		defer workerPool.stop()
 	}
 

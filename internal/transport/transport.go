@@ -78,18 +78,11 @@ type Env struct {
 	// the last completion only stops the loop once the source is dry.
 	feeding bool
 
-	// OnComplete, when set, observes each completion (after recording).
-	// Observers must not retain the *Flow past the callback: under a
-	// flow-recycling protocol the struct is reused for a later arrival.
-	OnComplete func(*Flow)
-
 	// pools is the per-run endpoint pool registry (see PoolFor).
 	pools map[*PoolKey]any
 
-	// flowFree is the run-scoped Flow freelist; recycleFlows gates it on
-	// the protocol implementing FlowRecycler.
-	flowFree     []*Flow
-	recycleFlows bool
+	// flowFree is the run-scoped Flow freelist.
+	flowFree []*Flow
 
 	// hostState is the per-host object registry (see HostState).
 	hostState map[hostKey]any
@@ -139,8 +132,8 @@ func (e *Env) RTO() sim.Time {
 // Complete records a finished flow, unbinds its endpoints (recycling
 // any that implement EndpointRecycler), and stops the run loop when the
 // last tracked flow finishes. Flows drawn from the run freelist return
-// to it here, once the protocol has vouched (via FlowRecycler) that no
-// stale timer can still reach them.
+// to it here: once Recycle has stopped every timer the endpoints armed,
+// nothing can reach the flow (DESIGN.md §7.2).
 func (e *Env) Complete(f *Flow) {
 	if f.done {
 		return
@@ -162,9 +155,6 @@ func (e *Env) Complete(f *Flow) {
 		if r, ok := dst.(EndpointRecycler); ok {
 			r.Recycle(e)
 		}
-		if e.OnComplete != nil {
-			e.OnComplete(f)
-		}
 		e.run.stageTeardown(e.shard, f)
 		return
 	}
@@ -177,10 +167,7 @@ func (e *Env) Complete(f *Flow) {
 	if r, ok := dst.(EndpointRecycler); ok {
 		r.Recycle(e)
 	}
-	if e.OnComplete != nil {
-		e.OnComplete(f)
-	}
-	if f.pooled && e.recycleFlows {
+	if f.pooled {
 		e.putFlow(f)
 	}
 	if e.run != nil {
@@ -309,10 +296,10 @@ func (s *sliceSource) Next() (SimpleFlow, bool) {
 // with a single-flow lookahead and releases each batch of
 // same-timestamp flows when its moment comes. Peak pre-run state drops
 // from O(flows) heap objects to one event and one pending SimpleFlow,
-// and the Flow structs themselves come from the Env freelist when the
-// protocol supports recycling. Pulling never touches the scheduler, so
-// for a materialized source the (time, seq) sequence of release events
-// is identical to walking the slice directly.
+// and the Flow structs themselves come from the Env freelist. Pulling
+// never touches the scheduler, so for a materialized source the
+// (time, seq) sequence of release events is identical to walking the
+// slice directly.
 type releaser struct {
 	env   *Env
 	proto Protocol
@@ -468,7 +455,6 @@ func RunSource(env *Env, proto Protocol, src FlowSource, cfg RunConfig) stats.Su
 	env.remaining = 0
 	env.stopWhenDone = true
 	env.feeding = true
-	_, env.recycleFlows = proto.(FlowRecycler)
 	sched := env.Sched()
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = 2_000_000_000
@@ -488,7 +474,6 @@ func RunSource(env *Env, proto Protocol, src FlowSource, cfg RunConfig) stats.Su
 		deadline = cfg.Deadline
 	}
 	sched.RunUntil(deadline)
-	env.recycleFlows = false
 	env.feeding = false
 	// Settle the ports before reading Tx counters: owed departures start
 	// and every serialization that physically completed within the run
